@@ -31,7 +31,7 @@ from .acceptance import run_all
 from .checks import CheckReport, var_names
 from .coalgebra import check_coalgebra
 from .cohomology import InhomogeneousSectionError, hilbert_table, resolution_certificate
-from .groebner import quotient_dimension
+from .groebner import buchberger, quotient_dimension
 from .koszul import build_koszul, build_tautological_koszul, check_d_squared
 from .parsing import ParseError, parse_one_form, parse_poly, parse_section
 from .poly import Poly, UnknownVariableError, gradient
@@ -146,14 +146,15 @@ def _cmd_zero(args):
     weights = _parse_weights(args.weights, len(vars)) if args.weights else (1,) * len(vars)
     complex = build_koszul(vars, list(components))
     d2 = check_d_squared(complex)
-    h0 = quotient_dimension(list(components))
+    ideal = buchberger(list(components))
+    h0 = quotient_dimension(ideal)
     checks = [{"name": "d_squared", "status": "pass" if d2 else "fail"}]
     results: dict = {"checks": checks, "h0_dimension": h0}
     lines = [f"zero locus of ({', '.join(str(c) for c in components)}) over {_ring(vars)}",
              f"d^2 = 0: {checks[0]['status']}",
              f"H^0 dimension: {h0}"]
     try:
-        table = hilbert_table(complex, weights, args.cutoff)
+        table = hilbert_table(complex, weights, args.cutoff, basis=ideal)
         results["hilbert"] = _hilbert_json(table)
         lines.extend(_hilbert_lines(table))
     except InhomogeneousSectionError as e:
@@ -171,7 +172,7 @@ def _cmd_fancy(args):
     taut = build_tautological_koszul(vars, args.rank)
     cert = resolution_certificate(taut, args.cutoff)
     all_vars = taut.complex.ambient.vars
-    table = hilbert_table(taut.complex, (1,) * len(all_vars), args.cutoff)
+    table = cert.table
     status = "pass" if cert.ok else "fail"
     results = {"checks": [{"name": "resolution_certificate", "status": status}],
                "hilbert": _hilbert_json(table)}
@@ -193,8 +194,12 @@ def _cmd_crit(args):
     results: dict = {}
     lines = [f"f = {f} over {_ring(vars)}"]
     grads = list(gradient(f))
+    # one Jacobian basis serves milnor, obstruction and hilbert; with no
+    # variables the ideal is zero and the quotient is Q itself
+    jacobian = (buchberger(grads or [Poly.zero(vars)])
+                if want_all or args.milnor or args.obstruction or args.hilbert else None)
     if args.milnor or want_all:
-        mu = quotient_dimension(grads)
+        mu = quotient_dimension(jacobian)
         results["milnor"] = mu
         lines.append(f"milnor = {mu}")
     if args.pairing or want_all:
@@ -205,14 +210,15 @@ def _cmd_crit(args):
                      f"symmetric = {str(pairing.symmetric).lower()}, "
                      f"nondegenerate = {str(pairing.nondegenerate).lower()}")
     if args.obstruction or want_all:
-        report = obstruction_theory(f)
+        report = obstruction_theory(f, basis=jacobian)
         results["obstruction"] = report.to_json()
         lines.append(f"obstruction: quotient_dim = {report.quotient_dim}, "
                      f"h0 = {report.h0}, h1 = {report.h1}, "
                      f"hessian_invertible = {str(report.hessian_invertible).lower()}")
     if args.hilbert or want_all:
         try:
-            table = hilbert_table(build_koszul(vars, grads), weights, args.cutoff)
+            table = hilbert_table(build_koszul(vars, grads), weights, args.cutoff,
+                                  basis=jacobian)
             results["hilbert"] = _hilbert_json(table)
             lines.extend(_hilbert_lines(table))
         except InhomogeneousSectionError as e:

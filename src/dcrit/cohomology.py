@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Mapping, Sequence, Union
 
-from .groebner import INFINITE, buchberger, quotient_dimension
+from .groebner import INFINITE, GroebnerBasis, quotient_dimension
 from .koszul import KoszulComplex, TautologicalKoszul
 from .linalg import rank_rows
 from .poly import (ANY_DEGREE, INHOMOGENEOUS, Exponents, Poly, exps_add,
@@ -150,11 +150,19 @@ class HilbertTable:
         return sorted(self.rows)
 
 
-def hilbert_table(complex_like: ComplexLike, weights, cutoff: int) -> HilbertTable:
-    """Tabulate slice cohomology for all weights up to the cutoff."""
+def hilbert_table(complex_like: ComplexLike, weights, cutoff: int,
+                  basis: GroebnerBasis | None = None) -> HilbertTable:
+    """Tabulate slice cohomology for all weights up to the cutoff.
+
+    `basis`, when given, must be the Groebner basis of the ideal the
+    section's components span; it certifies completeness of degree zero in
+    place of a fresh Buchberger run.
+    """
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
     c = as_koszul(complex_like)
+    if basis is not None and basis.vars != c.ambient.vars:
+        raise ValueError("basis lives over different variables")
     ws = normalize_weights(c.ambient.vars, weights)
     gd = generator_degrees(c, ws)
     m = c.rank
@@ -168,7 +176,7 @@ def hilbert_table(complex_like: ComplexLike, weights, cutoff: int) -> HilbertTab
                     f"negative cohomology dimension at degree {p}, weight {w}")
             rows[p].append(h)
     complete = {p: False for p in range(-m, 1)}
-    qd = quotient_dimension(buchberger(list(c.section.components)))
+    qd = quotient_dimension(basis if basis is not None else list(c.section.components))
     if qd != INFINITE and sum(rows[0]) == qd:
         complete[0] = True
     return HilbertTable(ws, cutoff, {p: tuple(r) for p, r in rows.items()}, complete)
@@ -210,13 +218,14 @@ class ResolutionCertificate:
 
     Checks, slice by slice up to the cutoff, that negative-degree cohomology
     vanishes and that dim H^0 in weight w equals the number of base-ring
-    monomials of weight w.
+    monomials of weight w.  `table` is the slice table the checks read.
     """
 
     ok: bool
     cutoff: int
     h0_matches: bool
     negatives_vanish: bool
+    table: HilbertTable
     first_mismatch: dict | None = None
 
 
@@ -247,4 +256,4 @@ def resolution_certificate(taut: TautologicalKoszul, cutoff: int,
                     mismatch = {"degree": p, "weight": w, "expected": 0, "got": h}
                 break
     return ResolutionCertificate(h0_matches and negatives_vanish, cutoff,
-                                 h0_matches, negatives_vanish, mismatch)
+                                 h0_matches, negatives_vanish, table, mismatch)

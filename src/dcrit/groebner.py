@@ -5,13 +5,23 @@ minimalization and full interreduction, so the returned basis is the reduced
 monic Groebner basis: a canonical form, idempotent under recomputation.
 This is the independent oracle for degree-zero cohomology (quotient ring
 dimension) and for Milnor numbers.
+
+Critical pairs wait in a heap keyed by the degrevlex key of their lcm,
+computed once per pair.  Division (`normal_form`) reduces one term dict in
+place and finds each leading term through a heap, building a single Poly at
+the end.  A basis is worth computing once per ideal: `quotient_dimension`,
+`cohomology.hilbert_table` and `symplectic.obstruction_theory` all accept a
+precomputed GroebnerBasis, and the `crit` and `zero` commands compute one
+and pass it to each of them.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import count, product
+from operator import add, le, sub
 from typing import Iterable, Sequence, Union
 
 from .poly import Exponents, Poly, degrevlex_key, gradient
@@ -21,35 +31,60 @@ INFINITE = "infinite"
 
 
 def _divides(a: Exponents, b: Exponents) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _exps_sub(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def _exps_lcm(a: Exponents, b: Exponents) -> Exponents:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
+def _heap_key(exps: Exponents) -> tuple:
+    """degrevlex_key negated, so that heapq's smallest key is the largest monomial."""
+    return (-sum(exps), exps[::-1])
+
+
 def normal_form(p: Poly, basis: Sequence[Poly]) -> Poly:
-    """Remainder of full multivariate division of p by the basis."""
-    basis = [g for g in basis if not g.is_zero()]
-    leads = [g.leading() for g in basis]
-    work = p
-    remainder = Poly.zero(p.vars)
-    while not work.is_zero():
-        exps, c = work.leading()
-        for g, (ge, gc) in zip(basis, leads):
+    """Remainder of full multivariate division of p by the basis.
+
+    Each step takes the leading term of what is left and divides it by the
+    first divisor, in list order, whose leading term divides it; terms no
+    leading term divides move to the remainder.  The work is done in place
+    on one term dict, with a heap of monomials to find the leading term.
+    """
+    divisors = [(g.leading(), g.terms) for g in basis if not g.is_zero()]
+    work = dict(p.terms)
+    heap = [(_heap_key(e), e) for e in work]
+    heapq.heapify(heap)
+    remainder: dict[Exponents, Fraction] = {}
+    while heap:
+        exps = heapq.heappop(heap)[1]
+        c = work.get(exps)
+        if c is None:
+            continue  # cancelled since it was pushed, or a duplicate entry
+        for (ge, gc), gterms in divisors:
             if _divides(ge, exps):
-                factor = Poly.monomial(p.vars, _exps_sub(exps, ge), c / gc)
-                work = work - factor * g
+                m = c / gc
+                q = _exps_sub(exps, ge)
+                for e, gcoef in gterms.items():
+                    e = tuple(map(add, q, e))
+                    old = work.get(e)
+                    if old is None:
+                        work[e] = -m * gcoef
+                        heapq.heappush(heap, (_heap_key(e), e))
+                    else:
+                        new = old - m * gcoef
+                        if new:
+                            work[e] = new
+                        else:
+                            del work[e]  # the divisor's leading term cancels exps here
                 break
         else:
-            mono = Poly.monomial(p.vars, exps, c)
-            remainder = remainder + mono
-            work = work - mono
-    return remainder
+            remainder[exps] = work.pop(exps)
+    return Poly(p.vars, remainder)
 
 
 def s_poly(f: Poly, g: Poly) -> Poly:
@@ -94,21 +129,27 @@ def buchberger(gens: Iterable[Poly]) -> GroebnerBasis:
         if g.vars != vars:
             raise ValueError("generators live over different variables")
     basis = [g * (Fraction(1) / g.leading()[1]) for g in gens if not g.is_zero()]
-    pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
+    leads = [g.leading()[0] for g in basis]
+    # pairs come off the heap smallest lcm first, which keeps intermediate
+    # growth down; among equal lcms the newest pair comes off first
+    order = count(0, -1)
+    pairs = [(degrevlex_key(_exps_lcm(leads[i], leads[j])), next(order), i, j)
+             for i in range(len(basis)) for j in range(i + 1, len(basis))]
+    heapq.heapify(pairs)
     while pairs:
-        # prefer pairs with small lcm; keeps intermediate growth down
-        pairs.sort(key=lambda ij: degrevlex_key(
-            _exps_lcm(basis[ij[0]].leading()[0], basis[ij[1]].leading()[0])), reverse=True)
-        i, j = pairs.pop()
-        fe = basis[i].leading()[0]
-        ge = basis[j].leading()[0]
+        _, _, i, j = heapq.heappop(pairs)
+        fe, ge = leads[i], leads[j]
         if _exps_lcm(fe, ge) == tuple(a + b for a, b in zip(fe, ge)):
             continue  # coprime leading terms: s-polynomial reduces to zero
         r = normal_form(s_poly(basis[i], basis[j]), basis)
         if not r.is_zero():
             r = r * (Fraction(1) / r.leading()[1])
             basis.append(r)
-            pairs.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
+            leads.append(r.leading()[0])
+            last = len(basis) - 1
+            for k in range(last):
+                heapq.heappush(pairs, (degrevlex_key(_exps_lcm(leads[k], leads[last])),
+                                       next(order), k, last))
     # minimalize: drop any generator whose leading term another one divides
     basis.sort(key=lambda g: degrevlex_key(g.leading()[0]))
     minimal: list[Poly] = []

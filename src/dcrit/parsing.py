@@ -10,7 +10,9 @@ One grammar drives all four readers:
 
 Names resolve to ring variables, and (depending on the reader) to basis
 generators: '@x' for the vector field dual to x, 'd_x' for its differential.
-Errors carry the character position of the offending token.
+Errors carry the character position of the offending token.  Parentheses
+nest at most MAX_NESTING deep, so that deep input is refused as a syntax
+error instead of exhausting the interpreter's stack.
 """
 
 from __future__ import annotations
@@ -34,6 +36,10 @@ _TOKEN_RE = re.compile(
     """,
     re.VERBOSE,
 )
+
+#: Deepest parenthesis nesting the parsers accept; each level costs four
+#: stack frames of the recursive descent.
+MAX_NESTING = 100
 
 
 class ParseError(ValueError):
@@ -73,6 +79,7 @@ class _Parser:
         self.gens = gens
         self.tokens = _tokenize(src)
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.i]
@@ -147,7 +154,11 @@ class _Parser:
                 return ExtElt.from_poly(self.ambient, Poly.variable(self.ambient.vars, text))
             raise ParseError(f"unknown name {text!r}", pos, self.src)
         if (kind, text) == ("op", "("):
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", pos, self.src)
+            self.depth += 1
             value = self.expr()
+            self.depth -= 1
             tok = self.advance()
             if tok[:2] != ("op", ")"):
                 raise ParseError("expected ')'", tok[2], self.src)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .groebner import INFINITE, jacobian_ideal, standard_monomials
+from .groebner import INFINITE, GroebnerBasis, jacobian_ideal, standard_monomials
 from .koszul import KoszulComplex, build_koszul
 from .linalg import rank_rows
 from .poly import Poly, gradient
@@ -127,11 +127,17 @@ class ObstructionReport:
                 "hessian_invertible": self.hessian_invertible}
 
 
-def obstruction_theory(f: Poly) -> ObstructionReport:
-    """Restrict the Hessian to the critical quotient and measure exactness."""
+def obstruction_theory(f: Poly, basis: GroebnerBasis | None = None) -> ObstructionReport:
+    """Restrict the Hessian to the critical quotient and measure exactness.
+
+    `basis`, when given, must be the Groebner basis of the Jacobian ideal
+    of f; without it the basis is computed here.
+    """
+    if basis is not None and basis.vars != f.vars:
+        raise ValueError("basis lives over different variables")
     h = hessian(f)
     sym = is_symmetric(h)
-    gb = jacobian_ideal(f)
+    gb = basis if basis is not None else jacobian_ideal(f)
     monos = standard_monomials(gb)
     if monos is None:
         return ObstructionReport(tuple(tuple(r) for r in h), sym, INFINITE)

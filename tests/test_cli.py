@@ -89,6 +89,33 @@ def test_syntax_error_position(capsys):
     assert "position 3" in err
 
 
+def test_deep_nesting_is_an_input_error(capsys):
+    deep = "(" * 3000 + "x" + ")" * 3000
+    code, out, err = run(capsys, "crit", "--vars", "x", "-f", deep)
+    assert code == 2
+    assert out == ""
+    assert "nested deeper" in err and "position 100" in err
+
+
+def test_crit_over_a_point(capsys):
+    # a function on a point: the critical locus is the point, Milnor number 1
+    code, doc, _ = run_json(capsys, "crit", "--vars", "", "-f", "3")
+    assert code == 0
+    assert doc["results"]["milnor"] == 1
+    assert doc["results"]["obstruction"]["quotient_dim"] == 1
+    assert doc["results"]["hilbert"]["0"][:2] == [1, 0]
+
+
+def test_crit_pairing_alone_runs_no_buchberger(capsys, monkeypatch):
+    def refuse(gens):
+        raise AssertionError("buchberger called")
+    monkeypatch.setattr("dcrit.cli.buchberger", refuse)
+    code, doc, _ = run_json(capsys, "crit", "--vars", "x,y", "-f", "x^3 + y^3",
+                            "--pairing")
+    assert code == 0
+    assert list(doc["results"]) == ["pairing"]
+
+
 def test_unknown_variable_is_an_input_error(capsys):
     code, _, err = run(capsys, "crit", "--vars", "x", "-f", "q + 1")
     assert code == 2

@@ -2,7 +2,7 @@
 
 import pytest
 
-from dcrit.parsing import (ParseError, parse_one_form, parse_poly,
+from dcrit.parsing import (MAX_NESTING, ParseError, parse_one_form, parse_poly,
                            parse_polyvector, parse_section)
 from dcrit.poly import Poly
 
@@ -40,6 +40,16 @@ def test_error_positions():
         parse_poly("1/0", VS)
     with pytest.raises(ParseError):
         parse_poly("", VS)
+
+
+def test_nesting_depth_is_bounded():
+    at_limit = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+    assert parse_poly(at_limit, VS) == parse_poly("x", VS)
+    with pytest.raises(ParseError) as e:
+        parse_poly("(" * 3000 + "x" + ")" * 3000, VS)
+    assert e.value.pos == MAX_NESTING
+    with pytest.raises(ParseError):
+        parse_polyvector("-(" * (MAX_NESTING + 1) + "@x" + ")" * (MAX_NESTING + 1), VS)
 
 
 def test_parse_section():
