@@ -24,9 +24,9 @@ print(f"d^2 = 0: {check_d_squared(K)}")
 print()
 print("== the tautological complex over Q[x] ==")
 taut = build_tautological_koszul(("x",), 2)
-print(f"ambient variables: {taut.complex.ambient.vars}")
+print(f"ambient variables: {taut.ambient.vars}")
 print("its section is the fiber coordinates:",
-      tuple(str(c) for c in taut.complex.section.components))
+      tuple(str(c) for c in taut.section.components))
 
 print()
 print("== base change onto a concrete section ==")

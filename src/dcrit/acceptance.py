@@ -15,7 +15,7 @@ from random import Random
 
 from .checks import rand_poly, var_names
 from .cohomology import hilbert_table, is_regular_sequence, resolution_certificate
-from .groebner import INFINITE, quotient_dimension
+from .groebner import INFINITE, buchberger, quotient_dimension
 from .koszul import (base_change_compare, build_koszul, build_tautological_koszul,
                      check_d_squared)
 from .parsing import parse_one_form, parse_poly
@@ -142,9 +142,10 @@ def criterion_milnor_oracles(seed: int = 0) -> CriterionResult:
             ws = (1,) * len(vs)
             grads = list(gradient(f))
             cutoff = len(vs) * (f.total_degree() - 2) + 2
-            table = hilbert_table(build_koszul(vs, grads), ws, cutoff)
+            basis = buchberger(grads)
+            table = hilbert_table(build_koszul(vs, grads), ws, cutoff, basis=basis)
             slice_total = table.total(0)
-            quotient = quotient_dimension(grads)
+            quotient = quotient_dimension(basis)
             closed = _closed_form_milnor(f, ws)
             rows[src] = {"slices": slice_total, "groebner": quotient, "product": closed}
             if not (slice_total == quotient == closed):

@@ -41,9 +41,16 @@ class CheckReport:
 
 
 def var_names(n: int) -> tuple[str, ...]:
+    if n < 0:
+        raise ValueError(f"number of variables must be nonnegative, got {n}")
     if n <= 4:
         return ("x", "y", "z", "w")[:n]
     return tuple(f"x{i + 1}" for i in range(n))
+
+
+def _require_trials(trials: int) -> None:
+    if trials < 0:
+        raise ValueError(f"trials must be nonnegative, got {trials}")
 
 
 def rand_coeff(rng: Random) -> Fraction:
@@ -69,7 +76,7 @@ def rand_poly(rng: Random, vars: Sequence[str], max_deg: int, max_terms: int = 3
     terms: dict = {}
     for _ in range(rng.randint(1, max_terms)):
         exps = rand_exps(rng, len(vs), max_deg)
-        terms[exps] = terms.get(exps, Fraction(0)) + rand_coeff(rng)
+        terms[exps] = terms.get(exps, 0) + rand_coeff(rng)
     return Poly(vs, terms)
 
 
@@ -84,7 +91,7 @@ def rand_homogeneous(rng: Random, ambient: Ambient, max_deg: int,
         subset = tuple(sorted(rng.sample(pool, p)))
         exps = rand_exps(rng, len(ambient.vars), max_deg)
         key = (exps, subset)
-        terms[key] = terms.get(key, Fraction(0)) + rand_coeff(rng)
+        terms[key] = terms.get(key, 0) + rand_coeff(rng)
     return ExtElt(ambient, terms)
 
 
@@ -98,7 +105,7 @@ def rand_mixed(rng: Random, ambient: Ambient, max_deg: int, max_terms: int = 4) 
         subset = tuple(sorted(rng.sample(pool, p)))
         exps = rand_exps(rng, len(ambient.vars), max_deg)
         key = (exps, subset)
-        terms[key] = terms.get(key, Fraction(0)) + rand_coeff(rng)
+        terms[key] = terms.get(key, 0) + rand_coeff(rng)
     return ExtElt(ambient, terms)
 
 

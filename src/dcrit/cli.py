@@ -171,7 +171,7 @@ def _cmd_fancy(args):
     vars = _parse_vars(args.vars)
     taut = build_tautological_koszul(vars, args.rank)
     cert = resolution_certificate(taut, args.cutoff)
-    all_vars = taut.complex.ambient.vars
+    all_vars = taut.ambient.vars
     table = cert.table
     status = "pass" if cert.ok else "fail"
     results = {"checks": [{"name": "resolution_certificate", "status": status}],

@@ -19,139 +19,68 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from random import Random
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
-from .checks import CheckReport, rand_mixed, rand_section, shrink_elements
-from .exterior import Ambient, ExtElt, Section, contract, merge_sign, wedge
+from .checks import CheckReport, _require_trials, rand_mixed, rand_section, shrink_elements
+from .exterior import Ambient, ExtElt, Section, _contract, contract, merge_sign, wedge
 from .koszul import KoszulComplex
-from .poly import Exponents, Poly, exps_add, monomial_str
+from .poly import Exponents, Poly, _Terms, exps_add, monomial_str
 
 TensorKey = tuple[Exponents, tuple[int, ...], tuple[int, ...]]
 
 
-class TensorElt:
+class TensorElt(_Terms):
     """Element of (Lambda otimes_R Lambda) over the polynomial ring."""
 
-    __slots__ = ("ambient", "terms")
+    __slots__ = ()
+    ambient = _Terms._ring  # the ring tag is the Ambient
 
-    def __init__(self, ambient: Ambient, terms: Mapping[TensorKey, Fraction]):
-        clean: dict[TensorKey, Fraction] = {}
-        n = len(ambient.vars)
-        for (exps, left, right), c in terms.items():
-            if len(exps) != n:
-                raise ValueError("exponent vector does not match the variables")
-            c = Fraction(c)
-            if c:
-                clean[(tuple(exps), tuple(left), tuple(right))] = c
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TensorElt is immutable")
-
-    @classmethod
-    def zero(cls, ambient: Ambient) -> "TensorElt":
-        return cls(ambient, {})
+    @staticmethod
+    def _valid_key(ambient: Ambient, key) -> TensorKey:
+        exps, left, right = key
+        if len(exps) != len(ambient.vars):
+            raise ValueError("exponent vector does not match the variables")
+        return tuple(exps), tuple(left), tuple(right)
 
     @classmethod
     def tensor(cls, a: ExtElt, b: ExtElt) -> "TensorElt":
-        if a.ambient != b.ambient:
-            raise ValueError("mixed ambients")
+        a._check(b)
         terms: dict[TensorKey, Fraction] = {}
         for (e1, s1), c1 in a.terms.items():
             for (e2, s2), c2 in b.terms.items():
                 key = (exps_add(e1, e2), s1, s2)
-                v = terms.get(key, Fraction(0)) + c1 * c2
-                if v:
-                    terms[key] = v
-                else:
-                    terms.pop(key, None)
-        return cls(a.ambient, terms)
+                terms[key] = terms.get(key, 0) + c1 * c2
+        return cls._make(a.ambient, terms)
 
-    def __add__(self, other: "TensorElt") -> "TensorElt":
-        if not isinstance(other, TensorElt):
-            return NotImplemented
-        if self.ambient != other.ambient:
-            raise ValueError("mixed ambients")
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            v = terms.get(key, Fraction(0)) + c
-            if v:
-                terms[key] = v
-            else:
-                terms.pop(key, None)
-        return TensorElt(self.ambient, terms)
-
-    def __neg__(self) -> "TensorElt":
-        return TensorElt(self.ambient, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other: "TensorElt") -> "TensorElt":
-        if not isinstance(other, TensorElt):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other) -> "TensorElt":
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return TensorElt(self.ambient, {k: c * v for k, v in self.terms.items()})
-        if not isinstance(other, TensorElt):
-            return NotImplemented
+    def _product(self, other: "TensorElt") -> "TensorElt":
         return tensor_multiply(self, other)
 
-    __rmul__ = __mul__
+    @staticmethod
+    def _sort_key(key: TensorKey) -> tuple:
+        exps, left, right = key
+        return (len(left), left, right, exps)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TensorElt):
-            return NotImplemented
-        return self.ambient == other.ambient and self.terms == other.terms
+    def _factors(self, key: TensorKey) -> list[str]:
+        exps, left, right = key
+        slots = [("/\\".join(self.ambient.gens[j] for j in s) or "1") for s in (left, right)]
+        mono = monomial_str(self.ambient.vars, exps)
+        return ([mono] if mono else []) + [" (x) ".join(slots)]
 
-    __hash__ = None
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-
-        def slot(subset: tuple[int, ...]) -> str:
-            return "/\\".join(self.ambient.gens[j] for j in subset) or "1"
-
-        pieces = []
-        for (exps, left, right) in sorted(self.terms, key=lambda k: (len(k[1]), k[1], k[2], k[0])):
-            c = self.terms[(exps, left, right)]
-            mag = abs(c)
-            mono = monomial_str(self.ambient.vars, exps)
-            prefix = "*".join(s for s in (str(mag) if mag != 1 else "", mono) if s)
-            body = f"{slot(left)} (x) {slot(right)}"
-            if prefix:
-                body = f"{prefix}*{body}"
-            pieces.append(("-" if c < 0 else "+", body))
-        sign, body = pieces[0]
-        out = ("-" if sign == "-" else "") + body
-        for sign, body in pieces[1:]:
-            out += f" {sign} {body}"
-        return out
-
-    def __repr__(self) -> str:
-        return f"TensorElt({str(self)!r})"
+def _split_terms(subset: tuple[int, ...]):
+    """Every two-block split (left, right) of a subset, with its merge sign."""
+    for r in range(len(subset) + 1):
+        for left in combinations(subset, r):
+            right = tuple(j for j in subset if j not in left)
+            sign, _ = merge_sign(left, right)
+            yield left, right, sign
 
 
 def comultiply(a: ExtElt) -> TensorElt:
     """Signed sum over all two-block splits of each wedge monomial."""
-    terms: dict[TensorKey, Fraction] = {}
-    for (exps, subset), c in a.terms.items():
-        for r in range(len(subset) + 1):
-            for left in combinations(subset, r):
-                right = tuple(j for j in subset if j not in left)
-                sign, _ = merge_sign(left, right)
-                key = (exps, left, right)
-                v = terms.get(key, Fraction(0)) + sign * c
-                if v:
-                    terms[key] = v
-                else:
-                    terms.pop(key, None)
-    return TensorElt(a.ambient, terms)
+    return TensorElt._make(a.ambient, {(exps, left, right): sign * c
+                                       for (exps, subset), c in a.terms.items()
+                                       for left, right, sign in _split_terms(subset)})
 
 
 def counit(a: ExtElt) -> Poly:
@@ -161,8 +90,8 @@ def counit(a: ExtElt) -> Poly:
 
 def antipode(a: ExtElt) -> ExtElt:
     """(-1)^p on wedge degree p; an algebra map because 2-cycles cancel."""
-    return ExtElt(a.ambient, {(exps, subset): (c if len(subset) % 2 == 0 else -c)
-                              for (exps, subset), c in a.terms.items()})
+    return ExtElt._make(a.ambient, {(exps, subset): (c if len(subset) % 2 == 0 else -c)
+                                    for (exps, subset), c in a.terms.items()})
 
 
 def coaction(complex: KoszulComplex, a: ExtElt) -> TensorElt:
@@ -174,8 +103,7 @@ def coaction(complex: KoszulComplex, a: ExtElt) -> TensorElt:
 
 def tensor_multiply(s: TensorElt, t: TensorElt) -> TensorElt:
     """Slotwise wedge with the sign rule (a (x) b)(c (x) d) = (-1)^(|b||c|) ac (x) bd."""
-    if s.ambient != t.ambient:
-        raise ValueError("mixed ambients")
+    s._check(t)
     terms: dict[TensorKey, Fraction] = {}
     for (e1, u1, v1), c1 in s.terms.items():
         for (e2, u2, v2), c2 in t.terms.items():
@@ -187,21 +115,14 @@ def tensor_multiply(s: TensorElt, t: TensorElt) -> TensorElt:
             if sv == 0:
                 continue
             key = (exps_add(e1, e2), mu, mv)
-            v = terms.get(key, Fraction(0)) + cross * su * sv * c1 * c2
-            if v:
-                terms[key] = v
-            else:
-                terms.pop(key, None)
-    return TensorElt(s.ambient, terms)
+            terms[key] = terms.get(key, 0) + cross * su * sv * c1 * c2
+    return TensorElt._make(s.ambient, terms)
 
 
 def tensor_flip(t: TensorElt) -> TensorElt:
     """Graded flip a (x) b -> (-1)^(|a||b|) b (x) a."""
-    terms: dict[TensorKey, Fraction] = {}
-    for (exps, left, right), c in t.terms.items():
-        sign = -1 if (len(left) * len(right)) % 2 else 1
-        terms[(exps, right, left)] = sign * c
-    return TensorElt(t.ambient, terms)
+    return TensorElt._make(t.ambient, {(exps, right, left): (-c if len(left) * len(right) % 2 else c)
+                                       for (exps, left, right), c in t.terms.items()})
 
 
 def tensor_collapse(t: TensorElt) -> ExtElt:
@@ -209,138 +130,84 @@ def tensor_collapse(t: TensorElt) -> ExtElt:
     terms: dict = {}
     for (exps, left, right), c in t.terms.items():
         sign, merged = merge_sign(left, right)
-        if sign == 0:
-            continue
-        key = (exps, merged)
-        v = terms.get(key, Fraction(0)) + sign * c
-        if v:
-            terms[key] = v
-        else:
-            terms.pop(key, None)
-    return ExtElt(t.ambient, terms)
+        if sign:
+            key = (exps, merged)
+            terms[key] = terms.get(key, 0) + sign * c
+    return ExtElt._make(t.ambient, terms)
 
 
 def _slot_map(t: TensorElt, fn: Callable[[ExtElt], ExtElt], slot: int) -> TensorElt:
-    """Apply an even R-linear map to one slot (no crossing signs arise)."""
-    out = TensorElt.zero(t.ambient)
-    nvars = len(t.ambient.vars)
-    for (exps, left, right), c in t.terms.items():
-        target = left if slot == 0 else right
-        image = fn(ExtElt.monomial(t.ambient, exps, target, c))
+    """Apply an even R-linear map to the slot at key position 1 or 2 (no crossing signs arise)."""
+    terms: dict[TensorKey, Fraction] = {}
+    for key, c in t.terms.items():
+        image = fn(ExtElt._make(t.ambient, {(key[0], key[slot]): c}))
         for (iexps, isub), ic in image.terms.items():
-            key = (iexps, isub, right) if slot == 0 else (iexps, left, isub)
-            out = out + TensorElt(t.ambient, {key: ic})
-    return out
+            k = (iexps,) + key[1:slot] + (isub,) + key[slot + 1:]
+            terms[k] = terms.get(k, 0) + ic
+    return TensorElt._make(t.ambient, terms)
 
 
 def tensor_map_first(t: TensorElt, fn: Callable[[ExtElt], ExtElt]) -> TensorElt:
-    return _slot_map(t, fn, 0)
+    return _slot_map(t, fn, 1)
 
 
 def tensor_map_second(t: TensorElt, fn: Callable[[ExtElt], ExtElt]) -> TensorElt:
-    return _slot_map(t, fn, 1)
+    return _slot_map(t, fn, 2)
+
+
+def _counit_slot(t: TensorElt, slot: int) -> ExtElt:
+    """Apply the counit to the slot at key position 1 or 2, keeping the other slot."""
+    return ExtElt._make(t.ambient, {(key[0], key[3 - slot]): c
+                                    for key, c in t.terms.items() if not key[slot]})
 
 
 def tensor_counit_first(t: TensorElt) -> ExtElt:
     """(counit otimes id), landing back in the exterior algebra."""
-    terms = {}
-    for (exps, left, right), c in t.terms.items():
-        if left == ():
-            key = (exps, right)
-            terms[key] = terms.get(key, Fraction(0)) + c
-    return ExtElt(t.ambient, {k: v for k, v in terms.items() if v})
+    return _counit_slot(t, 1)
 
 
 def tensor_counit_second(t: TensorElt) -> ExtElt:
-    terms = {}
-    for (exps, left, right), c in t.terms.items():
-        if right == ():
-            key = (exps, left)
-            terms[key] = terms.get(key, Fraction(0)) + c
-    return ExtElt(t.ambient, {k: v for k, v in terms.items() if v})
+    return _counit_slot(t, 2)
 
 
 def tensor_d_first(t: TensorElt, section: Section) -> TensorElt:
     """(d otimes id) for the contraction differential; acts on the left slot."""
     if section.ambient != t.ambient:
         raise ValueError("section lives on a different ambient")
-    terms: dict[TensorKey, Fraction] = {}
-    for (exps, left, right), c in t.terms.items():
-        for k0, j in enumerate(left):
-            sign = -1 if k0 % 2 == 0 else 1
-            rest = left[:k0] + left[k0 + 1:]
-            for sexps, sc in section.components[j].terms.items():
-                key = (exps_add(exps, sexps), rest, right)
-                v = terms.get(key, Fraction(0)) + sign * sc * c
-                if v:
-                    terms[key] = v
-                else:
-                    terms.pop(key, None)
-    return TensorElt(t.ambient, terms)
+    return TensorElt._make(t.ambient, _contract(section.components, t.terms))
 
 
-class Tensor3:
+class Tensor3(_Terms):
     """Triple tensors, only as far as coassociativity needs them."""
 
-    __slots__ = ("ambient", "terms")
+    __slots__ = ()
+    ambient = _Terms._ring  # the ring tag is the Ambient
 
-    def __init__(self, ambient: Ambient, terms: Mapping[tuple, Fraction]):
-        clean = {}
-        for key, c in terms.items():
-            c = Fraction(c)
-            if c:
-                clean[key] = c
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Tensor3 is immutable")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Tensor3):
-            return NotImplemented
-        return self.ambient == other.ambient and self.terms == other.terms
-
-    __hash__ = None
+    @staticmethod
+    def _valid_key(ambient: Ambient, key) -> tuple:
+        return key
 
     def __repr__(self) -> str:
         return f"Tensor3({len(self.terms)} terms)"
 
+    __str__ = __repr__
 
-def _split_terms(subset: tuple[int, ...]):
-    for r in range(len(subset) + 1):
-        for left in combinations(subset, r):
-            right = tuple(j for j in subset if j not in left)
-            sign, _ = merge_sign(left, right)
-            yield left, right, sign
+
+def _comultiply_slot(t: TensorElt, slot: int) -> Tensor3:
+    """Comultiply the slot at key position 1 or 2; comultiplication is even, so no extra signs."""
+    return Tensor3._make(t.ambient, {key[:slot] + (a, b) + key[slot + 1:]: sign * c
+                                     for key, c in t.terms.items()
+                                     for a, b, sign in _split_terms(key[slot])})
 
 
 def comultiply_first(t: TensorElt) -> Tensor3:
-    """(comultiply otimes id); comultiplication is even, so no extra signs."""
-    terms: dict[tuple, Fraction] = {}
-    for (exps, left, right), c in t.terms.items():
-        for a, b, sign in _split_terms(left):
-            key = (exps, a, b, right)
-            v = terms.get(key, Fraction(0)) + sign * c
-            if v:
-                terms[key] = v
-            else:
-                terms.pop(key, None)
-    return Tensor3(t.ambient, terms)
+    """(comultiply otimes id)."""
+    return _comultiply_slot(t, 1)
 
 
 def comultiply_second(t: TensorElt) -> Tensor3:
     """(id otimes comultiply)."""
-    terms: dict[tuple, Fraction] = {}
-    for (exps, left, right), c in t.terms.items():
-        for a, b, sign in _split_terms(right):
-            key = (exps, left, a, b)
-            v = terms.get(key, Fraction(0)) + sign * c
-            if v:
-                terms[key] = v
-            else:
-                terms.pop(key, None)
-    return Tensor3(t.ambient, terms)
+    return _comultiply_slot(t, 2)
 
 
 def check_coalgebra(rank: int, trials: int = 200, seed: int = 0,
@@ -351,6 +218,9 @@ def check_coalgebra(rank: int, trials: int = 200, seed: int = 0,
     sections driving the chain-map probe; sections may have zero or
     inhomogeneous components, since the coaction does not care.
     """
+    _require_trials(trials)
+    if rank < 0:
+        raise ValueError(f"rank must be nonnegative, got {rank}")
     vs = tuple(vars)
     amb = Ambient(vs, tuple(f"e{j + 1}" for j in range(rank)))
     rng = Random(seed)

@@ -11,17 +11,15 @@ independent route to the same number.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Sequence
 
+from .exterior import _contract
 from .groebner import INFINITE, GroebnerBasis, quotient_dimension
 from .koszul import KoszulComplex, TautologicalKoszul
 from .linalg import rank_rows
-from .poly import (ANY_DEGREE, INHOMOGENEOUS, Exponents, Poly, exps_add,
-                   monomials_of_weight, normalize_weights)
-
-ComplexLike = Union[KoszulComplex, TautologicalKoszul]
+from .poly import (ANY_DEGREE, INHOMOGENEOUS, Exponents, Poly, monomials_of_weight,
+                   normalize_weights)
 
 
 class InhomogeneousSectionError(ValueError):
@@ -35,17 +33,12 @@ class InhomogeneousSectionError(ValueError):
         self.polynomial = polynomial
 
 
-def as_koszul(c: ComplexLike) -> KoszulComplex:
-    return getattr(c, "complex", c)
-
-
-def generator_degrees(complex_like: ComplexLike, weights) -> tuple[int, ...]:
+def generator_degrees(c: KoszulComplex, weights) -> tuple[int, ...]:
     """Weight of each exterior generator: that of its section component.
 
     Zero components put no constraint on their generator; they inherit the
     common weight of the nonzero components when there is one, else 1.
     """
-    c = as_koszul(complex_like)
     ws = normalize_weights(c.ambient.vars, weights)
     raw = []
     for j, p in enumerate(c.section.components):
@@ -58,9 +51,8 @@ def generator_degrees(complex_like: ComplexLike, weights) -> tuple[int, ...]:
     return tuple(default if d == ANY_DEGREE else d for d in raw)
 
 
-def slice_basis(complex_like: ComplexLike, weights, p: int, w: int) -> list[tuple[Exponents, tuple[int, ...]]]:
+def slice_basis(c: KoszulComplex, weights, p: int, w: int) -> list[tuple[Exponents, tuple[int, ...]]]:
     """Basis of the weight-w part of cohomological degree p."""
-    c = as_koszul(complex_like)
     ws = normalize_weights(c.ambient.vars, weights)
     gd = generator_degrees(c, ws)
     return _slice_basis(c, ws, gd, p, w)
@@ -79,53 +71,33 @@ def _slice_basis(c: KoszulComplex, ws, gd, p: int, w: int):
     return out
 
 
-def _slice_ranks(c: KoszulComplex, ws, gd, w: int) -> tuple[dict[int, int], dict[int, int]]:
-    """Per-degree slice dimensions and ranks of the outgoing differentials."""
+def _slice_cohomology(c: KoszulComplex, ws, gd, w: int) -> dict[int, int]:
+    """dim H^p of one weight slice for every degree p: dim - rank(d out) - rank(d in)."""
     m = c.rank
     bases = {p: _slice_basis(c, ws, gd, p, w) for p in range(-m, 1)}
-    dims = {p: len(b) for p, b in bases.items()}
-    section_terms = [list(comp.terms.items()) for comp in c.section.components]
     ranks: dict[int, int] = {}
     for p in range(-m, 0):
-        source = bases[p]
-        if not source or not bases[p + 1]:
-            ranks[p] = 0
-            continue
-        index = {key: i for i, key in enumerate(bases[p + 1])}
-        cols = []
-        for exps, subset in source:
-            col: dict[int, Fraction] = {}
-            for k0, j in enumerate(subset):
-                sign = -1 if k0 % 2 == 0 else 1
-                rest = subset[:k0] + subset[k0 + 1:]
-                for sexps, sc in section_terms[j]:
-                    key = (exps_add(exps, sexps), rest)
-                    i = index[key]  # contraction preserves the slice
-                    v = col.get(i, Fraction(0)) + sign * sc
-                    if v:
-                        col[i] = v
-                    else:
-                        col.pop(i, None)
-            cols.append(col)
-        ranks[p] = rank_rows(cols)
-    return dims, ranks
-
-
-def slice_cohomology(complex_like: ComplexLike, weights, w: int) -> dict[int, int]:
-    """Cohomology dimensions of one weight slice, by cohomological degree."""
-    c = as_koszul(complex_like)
-    ws = normalize_weights(c.ambient.vars, weights)
-    gd = generator_degrees(c, ws)
-    dims, ranks = _slice_ranks(c, ws, gd, w)
+        if bases[p] and bases[p + 1]:
+            index = {key: i for i, key in enumerate(bases[p + 1])}
+            # contraction preserves the slice, so every image key has an index
+            cols = [{index[k]: v for k, v in _contract(c.section.components, {key: 1}).items()}
+                    for key in bases[p]]
+            ranks[p] = rank_rows(cols)
     out: dict[int, int] = {}
-    for p in dims:
-        h = dims[p] - ranks.get(p, 0) - ranks.get(p - 1, 0)
+    for p, basis in bases.items():
+        h = len(basis) - ranks.get(p, 0) - ranks.get(p - 1, 0)
         if h < 0:
             raise AssertionError(
                 f"negative cohomology dimension at degree {p}, weight {w}; "
                 "the differential does not square to zero on this slice")
         out[p] = h
     return out
+
+
+def slice_cohomology(c: KoszulComplex, weights, w: int) -> dict[int, int]:
+    """Cohomology dimensions of one weight slice, by cohomological degree."""
+    ws = normalize_weights(c.ambient.vars, weights)
+    return _slice_cohomology(c, ws, generator_degrees(c, ws), w)
 
 
 @dataclass(frozen=True)
@@ -150,7 +122,7 @@ class HilbertTable:
         return sorted(self.rows)
 
 
-def hilbert_table(complex_like: ComplexLike, weights, cutoff: int,
+def hilbert_table(c: KoszulComplex, weights, cutoff: int,
                   basis: GroebnerBasis | None = None) -> HilbertTable:
     """Tabulate slice cohomology for all weights up to the cutoff.
 
@@ -160,7 +132,6 @@ def hilbert_table(complex_like: ComplexLike, weights, cutoff: int,
     """
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
-    c = as_koszul(complex_like)
     if basis is not None and basis.vars != c.ambient.vars:
         raise ValueError("basis lives over different variables")
     ws = normalize_weights(c.ambient.vars, weights)
@@ -168,12 +139,7 @@ def hilbert_table(complex_like: ComplexLike, weights, cutoff: int,
     m = c.rank
     rows = {p: [] for p in range(-m, 1)}
     for w in range(cutoff + 1):
-        dims, ranks = _slice_ranks(c, ws, gd, w)
-        for p in range(-m, 1):
-            h = dims[p] - ranks.get(p, 0) - ranks.get(p - 1, 0)
-            if h < 0:
-                raise AssertionError(
-                    f"negative cohomology dimension at degree {p}, weight {w}")
+        for p, h in _slice_cohomology(c, ws, gd, w).items():
             rows[p].append(h)
     complete = {p: False for p in range(-m, 1)}
     qd = quotient_dimension(basis if basis is not None else list(c.section.components))
@@ -194,20 +160,18 @@ class RegularSequenceReport:
         return self.regular
 
 
-def is_regular_sequence(complex_like: ComplexLike, weights, cutoff: int) -> RegularSequenceReport:
+def is_regular_sequence(c: KoszulComplex, weights, cutoff: int) -> RegularSequenceReport:
     """Check H^p = 0 for all p < 0 in every weight slice up to the cutoff.
 
     A nonzero slice is a definitive failure; an all-zero sweep certifies
     regularity only up to the cutoff, which the report records.
     """
-    c = as_koszul(complex_like)
     ws = normalize_weights(c.ambient.vars, weights)
     gd = generator_degrees(c, ws)
     for w in range(cutoff + 1):
-        dims, ranks = _slice_ranks(c, ws, gd, w)
+        dims = _slice_cohomology(c, ws, gd, w)
         for p in range(-c.rank, 0):
-            h = dims[p] - ranks.get(p, 0) - ranks.get(p - 1, 0)
-            if h:
+            if dims[p]:
                 return RegularSequenceReport(False, cutoff, (p, w))
     return RegularSequenceReport(True, cutoff, None)
 

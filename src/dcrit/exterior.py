@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
-from .poly import Exponents, Poly, degrevlex_key, exps_add, monomial_str
+from .poly import _SCALARS, Exponents, Poly, _descending_key, _Terms, exps_add, monomial_str
 
 Scalar = Union[int, Fraction]
 TermKey = tuple[Exponents, tuple[int, ...]]
@@ -69,35 +69,24 @@ def merge_sign(left: tuple[int, ...], right: tuple[int, ...]) -> tuple[int, tupl
     return (1 if inv % 2 == 0 else -1), tuple(merged)
 
 
-class ExtElt:
+class ExtElt(_Terms):
     """Immutable element of the exterior algebra over an Ambient."""
 
-    __slots__ = ("ambient", "terms")
+    __slots__ = ()
+    ambient = _Terms._ring  # the ring tag is the Ambient
 
-    def __init__(self, ambient: Ambient, terms: Mapping[TermKey, Scalar]):
-        n = len(ambient.vars)
-        clean: dict[TermKey, Fraction] = {}
-        for (exps, subset), c in terms.items():
-            if len(exps) != n:
-                raise ValueError(f"exponent vector {exps!r} does not match {n} variables")
-            if list(subset) != sorted(set(subset)):
-                raise ValueError(f"subset {subset!r} must be strictly increasing")
-            if subset and subset[-1] >= ambient.rank:
-                raise ValueError(f"generator index out of range in {subset!r}")
-            c = Fraction(c)
-            if c:
-                clean[(tuple(exps), tuple(subset))] = c
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExtElt is immutable")
+    @staticmethod
+    def _valid_key(ambient: Ambient, key) -> TermKey:
+        exps, subset = key
+        if len(exps) != len(ambient.vars):
+            raise ValueError(f"exponent vector {exps!r} does not match {len(ambient.vars)} variables")
+        if list(subset) != sorted(set(subset)):
+            raise ValueError(f"subset {subset!r} must be strictly increasing")
+        if subset and subset[-1] >= ambient.rank:
+            raise ValueError(f"generator index out of range in {subset!r}")
+        return tuple(exps), tuple(subset)
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, ambient: Ambient) -> "ExtElt":
-        return cls(ambient, {})
 
     @classmethod
     def one(cls, ambient: Ambient) -> "ExtElt":
@@ -105,9 +94,7 @@ class ExtElt:
 
     @classmethod
     def from_poly(cls, ambient: Ambient, p: Poly) -> "ExtElt":
-        if p.vars != ambient.vars:
-            raise ValueError("polynomial lives over different variables")
-        return cls(ambient, {(exps, ()): c for exps, c in p.terms.items()})
+        return cls.wedge_monomial(ambient, p, ())
 
     @classmethod
     def generator(cls, ambient: Ambient, j: int) -> "ExtElt":
@@ -127,63 +114,17 @@ class ExtElt:
         sub = tuple(subset)
         return cls(ambient, {(exps, sub): c for exps, c in p.terms.items()})
 
-    # -- additive structure --------------------------------------------------
+    # -- ring operations -----------------------------------------------------
 
-    def _check(self, other: "ExtElt") -> None:
-        if self.ambient != other.ambient:
-            raise ValueError("mixed ambients")
-
-    def __add__(self, other) -> "ExtElt":
-        if isinstance(other, (int, Fraction)):
-            other = ExtElt.from_poly(self.ambient, Poly.constant(self.ambient.vars, other))
+    def _coerce(self, other):
+        if isinstance(other, _SCALARS):
+            other = Poly.constant(self.ambient.vars, other)
         if isinstance(other, Poly):
-            other = ExtElt.from_poly(self.ambient, other)
-        if not isinstance(other, ExtElt):
-            return NotImplemented
-        self._check(other)
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            s = terms.get(key, Fraction(0)) + c
-            if s:
-                terms[key] = s
-            else:
-                terms.pop(key, None)
-        return ExtElt(self.ambient, terms)
+            return ExtElt.from_poly(self.ambient, other)
+        return other if isinstance(other, ExtElt) else None
 
-    __radd__ = __add__
-
-    def __neg__(self) -> "ExtElt":
-        return ExtElt(self.ambient, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other) -> "ExtElt":
-        if isinstance(other, (int, Fraction, Poly)):
-            return self + (-(self.__class__.from_poly(self.ambient, other) if isinstance(other, Poly)
-                             else ExtElt.from_poly(self.ambient, Poly.constant(self.ambient.vars, other))))
-        if not isinstance(other, ExtElt):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "ExtElt":
-        return (-self) + other
-
-    # -- multiplicative structure -------------------------------------------
-
-    def __mul__(self, other) -> "ExtElt":
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return ExtElt(self.ambient, {k: c * v for k, v in self.terms.items()})
-        if isinstance(other, Poly):
-            other = ExtElt.from_poly(self.ambient, other)
-        if not isinstance(other, ExtElt):
-            return NotImplemented
+    def _product(self, other: "ExtElt") -> "ExtElt":
         return wedge(self, other)
-
-    def __rmul__(self, other) -> "ExtElt":
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        if isinstance(other, Poly):
-            return ExtElt.from_poly(self.ambient, other) * self
-        return NotImplemented
 
     def __pow__(self, n: int) -> "ExtElt":
         if not isinstance(n, int) or n < 0:
@@ -193,24 +134,7 @@ class ExtElt:
             result = wedge(result, self)
         return result
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = ExtElt.from_poly(self.ambient, Poly.constant(self.ambient.vars, other))
-        if isinstance(other, Poly):
-            other = ExtElt.from_poly(self.ambient, other)
-        if not isinstance(other, ExtElt):
-            return NotImplemented
-        return self.ambient == other.ambient and self.terms == other.terms
-
-    __hash__ = None
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
     # -- structure -----------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def scalar_part(self) -> Poly:
         """The wedge-degree-zero component, as a polynomial."""
@@ -218,8 +142,8 @@ class ExtElt:
 
     def coefficient_poly(self, subset: Sequence[int]) -> Poly:
         sub = tuple(subset)
-        return Poly(self.ambient.vars,
-                    {exps: c for (exps, s), c in self.terms.items() if s == sub})
+        return Poly._make(self.ambient.vars,
+                          {exps: c for (exps, s), c in self.terms.items() if s == sub})
 
     def subsets(self) -> set[tuple[int, ...]]:
         return {s for (_, s) in self.terms}
@@ -229,7 +153,7 @@ class ExtElt:
         buckets: dict[int, dict[TermKey, Fraction]] = {}
         for (exps, subset), c in self.terms.items():
             buckets.setdefault(-len(subset), {})[(exps, subset)] = c
-        return {d: ExtElt(self.ambient, t) for d, t in buckets.items()}
+        return {d: ExtElt._make(self.ambient, t) for d, t in buckets.items()}
 
     def is_homogeneous(self) -> bool:
         return len({len(s) for (_, s) in self.terms}) <= 1
@@ -245,48 +169,26 @@ class ExtElt:
 
     def map_coefficients(self, fn: Callable[[Poly], Poly]) -> "ExtElt":
         """Apply an R-linear map to each wedge monomial's polynomial coefficient."""
-        out: dict[TermKey, Fraction] = {}
+        terms: dict[TermKey, Fraction] = {}
         for subset in self.subsets():
             img = fn(self.coefficient_poly(subset))
-            for exps, c in img.terms.items():
-                key = (exps, subset)
-                s = out.get(key, Fraction(0)) + c
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return ExtElt(self.ambient, out)
+            if img.vars != self.ambient.vars:
+                raise ValueError("the map leaves the coefficient ring")
+            terms.update(((exps, subset), c) for exps, c in img.terms.items())
+        return ExtElt._make(self.ambient, terms)
 
     # -- printing --------------------------------------------------------------
 
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        keys = sorted(self.terms, key=lambda k: degrevlex_key(k[0]), reverse=True)
-        keys.sort(key=lambda k: (len(k[1]), k[1]))
-        pieces = []
-        for exps, subset in keys:
-            c = self.terms[(exps, subset)]
-            mag = abs(c)
-            mono = monomial_str(self.ambient.vars, exps)
-            scalar_parts = []
-            if mag != 1 or (not mono and not subset):
-                scalar_parts.append(str(mag))
-            if mono:
-                scalar_parts.append(mono)
-            gen_part = "/\\".join(self.ambient.gens[j] for j in subset)
-            body = "*".join(scalar_parts)
-            if gen_part:
-                body = f"{body}*{gen_part}" if body else gen_part
-            pieces.append(("-" if c < 0 else "+", body))
-        sign, body = pieces[0]
-        out = ("-" if sign == "-" else "") + body
-        for sign, body in pieces[1:]:
-            out += f" {sign} {body}"
-        return out
+    @staticmethod
+    def _sort_key(key: TermKey) -> tuple:
+        exps, subset = key
+        return (len(subset), subset) + _descending_key(exps)
 
-    def __repr__(self) -> str:
-        return f"ExtElt({str(self)!r})"
+    def _factors(self, key: TermKey) -> list[str]:
+        exps, subset = key
+        mono = monomial_str(self.ambient.vars, exps)
+        gens = "/\\".join(self.ambient.gens[j] for j in subset)
+        return [f for f in (mono, gens) if f]
 
 
 @dataclass(frozen=True)
@@ -324,12 +226,27 @@ def wedge(a: ExtElt, b: ExtElt) -> ExtElt:
             if sign == 0:
                 continue
             key = (exps_add(e1, e2), merged)
-            s = terms.get(key, Fraction(0)) + sign * c1 * c2
-            if s:
-                terms[key] = s
-            else:
-                terms.pop(key, None)
-    return ExtElt(a.ambient, terms)
+            terms[key] = terms.get(key, 0) + sign * c1 * c2
+    return ExtElt._make(a.ambient, terms)
+
+
+def _contract(components: Sequence[Poly], terms: Mapping[tuple, Fraction]) -> dict:
+    """The contraction sign rule, written once.
+
+    Each key is (exponents, subset, *rest); the subset is contracted along
+    the section components and the rest of the key is carried along.  The
+    result is the accumulated term dict, zeros included.
+    """
+    out: dict = {}
+    for key, c in terms.items():
+        exps, subset, rest = key[0], key[1], key[2:]
+        for k0, j in enumerate(subset):
+            signed = -c if k0 % 2 == 0 else c
+            omitted = (subset[:k0] + subset[k0 + 1:],) + rest
+            for sexps, sc in components[j].terms.items():
+                k = (exps_add(exps, sexps),) + omitted
+                out[k] = out.get(k, 0) + signed * sc
+    return out
 
 
 def contract(s: Section, a: ExtElt) -> ExtElt:
@@ -341,16 +258,4 @@ def contract(s: Section, a: ExtElt) -> ExtElt:
     """
     if s.ambient != a.ambient:
         raise ValueError("section and element live in different ambients")
-    terms: dict[TermKey, Fraction] = {}
-    for (exps, subset), c in a.terms.items():
-        for k0, j in enumerate(subset):
-            sign = -1 if k0 % 2 == 0 else 1
-            rest = subset[:k0] + subset[k0 + 1:]
-            for sexps, sc in s.components[j].terms.items():
-                key = (exps_add(exps, sexps), rest)
-                v = terms.get(key, Fraction(0)) + sign * c * sc
-                if v:
-                    terms[key] = v
-                else:
-                    terms.pop(key, None)
-    return ExtElt(a.ambient, terms)
+    return ExtElt._make(a.ambient, _contract(s.components, a.terms))

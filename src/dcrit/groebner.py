@@ -24,7 +24,7 @@ from itertools import count, product
 from operator import add, le, sub
 from typing import Iterable, Sequence, Union
 
-from .poly import Exponents, Poly, degrevlex_key, gradient
+from .poly import Exponents, Poly, _descending_key, degrevlex_key, gradient
 
 #: Returned where a quotient ring has no finite vector-space dimension.
 INFINITE = "infinite"
@@ -42,11 +42,6 @@ def _exps_lcm(a: Exponents, b: Exponents) -> Exponents:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def _heap_key(exps: Exponents) -> tuple:
-    """degrevlex_key negated, so that heapq's smallest key is the largest monomial."""
-    return (-sum(exps), exps[::-1])
-
-
 def normal_form(p: Poly, basis: Sequence[Poly]) -> Poly:
     """Remainder of full multivariate division of p by the basis.
 
@@ -57,7 +52,7 @@ def normal_form(p: Poly, basis: Sequence[Poly]) -> Poly:
     """
     divisors = [(g.leading(), g.terms) for g in basis if not g.is_zero()]
     work = dict(p.terms)
-    heap = [(_heap_key(e), e) for e in work]
+    heap = [(_descending_key(e), e) for e in work]
     heapq.heapify(heap)
     remainder: dict[Exponents, Fraction] = {}
     while heap:
@@ -74,7 +69,7 @@ def normal_form(p: Poly, basis: Sequence[Poly]) -> Poly:
                     old = work.get(e)
                     if old is None:
                         work[e] = -m * gcoef
-                        heapq.heappush(heap, (_heap_key(e), e))
+                        heapq.heappush(heap, (_descending_key(e), e))
                     else:
                         new = old - m * gcoef
                         if new:
@@ -84,7 +79,7 @@ def normal_form(p: Poly, basis: Sequence[Poly]) -> Poly:
                 break
         else:
             remainder[exps] = work.pop(exps)
-    return Poly(p.vars, remainder)
+    return Poly._make(p.vars, remainder)
 
 
 def s_poly(f: Poly, g: Poly) -> Poly:

@@ -81,7 +81,7 @@ def build_koszul(vars: Sequence[str], components: Sequence[Poly], gens: Sequence
     return KoszulComplex(Section(ambient, comps))
 
 
-class TautologicalKoszul:
+class TautologicalKoszul(KoszulComplex):
     """Koszul complex over the total space, against the tautological section.
 
     Base ring Q[vars], fiber coordinates one per generator; the section is
@@ -100,27 +100,9 @@ class TautologicalKoszul:
             raise ValueError(f"fiber coordinate names collide with base variables: {sorted(clash)}")
         total = base + fiber
         ambient = Ambient(total, default_gens(rank))
-        section = Section(ambient, tuple(Poly.variable(total, v) for v in fiber))
+        super().__init__(Section(ambient, tuple(Poly.variable(total, v) for v in fiber)))
         self.base_vars = base
         self.fiber_vars = fiber
-        self.complex = KoszulComplex(section)
-
-    @property
-    def rank(self) -> int:
-        return self.complex.rank
-
-    @property
-    def degrees(self) -> range:
-        return self.complex.degrees
-
-    def basis(self, p: int):
-        return self.complex.basis(p)
-
-    def differential(self, a: ExtElt) -> ExtElt:
-        return self.complex.differential(a)
-
-    def differential_matrix(self, p: int) -> list[list[Poly]]:
-        return self.complex.differential_matrix(p)
 
     def specialize_entry(self, entry: Poly, components: Sequence[Poly]) -> Poly:
         """Substitute the given section for the fiber coordinates of one entry."""
@@ -203,9 +185,8 @@ def poly_mat_mul(a: list[list[Poly]], b: list[list[Poly]], vars: Sequence[str]) 
     return out
 
 
-def check_d_squared(complex_like) -> bool:
+def check_d_squared(c) -> bool:
     """True when consecutive differentials compose to zero, degree by degree."""
-    c = getattr(complex_like, "complex", complex_like)
     degrees = list(c.degrees)
     vars = getattr(c, "vars", None)
     if vars is None:

@@ -17,18 +17,10 @@ from typing import Iterable, Mapping, Sequence
 
 def _integer_row(row: Mapping[int, Fraction]) -> dict[int, int]:
     entries = {c: Fraction(v) for c, v in row.items() if v}
-    if not entries:
-        return {}
     denom = 1
     for v in entries.values():
         denom = denom * v.denominator // gcd(denom, v.denominator)
-    out = {c: int(v * denom) for c, v in entries.items()}
-    g = 0
-    for v in out.values():
-        g = gcd(g, v)
-    if g > 1:
-        out = {c: v // g for c, v in out.items()}
-    return out
+    return _normalize({c: int(v * denom) for c, v in entries.items()})
 
 
 def _normalize(row: dict[int, int]) -> dict[int, int]:

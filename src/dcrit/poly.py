@@ -5,15 +5,19 @@ coefficients, canonical by construction: two polynomials are equal exactly
 when their variable tuples and term maps are equal.  No floating point is
 used anywhere.  The monomial order for printing and leading-term extraction
 is degree-reverse-lexicographic with respect to the declared variable order.
+The same storage, arithmetic and printing rule (`_Terms`) backs the exterior
+algebra and the coalgebra tensors.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, Sequence, Union
 
 Exponents = tuple[int, ...]
 Scalar = Union[int, Fraction]
+_SCALARS = (int, Fraction)  # the coefficient types every element accepts as an operand
 
 # weighted_degree() sentinels: the zero polynomial is homogeneous of every
 # weight, and a mixed-weight polynomial has no weight at all.
@@ -35,40 +39,157 @@ def degrevlex_key(exps: Exponents) -> tuple:
     return (sum(exps), tuple(-e for e in reversed(exps)))
 
 
+def _descending_key(exps: Exponents) -> tuple:
+    """degrevlex_key negated: ascending order under it lists the largest monomial first."""
+    return (-sum(exps), exps[::-1])
+
+
 def exps_add(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
-class Poly:
-    """Immutable sparse polynomial over Q in a fixed tuple of variables.
+class _Terms:
+    """Immutable sparse map from monomial keys to nonzero Fractions, over a ring tag.
 
+    The one storage, arithmetic and printing rule shared by Poly, ExtElt and
+    the coalgebra tensors.  Subclasses supply `_valid_key` (the public
+    constructor's key check), `_coerce` (the operands they accept besides
+    their own type), `_product`, and `_sort_key`/`_factors` for printing.
     Instances must not be mutated after construction; every operation
-    returns a fresh polynomial, so values can be shared freely.
+    returns a fresh element, so values can be shared freely.
     """
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("_ring", "terms")
 
-    def __init__(self, vars: Sequence[str], terms: Mapping[Exponents, Scalar]):
-        vs = tuple(vars)
-        n = len(vs)
-        clean: dict[Exponents, Fraction] = {}
-        for exps, c in terms.items():
-            if len(exps) != n:
-                raise ValueError(f"exponent vector {exps!r} does not match {n} variables")
+    def __init__(self, ring, terms: Mapping):
+        clean = {}
+        for key, c in terms.items():
+            key = self._valid_key(ring, key)
             c = Fraction(c)
             if c:
-                clean[tuple(exps)] = c
-        object.__setattr__(self, "vars", vs)
+                clean[key] = c
+        object.__setattr__(self, "_ring", ring)
         object.__setattr__(self, "terms", clean)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
-
-    # -- constructors ------------------------------------------------------
+    @classmethod
+    def _make(cls, ring, terms: dict):
+        """Trusted constructor for results of valid elements: keys are not
+        re-checked and values not re-wrapped; zero coefficients are dropped."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "_ring", ring)
+        object.__setattr__(self, "terms", {k: c for k, c in terms.items() if c})
+        return self
 
     @classmethod
-    def zero(cls, vars: Sequence[str]) -> "Poly":
-        return cls(vars, {})
+    def zero(cls, ring):
+        return cls(ring, {})
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _coerce(self, other):
+        """`other` as an element of this type, or None when it is not one."""
+        return other if isinstance(other, type(self)) else None
+
+    def _product(self, other):
+        return NotImplemented
+
+    def _check(self, other) -> None:
+        if self._ring != other._ring:
+            raise ValueError(f"mixed rings {self._ring} vs {other._ring}")
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        self._check(other)
+        terms = dict(self.terms)
+        for key, c in other.terms.items():
+            terms[key] = terms.get(key, 0) + c
+        return self._make(self._ring, terms)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._make(self._ring, {k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if isinstance(other, _SCALARS):
+            c = Fraction(other)
+            return self._make(self._ring, {k: c * v for k, v in self.terms.items()})
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self._product(other)
+
+    def __rmul__(self, other):
+        if isinstance(other, _SCALARS):
+            return self * other
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other._product(self)
+
+    def __eq__(self, other) -> bool:
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self._ring == other._ring and self.terms == other.terms
+
+    __hash__ = None  # mutable-looking API; not intended as a dict key
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __str__(self) -> str:
+        """Signed terms, largest first: `c*f1*f2 - f3 + ...`, with a unit coefficient omitted."""
+        if not self.terms:
+            return "0"
+        out = ""
+        for key in sorted(self.terms, key=self._sort_key):
+            c = self.terms[key]
+            factors = self._factors(key)
+            if abs(c) != 1 or not factors:
+                factors = [str(abs(c))] + factors
+            body = "*".join(factors)
+            if out:
+                out += (" - " if c < 0 else " + ") + body
+            else:
+                out = ("-" if c < 0 else "") + body
+        return out
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({str(self)!r})"
+
+
+class Poly(_Terms):
+    """Immutable sparse polynomial over Q in a fixed tuple of variables."""
+
+    __slots__ = ()
+    vars = _Terms._ring  # the ring tag is the variable tuple
+
+    def __init__(self, vars: Sequence[str], terms: Mapping[Exponents, Scalar]):
+        super().__init__(tuple(vars), terms)
+
+    @staticmethod
+    def _valid_key(vars, exps) -> Exponents:
+        if len(exps) != len(vars):
+            raise ValueError(f"exponent vector {exps!r} does not match {len(vars)} variables")
+        return tuple(exps)
+
+    # -- constructors ------------------------------------------------------
 
     @classmethod
     def one(cls, vars: Sequence[str]) -> "Poly":
@@ -93,59 +214,19 @@ class Poly:
 
     # -- ring operations ---------------------------------------------------
 
-    def _check_same_ring(self, other: "Poly") -> None:
-        if self.vars != other.vars:
-            raise ValueError(f"mixed variable tuples {self.vars} vs {other.vars}")
+    def _coerce(self, other):
+        if isinstance(other, _SCALARS):
+            return Poly.constant(self.vars, other)
+        return other if isinstance(other, Poly) else None
 
-    def __add__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            other = Poly.constant(self.vars, other)
-        if not isinstance(other, Poly):
-            return NotImplemented
-        self._check_same_ring(other)
-        terms = dict(self.terms)
-        for exps, c in other.terms.items():
-            s = terms.get(exps, Fraction(0)) + c
-            if s:
-                terms[exps] = s
-            else:
-                terms.pop(exps, None)
-        return Poly(self.vars, terms)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Poly":
-        return Poly(self.vars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            other = Poly.constant(self.vars, other)
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "Poly":
-        return (-self) + other
-
-    def __mul__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return Poly(self.vars, {e: c * v for e, v in self.terms.items()})
-        if not isinstance(other, Poly):
-            return NotImplemented
-        self._check_same_ring(other)
+    def _product(self, other: "Poly") -> "Poly":
+        self._check(other)
         terms: dict[Exponents, Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = exps_add(e1, e2)
-                s = terms.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    terms[e] = s
-                else:
-                    terms.pop(e, None)
-        return Poly(self.vars, terms)
-
-    __rmul__ = __mul__
+                terms[e] = terms.get(e, 0) + c1 * c2
+        return Poly._make(self.vars, terms)
 
     def __pow__(self, n: int) -> "Poly":
         if not isinstance(n, int) or n < 0:
@@ -155,29 +236,14 @@ class Poly:
             result = result * self
         return result
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = Poly.constant(self.vars, other)
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self.vars == other.vars and self.terms == other.terms
-
-    __hash__ = None  # mutable-looking API; not intended as a dict key
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
     # -- structure ---------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e in self.terms)
 
     def constant_value(self) -> Fraction:
         """Coefficient of the constant monomial (the whole value if constant)."""
-        return self.terms.get((0,) * len(self.vars), Fraction(0))
+        return Fraction(self.terms.get((0,) * len(self.vars), 0))
 
     def total_degree(self) -> int:
         """Max total degree of a term; -1 for the zero polynomial."""
@@ -197,13 +263,8 @@ class Poly:
         if var not in self.vars:
             raise UnknownVariableError(f"unknown variable {var!r}")
         i = self.vars.index(var)
-        terms: dict[Exponents, Fraction] = {}
-        for exps, c in self.terms.items():
-            k = exps[i]
-            if k:
-                e = exps[:i] + (k - 1,) + exps[i + 1:]
-                terms[e] = terms.get(e, Fraction(0)) + c * k
-        return Poly(self.vars, terms)
+        return Poly._make(self.vars, {exps[:i] + (exps[i] - 1,) + exps[i + 1:]: c * exps[i]
+                                      for exps, c in self.terms.items() if exps[i]})
 
     def weighted_degree(self, weights):
         """Weight of a quasi-homogeneous polynomial.
@@ -255,32 +316,11 @@ class Poly:
 
     # -- printing ----------------------------------------------------------
 
-    def _monomial_str(self, exps: Exponents) -> str:
-        return monomial_str(self.vars, exps)
+    _sort_key = staticmethod(_descending_key)
 
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        pieces = []
-        for exps in sorted(self.terms, key=degrevlex_key, reverse=True):
-            c = self.terms[exps]
-            mono = self._monomial_str(exps)
-            mag = abs(c)
-            if not mono:
-                body = str(mag)
-            elif mag == 1:
-                body = mono
-            else:
-                body = f"{mag}*{mono}"
-            pieces.append(("-" if c < 0 else "+", body))
-        sign, body = pieces[0]
-        out = ("-" if sign == "-" else "") + body
-        for sign, body in pieces[1:]:
-            out += f" {sign} {body}"
-        return out
-
-    def __repr__(self) -> str:
-        return f"Poly({str(self)!r})"
+    def _factors(self, exps: Exponents) -> list[str]:
+        mono = monomial_str(self.vars, exps)
+        return [mono] if mono else []
 
 
 def monomial_str(vars: Sequence[str], exps: Exponents) -> str:

@@ -28,8 +28,8 @@ from fractions import Fraction
 from random import Random
 from typing import Sequence, Union
 
-from .checks import (CheckReport, rand_homogeneous, rand_mixed, rand_poly,
-                     shrink_elements, var_names)
+from .checks import (CheckReport, _require_trials, rand_homogeneous, rand_mixed,
+                     rand_poly, shrink_elements, var_names)
 from .exterior import Ambient, ExtElt, Section, contract, merge_sign, wedge
 from .poly import Poly, gradient
 
@@ -155,17 +155,10 @@ def odd_derivative(a: ExtElt, i: int) -> ExtElt:
     """Left derivative along the i-th odd generator."""
     terms: dict = {}
     for (exps, subset), c in a.terms.items():
-        if i not in subset:
-            continue
-        k0 = subset.index(i)
-        sign = 1 if k0 % 2 == 0 else -1
-        key = (exps, subset[:k0] + subset[k0 + 1:])
-        v = terms.get(key, Fraction(0)) + sign * c
-        if v:
-            terms[key] = v
-        else:
-            terms.pop(key, None)
-    return ExtElt(a.ambient, terms)
+        if i in subset:
+            k0 = subset.index(i)
+            terms[(exps, subset[:k0] + subset[k0 + 1:])] = c if k0 % 2 == 0 else -c
+    return ExtElt._make(a.ambient, terms)
 
 
 def coeff_derivative(a: ExtElt, i: int) -> ExtElt:
@@ -232,12 +225,9 @@ def vol_contract(vol: VolumeForm, a: ExtElt) -> ExtElt:
     if a.ambient.vars != vol.vars:
         raise ValueError("volume form lives over different variables")
     n = len(vol.vars)
-    amb = form_ambient(vol.vars)
-    terms: dict = {}
-    for (exps, subset), c in a.terms.items():
-        key = (exps, _complement(subset, n))
-        terms[key] = terms.get(key, Fraction(0)) + c * _vol_factor(subset, n, vol.density)
-    return ExtElt(amb, {k: v for k, v in terms.items() if v})
+    return ExtElt._make(form_ambient(vol.vars),
+                        {(exps, _complement(subset, n)): c * _vol_factor(subset, n, vol.density)
+                         for (exps, subset), c in a.terms.items()})
 
 
 def vol_contract_inv(vol: VolumeForm, w: ExtElt) -> ExtElt:
@@ -245,14 +235,11 @@ def vol_contract_inv(vol: VolumeForm, w: ExtElt) -> ExtElt:
     if w.ambient != form_ambient(vol.vars):
         raise ValueError("expected an element of the form ambient")
     n = len(vol.vars)
-    amb = polyvector_ambient(vol.vars)
     terms: dict = {}
     for (exps, subset), c in w.terms.items():
         src = _complement(subset, n)
-        factor = _vol_factor(src, n, vol.density)
-        key = (exps, src)
-        terms[key] = terms.get(key, Fraction(0)) + c / factor
-    return ExtElt(amb, {k: v for k, v in terms.items() if v})
+        terms[(exps, src)] = c / _vol_factor(src, n, vol.density)
+    return ExtElt._make(polyvector_ambient(vol.vars), terms)
 
 
 def de_rham(w: ExtElt) -> ExtElt:
@@ -269,12 +256,8 @@ def de_rham(w: ExtElt) -> ExtElt:
                 continue
             sign, merged = merge_sign((i,), subset)
             key = (exps[:i] + (k - 1,) + exps[i + 1:], merged)
-            v = terms.get(key, Fraction(0)) + c * k * sign
-            if v:
-                terms[key] = v
-            else:
-                terms.pop(key, None)
-    return ExtElt(amb, terms)
+            terms[key] = terms.get(key, 0) + c * k * sign
+    return ExtElt._make(amb, terms)
 
 
 def bv_delta(vol: VolumeForm, a: ExtElt) -> ExtElt:
@@ -303,6 +286,7 @@ def _shifted_sign(a: ExtElt, b: ExtElt) -> int:
 
 def check_gerstenhaber(n: int, trials: int = 200, seed: int = 0, max_deg: int = 3) -> CheckReport:
     """Antisymmetry, Jacobi, and Leibniz for the odd bracket, randomized."""
+    _require_trials(trials)
     vars = var_names(n)
     amb = polyvector_ambient(vars)
     rng = Random(seed)
@@ -353,6 +337,7 @@ def check_bracket_compat(alpha: OneForm, trials: int = 50, seed: int = 0,
     the report carries it with its discrepancy (probe value minus
     alpha([X, Y])).
     """
+    _require_trials(trials)
     vars = alpha.vars
     amb = polyvector_ambient(vars)
     rng = Random(seed)
@@ -408,6 +393,9 @@ def check_bv(n: int, trials: int = 200, seed: int = 0, max_deg: int = 3) -> Chec
     exist for n >= 1), and records whether it anticommutes with contraction
     along exact 1-forms on the inputs tried.
     """
+    _require_trials(trials)
+    if n < 1:
+        raise ValueError(f"check_bv needs at least one variable, got n = {n}")
     vars = var_names(n)
     amb = polyvector_ambient(vars)
     rng = Random(seed)

@@ -154,8 +154,8 @@ def obstruction_theory(f: Poly, basis: GroebnerBasis | None = None) -> Obstructi
                     continue
                 reduced = gb.normal_form(h[i][j] * basis_poly)
                 for exps, c in reduced.terms.items():
-                    rows[i * mu + index[exps]][col] = \
-                        rows[i * mu + index[exps]].get(col, Fraction(0)) + c
+                    row = rows[i * mu + index[exps]]
+                    row[col] = row.get(col, 0) + c
     rank = rank_rows(rows)
     return ObstructionReport(tuple(tuple(r) for r in h), sym, mu,
                              h0=n * mu - rank, h1=n * mu - rank,
@@ -201,7 +201,4 @@ def intersect_graph_lagrangians(alpha: OneForm, beta: OneForm) -> LagrangianInte
     amb = polyvector_ambient(vs)
     complex = build_koszul(vs, diff, gens=amb.gens)
     jac = tuple(tuple(diff[i].diff(vs[j]) for j in range(len(vs))) for i in range(len(vs)))
-    sym = is_symmetric([list(r) for r in jac])
-    duality = ("identity on the chosen bases (perfect levelwise)" if sym
-               else "none: differential is not self-adjoint")
-    return LagrangianIntersection(complex, PairingReport(jac, sym, sym, duality))
+    return LagrangianIntersection(complex, pairing_report(TwoTermComplex(vs, jac)))

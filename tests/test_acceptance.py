@@ -14,7 +14,9 @@ from dcrit.acceptance import (criterion_base_change, criterion_bracket_compat,
                               criterion_milnor_oracles,
                               criterion_regular_sequences,
                               criterion_tautological_resolution)
+from dcrit.acceptance import CORPUS
 from dcrit.cli import main
+from dcrit.groebner import buchberger
 
 SEED = 0
 
@@ -109,3 +111,16 @@ def test_criterion_11_determinism(capsys):
     doc = json.loads(first)
     assert [c["status"] for c in doc["results"]["checks"]] == ["pass"] * 10
     print(f"[PASS] criterion 11: determinism ({elapsed:.2f}s)")
+
+
+def test_milnor_oracles_compute_one_basis_per_potential(monkeypatch):
+    calls = []
+
+    def counting(gens):
+        calls.append(gens)
+        return buchberger(gens)
+
+    monkeypatch.setattr("dcrit.groebner.buchberger", counting)
+    monkeypatch.setattr("dcrit.acceptance.buchberger", counting)
+    assert criterion_milnor_oracles(SEED).passed
+    assert len(calls) == len(CORPUS) == 6

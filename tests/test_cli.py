@@ -171,6 +171,24 @@ def test_check_d2(capsys):
     assert doc["results"]["checks"][0]["name"] == "d_squared"
 
 
+@pytest.mark.parametrize("argv", [
+    ("check", "bv", "--n", "0"),
+    ("check", "gerstenhaber", "--n", "-1"),
+    ("check", "coalgebra", "--rank", "-1"),
+    ("check", "bv", "--n", "2", "--trials", "-1", "--expect-holds"),
+    ("check", "gerstenhaber", "--trials", "-1"),
+    ("check", "coalgebra", "--trials", "-1"),
+    ("check", "compat", "--vars", "x,y", "--alpha", "y*d_x", "--trials", "-1"),
+], ids=["bv-without-variables", "gerstenhaber-negative-n", "coalgebra-negative-rank",
+        "bv-negative-trials", "gerstenhaber-negative-trials",
+        "coalgebra-negative-trials", "compat-negative-trials"])
+def test_check_out_of_range_sizes_are_input_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_check_missing_argument(capsys):
     code, _, err = run(capsys, "check", "compat", "--vars", "x,y")
     assert code == 2

@@ -59,10 +59,10 @@ def test_shape_mismatch_is_rejected():
 
 def test_tautological_complex_shape():
     taut = build_tautological_koszul(("x",), 2)
-    assert taut.complex.ambient.vars == ("x", "xi1", "xi2")
+    assert taut.ambient.vars == ("x", "xi1", "xi2")
     assert check_d_squared(taut)
     # the section is the fiber coordinates themselves
-    comps = taut.complex.section.components
+    comps = taut.section.components
     assert comps == parse_section("xi1, xi2", ("x", "xi1", "xi2"))
 
 

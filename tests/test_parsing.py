@@ -1,10 +1,14 @@
 """Grammar coverage and error positions for the expression parsers."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dcrit.exterior import ExtElt
 from dcrit.parsing import (MAX_NESTING, ParseError, parse_one_form, parse_poly,
                            parse_polyvector, parse_section)
 from dcrit.poly import Poly
+from dcrit.polyvec import OneForm, polyvector_ambient
 
 VS = ("x", "y")
 
@@ -82,3 +86,35 @@ def test_polyvector_round_trip():
     for src in ("x*@x - y*@y", "@x/\\@y + 1", "2/3*x^2*@y", "x*y - 1"):
         a = parse_polyvector(src, VS)
         assert parse_polyvector(str(a), VS) == a
+
+
+coeffs = st.fractions(min_value=-20, max_value=20, max_denominator=8)
+
+
+def exponents(n):
+    return st.tuples(*[st.integers(0, 3)] * n)
+
+
+def polyvectors(n):
+    vs = ("x", "y", "z")[:n]
+    subsets = st.sets(st.integers(0, n - 1)).map(lambda s: tuple(sorted(s)))
+    terms = st.dictionaries(st.tuples(exponents(n), subsets), coeffs, max_size=5)
+    return terms.map(lambda d: ExtElt(polyvector_ambient(vs), d))
+
+
+def one_forms(n):
+    vs = ("x", "y", "z")[:n]
+    polys = st.dictionaries(exponents(n), coeffs, max_size=4).map(lambda d: Poly(vs, d))
+    return st.tuples(*[polys] * n).map(lambda comps: OneForm(vs, comps))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from((2, 3)).flatmap(polyvectors))
+def test_polyvector_str_parse_round_trip(a):
+    assert parse_polyvector(str(a), a.ambient.vars) == a
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from((2, 3)).flatmap(one_forms))
+def test_one_form_str_parse_round_trip(alpha):
+    assert parse_one_form(str(alpha), alpha.vars) == alpha
