@@ -35,8 +35,7 @@ from .polyvec import (OneForm, VolumeForm, alpha_of_vector, apply_vector,
                       check_gerstenhaber, d_alpha, de_rham, schouten,
                       vol_contract, vol_contract_inv)
 from .symplectic import (LagrangianIntersection, NotClosedError,
-                         ObstructionReport, PairingReport, TwoTermComplex,
-                         hessian, intersect_graph_lagrangians,
+                         ObstructionReport, PairingReport, hessian, intersect_graph_lagrangians,
                          minus_one_pairing, obstruction_theory,
                          pairing_report, tangent_complex)
 from .coalgebra import (TensorElt, antipode, coaction, comultiply, counit,
@@ -63,7 +62,7 @@ __all__ = [
     "check_bracket_compat", "check_bv", "check_gerstenhaber", "d_alpha",
     "de_rham", "schouten", "vol_contract", "vol_contract_inv",
     "LagrangianIntersection", "NotClosedError", "ObstructionReport",
-    "PairingReport", "TwoTermComplex", "hessian",
+    "PairingReport", "hessian",
     "intersect_graph_lagrangians", "minus_one_pairing", "obstruction_theory",
     "pairing_report", "tangent_complex",
     "TensorElt", "antipode", "coaction", "comultiply", "counit",

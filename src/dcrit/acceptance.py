@@ -15,9 +15,8 @@ from random import Random
 
 from .checks import rand_poly, var_names
 from .cohomology import hilbert_table, is_regular_sequence, resolution_certificate
-from .groebner import INFINITE, buchberger, quotient_dimension
-from .koszul import (base_change_compare, build_koszul, build_tautological_koszul,
-                     check_d_squared)
+from .groebner import buchberger, quotient_dimension
+from .koszul import base_change_compare, build_koszul, build_tautological_koszul
 from .parsing import parse_one_form, parse_poly
 from .poly import Poly, gradient, normalize_weights
 from .polyvec import OneForm, check_bracket_compat, check_bv, check_gerstenhaber

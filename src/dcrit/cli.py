@@ -11,7 +11,10 @@ Subcommands:
 Exit codes: 0 when the requested computation succeeded and no check that was
 expected to hold failed, 1 when a check failed (for `check` only together
 with --expect-holds; falsification runs are reportable successes), 2 on
-input errors such as syntax or unknown variables.
+input errors such as syntax or unknown variables, 3 on an internal error:
+any other exception, reported on stderr as `internal error: <Type>:
+<message>` without a traceback (and, with --json, as a JSON object with
+the command and the error on stdout).
 
 All output is deterministic for fixed inputs; --no-timing removes the only
 wall-clock field so that repeated runs are byte-identical.
@@ -28,14 +31,14 @@ from fractions import Fraction
 
 from . import __version__
 from .acceptance import run_all
-from .checks import CheckReport, var_names
+from .checks import CheckReport
 from .coalgebra import check_coalgebra
 from .cohomology import InhomogeneousSectionError, hilbert_table, resolution_certificate
 from .groebner import buchberger, quotient_dimension
 from .koszul import build_koszul, build_tautological_koszul, check_d_squared
 from .parsing import ParseError, parse_one_form, parse_poly, parse_section
 from .poly import Poly, UnknownVariableError, gradient
-from .polyvec import OneForm, check_bracket_compat, check_bv, check_gerstenhaber
+from .polyvec import check_bracket_compat, check_bv, check_gerstenhaber
 from .symplectic import (intersect_graph_lagrangians, minus_one_pairing,
                          obstruction_theory)
 
@@ -134,6 +137,13 @@ def _check_lines(entry: dict) -> list[str]:
     return lines
 
 
+def _pairing_line(pairing: dict) -> str:
+    """The text line of a PairingReport's JSON, as crit and lagr print it."""
+    return (f"pairing: hessian = [{', '.join(pairing['hessian'])}], "
+            f"symmetric = {str(pairing['symmetric']).lower()}, "
+            f"nondegenerate = {str(pairing['nondegenerate']).lower()}")
+
+
 def _ring(vars) -> str:
     return "Q[" + ", ".join(vars) + "]" if vars else "Q"
 
@@ -203,12 +213,8 @@ def _cmd_crit(args):
         results["milnor"] = mu
         lines.append(f"milnor = {mu}")
     if args.pairing or want_all:
-        pairing = minus_one_pairing(f)
-        results["pairing"] = pairing.to_json()
-        flat = ", ".join(results["pairing"]["hessian"])
-        lines.append(f"pairing: hessian = [{flat}], "
-                     f"symmetric = {str(pairing.symmetric).lower()}, "
-                     f"nondegenerate = {str(pairing.nondegenerate).lower()}")
+        results["pairing"] = minus_one_pairing(f).to_json()
+        lines.append(_pairing_line(results["pairing"]))
     if args.obstruction or want_all:
         report = obstruction_theory(f, basis=jacobian)
         results["obstruction"] = report.to_json()
@@ -288,10 +294,7 @@ def _cmd_lagr(args):
         rows = [", ".join(mat["entries"][r * mat["cols"]:(r + 1) * mat["cols"]])
                 for r in range(mat["rows"])]
         lines.append(f"d_{p}: [" + "; ".join(rows) + "]")
-    flat = ", ".join(results["pairing"]["hessian"])
-    lines.append(f"pairing: hessian = [{flat}], "
-                 f"symmetric = {str(li.pairing.symmetric).lower()}, "
-                 f"nondegenerate = {str(li.pairing.nondegenerate).lower()}")
+    lines.append(_pairing_line(results["pairing"]))
     inputs = {"vars": list(vars), "alpha": str(alpha), "beta": str(beta)}
     return Report("lagr", inputs, _plain(results)), lines, 0
 
@@ -393,6 +396,12 @@ def main(argv=None) -> int:
     except (ParseError, UnknownVariableError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except Exception as e:
+        error = f"{type(e).__name__}: {e}"
+        print(f"internal error: {error}", file=sys.stderr)
+        if args.json:
+            print(json.dumps({"command": args.command, "error": error}, indent=2))
+        return 3
     if not args.no_timing:
         report.timing = {"seconds": round(time.perf_counter() - start, 3)}
     if args.json:

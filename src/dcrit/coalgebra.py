@@ -15,7 +15,6 @@ coefficient never splits the polynomial between the slots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from random import Random
@@ -23,7 +22,7 @@ from typing import Callable, Sequence
 
 from .checks import CheckReport, _require_trials, rand_mixed, rand_section, shrink_elements
 from .exterior import Ambient, ExtElt, Section, _contract, contract, merge_sign, wedge
-from .koszul import KoszulComplex
+from .koszul import KoszulComplex, default_gens
 from .poly import Exponents, Poly, _Terms, exps_add, monomial_str
 
 TensorKey = tuple[Exponents, tuple[int, ...], tuple[int, ...]]
@@ -222,7 +221,7 @@ def check_coalgebra(rank: int, trials: int = 200, seed: int = 0,
     if rank < 0:
         raise ValueError(f"rank must be nonnegative, got {rank}")
     vs = tuple(vars)
-    amb = Ambient(vs, tuple(f"e{j + 1}" for j in range(rank)))
+    amb = Ambient(vs, default_gens(rank))
     rng = Random(seed)
     ran = 0
     for _ in range(trials):

@@ -10,7 +10,7 @@ independent route to the same number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Mapping, Sequence
 
@@ -18,8 +18,7 @@ from .exterior import _contract
 from .groebner import INFINITE, GroebnerBasis, quotient_dimension
 from .koszul import KoszulComplex, TautologicalKoszul
 from .linalg import rank_rows
-from .poly import (ANY_DEGREE, INHOMOGENEOUS, Exponents, Poly, monomials_of_weight,
-                   normalize_weights)
+from .poly import ANY_DEGREE, INHOMOGENEOUS, Poly, monomials_of_weight, normalize_weights
 
 
 class InhomogeneousSectionError(ValueError):
@@ -51,14 +50,8 @@ def generator_degrees(c: KoszulComplex, weights) -> tuple[int, ...]:
     return tuple(default if d == ANY_DEGREE else d for d in raw)
 
 
-def slice_basis(c: KoszulComplex, weights, p: int, w: int) -> list[tuple[Exponents, tuple[int, ...]]]:
-    """Basis of the weight-w part of cohomological degree p."""
-    ws = normalize_weights(c.ambient.vars, weights)
-    gd = generator_degrees(c, ws)
-    return _slice_basis(c, ws, gd, p, w)
-
-
 def _slice_basis(c: KoszulComplex, ws, gd, p: int, w: int):
+    """Basis of the weight-w part of cohomological degree p."""
     if not -c.rank <= p <= 0:
         return []
     out = []

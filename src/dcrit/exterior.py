@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Callable, Mapping, Sequence, Union
 
 from .poly import _SCALARS, Exponents, Poly, _descending_key, _Terms, exps_add, monomial_str
 
@@ -204,13 +204,6 @@ class Section:
         for p in self.components:
             if p.vars != self.ambient.vars:
                 raise ValueError("section component lives over different variables")
-
-    @classmethod
-    def zero(cls, ambient: Ambient) -> "Section":
-        return cls(ambient, tuple(Poly.zero(ambient.vars) for _ in range(ambient.rank)))
-
-    def is_zero(self) -> bool:
-        return all(p.is_zero() for p in self.components)
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(p) for p in self.components) + ")"

@@ -162,41 +162,23 @@ def buchberger(gens: Iterable[Poly]) -> GroebnerBasis:
     return GroebnerBasis(vars, tuple(reduced))
 
 
-def _as_basis(arg: Union[GroebnerBasis, Iterable[Poly]]) -> GroebnerBasis:
-    if isinstance(arg, GroebnerBasis):
-        return arg
-    return buchberger(arg)
-
-
-def is_zero_dimensional(gb: GroebnerBasis) -> bool:
-    """True when the quotient is a finite-dimensional vector space.
-
-    Criterion: every variable has a pure power among the leading terms.
-    With no variables the quotient is Q itself, which counts as finite.
-    """
-    n = len(gb.vars)
-    if any(g.is_constant() for g in gb.gens):
-        return True
-    leads = gb.leading_exponents()
-    for i in range(n):
-        if not any(e[i] > 0 and all(e[k] == 0 for k in range(n) if k != i) for e in leads):
-            return False
-    return True
-
-
 def standard_monomials(gb: GroebnerBasis) -> list[Exponents] | None:
-    """Monomials not divisible by any leading term; None if infinitely many."""
-    if not is_zero_dimensional(gb):
-        return None
+    """Monomials not divisible by any leading term; None if infinitely many.
+
+    There are finitely many exactly when every variable has a pure power
+    among the leading terms.  With no variables the quotient is Q itself.
+    """
     if any(g.is_constant() for g in gb.gens):
         return []
     n = len(gb.vars)
     leads = gb.leading_exponents()
     caps = []
     for i in range(n):
-        cap = min(e[i] for e in leads
-                  if e[i] > 0 and all(e[k] == 0 for k in range(n) if k != i))
-        caps.append(cap)
+        powers = [e[i] for e in leads
+                  if e[i] > 0 and all(e[k] == 0 for k in range(n) if k != i)]
+        if not powers:
+            return None
+        caps.append(min(powers))
     out = []
     for exps in product(*(range(c) for c in caps)):
         if not any(_divides(le, exps) for le in leads):
@@ -206,7 +188,7 @@ def standard_monomials(gb: GroebnerBasis) -> list[Exponents] | None:
 
 def quotient_dimension(arg: Union[GroebnerBasis, Iterable[Poly]]):
     """dim_Q of R/I as a vector space, or INFINITE."""
-    gb = _as_basis(arg)
+    gb = arg if isinstance(arg, GroebnerBasis) else buchberger(arg)
     monos = standard_monomials(gb)
     if monos is None:
         return INFINITE

@@ -7,14 +7,14 @@ same construction applied over the total space Sym(dual), with the fiber
 coordinates themselves as the section, gives the tautological complex;
 substituting a concrete section for the fiber coordinates recovers the
 usual Koszul complex on the nose, and `base_change_compare` checks that
-entrywise.
+entrywise.  A `MatrixComplex` is given by raw polynomial matrices instead;
+the tangent complex of a critical locus is one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from dataclasses import dataclass
+from typing import Mapping, Sequence, Union
 
 from itertools import combinations
 
@@ -150,14 +150,25 @@ def base_change_compare(taut: TautologicalKoszul, components: Sequence[Poly]) ->
 
 @dataclass(frozen=True)
 class MatrixComplex:
-    """A complex given by raw matrices; used to exercise d*d checks.
+    """A complex of free modules over Q[vars], given by raw matrices.
 
-    matrices maps a source degree p to the matrix of the map out of p.
-    Absent degrees carry the zero map.
+    matrices maps a source degree p to the matrix of the map out of p, rows
+    indexed by the target basis.  Absent degrees carry the zero map.  The
+    tangent complex of a critical locus is {0: Hessian}; hand-built
+    matrices also exercise the d*d check.
     """
 
     vars: tuple[str, ...]
     matrices: Mapping[int, list[list[Poly]]]
+
+    def __post_init__(self):
+        for matrix in self.matrices.values():
+            if len({len(row) for row in matrix}) > 1:
+                raise ValueError("matrix rows must have equal length")
+            for row in matrix:
+                for p in row:
+                    if p.vars != self.vars:
+                        raise ValueError("matrix entry lives over different variables")
 
     @property
     def degrees(self) -> list[int]:
@@ -167,30 +178,9 @@ class MatrixComplex:
         return self.matrices.get(p, [])
 
 
-def poly_mat_mul(a: list[list[Poly]], b: list[list[Poly]], vars: Sequence[str]) -> list[list[Poly]]:
-    if not a or not b:
-        return []
-    zero = Poly.zero(tuple(vars))
-    out = []
-    for row in a:
-        orow = []
-        for j in range(len(b[0])):
-            acc = zero
-            for k, coeff in enumerate(row):
-                if coeff.is_zero() or b[k][j].is_zero():
-                    continue
-                acc = acc + coeff * b[k][j]
-            orow.append(acc)
-        out.append(orow)
-    return out
-
-
 def check_d_squared(c) -> bool:
     """True when consecutive differentials compose to zero, degree by degree."""
     degrees = list(c.degrees)
-    vars = getattr(c, "vars", None)
-    if vars is None:
-        vars = c.ambient.vars
     for p in degrees:
         if p + 1 not in degrees:
             continue
@@ -200,10 +190,10 @@ def check_d_squared(c) -> bool:
             continue
         if len(second[0]) != len(first):
             raise ValueError(f"matrices at degrees {p} and {p + 1} do not compose")
-        prod = poly_mat_mul(second, first, vars)
-        for row in prod:
-            for entry in row:
-                if not entry.is_zero():
+        for row in second:
+            for j in range(len(first[0])):
+                products = [a * first[k][j] for k, a in enumerate(row) if a and first[k][j]]
+                if products and sum(products[1:], products[0]):
                     return False
     return True
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 
 def _integer_row(row: Mapping[int, Fraction]) -> dict[int, int]:
@@ -54,11 +54,3 @@ def rank_rows(rows: Iterable[Mapping[int, Fraction]]) -> int:
                     new[c] = v
             row = _normalize(new)
     return len(pivots)
-
-
-def rank_dense(matrix: Sequence[Sequence[Fraction]]) -> int:
-    """Rank over Q of a dense matrix given as nested sequences."""
-    rows = []
-    for r in matrix:
-        rows.append({j: Fraction(v) for j, v in enumerate(r) if v})
-    return rank_rows(rows)

@@ -21,7 +21,7 @@ import re
 from fractions import Fraction
 from typing import Sequence
 
-from .exterior import Ambient, ExtElt, Section
+from .exterior import Ambient, ExtElt
 from .poly import Poly
 from .polyvec import OneForm, form_ambient, polyvector_ambient
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import add
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 Exponents = tuple[int, ...]
 Scalar = Union[int, Fraction]
@@ -240,10 +240,6 @@ class Poly(_Terms):
 
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e in self.terms)
-
-    def constant_value(self) -> Fraction:
-        """Coefficient of the constant monomial (the whole value if constant)."""
-        return Fraction(self.terms.get((0,) * len(self.vars), 0))
 
     def total_degree(self) -> int:
         """Max total degree of a term; -1 for the zero polynomial."""

@@ -47,8 +47,7 @@ def form_ambient(vars: Sequence[str]) -> Ambient:
 
 
 def _require_polyvector(a: ExtElt) -> None:
-    amb = a.ambient
-    if amb.gens != tuple("@" + v for v in amb.vars):
+    if a.ambient != polyvector_ambient(a.ambient.vars):
         raise ValueError("expected an element of the polyvector ambient")
 
 
@@ -96,11 +95,9 @@ class OneForm:
     def is_closed(self) -> bool:
         return self.closedness_witness() is None
 
-    def as_section(self, ambient: Ambient) -> Section:
+    def as_section(self) -> Section:
         """The pairing against @-generators: component i pairs with @x_i."""
-        if ambient != polyvector_ambient(self.vars):
-            raise ValueError("ambient does not match this form's variables")
-        return Section(ambient, self.components)
+        return Section(polyvector_ambient(self.vars), self.components)
 
     def to_ext(self) -> ExtElt:
         amb = form_ambient(self.vars)
@@ -115,10 +112,7 @@ class OneForm:
 
 def d_alpha(alpha: OneForm, a: ExtElt) -> ExtElt:
     """Contraction of a polyvector field along a 1-form; degree +1."""
-    _require_polyvector(a)
-    if a.ambient.vars != alpha.vars:
-        raise ValueError("form and field live over different variables")
-    return contract(alpha.as_section(a.ambient), a)
+    return contract(alpha.as_section(), a)
 
 
 def apply_vector(X: ExtElt, f: Poly) -> Poly:
@@ -245,7 +239,7 @@ def vol_contract_inv(vol: VolumeForm, w: ExtElt) -> ExtElt:
 def de_rham(w: ExtElt) -> ExtElt:
     """Exterior derivative on polynomial differential forms."""
     amb = w.ambient
-    if amb.gens != tuple("d_" + v for v in amb.vars):
+    if amb != form_ambient(amb.vars):
         raise ValueError("expected an element of the form ambient")
     n = len(amb.vars)
     terms: dict = {}
@@ -339,6 +333,8 @@ def check_bracket_compat(alpha: OneForm, trials: int = 50, seed: int = 0,
     """
     _require_trials(trials)
     vars = alpha.vars
+    if not vars:
+        raise ValueError("check_bracket_compat needs at least one variable, got none")
     amb = polyvector_ambient(vars)
     rng = Random(seed)
     closed = alpha.is_closed()

@@ -1,22 +1,22 @@
 """Two-term tangent complexes of critical loci and their shifted pairing.
 
 For f in Q[x_1..x_n], the critical locus carries the two-term complex
-T^0 -> T^1 (both free of rank n) with differential the Hessian of f.  The
-symmetry of that matrix is exactly what makes the degree -1 pairing of the
-complex with itself well defined, and the pairing is perfect levelwise
-(the duality map is the identity on the chosen bases).  Intersections of
-graph Lagrangians reduce to Koszul complexes of differences of closed
-1-forms, with the same Hessian-style pairing attached.
+T^0 -> T^1 (both free of rank n) with differential the Hessian of f: a
+`MatrixComplex` with one map, out of degree 0.  The symmetry of that
+matrix is exactly what makes the degree -1 pairing of the complex with
+itself well defined, and the pairing is perfect levelwise (the duality map
+is the identity on the chosen bases).  Intersections of graph Lagrangians
+reduce to Koszul complexes of differences of closed 1-forms, with the same
+Hessian-style pairing attached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .groebner import INFINITE, GroebnerBasis, jacobian_ideal, standard_monomials
-from .koszul import KoszulComplex, build_koszul
+from .koszul import KoszulComplex, MatrixComplex, build_koszul
 from .linalg import rank_rows
 from .poly import Poly, gradient
 from .polyvec import OneForm, polyvector_ambient
@@ -29,46 +29,18 @@ def hessian(f: Poly) -> list[list[Poly]]:
     return [[grads[i].diff(vs[j]) for j in range(len(vs))] for i in range(len(vs))]
 
 
-def matrix_transpose(m: list[list[Poly]]) -> list[list[Poly]]:
-    return [list(row) for row in zip(*m)] if m else []
+def is_symmetric(m) -> bool:
+    """True when the matrix equals its transpose."""
+    return [list(row) for row in m] == [list(col) for col in zip(*m)]
 
 
-def is_symmetric(m: list[list[Poly]]) -> bool:
-    return m == matrix_transpose(m)
+def tangent_complex(f: Poly) -> MatrixComplex:
+    """T^0 -> T^1, both free of rank n, with the Hessian as differential."""
+    return MatrixComplex(f.vars, {0: hessian(f)})
 
 
-@dataclass(frozen=True)
-class TwoTermComplex:
-    """Free modules in degrees 0 and 1 with a square polynomial matrix."""
-
-    vars: tuple[str, ...]
-    matrix: tuple[tuple[Poly, ...], ...]
-
-    def __post_init__(self):
-        n = len(self.matrix)
-        for row in self.matrix:
-            if len(row) != n:
-                raise ValueError("differential matrix must be square")
-            for p in row:
-                if p.vars != self.vars:
-                    raise ValueError("matrix entry lives over different variables")
-
-    @property
-    def rank(self) -> int:
-        return len(self.matrix)
-
-    @property
-    def degrees(self) -> tuple[int, ...]:
-        return (0,)
-
-    def differential_matrix(self, p: int) -> list[list[Poly]]:
-        if p == 0:
-            return [list(row) for row in self.matrix]
-        return []
-
-
-def tangent_complex(f: Poly) -> TwoTermComplex:
-    return TwoTermComplex(f.vars, tuple(tuple(row) for row in hessian(f)))
+def _flat(matrix) -> list[str]:
+    return [str(p) for row in matrix for p in row]
 
 
 @dataclass(frozen=True)
@@ -81,21 +53,24 @@ class PairingReport:
     duality_map: str
 
     def to_json(self) -> dict:
-        flat = [str(p) for row in self.matrix for p in row]
-        return {"hessian": flat, "symmetric": self.symmetric,
+        return {"hessian": _flat(self.matrix), "symmetric": self.symmetric,
                 "nondegenerate": self.nondegenerate}
 
 
-def pairing_report(complex: TwoTermComplex) -> PairingReport:
+def pairing_report(complex: MatrixComplex) -> PairingReport:
     """Symmetry decides everything: an asymmetric matrix admits no pairing.
 
-    When the matrix is symmetric the pairing is perfect levelwise, with the
-    identity matrix as duality map on the chosen bases.
+    The complex must be one square matrix out of degree 0.  When the matrix
+    is symmetric the pairing is perfect levelwise, with the identity matrix
+    as duality map on the chosen bases.
     """
-    sym = is_symmetric([list(r) for r in complex.matrix])
+    m = complex.differential_matrix(0)
+    if complex.degrees != [0] or any(len(row) != len(m) for row in m):
+        raise ValueError("a pairing needs one square matrix out of degree 0")
+    sym = is_symmetric(m)
     duality = ("identity on the chosen bases (perfect levelwise)" if sym
                else "none: differential is not self-adjoint")
-    return PairingReport(complex.matrix, sym, sym, duality)
+    return PairingReport(tuple(tuple(row) for row in m), sym, sym, duality)
 
 
 def minus_one_pairing(f: Poly) -> PairingReport:
@@ -120,8 +95,7 @@ class ObstructionReport:
     hessian_invertible: bool | None = None
 
     def to_json(self) -> dict:
-        flat = [str(p) for row in self.hessian for p in row]
-        return {"hessian": flat, "symmetric": self.symmetric,
+        return {"hessian": _flat(self.hessian), "symmetric": self.symmetric,
                 "quotient_dim": self.quotient_dim,
                 "h0": self.h0, "h1": self.h1,
                 "hessian_invertible": self.hessian_invertible}
@@ -135,12 +109,12 @@ def obstruction_theory(f: Poly, basis: GroebnerBasis | None = None) -> Obstructi
     """
     if basis is not None and basis.vars != f.vars:
         raise ValueError("basis lives over different variables")
-    h = hessian(f)
+    h = tuple(tuple(row) for row in hessian(f))
     sym = is_symmetric(h)
     gb = basis if basis is not None else jacobian_ideal(f)
     monos = standard_monomials(gb)
     if monos is None:
-        return ObstructionReport(tuple(tuple(r) for r in h), sym, INFINITE)
+        return ObstructionReport(h, sym, INFINITE)
     mu = len(monos)
     n = len(f.vars)
     index = {m: k for k, m in enumerate(monos)}
@@ -157,7 +131,7 @@ def obstruction_theory(f: Poly, basis: GroebnerBasis | None = None) -> Obstructi
                     row = rows[i * mu + index[exps]]
                     row[col] = row.get(col, 0) + c
     rank = rank_rows(rows)
-    return ObstructionReport(tuple(tuple(r) for r in h), sym, mu,
+    return ObstructionReport(h, sym, mu,
                              h0=n * mu - rank, h1=n * mu - rank,
                              hessian_invertible=(rank == n * mu))
 
@@ -200,5 +174,5 @@ def intersect_graph_lagrangians(alpha: OneForm, beta: OneForm) -> LagrangianInte
     diff = tuple(a - b for a, b in zip(alpha.components, beta.components))
     amb = polyvector_ambient(vs)
     complex = build_koszul(vs, diff, gens=amb.gens)
-    jac = tuple(tuple(diff[i].diff(vs[j]) for j in range(len(vs))) for i in range(len(vs)))
-    return LagrangianIntersection(complex, pairing_report(TwoTermComplex(vs, jac)))
+    jac = [[diff[i].diff(vs[j]) for j in range(len(vs))] for i in range(len(vs))]
+    return LagrangianIntersection(complex, pairing_report(MatrixComplex(vs, {0: jac})))

@@ -189,6 +189,13 @@ def test_check_out_of_range_sizes_are_input_errors(capsys, argv):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_check_compat_without_variables_is_an_input_error(capsys):
+    code, out, err = run(capsys, "check", "compat", "--vars", "", "--alpha", "0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "variable" in err
+
+
 def test_check_missing_argument(capsys):
     code, _, err = run(capsys, "check", "compat", "--vars", "x,y")
     assert code == 2
@@ -232,3 +239,18 @@ def test_timing_is_present_unless_suppressed(capsys):
     _, doc2, _ = run_json(capsys, "crit", "--vars", "x", "-f", "x^2",
                           "--milnor")
     assert "timing" not in doc2
+
+
+def test_unexpected_handler_exception_is_an_internal_error(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("slice table exploded")
+    monkeypatch.setattr("dcrit.cli._cmd_crit", broken)
+    code, out, err = run(capsys, "crit", "--vars", "x", "-f", "x^2")
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: RuntimeError: slice table exploded\n"
+    code, out, err = run(capsys, "crit", "--vars", "x", "-f", "x^2", "--json")
+    assert code == 3
+    assert json.loads(out) == {"command": "crit",
+                               "error": "RuntimeError: slice table exploded"}
+    assert "Traceback" not in err

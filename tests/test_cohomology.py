@@ -1,5 +1,8 @@
 """Weight-slice cohomology, Hilbert tables, and resolution certificates."""
 
+from itertools import product
+from random import Random
+
 import pytest
 
 from dcrit.cohomology import (InhomogeneousSectionError, hilbert_table,
@@ -88,3 +91,52 @@ def test_resolution_certificate_weighted_base():
     cert = resolution_certificate(build_tautological_koszul(VS, 1), 5,
                                   base_weights=(1, 2))
     assert cert.ok
+
+
+def _quasi_homogeneous(rng, vars, weights, d):
+    """A random polynomial of weighted degree exactly d, with one to three terms."""
+    monos = [e for e in product(range(d + 1), repeat=len(vars))
+             if sum(a * w for a, w in zip(e, weights)) == d]
+    out = Poly.zero(vars)
+    for e in rng.sample(monos, min(3, len(monos))):
+        out = out + Poly.monomial(vars, e, rng.choice([-3, -2, -1, 1, 2, 3]))
+    return out
+
+
+def _euler_series(degrees, weights, cutoff):
+    """Coefficients of prod_j (1 - t^d_j) / prod_i (1 - t^w_i) up to t^cutoff."""
+    c = [1] + [0] * cutoff
+    for d in degrees:
+        c = [c[k] - (c[k - d] if k >= d else 0) for k in range(cutoff + 1)]
+    for w in weights:
+        for k in range(w, cutoff + 1):
+            c[k] += c[k - w]
+    return c
+
+
+def _sections(seed):
+    """(vars, weights, components, component degrees, regular) for each case."""
+    rng = Random(seed)
+    vs, ws = ("x", "y", "z"), (2, 1, 3)
+    powers = [Poly.monomial(vs, e) for e in ((3, 0, 0), (0, 6, 0), (0, 0, 2))]
+    regular = [p + _quasi_homogeneous(rng, vs, ws, 6) for p in powers]
+    yield vs, ws, regular, (6, 6, 6), True
+    vs, ws = ("x", "y"), (1, 2)
+    g = _quasi_homogeneous(rng, vs, ws, 2)
+    h1, h2 = _quasi_homogeneous(rng, vs, ws, 3), _quasi_homogeneous(rng, vs, ws, 4)
+    yield vs, ws, [g * h1, g * h2], (5, 6), False
+    f1, f2 = _quasi_homogeneous(rng, vs, ws, 4), _quasi_homogeneous(rng, vs, ws, 3)
+    yield vs, ws, [f1, f1, f2], (4, 4, 3), False
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_euler_characteristic_in_every_weight(seed):
+    cutoff = 12
+    for vs, ws, comps, degrees, regular in _sections(seed):
+        table = hilbert_table(build_koszul(vs, comps), ws, cutoff)
+        series = _euler_series(degrees, ws, cutoff)
+        for w in range(cutoff + 1):
+            euler = sum((-1) ** p * table.rows[p][w] for p in table.degrees())
+            assert euler == series[w], (comps, w)
+        negatives = any(any(table.rows[p]) for p in table.degrees() if p < 0)
+        assert negatives is not regular, comps

@@ -3,11 +3,11 @@
 import pytest
 
 from dcrit.groebner import INFINITE
-from dcrit.koszul import build_koszul
+from dcrit.koszul import MatrixComplex, build_koszul
 from dcrit.parsing import parse_one_form, parse_poly
 from dcrit.poly import Poly, gradient
 from dcrit.polyvec import OneForm
-from dcrit.symplectic import (NotClosedError, TwoTermComplex, hessian,
+from dcrit.symplectic import (NotClosedError, hessian,
                               intersect_graph_lagrangians, is_symmetric,
                               minus_one_pairing, obstruction_theory,
                               pairing_report, tangent_complex)
@@ -27,9 +27,10 @@ def test_hessian_values():
 
 def test_tangent_complex_shape():
     T = tangent_complex(P("x^3 + y^3"))
-    assert isinstance(T, TwoTermComplex)
-    assert T.rank == 2
-    assert T.differential_matrix(0) == [list(row) for row in T.matrix]
+    assert isinstance(T, MatrixComplex)
+    assert T.degrees == [0]
+    assert [len(row) for row in T.differential_matrix(0)] == [2, 2]
+    assert T.differential_matrix(0) == hessian(P("x^3 + y^3"))
 
 
 def test_pairing_symmetric_iff_nondegenerate():
@@ -39,7 +40,7 @@ def test_pairing_symmetric_iff_nondegenerate():
     assert report.to_json() == {"hessian": ["6*x", "0", "0", "6*y"],
                                 "symmetric": True, "nondegenerate": True}
 
-    skew = TwoTermComplex(VS, ((P("0"), P("1")), (P("0"), P("0"))))
+    skew = MatrixComplex(VS, {0: [[P("0"), P("1")], [P("0"), P("0")]]})
     adversarial = pairing_report(skew)
     assert not adversarial.symmetric and not adversarial.nondegenerate
     assert adversarial.duality_map.startswith("none")
@@ -102,6 +103,6 @@ def test_mismatched_variables_are_rejected():
 
 def test_two_term_complex_validation():
     with pytest.raises(ValueError):
-        TwoTermComplex(VS, ((P("x"), P("y")),))  # 1 x 2 is not square
+        pairing_report(MatrixComplex(VS, {0: [[P("x"), P("y")]]}))  # 1 x 2 is not square
     with pytest.raises(ValueError):
-        TwoTermComplex(VS, ((parse_poly("x", ("x",)),),))  # foreign entry
+        MatrixComplex(VS, {0: [[parse_poly("x", ("x",))]]})  # foreign entry
