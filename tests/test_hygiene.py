@@ -28,23 +28,15 @@ def imports(tree):
 
 
 def used_names(tree):
-    """Names read anywhere in the module, including string annotations."""
+    """Names read anywhere in the module, string annotations included."""
     used = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             used.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            root = node
-            while isinstance(root, ast.Attribute):
-                root = root.value
-            if isinstance(root, ast.Name):
-                used.add(root.id)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            try:
-                inner = ast.parse(node.value, mode="eval")
-            except SyntaxError:
-                continue
-            used.update(n.id for n in ast.walk(inner) if isinstance(n, ast.Name))
+        note = getattr(node, "annotation", None) or getattr(node, "returns", None)
+        if isinstance(note, ast.Constant) and isinstance(note.value, str):
+            used.update(n.id for n in ast.walk(ast.parse(note.value, mode="eval"))
+                        if isinstance(n, ast.Name))
     return used
 
 
