@@ -39,7 +39,7 @@ from .koszul import build_koszul, build_tautological_koszul, check_d_squared
 from .parsing import ParseError, parse_one_form, parse_poly, parse_section
 from .poly import Poly, UnknownVariableError, gradient
 from .polyvec import check_bracket_compat, check_bv, check_gerstenhaber
-from .symplectic import (intersect_graph_lagrangians, minus_one_pairing,
+from .symplectic import (hessian, intersect_graph_lagrangians, minus_one_pairing,
                          obstruction_theory)
 
 
@@ -208,15 +208,17 @@ def _cmd_crit(args):
     # variables the ideal is zero and the quotient is Q itself
     jacobian = (buchberger(grads or [Poly.zero(vars)])
                 if want_all or args.milnor or args.obstruction or args.hilbert else None)
+    # one Hessian serves the pairing and the obstruction report
+    hess = hessian(f, grads) if want_all or args.pairing or args.obstruction else None
     if args.milnor or want_all:
         mu = quotient_dimension(jacobian)
         results["milnor"] = mu
         lines.append(f"milnor = {mu}")
     if args.pairing or want_all:
-        results["pairing"] = minus_one_pairing(f).to_json()
+        results["pairing"] = minus_one_pairing(f, hess).to_json()
         lines.append(_pairing_line(results["pairing"]))
     if args.obstruction or want_all:
-        report = obstruction_theory(f, basis=jacobian)
+        report = obstruction_theory(f, basis=jacobian, hess=hess)
         results["obstruction"] = report.to_json()
         lines.append(f"obstruction: quotient_dim = {report.quotient_dim}, "
                      f"h0 = {report.h0}, h1 = {report.h1}, "

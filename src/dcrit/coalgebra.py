@@ -173,7 +173,7 @@ def tensor_d_first(t: TensorElt, section: Section) -> TensorElt:
     """(d otimes id) for the contraction differential; acts on the left slot."""
     if section.ambient != t.ambient:
         raise ValueError("section lives on a different ambient")
-    return TensorElt._make(t.ambient, _contract(section.components, t.terms))
+    return TensorElt._make(t.ambient, _contract([p.terms for p in section.components], t.terms))
 
 
 class Tensor3(_Terms):

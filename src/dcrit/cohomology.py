@@ -3,15 +3,16 @@
 For a quasi-homogeneous section, every differential preserves weighted
 degree once each exterior generator is assigned the weight of its section
 component, so the complex splits into finite-dimensional slices; each slice
-is handled by exact rank computation.  Degree-zero results can be
-cross-checked against the Groebner quotient dimension, which is an
-independent route to the same number.
+is handled by exact rank computation on integer columns.  Degree-zero
+results can be cross-checked against the Groebner quotient dimension, which
+is an independent route to the same number.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import lcm
 from typing import Mapping, Sequence
 
 from .exterior import _contract
@@ -50,47 +51,65 @@ def generator_degrees(c: KoszulComplex, weights) -> tuple[int, ...]:
     return tuple(default if d == ANY_DEGREE else d for d in raw)
 
 
-def _slice_basis(c: KoszulComplex, ws, gd, p: int, w: int):
-    """Basis of the weight-w part of cohomological degree p."""
-    if not -c.rank <= p <= 0:
-        return []
-    out = []
-    for subset in combinations(range(c.rank), -p):
-        rem = w - sum(gd[j] for j in subset)
-        if rem < 0:
-            continue
-        for exps in monomials_of_weight(ws, rem):
-            out.append((exps, subset))
-    return out
+class _Slices:
+    """The weight slices of one Koszul complex, computed over the integers.
 
+    The section's components are multiplied by one positive integer that
+    clears every denominator.  That scales each slice differential, so no
+    rank changes, and the slice columns come out of `_contract` as int
+    dicts.  The monomials of each weight are computed once and shared by
+    every slice asked of the same object.
+    """
 
-def _slice_cohomology(c: KoszulComplex, ws, gd, w: int) -> dict[int, int]:
-    """dim H^p of one weight slice for every degree p: dim - rank(d out) - rank(d in)."""
-    m = c.rank
-    bases = {p: _slice_basis(c, ws, gd, p, w) for p in range(-m, 1)}
-    ranks: dict[int, int] = {}
-    for p in range(-m, 0):
-        if bases[p] and bases[p + 1]:
-            index = {key: i for i, key in enumerate(bases[p + 1])}
-            # contraction preserves the slice, so every image key has an index
-            cols = [{index[k]: v for k, v in _contract(c.section.components, {key: 1}).items()}
-                    for key in bases[p]]
-            ranks[p] = rank_rows(cols)
-    out: dict[int, int] = {}
-    for p, basis in bases.items():
-        h = len(basis) - ranks.get(p, 0) - ranks.get(p - 1, 0)
-        if h < 0:
-            raise AssertionError(
-                f"negative cohomology dimension at degree {p}, weight {w}; "
-                "the differential does not square to zero on this slice")
-        out[p] = h
-    return out
+    def __init__(self, c: KoszulComplex, ws: tuple[int, ...]):
+        self.rank = c.rank
+        self.ws = ws
+        self.gd = generator_degrees(c, ws)
+        comps = c.section.components
+        den = lcm(1, *(v.denominator for p in comps for v in p.terms.values()))
+        self.components = [{e: v.numerator * (den // v.denominator) for e, v in p.terms.items()}
+                           for p in comps]
+        self._monomials: dict[int, list] = {}
+
+    def basis(self, p: int, w: int) -> list:
+        """Basis of the weight-w part of cohomological degree p."""
+        out = []
+        for subset in combinations(range(self.rank), -p):
+            rem = w - sum(self.gd[j] for j in subset)
+            if rem < 0:
+                continue
+            monos = self._monomials.get(rem)
+            if monos is None:
+                monos = self._monomials[rem] = monomials_of_weight(self.ws, rem)
+            out.extend((exps, subset) for exps in monos)
+        return out
+
+    def cohomology(self, w: int) -> dict[int, int]:
+        """dim H^p of the weight-w slice for every degree p: dim - rank(d out) - rank(d in)."""
+        m = self.rank
+        bases = {p: self.basis(p, w) for p in range(-m, 1)}
+        ranks: dict[int, int] = {}
+        for p in range(-m, 0):
+            if bases[p] and bases[p + 1]:
+                index = {key: i for i, key in enumerate(bases[p + 1])}
+                # contraction preserves the slice, so every image key has an index
+                cols = [{index[k]: v for k, v in _contract(self.components, {key: 1}).items()}
+                        for key in bases[p]]
+                ranks[p] = rank_rows(cols)
+        out: dict[int, int] = {}
+        for p, basis in bases.items():
+            h = len(basis) - ranks.get(p, 0) - ranks.get(p - 1, 0)
+            if h < 0:
+                raise AssertionError(
+                    f"negative cohomology dimension at degree {p}, weight {w}; "
+                    "the differential does not square to zero on this slice")
+            out[p] = h
+        return out
 
 
 def slice_cohomology(c: KoszulComplex, weights, w: int) -> dict[int, int]:
     """Cohomology dimensions of one weight slice, by cohomological degree."""
-    ws = normalize_weights(c.ambient.vars, weights)
-    return _slice_cohomology(c, ws, generator_degrees(c, ws), w)
+    return _Slices(c, normalize_weights(c.ambient.vars, weights)).cohomology(w)
 
 
 @dataclass(frozen=True)
@@ -128,11 +147,11 @@ def hilbert_table(c: KoszulComplex, weights, cutoff: int,
     if basis is not None and basis.vars != c.ambient.vars:
         raise ValueError("basis lives over different variables")
     ws = normalize_weights(c.ambient.vars, weights)
-    gd = generator_degrees(c, ws)
+    slices = _Slices(c, ws)
     m = c.rank
     rows = {p: [] for p in range(-m, 1)}
     for w in range(cutoff + 1):
-        for p, h in _slice_cohomology(c, ws, gd, w).items():
+        for p, h in slices.cohomology(w).items():
             rows[p].append(h)
     complete = {p: False for p in range(-m, 1)}
     qd = quotient_dimension(basis if basis is not None else list(c.section.components))
@@ -159,10 +178,9 @@ def is_regular_sequence(c: KoszulComplex, weights, cutoff: int) -> RegularSequen
     A nonzero slice is a definitive failure; an all-zero sweep certifies
     regularity only up to the cutoff, which the report records.
     """
-    ws = normalize_weights(c.ambient.vars, weights)
-    gd = generator_degrees(c, ws)
+    slices = _Slices(c, normalize_weights(c.ambient.vars, weights))
     for w in range(cutoff + 1):
-        dims = _slice_cohomology(c, ws, gd, w)
+        dims = slices.cohomology(w)
         for p in range(-c.rank, 0):
             if dims[p]:
                 return RegularSequenceReport(False, cutoff, (p, w))

@@ -223,12 +223,15 @@ def wedge(a: ExtElt, b: ExtElt) -> ExtElt:
     return ExtElt._make(a.ambient, terms)
 
 
-def _contract(components: Sequence[Poly], terms: Mapping[tuple, Fraction]) -> dict:
+def _contract(components: Sequence[Mapping[Exponents, Scalar]],
+              terms: Mapping[tuple, Scalar]) -> dict:
     """The contraction sign rule, written once.
 
-    Each key is (exponents, subset, *rest); the subset is contracted along
-    the section components and the rest of the key is carried along.  The
-    result is the accumulated term dict, zeros included.
+    `components` are the section components' term maps.  Each key of
+    `terms` is (exponents, subset, *rest); the subset is contracted along
+    the components and the rest of the key is carried along.  The result is
+    the accumulated term dict, zeros included; it holds ints when every
+    coefficient given is an int.
     """
     out: dict = {}
     for key, c in terms.items():
@@ -236,7 +239,7 @@ def _contract(components: Sequence[Poly], terms: Mapping[tuple, Fraction]) -> di
         for k0, j in enumerate(subset):
             signed = -c if k0 % 2 == 0 else c
             omitted = (subset[:k0] + subset[k0 + 1:],) + rest
-            for sexps, sc in components[j].terms.items():
+            for sexps, sc in components[j].items():
                 k = (exps_add(exps, sexps),) + omitted
                 out[k] = out.get(k, 0) + signed * sc
     return out
@@ -251,4 +254,4 @@ def contract(s: Section, a: ExtElt) -> ExtElt:
     """
     if s.ambient != a.ambient:
         raise ValueError("section and element live in different ambients")
-    return ExtElt._make(a.ambient, _contract(s.components, a.terms))
+    return ExtElt._make(a.ambient, _contract([p.terms for p in s.components], a.terms))

@@ -18,7 +18,7 @@ and pass it to each of them.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count, product
 from operator import add, le, sub
@@ -42,15 +42,21 @@ def _exps_lcm(a: Exponents, b: Exponents) -> Exponents:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def normal_form(p: Poly, basis: Sequence[Poly]) -> Poly:
+def _with_leads(basis: Sequence[Poly]) -> list:
+    """(leading term, term map) of each nonzero divisor, in list order."""
+    return [(g.leading(), g.terms) for g in basis if not g.is_zero()]
+
+
+def normal_form(p: Poly, basis: Union["GroebnerBasis", Sequence[Poly]]) -> Poly:
     """Remainder of full multivariate division of p by the basis.
 
     Each step takes the leading term of what is left and divides it by the
     first divisor, in list order, whose leading term divides it; terms no
     leading term divides move to the remainder.  The work is done in place
     on one term dict, with a heap of monomials to find the leading term.
+    A GroebnerBasis brings its generators' leading terms along.
     """
-    divisors = [(g.leading(), g.terms) for g in basis if not g.is_zero()]
+    divisors = basis._divisors if isinstance(basis, GroebnerBasis) else _with_leads(basis)
     work = dict(p.terms)
     heap = [(_descending_key(e), e) for e in work]
     heapq.heapify(heap)
@@ -93,15 +99,23 @@ def s_poly(f: Poly, g: Poly) -> Poly:
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """Reduced monic Groebner basis, sorted by ascending leading term."""
+    """Reduced monic Groebner basis, sorted by ascending leading term.
+
+    The generators' leading terms are found once, when the basis is made,
+    and every normal form divides by them.
+    """
 
     vars: tuple[str, ...]
     gens: tuple[Poly, ...]
+    _divisors: list = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_divisors", _with_leads(self.gens))
 
     def normal_form(self, p: Poly) -> Poly:
         if p.vars != self.vars:
             raise ValueError("polynomial lives over different variables")
-        return normal_form(p, self.gens)
+        return normal_form(p, self)
 
     def contains(self, p: Poly) -> bool:
         """Ideal membership: true when the normal form vanishes."""

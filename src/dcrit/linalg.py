@@ -1,11 +1,13 @@
 """Exact rank of sparse matrices over Q.
 
-Rows are dicts from column index to coefficient.  Each row is cleared to
-integers, then eliminated against previously kept pivot rows using
-fraction-free integer cross-multiplication with gcd normalization, so no
-rounding or modular reduction ever happens.  Pivots are chosen at the
-smallest column index, which keeps fill-in low for the banded, very sparse
-matrices the slice differentials produce.
+Rows are dicts from column index to coefficient.  A row of Python ints is
+taken as it is; any other row is cleared to integers first.  Each row is
+then eliminated in place against previously kept pivot rows: when the
+pivot's leading coefficient divides the row's, a multiple of the pivot is
+subtracted; otherwise the row is cross-multiplied and divided by its
+content.  No rounding or modular reduction ever happens.  Pivots are chosen
+at the smallest column index, which keeps fill-in low for the banded, very
+sparse matrices the slice differentials produce.
 """
 
 from __future__ import annotations
@@ -15,7 +17,10 @@ from math import gcd
 from typing import Iterable, Mapping
 
 
-def _integer_row(row: Mapping[int, Fraction]) -> dict[int, int]:
+def _integer_row(row: Mapping[int, int | Fraction]) -> dict[int, int]:
+    """A fresh integer row with the same span; the caller's row is not touched."""
+    if all(type(v) is int for v in row.values()):
+        return {c: v for c, v in row.items() if v}
     entries = {c: Fraction(v) for c, v in row.items() if v}
     denom = 1
     for v in entries.values():
@@ -32,7 +37,7 @@ def _normalize(row: dict[int, int]) -> dict[int, int]:
     return row
 
 
-def rank_rows(rows: Iterable[Mapping[int, Fraction]]) -> int:
+def rank_rows(rows: Iterable[Mapping[int, int | Fraction]]) -> int:
     """Rank over Q of the matrix whose rows are the given sparse dicts."""
     pivots: dict[int, dict[int, int]] = {}
     for raw in rows:
@@ -45,12 +50,18 @@ def rank_rows(rows: Iterable[Mapping[int, Fraction]]) -> int:
                 break
             a = pivot[lead]
             b = row[lead]
-            g = gcd(a, b)
-            ma, mb = a // g, b // g
-            new: dict[int, int] = {}
-            for c in row.keys() | pivot.keys():
-                v = ma * row.get(c, 0) - mb * pivot.get(c, 0)
+            mb, r = divmod(b, a)
+            if r:
+                g = gcd(a, b)
+                ma, mb = a // g, b // g
+                for c in row:
+                    row[c] *= ma
+            for c, v in pivot.items():
+                v = row.get(c, 0) - mb * v
                 if v:
-                    new[c] = v
-            row = _normalize(new)
+                    row[c] = v
+                else:
+                    del row[c]  # absent entries cannot cancel: mb and v are nonzero
+            if r:
+                row = _normalize(row)
     return len(pivots)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .groebner import INFINITE, GroebnerBasis, jacobian_ideal, standard_monomials
 from .koszul import KoszulComplex, MatrixComplex, build_koszul
@@ -22,11 +23,28 @@ from .poly import Poly, gradient
 from .polyvec import OneForm, polyvector_ambient
 
 
-def hessian(f: Poly) -> list[list[Poly]]:
-    """Matrix of second partials, in variable order."""
+def hessian(f: Poly, grads: Sequence[Poly] | None = None) -> list[list[Poly]]:
+    """Matrix of second partials, in variable order.
+
+    `grads`, when given, must be the gradient of f; it is not taken again.
+    """
     vs = f.vars
-    grads = gradient(f)
-    return [[grads[i].diff(vs[j]) for j in range(len(vs))] for i in range(len(vs))]
+    if grads is None:
+        grads = gradient(f)
+    elif len(grads) != len(vs) or any(g.vars != vs for g in grads):
+        raise ValueError("the gradient needs one partial per variable of f")
+    return [[g.diff(v) for v in vs] for g in grads]
+
+
+def _given_hessian(f: Poly, hess) -> tuple[tuple[Poly, ...], ...]:
+    """hessian(f), or the matrix a caller already holds for it, checked for shape."""
+    if hess is None:
+        hess = hessian(f)
+    h = tuple(tuple(row) for row in hess)
+    n = len(f.vars)
+    if len(h) != n or any(len(row) != n or any(e.vars != f.vars for e in row) for row in h):
+        raise ValueError("the Hessian must be a square matrix over the variables of f")
+    return h
 
 
 def is_symmetric(m) -> bool:
@@ -73,8 +91,9 @@ def pairing_report(complex: MatrixComplex) -> PairingReport:
     return PairingReport(tuple(tuple(row) for row in m), sym, sym, duality)
 
 
-def minus_one_pairing(f: Poly) -> PairingReport:
-    return pairing_report(tangent_complex(f))
+def minus_one_pairing(f: Poly, hess=None) -> PairingReport:
+    """The pairing of f's tangent complex; `hess`, when given, must be hessian(f)."""
+    return pairing_report(MatrixComplex(f.vars, {0: _given_hessian(f, hess)}))
 
 
 @dataclass(frozen=True)
@@ -101,15 +120,16 @@ class ObstructionReport:
                 "hessian_invertible": self.hessian_invertible}
 
 
-def obstruction_theory(f: Poly, basis: GroebnerBasis | None = None) -> ObstructionReport:
+def obstruction_theory(f: Poly, basis: GroebnerBasis | None = None,
+                       hess=None) -> ObstructionReport:
     """Restrict the Hessian to the critical quotient and measure exactness.
 
     `basis`, when given, must be the Groebner basis of the Jacobian ideal
-    of f; without it the basis is computed here.
+    of f, and `hess` must be hessian(f); what is not given is computed here.
     """
     if basis is not None and basis.vars != f.vars:
         raise ValueError("basis lives over different variables")
-    h = tuple(tuple(row) for row in hessian(f))
+    h = _given_hessian(f, hess)
     sym = is_symmetric(h)
     gb = basis if basis is not None else jacobian_ideal(f)
     monos = standard_monomials(gb)

@@ -140,3 +140,48 @@ def test_euler_characteristic_in_every_weight(seed):
             assert euler == series[w], (comps, w)
         negatives = any(any(table.rows[p]) for p in table.degrees() if p < 0)
         assert negatives is not regular, comps
+
+
+def _first_failure(table):
+    """The (degree, weight) is_regular_sequence should report, read off the table."""
+    for w in range(table.cutoff + 1):
+        for p in sorted(table.rows):
+            if p < 0 and table.rows[p][w]:
+                return (p, w)
+    return None
+
+
+@pytest.mark.parametrize("vs, ws, srcs, scales, degrees", [
+    (VS, (1, 1), ["1/2*x", "2/3*y"], (2, 3), (1, 1)),
+    (VS, (2, 3), ["1/2*x^3 + 2/3*y^2", "3/4*x^3 - 1/5*y^2"], (6, 20), (6, 6)),
+    (("x", "y", "z"), (1, 2, 3), ["1/3*x^2 - 5/2*y", "7/4*z + 1/6*x*y", "1/9*z^2"],
+     (6, 12, 9), (2, 3, 6)),
+])
+def test_fractional_sections_match_cleared_denominators(vs, ws, srcs, scales, degrees):
+    cutoff = 10
+    comps = [P(s, vs) for s in srcs]
+    cleared = [p * k for p, k in zip(comps, scales)]
+    assert all(c.denominator == 1 for p in cleared for c in p.terms.values())
+    K = build_koszul(vs, comps)
+    table = hilbert_table(K, ws, cutoff)
+    assert table.rows == hilbert_table(build_koszul(vs, cleared), ws, cutoff).rows
+    # each section is a complete intersection: H^0 is the closed-form series
+    assert list(table.rows[0]) == _euler_series(degrees, ws, cutoff)
+    assert not any(any(table.rows[p]) for p in table.degrees() if p < 0)
+    for w in range(cutoff + 1):
+        assert slice_cohomology(K, ws, w) == {p: table.rows[p][w] for p in table.rows}
+    assert is_regular_sequence(K, ws, cutoff).first_failure is None
+
+
+def test_fractional_common_factor_agrees_with_the_table():
+    # 1/2*x + 1/3*y is 3*x + 2*y over 6, so H^-1 is nonzero from weight 1 on;
+    # the numerators alone, x + y and 3*x + 2*y, would be a regular sequence
+    comps = [P("1/2*x + 1/3*y"), P("3*x + 2*y")]
+    K = build_koszul(VS, comps)
+    table = hilbert_table(K, (1, 1), 6)
+    assert table.rows == hilbert_table(build_koszul(VS, [comps[0] * 6, comps[1]]), (1, 1), 6).rows
+    for w in range(7):
+        assert slice_cohomology(K, (1, 1), w) == {p: table.rows[p][w] for p in table.rows}
+    report = is_regular_sequence(K, (1, 1), 6)
+    assert not report.regular
+    assert report.first_failure == _first_failure(table) == (-1, 1)

@@ -8,8 +8,9 @@ import pytest
 
 from dcrit.cli import main
 from dcrit.cohomology import InhomogeneousSectionError, hilbert_table
-from dcrit.groebner import (INFINITE, buchberger, jacobian_ideal, milnor_number,
-                            normal_form, quotient_dimension, standard_monomials)
+from dcrit.groebner import (INFINITE, GroebnerBasis, buchberger, jacobian_ideal,
+                            milnor_number, normal_form, quotient_dimension,
+                            standard_monomials)
 from dcrit.koszul import build_koszul
 from dcrit.parsing import parse_poly
 from dcrit.poly import Poly, degrevlex_key, gradient
@@ -229,3 +230,15 @@ def test_precomputed_basis_must_share_the_variables():
         obstruction_theory(f, basis=other)
     with pytest.raises(ValueError):
         hilbert_table(build_koszul(VS, list(gradient(f))), (1, 1), 3, basis=other)
+
+
+def test_basis_finds_its_leading_terms_once(monkeypatch):
+    gb = buchberger([P("x^3 - 2*x*y"), P("x^2*y - 2*y^2 + x")])
+    assert gb == GroebnerBasis(gb.vars, gb.gens)  # the cached leads do not take part
+    polys = [P("x^5*y + 3*x*y^4 - y"), P("x^2*y^2"), P("7")]
+    expected = [normal_form(p, list(gb.gens)) for p in polys]
+    calls = []
+    leading = Poly.leading
+    monkeypatch.setattr(Poly, "leading", lambda self: calls.append(self) or leading(self))
+    assert [gb.normal_form(p) for p in polys] == expected
+    assert calls == []

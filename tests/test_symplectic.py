@@ -1,7 +1,12 @@
 """Hessian pairings, obstruction ranks, and graph-Lagrangian intersections."""
 
+import json
+
 import pytest
 
+import dcrit.cli
+import dcrit.symplectic
+from dcrit.cli import main
 from dcrit.groebner import INFINITE
 from dcrit.koszul import MatrixComplex, build_koszul
 from dcrit.parsing import parse_one_form, parse_poly
@@ -23,6 +28,35 @@ def test_hessian_values():
     assert hessian(P("x*y")) == [[P("0"), P("1")], [P("1"), P("0")]]
     assert hessian(P("x^3 + y^3")) == [[P("6*x"), P("0")], [P("0"), P("6*y")]]
     assert is_symmetric(hessian(P("x^4*y + x*y^3 - 2*x")))
+
+
+def test_a_given_hessian_gives_the_same_reports():
+    f = P("x^4*y + x*y^3 - 2*x")
+    h = hessian(f, gradient(f))
+    assert h == hessian(f)
+    assert minus_one_pairing(f, h) == minus_one_pairing(f)
+    assert obstruction_theory(f, hess=h) == obstruction_theory(f)
+    with pytest.raises(ValueError):
+        hessian(f, gradient(f)[:1])
+    with pytest.raises(ValueError):
+        obstruction_theory(f, hess=h[:1])
+    with pytest.raises(ValueError):
+        minus_one_pairing(f, [[P("x", ("x",))]])
+
+
+def test_crit_takes_the_gradient_once(monkeypatch, capsys):
+    calls = []
+
+    def counting(f):
+        calls.append(f)
+        return gradient(f)
+
+    monkeypatch.setattr(dcrit.cli, "gradient", counting)
+    monkeypatch.setattr(dcrit.symplectic, "gradient", counting)
+    assert main(["crit", "--vars", "x,y", "-f", "x^3 + y^3", "--json", "--no-timing"]) == 0
+    doc = json.loads(capsys.readouterr().out)["results"]
+    assert doc["pairing"]["hessian"] == doc["obstruction"]["hessian"] == ["6*x", "0", "0", "6*y"]
+    assert len(calls) == 1
 
 
 def test_tangent_complex_shape():
