@@ -137,19 +137,19 @@ def obstruction_theory(f: Poly, basis: GroebnerBasis | None = None,
         return ObstructionReport(h, sym, INFINITE)
     mu = len(monos)
     n = len(f.vars)
-    index = {m: k for k, m in enumerate(monos)}
+    quotient = gb.quotient()
     rows: list[dict[int, Fraction]] = [dict() for _ in range(n * mu)]
-    for j in range(n):
-        for col_m, mono in enumerate(monos):
-            col = j * mu + col_m
-            basis_poly = Poly.monomial(f.vars, mono)
-            for i in range(n):
-                if h[i][j].is_zero():
-                    continue
-                reduced = gb.normal_form(h[i][j] * basis_poly)
-                for exps, c in reduced.terms.items():
-                    row = rows[i * mu + index[exps]]
-                    row[col] = row.get(col, 0) + c
+    # block (i, j) is multiplication by h[i][j] on the quotient; a symmetric
+    # Hessian has equal blocks (i, j) and (j, i), so each is computed once
+    for i in range(n):
+        for j in range(i if sym else 0, n):
+            if h[i][j].is_zero():
+                continue
+            blocks = {(i, j), (j, i)} if sym else {(i, j)}
+            for col_m, column in enumerate(quotient.multiplication_matrix(h[i][j])):
+                for r, c in column.items():
+                    for bi, bj in blocks:
+                        rows[bi * mu + r][bj * mu + col_m] = c
     rank = rank_rows(rows)
     return ObstructionReport(h, sym, mu,
                              h0=n * mu - rank, h1=n * mu - rank,

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import potentials
 from dcrit.cli import main
 from dcrit.cohomology import InhomogeneousSectionError, hilbert_table
 from dcrit.groebner import (INFINITE, GroebnerBasis, buchberger, jacobian_ideal,
@@ -242,3 +243,149 @@ def test_basis_finds_its_leading_terms_once(monkeypatch):
     monkeypatch.setattr(Poly, "leading", lambda self: calls.append(self) or leading(self))
     assert [gb.normal_form(p) for p in polys] == expected
     assert calls == []
+
+
+def test_buchberger_pairs_each_divisor_with_its_leading_term_once(monkeypatch):
+    # the divisor list grows alongside the basis: one pairing of the input,
+    # one when the GroebnerBasis is made, none per reduction
+    import dcrit.groebner as groebner
+    calls = []
+    with_leads = groebner._with_leads
+    monkeypatch.setattr(groebner, "_with_leads", lambda b: calls.append(b) or with_leads(b))
+    gb = buchberger([P("x^3 - 2*x*y"), P("x^2*y - 2*y^2 + x")])
+    assert gb.gens == (P("y^2 - 1/2*x"), P("x*y"), P("x^2"))
+    assert len(calls) == 2
+
+
+# -- the quotient R/I: border-basis oracle -----------------------------------
+
+def apply(columns, v):
+    out = {}
+    for t, c in v.items():
+        for r, a in columns[t].items():
+            out[r] = out.get(r, 0) + c * a
+    return {r: a for r, a in out.items() if a}
+
+
+def as_poly(quotient, v):
+    return Poly(quotient.vars, {quotient.monomials[r]: c for r, c in v.items()})
+
+
+def zero_dimensional_ideal(seed):
+    """A pure power plus lower-degree noise per variable, and a few extra generators."""
+    rng = random.Random(seed)
+    vars = ("x", "y", "z")[:rng.choice([1, 2, 2, 3])]
+    gens = []
+    for k in range(len(vars)):
+        a = rng.randint(2, 4 if len(vars) < 3 else 3)
+        gens.append(Poly.monomial(vars, tuple(a if i == k else 0 for i in range(len(vars))))
+                    + random_poly(rng, vars, a - 1, 3))
+    gens += [random_poly(rng, vars, 3, 3) for _ in range(rng.randint(0, 2))]
+    return gens
+
+
+def check_border_basis(gens, seed):
+    gb = buchberger(gens)
+    q = gb.quotient()
+    M = q.matrices
+    n, mu = len(gb.vars), len(q.monomials)
+    assert len(M) == n and all(len(Mk) == mu for Mk in M)
+    # column s of M_k is the normal form of the border monomial x_k*s
+    for k in range(n):
+        for s, m in enumerate(q.monomials):
+            xs = Poly.monomial(gb.vars, tuple(e + (i == k) for i, e in enumerate(m)))
+            assert as_poly(q, M[k][s]) == gb.normal_form(xs)
+    # the multiplication matrices commute, independently of S-pair bookkeeping
+    for j in range(n):
+        for k in range(j + 1, n):
+            for s in range(mu):
+                assert apply(M[j], M[k][s]) == apply(M[k], M[j][s])
+    # every original generator is zero in the quotient
+    for g in gens:
+        assert q.vector(g) == {}
+    rng = random.Random(seed)
+    for _ in range(6):
+        p = random_poly(rng, gb.vars, 6, 6)
+        assert as_poly(q, q.vector(p)) == gb.normal_form(p)
+    return q
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_quotient_is_a_border_basis_of_zero_dimensional_ideals(seed):
+    check_border_basis(zero_dimensional_ideal(seed), seed)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_quotient_is_a_border_basis_of_corpus_jacobians(seed):
+    for f, mu in potentials.corpus(seed):
+        q = check_border_basis(list(gradient(f)), seed)
+        assert len(q.monomials) == mu
+
+
+def test_quotient_of_the_unit_and_the_zero_variable_ideal():
+    unit = buchberger([P("x"), P("x + 1")]).quotient()
+    assert unit.monomials == () and unit.matrices == ((), ())
+    assert unit.vector(P("x^3*y + 5")) == {}
+    assert unit.multiplication_matrix(P("x")) == []
+    point = buchberger([Poly.zero(())]).quotient()
+    assert point.monomials == ((),) and point.matrices == ()
+    assert point.vector(parse_poly("3", ())) == {0: 3}
+    assert point.multiplication_matrix(parse_poly("2", ())) == [{0: 2}]
+    with pytest.raises(ValueError):
+        unit.vector(parse_poly("x", ("x",)))
+
+
+def test_infinite_quotient_has_no_matrices():
+    q = buchberger([P("x*y")]).quotient()
+    assert q.monomials is None
+    with pytest.raises(ValueError):
+        q.matrices
+    with pytest.raises(ValueError):
+        q.vector(P("x"))
+
+
+def test_basis_that_is_not_reduced_gives_the_same_quotient():
+    # a monic-free basis whose tail is not standard still describes R/I
+    loose = GroebnerBasis(VS, (P("y^2"), P("2*x^2 + 3*y^2")))
+    tight = buchberger([P("x^2"), P("y^2")])
+    assert loose.quotient().monomials == tight.quotient().monomials
+    assert loose.quotient().matrices == tight.quotient().matrices
+
+
+def test_multiplication_matrix_columns_are_normal_forms():
+    gb = jacobian_ideal(P("x^4 + x^2*y^2 + y^5 + x*y"))
+    q = gb.quotient()
+    for h in (P("x^3 - 2*y"), P("7"), P("0"), P("x*y^4 + 1/3*x")):
+        columns = q.multiplication_matrix(h)
+        assert [as_poly(q, c) for c in columns] == [
+            gb.normal_form(h * Poly.monomial(VS, m)) for m in q.monomials]
+
+
+def test_counting_never_builds_the_matrices(monkeypatch, capsys):
+    import dcrit.groebner as groebner
+
+    def refuse(self):
+        raise AssertionError("multiplication matrices built for a count")
+
+    monkeypatch.setattr(groebner.Quotient, "matrices", property(refuse))
+    assert main(["zero", "--vars", "x,y", "--section", "x^2 + y, y^3 - x*y",
+                 "--json", "--no-timing"]) == 0
+    assert main(["crit", "--vars", "x,y", "-f", "x^3 + y^4", "--milnor", "--hilbert",
+                 "--json", "--no-timing"]) == 0
+    K = build_koszul(VS, [P("x^2"), P("y^3")])
+    hilbert_table(K, (1, 1), 5, basis=buchberger([P("x^2"), P("y^3")]))
+    capsys.readouterr()
+    # the obstruction report is what asks for them
+    assert main(["crit", "--vars", "x,y", "-f", "x^3 + y^4", "--obstruction", "--no-timing"]) == 3
+    assert "built for a count" in capsys.readouterr().err
+
+
+def test_crit_enumerates_the_standard_monomials_once(monkeypatch, capsys):
+    import dcrit.groebner as groebner
+    calls = []
+    box = groebner.product
+    monkeypatch.setattr(groebner, "product", lambda *a: calls.append(a) or box(*a))
+    assert main(["crit", "--vars", "x,y", "-f", "x^3 + y^4", "--json", "--no-timing"]) == 0
+    doc = json.loads(capsys.readouterr().out)["results"]
+    assert doc["milnor"] == doc["obstruction"]["quotient_dim"] == 6
+    assert len(calls) == 1

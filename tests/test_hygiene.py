@@ -3,15 +3,21 @@
 Every name a module under src/dcrit imports must be used in that module
 (`__init__.py` re-exports, so it is exempt), and every import must come from
 the standard library or from dcrit itself: the runtime is stdlib-only.
+Every layer the benchmark harness times or counts by name (`TIMED` and
+`CALLED` in bench/run.py) must still be a public function of its module:
+the harness reads a missing one as zero instead of failing.
 """
 
 import ast
+import importlib
+import inspect
 import sys
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "dcrit"
+BENCH_RUN = PACKAGE.parent.parent / "bench" / "run.py"
 MODULES = sorted(PACKAGE.glob("*.py"))
 
 
@@ -56,3 +62,21 @@ def test_every_imported_name_is_used(path):
     unused = [name for module, _, names in imports(tree) if module != "__future__"
               for name in names if name not in used]
     assert unused == []
+
+
+def traced_layers():
+    """The names in bench/run.py's TIMED and CALLED tuples, read without importing it."""
+    names = set()
+    for node in ast.parse(BENCH_RUN.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id in ("TIMED", "CALLED") for t in node.targets):
+            names.update(ast.literal_eval(node.value))
+    return sorted(names)
+
+
+@pytest.mark.parametrize("name", traced_layers())
+def test_every_benchmark_layer_is_a_public_function(name):
+    module, attr = name.split(".")
+    mod = importlib.import_module(f"dcrit.{module}")
+    fn = getattr(mod, attr, None)
+    assert inspect.isfunction(fn) and fn.__module__ == mod.__name__

@@ -1,13 +1,16 @@
 """Hessian pairings, obstruction ranks, and graph-Lagrangian intersections."""
 
 import json
+import random
 
 import pytest
 
 import dcrit.cli
 import dcrit.symplectic
+import potentials
 from dcrit.cli import main
-from dcrit.groebner import INFINITE
+from dcrit.groebner import INFINITE, buchberger, standard_monomials
+from dcrit.linalg import rank_rows
 from dcrit.koszul import MatrixComplex, build_koszul
 from dcrit.parsing import parse_one_form, parse_poly
 from dcrit.poly import Poly, gradient
@@ -140,3 +143,135 @@ def test_two_term_complex_validation():
         pairing_report(MatrixComplex(VS, {0: [[P("x"), P("y")]]}))  # 1 x 2 is not square
     with pytest.raises(ValueError):
         MatrixComplex(VS, {0: [[parse_poly("x", ("x",))]]})  # foreign entry
+
+
+# -- the obstruction report against per-entry reduction ----------------------
+
+def reference_rows(f, gb):
+    """The block rows obstruction_theory built before the quotient's matrices:
+    h[i][j]*m reduced by division for every entry and every standard monomial."""
+    h = hessian(f)
+    monos = standard_monomials(gb)
+    if monos is None:
+        return None
+    mu, n = len(monos), len(f.vars)
+    index = {m: k for k, m in enumerate(monos)}
+    rows = [dict() for _ in range(n * mu)]
+    for j in range(n):
+        for col_m, mono in enumerate(monos):
+            col = j * mu + col_m
+            for i in range(n):
+                reduced = gb.normal_form(h[i][j] * Poly.monomial(f.vars, mono))
+                for exps, c in reduced.terms.items():
+                    row = rows[i * mu + index[exps]]
+                    row[col] = row.get(col, 0) + c
+    return rows
+
+
+def assert_obstruction_matches_reference(f, monkeypatch):
+    gb = buchberger(list(gradient(f)) or [Poly.zero(f.vars)])
+    seen = []
+
+    def capture(rows):
+        seen.append([dict(r) for r in rows])
+        return rank_rows(seen[-1])
+
+    monkeypatch.setattr(dcrit.symplectic, "rank_rows", capture)
+    report = obstruction_theory(f, basis=gb)
+    expected = reference_rows(f, gb)
+    assert report.hessian == tuple(map(tuple, hessian(f)))
+    if expected is None:
+        assert seen == []
+        assert (report.quotient_dim, report.h0, report.h1, report.hessian_invertible) == (
+            INFINITE, None, None, None)
+        return report
+    assert seen == [expected]
+    mu, n = len(standard_monomials(gb)), len(f.vars)
+    rank = rank_rows(expected)
+    assert (report.quotient_dim, report.h0, report.h1, report.hessian_invertible) == (
+        mu, n * mu - rank, n * mu - rank, rank == n * mu)
+    return report
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_obstruction_matches_per_entry_reduction_on_seeded_potentials(seed, monkeypatch):
+    rng = random.Random(seed)
+    homogeneous = potentials.power_sum(rng, rng.choice([2, 3]), rng.choice([3, 4]))
+    inhomogeneous = potentials.power_sum(rng, 2, rng.choice([3, 4]), lower=True)
+    weighted = potentials.brieskorn_pham(rng, rng.choice([2, 3]))
+    for f in (homogeneous, inhomogeneous, weighted):
+        assert_obstruction_matches_reference(f, monkeypatch)
+
+
+@pytest.mark.parametrize("src, vars", [
+    ("x^2*y + y^4", VS),                       # D5, weights (3, 2)
+    ("x^3 + x*y^3", VS),                       # E7, weights (3, 2)
+    ("x^2*y + y^3 + z^2", ("x", "y", "z")),    # D4
+    ("x^4 + x^2*y^2 + y^5 + x*y", VS),         # not quasi-homogeneous
+    ("x^3 - 3*x + y^2", VS),                   # two critical points
+])
+def test_obstruction_matches_per_entry_reduction_on_fixed_potentials(src, vars, monkeypatch):
+    assert_obstruction_matches_reference(P(src, vars), monkeypatch)
+
+
+def test_obstruction_edge_cases_match_per_entry_reduction(monkeypatch, capsys):
+    report = assert_obstruction_matches_reference(P("x^2*y^2"), monkeypatch)
+    assert report.to_json()["quotient_dim"] == INFINITE
+    report = assert_obstruction_matches_reference(P("x + y^2"), monkeypatch)
+    assert (report.quotient_dim, report.h0, report.h1, report.hessian_invertible) == (0, 0, 0, True)
+    report = assert_obstruction_matches_reference(P("3", ()), monkeypatch)
+    assert (report.quotient_dim, report.h0, report.h1, report.hessian_invertible) == (1, 0, 0, True)
+    assert main(["crit", "--vars", "", "-f", "3", "--json", "--no-timing"]) == 0
+    doc = json.loads(capsys.readouterr().out)["results"]
+    assert doc["obstruction"] == report.to_json()
+
+
+# -- local duality: the Hessian determinant spans the socle -------------------
+
+def determinant(m):
+    if not m:
+        return None
+    if len(m) == 1:
+        return m[0][0]
+    total = Poly.zero(m[0][0].vars)
+    for c, entry in enumerate(m[0]):
+        minor = [row[:c] + row[c + 1:] for row in m[1:]]
+        total = total + (-1) ** c * entry * determinant(minor)
+    return total
+
+
+def socle_dimension(quotient):
+    """dim of the intersection of the kernels of the multiplication matrices."""
+    mu = len(quotient.monomials)
+    rows = [dict() for _ in range(len(quotient.matrices) * mu)]
+    for k, columns in enumerate(quotient.matrices):
+        for s, column in enumerate(columns):
+            for r, a in column.items():
+                rows[k * mu + r][s] = a
+    return mu - rank_rows(rows)
+
+
+def duality_data(f):
+    q = buchberger(list(gradient(f))).quotient()
+    det = determinant(hessian(f))
+    times_x = [q.vector(Poly.variable(f.vars, v) * det) for v in f.vars]
+    return q.vector(det), times_x, socle_dimension(q)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_hessian_determinant_spans_the_socle(seed):
+    rng = random.Random(seed)
+    for f in (potentials.brieskorn_pham(rng, rng.choice([1, 2, 3])),
+              potentials.power_sum(rng, rng.choice([2, 3]), rng.choice([3, 4]))):
+        det, times_x, socle = duality_data(f)
+        assert det != {}                     # nonzero in R/J
+        assert times_x == [{}] * len(f.vars)  # x_k * det Hess lies in J
+        assert socle == 1
+
+
+def test_socle_oracle_fails_away_from_the_origin():
+    # critical points at x = 1 and x = -1: on R/J = Q[x]/(x^2 - 1) multiplication
+    # by x is invertible, so x * det Hess is not in J and the socle is zero
+    det, times_x, socle = duality_data(P("x^3 - 3*x", ("x",)))
+    assert det != {} and times_x != [{}]
+    assert socle == 0
