@@ -6,9 +6,9 @@ Intersecting the graphs of two closed 1-forms generalizes the picture.
 Run as: python3 demos/05_shifted_pairings.py
 """
 
-from dcrit import (NotClosedError, OneForm, hessian, intersect_graph_lagrangians,
-                   minus_one_pairing, obstruction_theory, parse_one_form,
-                   parse_poly)
+from dcrit import (NotClosedError, Poly, exact_form, form_str, hessian,
+                   intersect_graph_lagrangians, minus_one_pairing,
+                   obstruction_theory, parse_one_form, parse_poly)
 
 VS = ("x", "y")
 
@@ -35,21 +35,21 @@ for src in ("x^2 + y^2", "x^3 + y^3", "x^2*y^2"):
 print()
 print("== graph intersections ==")
 f = P("x^3 + y^3")
-li = intersect_graph_lagrangians(OneForm.differential_of(f), OneForm.zero(VS))
+li = intersect_graph_lagrangians(exact_form(f), exact_form(Poly.zero(VS)))
 print(f"intersecting graph(df) with the zero section for f = {f}:")
 print(f"  section components: "
       f"{tuple(str(c) for c in li.complex.section.components)}")
 print(f"  pairing symmetric = {li.pairing.symmetric}")
 
-alpha = OneForm.differential_of(P("x^2"))
-beta = OneForm.differential_of(P("y^2"))
+alpha = exact_form(P("x^2"))
+beta = exact_form(P("y^2"))
 li2 = intersect_graph_lagrangians(alpha, beta)
-print(f"graph(d(x^2)) meets graph(d(y^2)) along section "
+print(f"graph({form_str(alpha)}) meets graph({form_str(beta)}) along section "
       f"{tuple(str(c) for c in li2.complex.section.components)}")
 
 print()
 print("== closedness is a real precondition ==")
 try:
-    intersect_graph_lagrangians(parse_one_form("y*d_x", VS), OneForm.zero(VS))
+    intersect_graph_lagrangians(parse_one_form("y*d_x", VS), exact_form(Poly.zero(VS)))
 except NotClosedError as e:
     print(f"rejected: {e}")

@@ -30,10 +30,10 @@ from .cohomology import (HilbertTable, InhomogeneousSectionError,
                          RegularSequenceReport, ResolutionCertificate,
                          hilbert_table, is_regular_sequence,
                          resolution_certificate, slice_cohomology)
-from .polyvec import (OneForm, VolumeForm, alpha_of_vector, apply_vector,
-                      bv_delta, check_bracket_compat, check_bv,
-                      check_gerstenhaber, d_alpha, de_rham, schouten,
-                      vol_contract, vol_contract_inv)
+from .polyvec import (VolumeForm, alpha_of_vector, apply_vector, bv_delta,
+                      check_bracket_compat, check_bv, check_gerstenhaber,
+                      closedness_witness, de_rham, exact_form, form_str,
+                      schouten, vol_contract, vol_contract_inv)
 from .symplectic import (LagrangianIntersection, NotClosedError,
                          ObstructionReport, PairingReport, hessian, intersect_graph_lagrangians,
                          minus_one_pairing, obstruction_theory,
@@ -58,9 +58,10 @@ __all__ = [
     "HilbertTable", "InhomogeneousSectionError", "RegularSequenceReport",
     "ResolutionCertificate", "hilbert_table", "is_regular_sequence",
     "resolution_certificate", "slice_cohomology",
-    "OneForm", "VolumeForm", "alpha_of_vector", "apply_vector", "bv_delta",
-    "check_bracket_compat", "check_bv", "check_gerstenhaber", "d_alpha",
-    "de_rham", "schouten", "vol_contract", "vol_contract_inv",
+    "VolumeForm", "alpha_of_vector", "apply_vector", "bv_delta",
+    "check_bracket_compat", "check_bv", "check_gerstenhaber",
+    "closedness_witness", "de_rham", "exact_form", "form_str", "schouten",
+    "vol_contract", "vol_contract_inv",
     "LagrangianIntersection", "NotClosedError", "ObstructionReport",
     "PairingReport", "hessian",
     "intersect_graph_lagrangians", "minus_one_pairing", "obstruction_theory",

@@ -19,7 +19,7 @@ from .groebner import buchberger, quotient_dimension
 from .koszul import base_change_compare, build_koszul, build_tautological_koszul
 from .parsing import parse_one_form, parse_poly
 from .poly import Poly, gradient, normalize_weights
-from .polyvec import OneForm, check_bracket_compat, check_bv, check_gerstenhaber
+from .polyvec import check_bracket_compat, check_bv, check_gerstenhaber, exact_form
 from .symplectic import (NotClosedError, hessian, intersect_graph_lagrangians,
                          is_symmetric)
 from .coalgebra import check_coalgebra
@@ -196,7 +196,7 @@ def criterion_bracket_compat(seed: int = 0) -> CriterionResult:
 
     def body():
         for src, vs in CORPUS:
-            alpha = OneForm.differential_of(parse_poly(src, vs))
+            alpha = exact_form(parse_poly(src, vs))
             report = check_bracket_compat(alpha, trials=20, seed=seed)
             if not (report.passed and report.details["closed"]):
                 return {}, {"alpha": f"d({src})", **(report.counterexample or {})}
@@ -241,7 +241,7 @@ def criterion_hessian_pairing(seed: int = 0) -> CriterionResult:
                 return {}, {"trial": k, "f": str(f), "issue": "hessian not symmetric"}
         for src, vs in CORPUS:
             f = parse_poly(src, vs)
-            li = intersect_graph_lagrangians(OneForm.differential_of(f), OneForm.zero(vs))
+            li = intersect_graph_lagrangians(exact_form(f), exact_form(Poly.zero(vs)))
             direct = build_koszul(vs, list(gradient(f)), gens=li.complex.ambient.gens)
             for p in direct.degrees:
                 if li.complex.differential_matrix(p) != direct.differential_matrix(p):
@@ -250,7 +250,7 @@ def criterion_hessian_pairing(seed: int = 0) -> CriterionResult:
                 return {}, {"f": src, "issue": "pairing not symmetric"}
         try:
             intersect_graph_lagrangians(parse_one_form("y*d_x", ("x", "y")),
-                                        OneForm.zero(("x", "y")))
+                                        exact_form(Poly.zero(("x", "y"))))
             return {}, {"issue": "non-closed form was accepted"}
         except NotClosedError as e:
             witness = e.witness

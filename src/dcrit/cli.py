@@ -38,7 +38,7 @@ from .groebner import buchberger, quotient_dimension
 from .koszul import build_koszul, build_tautological_koszul, check_d_squared
 from .parsing import ParseError, parse_one_form, parse_poly, parse_section
 from .poly import Poly, UnknownVariableError, gradient
-from .polyvec import check_bracket_compat, check_bv, check_gerstenhaber
+from .polyvec import check_bracket_compat, check_bv, check_gerstenhaber, form_str
 from .symplectic import (hessian, intersect_graph_lagrangians, minus_one_pairing,
                          obstruction_theory)
 
@@ -59,12 +59,6 @@ class Report:
         if self.timing is not None:
             out["timing"] = self.timing
         return out
-
-    @classmethod
-    def from_json(cls, data: dict) -> "Report":
-        return cls(command=data["command"], inputs=data["inputs"],
-                   results=data["results"], version=data["version"],
-                   timing=data.get("timing"))
 
 
 def _plain(value):
@@ -240,31 +234,37 @@ def _cmd_crit(args):
 
 
 def _cmd_check(args):
+    if args.max_deg is not None and args.max_deg < 0:
+        raise ValueError(f"--max-deg must be nonnegative, got {args.max_deg}")
+
+    def max_deg(default: int) -> int:
+        return default if args.max_deg is None else args.max_deg
+
     inputs: dict = {"which": args.which, "trials": args.trials, "seed": args.seed,
                     "expect_holds": args.expect_holds}
     if args.which == "gerstenhaber":
         inputs["n"] = args.n
         report = check_gerstenhaber(args.n, trials=args.trials, seed=args.seed,
-                                    max_deg=args.max_deg or 3)
+                                    max_deg=max_deg(3))
     elif args.which == "bv":
         inputs["n"] = args.n
         report = check_bv(args.n, trials=args.trials, seed=args.seed,
-                          max_deg=args.max_deg or 3)
+                          max_deg=max_deg(3))
     elif args.which == "coalgebra":
         vars = _parse_vars(args.vars) if args.vars else ("x", "y")
         inputs["rank"] = args.rank
         inputs["vars"] = list(vars)
         report = check_coalgebra(args.rank, trials=args.trials, seed=args.seed,
-                                 vars=vars, max_deg=args.max_deg or 2)
+                                 vars=vars, max_deg=max_deg(2))
     elif args.which == "compat":
         if args.vars is None or args.alpha is None:
             raise ValueError("check compat needs --vars and --alpha")
         vars = _parse_vars(args.vars)
         alpha = parse_one_form(args.alpha, vars)
         inputs["vars"] = list(vars)
-        inputs["alpha"] = str(alpha)
+        inputs["alpha"] = form_str(alpha)
         report = check_bracket_compat(alpha, trials=args.trials, seed=args.seed,
-                                      max_deg=args.max_deg or 2)
+                                      max_deg=max_deg(2))
     elif args.which == "d2":
         if args.vars is None or args.section is None:
             raise ValueError("check d2 needs --vars and --section")
@@ -291,13 +291,13 @@ def _cmd_lagr(args):
     matrices = {str(p): _matrix_json(li.complex.differential_matrix(p))
                 for p in sorted(li.complex.degrees, reverse=True) if p < 0}
     results = {"pairing": li.pairing.to_json(), "complex": matrices}
-    lines = [f"graph intersection of ({alpha}) and ({beta}) over {_ring(vars)}"]
+    inputs = {"vars": list(vars), "alpha": form_str(alpha), "beta": form_str(beta)}
+    lines = [f"graph intersection of ({inputs['alpha']}) and ({inputs['beta']}) over {_ring(vars)}"]
     for p, mat in matrices.items():
         rows = [", ".join(mat["entries"][r * mat["cols"]:(r + 1) * mat["cols"]])
                 for r in range(mat["rows"])]
         lines.append(f"d_{p}: [" + "; ".join(rows) + "]")
     lines.append(_pairing_line(results["pairing"]))
-    inputs = {"vars": list(vars), "alpha": str(alpha), "beta": str(beta)}
     return Report("lagr", inputs, _plain(results)), lines, 0
 
 

@@ -21,11 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence, Union
+from typing import Callable, Mapping, Sequence
 
-from .poly import _SCALARS, Exponents, Poly, _descending_key, _Terms, exps_add, monomial_str
+from .poly import (_SCALARS, Exponents, Poly, Scalar, _descending_key, _Terms, exps_add,
+                   monomial_str)
 
-Scalar = Union[int, Fraction]
 TermKey = tuple[Exponents, tuple[int, ...]]
 
 
@@ -154,9 +154,6 @@ class ExtElt(_Terms):
         for (exps, subset), c in self.terms.items():
             buckets.setdefault(-len(subset), {})[(exps, subset)] = c
         return {d: ExtElt._make(self.ambient, t) for d, t in buckets.items()}
-
-    def is_homogeneous(self) -> bool:
-        return len({len(s) for (_, s) in self.terms}) <= 1
 
     def degree(self) -> int:
         """Cohomological degree; zero elements report 0, mixed ones raise."""

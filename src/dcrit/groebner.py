@@ -291,13 +291,6 @@ class GroebnerBasis:
             raise ValueError("polynomial lives over different variables")
         return normal_form(p, self)
 
-    def contains(self, p: Poly) -> bool:
-        """Ideal membership: true when the normal form vanishes."""
-        return self.normal_form(p).is_zero()
-
-    def leading_exponents(self) -> list[Exponents]:
-        return [g.leading()[0] for g in self.gens]
-
     def __str__(self) -> str:
         return "{" + ", ".join(str(g) for g in self.gens) + "}"
 

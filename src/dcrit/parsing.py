@@ -21,9 +21,9 @@ import re
 from fractions import Fraction
 from typing import Sequence
 
-from .exterior import Ambient, ExtElt
+from .exterior import Ambient, ExtElt, Section
 from .poly import Poly
-from .polyvec import OneForm, form_ambient, polyvector_ambient
+from .polyvec import form_ambient, polyvector_ambient
 
 _TOKEN_RE = re.compile(
     r"""
@@ -179,23 +179,26 @@ def parse_section(src: str, vars: Sequence[str]) -> tuple[Poly, ...]:
     return tuple(parse_poly(part, vars) for part in parts)
 
 
-def parse_one_form(src: str, vars: Sequence[str]) -> OneForm:
-    """Parse 'a_1*d_x1 + ... + a_n*d_xn' into a OneForm.
+def parse_one_form(src: str, vars: Sequence[str]) -> Section:
+    """Parse 'a_1*d_x1 + ... + a_n*d_xn' into a 1-form.
 
-    Every term must contain exactly one d_ generator; purely scalar or
-    higher-wedge input is rejected.
+    The result is the Section of the polyvector ambient whose component i
+    pairs with @x_i.  Every term must contain exactly one d_ generator;
+    purely scalar or higher-wedge input is rejected, and so is a variable
+    named like a generator (x and d_x), which the input could not tell apart.
     """
     vs = tuple(vars)
     ambient = form_ambient(vs)
+    for name in vs:
+        if name in ambient.gens:
+            raise ValueError(f"variable {name!r} has the name of a 1-form generator")
     gens = {g: j for j, g in enumerate(ambient.gens)}
     elt = _Parser(src, ambient, gens).parse()
     for (exps, subset) in elt.terms:
         if len(subset) != 1:
             raise ParseError("expected a 1-form (every term needs exactly one d_ factor)", 0, src)
-    components = [Poly.zero(vs) for _ in vs]
-    for (exps, subset), c in elt.terms.items():
-        components[subset[0]] = components[subset[0]] + Poly.monomial(vs, exps, c)
-    return OneForm(vs, tuple(components))
+    return Section(polyvector_ambient(vs),
+                   tuple(elt.coefficient_poly((i,)) for i in range(len(vs))))
 
 
 def parse_polyvector(src: str, vars: Sequence[str]) -> ExtElt:

@@ -238,9 +238,6 @@ class Poly(_Terms):
 
     # -- structure ---------------------------------------------------------
 
-    def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
-
     def total_degree(self) -> int:
         """Max total degree of a term; -1 for the zero polynomial."""
         if not self.terms:

@@ -26,14 +26,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
-from typing import Sequence, Union
+from typing import Sequence
 
 from .checks import (CheckReport, _require_trials, rand_homogeneous, rand_mixed,
                      rand_poly, shrink_elements, var_names)
 from .exterior import Ambient, ExtElt, Section, contract, merge_sign, wedge
 from .poly import Poly, gradient
-
-Scalar = Union[int, Fraction]
 
 
 def polyvector_ambient(vars: Sequence[str]) -> Ambient:
@@ -46,73 +44,45 @@ def form_ambient(vars: Sequence[str]) -> Ambient:
     return Ambient(vs, tuple("d_" + v for v in vs))
 
 
-def _require_polyvector(a: ExtElt) -> None:
+def _require_polyvector(a: ExtElt | Section) -> None:
     if a.ambient != polyvector_ambient(a.ambient.vars):
         raise ValueError("expected an element of the polyvector ambient")
 
 
 # -- one-forms ----------------------------------------------------------------
+#
+# A 1-form sum a_i d_x_i is the Section of the polyvector ambient whose
+# component i pairs with @x_i, so contraction along it is `contract`.
 
 
-@dataclass(frozen=True)
-class OneForm:
-    """A 1-form sum a_i d_x_i, stored by components."""
-
-    vars: tuple[str, ...]
-    components: tuple[Poly, ...]
-
-    def __post_init__(self):
-        if len(self.components) != len(self.vars):
-            raise ValueError("need one component per variable")
-        for p in self.components:
-            if p.vars != self.vars:
-                raise ValueError("component lives over different variables")
-
-    @classmethod
-    def zero(cls, vars: Sequence[str]) -> "OneForm":
-        vs = tuple(vars)
-        return cls(vs, tuple(Poly.zero(vs) for _ in vs))
-
-    @classmethod
-    def differential_of(cls, f: Poly) -> "OneForm":
-        return cls(f.vars, gradient(f))
-
-    def closedness_witness(self) -> dict | None:
-        """None when closed, else the first failing pair of partials."""
-        n = len(self.vars)
-        for i in range(n):
-            for j in range(i + 1, n):
-                lhs = self.components[j].diff(self.vars[i])
-                rhs = self.components[i].diff(self.vars[j])
-                if lhs != rhs:
-                    return {
-                        "pair": (self.vars[i], self.vars[j]),
-                        "d_" + self.vars[i] + "(a_" + self.vars[j] + ")": str(lhs),
-                        "d_" + self.vars[j] + "(a_" + self.vars[i] + ")": str(rhs),
-                    }
-        return None
-
-    def is_closed(self) -> bool:
-        return self.closedness_witness() is None
-
-    def as_section(self) -> Section:
-        """The pairing against @-generators: component i pairs with @x_i."""
-        return Section(polyvector_ambient(self.vars), self.components)
-
-    def to_ext(self) -> ExtElt:
-        amb = form_ambient(self.vars)
-        out = ExtElt.zero(amb)
-        for i, p in enumerate(self.components):
-            out = out + ExtElt.wedge_monomial(amb, p, (i,))
-        return out
-
-    def __str__(self) -> str:
-        return str(self.to_ext())
+def exact_form(f: Poly) -> Section:
+    """The 1-form df."""
+    return Section(polyvector_ambient(f.vars), gradient(f))
 
 
-def d_alpha(alpha: OneForm, a: ExtElt) -> ExtElt:
-    """Contraction of a polyvector field along a 1-form; degree +1."""
-    return contract(alpha.as_section(), a)
+def closedness_witness(alpha: Section) -> dict | None:
+    """None when the 1-form alpha is closed, else the first failing pair of partials."""
+    _require_polyvector(alpha)
+    vs, comps = alpha.ambient.vars, alpha.components
+    for i in range(len(vs)):
+        for j in range(i + 1, len(vs)):
+            lhs = comps[j].diff(vs[i])
+            rhs = comps[i].diff(vs[j])
+            if lhs != rhs:
+                return {
+                    "pair": (vs[i], vs[j]),
+                    "d_" + vs[i] + "(a_" + vs[j] + ")": str(lhs),
+                    "d_" + vs[j] + "(a_" + vs[i] + ")": str(rhs),
+                }
+    return None
+
+
+def form_str(alpha: Section) -> str:
+    """The 1-form alpha written with d_ generators, as parse_one_form reads it."""
+    _require_polyvector(alpha)
+    return str(ExtElt._make(form_ambient(alpha.ambient.vars),
+                            {(exps, (i,)): c for i, p in enumerate(alpha.components)
+                             for exps, c in p.terms.items()}))
 
 
 def apply_vector(X: ExtElt, f: Poly) -> Poly:
@@ -129,16 +99,17 @@ def apply_vector(X: ExtElt, f: Poly) -> Poly:
     return out
 
 
-def alpha_of_vector(alpha: OneForm, X: ExtElt) -> Poly:
-    """Evaluation alpha(X) = sum a_i X^i."""
+def alpha_of_vector(alpha: Section, X: ExtElt) -> Poly:
+    """Evaluation alpha(X) = sum a_i X^i of a 1-form on a vector field."""
+    _require_polyvector(alpha)
     _require_polyvector(X)
-    if X.ambient.vars != alpha.vars:
+    if X.ambient != alpha.ambient:
         raise ValueError("form and field live over different variables")
-    out = Poly.zero(alpha.vars)
-    for i in range(len(alpha.vars)):
+    out = Poly.zero(X.ambient.vars)
+    for i, a in enumerate(alpha.components):
         xi = X.coefficient_poly((i,))
         if not xi.is_zero():
-            out = out + alpha.components[i] * xi
+            out = out + a * xi
     return out
 
 
@@ -317,7 +288,7 @@ def check_gerstenhaber(n: int, trials: int = 200, seed: int = 0, max_deg: int = 
     return CheckReport("gerstenhaber", "pass", ran, None, {"n": n})
 
 
-def check_bracket_compat(alpha: OneForm, trials: int = 50, seed: int = 0,
+def check_bracket_compat(alpha: Section, trials: int = 50, seed: int = 0,
                          max_deg: int = 2) -> CheckReport:
     """Compatibility of contraction along alpha with the bracket.
 
@@ -326,20 +297,20 @@ def check_bracket_compat(alpha: OneForm, trials: int = 50, seed: int = 0,
     over all coordinate pairs and random vector fields, and the derivation
     identity
         d_alpha [[a, b]] = [[d_alpha a, b]] + (-1)^(|a|+1) [[a, d_alpha b]]
-    on random homogeneous fields.  Both hold exactly when alpha is closed;
+    on random homogeneous fields, where d_alpha = contract(alpha, -) is
+    contraction along the 1-form.  Both hold exactly when alpha is closed;
     for a non-closed form the coordinate sweep finds a counterexample, and
     the report carries it with its discrepancy (probe value minus
     alpha([X, Y])).
     """
     _require_trials(trials)
-    vars = alpha.vars
-    if not vars:
+    _require_polyvector(alpha)
+    amb = alpha.ambient
+    if not amb.vars:
         raise ValueError("check_bracket_compat needs at least one variable, got none")
-    amb = polyvector_ambient(vars)
     rng = Random(seed)
-    closed = alpha.is_closed()
-    details = {"alpha": str(alpha), "closed": closed}
-    n = len(vars)
+    details = {"alpha": form_str(alpha), "closed": closedness_witness(alpha) is None}
+    n = len(amb.vars)
     ran = 0
 
     def scalar_probe(X: ExtElt, Y: ExtElt) -> dict | None:
@@ -371,8 +342,8 @@ def check_bracket_compat(alpha: OneForm, trials: int = 50, seed: int = 0,
 
         def derivation_fails(a, b):
             sign = 1 if (a.degree() + 1) % 2 == 0 else -1
-            lhs = d_alpha(alpha, schouten(a, b))
-            rhs = schouten(d_alpha(alpha, a), b) + sign * schouten(a, d_alpha(alpha, b))
+            lhs = contract(alpha, schouten(a, b))
+            rhs = schouten(contract(alpha, a), b) + sign * schouten(a, contract(alpha, b))
             return lhs != rhs
 
         if derivation_fails(a, b):
@@ -463,8 +434,8 @@ def check_bv(n: int, trials: int = 200, seed: int = 0, max_deg: int = 3) -> Chec
                 witness = {"a": str(a), "b": str(b), "deviation": str(dev)}
 
         f = rand_poly(rng, vars, max_deg)
-        alpha = OneForm.differential_of(f)
-        if bv_delta(vol, d_alpha(alpha, v)) + d_alpha(alpha, bv_delta(vol, v)) != ExtElt.zero(amb):
+        alpha = exact_form(f)
+        if bv_delta(vol, contract(alpha, v)) + contract(alpha, bv_delta(vol, v)) != ExtElt.zero(amb):
             anticommute = False
 
     details["delta_d_alpha_anticommute"] = "holds on all trials" if anticommute else "violated"

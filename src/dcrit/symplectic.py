@@ -17,10 +17,11 @@ from fractions import Fraction
 from typing import Sequence
 
 from .groebner import INFINITE, GroebnerBasis, jacobian_ideal, standard_monomials
-from .koszul import KoszulComplex, MatrixComplex, build_koszul
+from .exterior import Section
+from .koszul import KoszulComplex, MatrixComplex
 from .linalg import rank_rows
 from .poly import Poly, gradient
-from .polyvec import OneForm, polyvector_ambient
+from .polyvec import closedness_witness
 
 
 def hessian(f: Poly, grads: Sequence[Poly] | None = None) -> list[list[Poly]]:
@@ -175,7 +176,7 @@ class LagrangianIntersection:
     pairing: PairingReport
 
 
-def intersect_graph_lagrangians(alpha: OneForm, beta: OneForm) -> LagrangianIntersection:
+def intersect_graph_lagrangians(alpha: Section, beta: Section) -> LagrangianIntersection:
     """Derived intersection of the graphs of two closed 1-forms.
 
     Rejects non-closed input with a NotClosedError naming the offending
@@ -184,15 +185,14 @@ def intersect_graph_lagrangians(alpha: OneForm, beta: OneForm) -> LagrangianInte
     is the Jacobian of the difference, symmetric because both forms are
     closed.
     """
-    if alpha.vars != beta.vars:
-        raise ValueError("forms live over different variables")
     for label, form in (("alpha", alpha), ("beta", beta)):
-        w = form.closedness_witness()
+        w = closedness_witness(form)
         if w is not None:
             raise NotClosedError(label, w)
-    vs = alpha.vars
+    if alpha.ambient != beta.ambient:
+        raise ValueError("forms live over different variables")
+    vs = alpha.ambient.vars
     diff = tuple(a - b for a, b in zip(alpha.components, beta.components))
-    amb = polyvector_ambient(vs)
-    complex = build_koszul(vs, diff, gens=amb.gens)
-    jac = [[diff[i].diff(vs[j]) for j in range(len(vs))] for i in range(len(vs))]
-    return LagrangianIntersection(complex, pairing_report(MatrixComplex(vs, {0: jac})))
+    jac = [[d.diff(v) for v in vs] for d in diff]
+    return LagrangianIntersection(KoszulComplex(Section(alpha.ambient, diff)),
+                                  pairing_report(MatrixComplex(vs, {0: jac})))

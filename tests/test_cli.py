@@ -5,7 +5,8 @@ import json
 import pytest
 
 from dcrit import __version__
-from dcrit.cli import Report, main
+from dcrit.checks import CheckReport
+from dcrit.cli import main
 from dcrit.parsing import parse_poly
 
 
@@ -189,6 +190,31 @@ def test_check_out_of_range_sizes_are_input_errors(capsys, argv):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, suite", [
+    (("gerstenhaber",), "check_gerstenhaber"),
+    (("bv",), "check_bv"),
+    (("coalgebra",), "check_coalgebra"),
+    (("compat", "--vars", "x,y", "--alpha", "y*d_x"), "check_bracket_compat"),
+], ids=["gerstenhaber", "bv", "coalgebra", "compat"])
+def test_check_max_deg_zero_is_honoured(capsys, monkeypatch, argv, suite):
+    seen = []
+
+    def record(*args, max_deg, **kwargs):
+        seen.append(max_deg)
+        return CheckReport(suite, "pass", 0)
+    monkeypatch.setattr(f"dcrit.cli.{suite}", record)
+    assert run(capsys, "check", *argv, "--max-deg", "0")[0] == 0
+    assert seen == [0]
+
+
+@pytest.mark.parametrize("which", ["gerstenhaber", "bv", "coalgebra"])
+def test_check_negative_max_deg_is_an_input_error(capsys, which):
+    code, out, err = run(capsys, "check", which, "--max-deg", "-1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "--max-deg" in err
+
+
 def test_check_compat_without_variables_is_an_input_error(capsys):
     code, out, err = run(capsys, "check", "compat", "--vars", "", "--alpha", "0")
     assert code == 2
@@ -217,17 +243,19 @@ def test_lagr_non_closed_is_an_input_error(capsys):
     assert "not closed" in err
 
 
+@pytest.mark.parametrize("argv", [("lagr",), ("check", "compat")], ids=["lagr", "compat"])
+def test_variable_named_like_a_generator_is_an_input_error(capsys, argv):
+    # read as generators, d_x*d_x would silently be the zero form
+    code, out, err = run(capsys, *argv, "--vars", "x,d_x", "--alpha", "d_x*d_x")
+    assert code == 2
+    assert out == ""
+    assert "'d_x'" in err
+
+
 def test_usage_errors_exit_two(capsys):
     assert run(capsys, "bogus")[0] == 2
     assert run(capsys)[0] == 2
     assert run(capsys, "--help")[0] == 0
-
-
-def test_report_round_trip(capsys):
-    _, doc, _ = run_json(capsys, "zero", "--vars", "x", "--section", "x^3")
-    report = Report.from_json(doc)
-    assert report.to_json() == doc
-    assert Report.from_json(report.to_json()) == report
 
 
 def test_timing_is_present_unless_suppressed(capsys):

@@ -28,7 +28,7 @@ def test_textbook_reduced_basis():
     # classic two-variable example with a non-trivial interreduction step
     gb = buchberger([P("x^3 - 2*x*y"), P("x^2*y - 2*y^2 + x")])
     assert gb.gens == (P("y^2 - 1/2*x"), P("x*y"), P("x^2"))
-    assert gb.leading_exponents() == [(0, 2), (1, 1), (2, 0)]
+    assert [g.leading()[0] for g in gb.gens] == [(0, 2), (1, 1), (2, 0)]
 
 
 def test_basis_is_canonical_under_permutation_and_scaling():
@@ -41,8 +41,8 @@ def test_basis_is_canonical_under_permutation_and_scaling():
 def test_membership_and_normal_form():
     gb = buchberger([P("x^3 - 2*x*y"), P("x^2*y - 2*y^2 + x")])
     combo = P("x^3 - 2*x*y") * P("x + y") - 5 * P("x^2*y - 2*y^2 + x")
-    assert gb.contains(combo)
-    assert not gb.contains(P("x"))
+    assert gb.normal_form(combo).is_zero()
+    assert not gb.normal_form(P("x")).is_zero()
     nf = gb.normal_form(P("x^2 + y^2 + x*y + x + 1"))
     assert nf == P("3/2*x + 1")  # x^2, x*y drop; y^2 rewrites to x/2
     assert gb.normal_form(nf) == nf
@@ -98,9 +98,9 @@ def test_milnor_numbers_frozen():
 
 def test_jacobian_ideal():
     gb = jacobian_ideal(P("x^3 + y^3"))
-    assert gb.contains(P("x^2"))
-    assert gb.contains(P("y^2"))
-    assert not gb.contains(P("x*y"))
+    assert gb.normal_form(P("x^2")).is_zero()
+    assert gb.normal_form(P("y^2")).is_zero()
+    assert not gb.normal_form(P("x*y")).is_zero()
 
 
 def test_empty_variable_ring():

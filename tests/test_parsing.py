@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcrit.exterior import ExtElt
+from dcrit.exterior import ExtElt, Section
 from dcrit.parsing import (MAX_NESTING, ParseError, parse_one_form, parse_poly,
                            parse_polyvector, parse_section)
 from dcrit.poly import Poly
-from dcrit.polyvec import OneForm, polyvector_ambient
+from dcrit.polyvec import form_str, polyvector_ambient
 
 VS = ("x", "y")
 
@@ -65,13 +65,20 @@ def test_parse_section():
 
 def test_parse_one_form():
     alpha = parse_one_form("x*d_x + 2*y*d_y", VS)
-    assert alpha.components == (parse_poly("x", VS), parse_poly("2*y", VS))
+    assert alpha == Section(polyvector_ambient(VS), (parse_poly("x", VS), parse_poly("2*y", VS)))
     zero = parse_one_form("0", VS)
     assert zero.components == (Poly.zero(VS), Poly.zero(VS))
     with pytest.raises(ParseError):
         parse_one_form("x", VS)  # scalar term, no d_ factor
     with pytest.raises(ParseError):
         parse_one_form("d_x/\\d_y", VS)  # two odd factors in one term
+
+
+def test_one_form_variable_may_not_shadow_a_generator():
+    # with x and d_x both variables, "d_x" could be either; it is refused
+    with pytest.raises(ValueError, match="'d_x'"):
+        parse_one_form("d_x*d_x", ("x", "d_x"))
+    assert form_str(parse_one_form("dx*d_x", ("x", "dx"))) == "dx*d_x"
 
 
 def test_parse_polyvector():
@@ -105,7 +112,7 @@ def polyvectors(n):
 def one_forms(n):
     vs = ("x", "y", "z")[:n]
     polys = st.dictionaries(exponents(n), coeffs, max_size=4).map(lambda d: Poly(vs, d))
-    return st.tuples(*[polys] * n).map(lambda comps: OneForm(vs, comps))
+    return st.tuples(*[polys] * n).map(lambda comps: Section(polyvector_ambient(vs), comps))
 
 
 @settings(max_examples=80, deadline=None)
@@ -117,4 +124,4 @@ def test_polyvector_str_parse_round_trip(a):
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from((2, 3)).flatmap(one_forms))
 def test_one_form_str_parse_round_trip(alpha):
-    assert parse_one_form(str(alpha), alpha.vars) == alpha
+    assert parse_one_form(form_str(alpha), alpha.ambient.vars) == alpha

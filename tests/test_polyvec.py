@@ -6,13 +6,15 @@ from random import Random
 import pytest
 
 from dcrit.checks import rand_mixed
-from dcrit.exterior import ExtElt
+from dcrit.exterior import Ambient, ExtElt, Section, contract
 from dcrit.parsing import parse_one_form, parse_poly, parse_polyvector
-from dcrit.polyvec import (OneForm, VolumeForm, alpha_of_vector, apply_vector,
-                           bv_delta, check_bracket_compat, check_bv,
-                           check_gerstenhaber, d_alpha, de_rham,
-                           polyvector_ambient, schouten, vol_contract,
-                           vol_contract_inv)
+from dcrit.poly import Poly
+from dcrit.polyvec import (VolumeForm, alpha_of_vector, apply_vector, bv_delta,
+                           check_bracket_compat, check_bv, check_gerstenhaber,
+                           closedness_witness, de_rham, exact_form,
+                           form_ambient, form_str, polyvector_ambient,
+                           schouten, vol_contract, vol_contract_inv)
+from dcrit.symplectic import intersect_graph_lagrangians
 
 VS = ("x", "y")
 
@@ -62,37 +64,49 @@ def test_gerstenhaber_suite_passes():
 
 def test_one_form_basics():
     f = P("x^2*y")
-    alpha = OneForm.differential_of(f)
-    assert alpha.components == (P("2*x*y"), P("x^2"))
-    assert alpha.is_closed()
+    alpha = exact_form(f)
+    assert alpha == Section(polyvector_ambient(VS), (P("2*x*y"), P("x^2")))
+    assert closedness_witness(alpha) is None
     X = V("x*@x + @y")
     assert apply_vector(X, f) == P("2*x^2*y + x^2")
     assert alpha_of_vector(alpha, X) == P("2*x^2*y + x^2")
-    assert str(alpha) == "2*x*y*d_x + x^2*d_y"
+    assert form_str(alpha) == "2*x*y*d_x + x^2*d_y"
+    assert form_str(exact_form(Poly.zero(VS))) == "0"
 
 
 def test_closedness_witness():
     bad = parse_one_form("y*d_x", VS)
-    w = bad.closedness_witness()
-    assert w is not None and w["pair"] == ("x", "y")
-    assert not bad.is_closed()
-    assert parse_one_form("y*d_x + x*d_y", VS).is_closed()
+    w = closedness_witness(bad)
+    assert w == {"pair": ("x", "y"), "d_x(a_y)": "0", "d_y(a_x)": "1"}
+    assert closedness_witness(parse_one_form("y*d_x + x*d_y", VS)) is None
 
 
 def test_d_alpha_is_koszul_contraction():
-    alpha = OneForm.differential_of(parse_poly("x^2", ("x",)))
-    assert d_alpha(alpha, parse_polyvector("@x", ("x",))) == parse_polyvector(
+    alpha = exact_form(parse_poly("x^2", ("x",)))
+    assert contract(alpha, parse_polyvector("@x", ("x",))) == parse_polyvector(
         "-2*x", ("x",))
     rng = Random(22)
     amb = polyvector_ambient(VS)
-    beta = OneForm.differential_of(P("x^3 + x*y"))
+    beta = exact_form(P("x^3 + x*y"))
     for _ in range(20):
         a = rand_mixed(rng, amb, 2)
-        assert d_alpha(beta, d_alpha(beta, a)).terms == {}
+        assert contract(beta, contract(beta, a)).terms == {}
+
+
+def test_one_forms_live_on_the_polyvector_ambient():
+    # a Koszul section on e1, e2 has the right shape but is not a 1-form
+    koszul = Section(Ambient(VS, ("e1", "e2")), (P("x"), P("y")))
+    X = V("@x")
+    for call in (lambda: check_bracket_compat(koszul, trials=1),
+                 lambda: alpha_of_vector(koszul, X),
+                 lambda: intersect_graph_lagrangians(koszul, koszul),
+                 lambda: intersect_graph_lagrangians(exact_form(P("x")), koszul)):
+        with pytest.raises(ValueError, match="polyvector ambient"):
+            call()
 
 
 def test_compat_check_accepts_exact_forms():
-    alpha = OneForm.differential_of(P("x^3 + y^3"))
+    alpha = exact_form(P("x^3 + y^3"))
     report = check_bracket_compat(alpha, trials=15, seed=0)
     assert report.passed
     assert report.details["closed"] is True
@@ -145,11 +159,11 @@ def test_bv_suite_passes():
 
 def test_volume_contraction_frozen_values():
     vol = VolumeForm(VS, Fraction(1))
-    d_x, d_y = parse_one_form("d_x", VS), parse_one_form("d_y", VS)
-    top = d_x.to_ext() * d_y.to_ext()
+    d_x, d_y = (ExtElt.generator(form_ambient(VS), i) for i in range(2))
+    top = d_x * d_y
     assert vol_contract(vol, V("1")) == top
-    assert vol_contract(vol, V("@x")) == d_y.to_ext()
-    assert vol_contract(vol, V("@y")) == -d_x.to_ext()
+    assert vol_contract(vol, V("@x")) == d_y
+    assert vol_contract(vol, V("@y")) == -d_x
     assert vol_contract(vol, V("@x/\\@y")) == -ExtElt.one(top.ambient)
 
 

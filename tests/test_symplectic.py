@@ -14,7 +14,7 @@ from dcrit.linalg import rank_rows
 from dcrit.koszul import MatrixComplex, build_koszul
 from dcrit.parsing import parse_one_form, parse_poly
 from dcrit.poly import Poly, gradient
-from dcrit.polyvec import OneForm
+from dcrit.polyvec import exact_form
 from dcrit.symplectic import (NotClosedError, hessian,
                               intersect_graph_lagrangians, is_symmetric,
                               minus_one_pairing, obstruction_theory,
@@ -106,7 +106,7 @@ def test_obstruction_non_isolated():
 
 def test_graph_intersection_matches_koszul():
     f = P("x^3 + y^3")
-    li = intersect_graph_lagrangians(OneForm.differential_of(f), OneForm.zero(VS))
+    li = intersect_graph_lagrangians(exact_form(f), exact_form(P("0")))
     direct = build_koszul(VS, list(gradient(f)), gens=li.complex.ambient.gens)
     for p in direct.degrees:
         assert li.complex.differential_matrix(p) == direct.differential_matrix(p)
@@ -114,8 +114,8 @@ def test_graph_intersection_matches_koszul():
 
 
 def test_graph_intersection_of_two_forms():
-    alpha = OneForm.differential_of(P("x^2"))
-    beta = OneForm.differential_of(P("y^2"))
+    alpha = exact_form(P("x^2"))
+    beta = exact_form(P("y^2"))
     li = intersect_graph_lagrangians(alpha, beta)
     # difference section (2x, -2y) cuts out the origin
     assert li.complex.section.components == (P("2*x"), P("-2*y"))
@@ -123,19 +123,19 @@ def test_graph_intersection_of_two_forms():
 
 def test_non_closed_input_is_rejected_with_witness():
     with pytest.raises(NotClosedError) as e:
-        intersect_graph_lagrangians(parse_one_form("y*d_x", VS), OneForm.zero(VS))
+        intersect_graph_lagrangians(parse_one_form("y*d_x", VS), exact_form(P("0")))
     assert e.value.label == "alpha"
     assert e.value.witness["pair"] == ("x", "y")
     assert "mixed partials differ" in str(e.value)
 
     with pytest.raises(NotClosedError) as e:
-        intersect_graph_lagrangians(OneForm.zero(VS), parse_one_form("x^2*d_y", VS))
+        intersect_graph_lagrangians(exact_form(P("0")), parse_one_form("x^2*d_y", VS))
     assert e.value.label == "beta"
 
 
 def test_mismatched_variables_are_rejected():
     with pytest.raises(ValueError):
-        intersect_graph_lagrangians(OneForm.zero(VS), OneForm.zero(("x",)))
+        intersect_graph_lagrangians(exact_form(P("0")), exact_form(parse_poly("0", ("x",))))
 
 
 def test_two_term_complex_validation():
