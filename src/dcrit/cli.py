@@ -27,6 +27,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 
 from . import __version__
@@ -142,7 +143,8 @@ def _ring(vars) -> str:
     return "Q[" + ", ".join(vars) + "]" if vars else "Q"
 
 
-# one handler per subcommand; each returns (Report, human lines, exit code)
+# one handler per subcommand, `_cmd_<command>`, looked up by name when main
+# runs; each returns (Report, human lines, exit code)
 
 def _cmd_zero(args):
     vars = _parse_vars(args.vars)
@@ -318,7 +320,13 @@ def _cmd_suite(args):
     return Report("suite", inputs, _plain(results)), lines, code
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later call.
+
+    Parsing reads it and leaves it as it was: each call gets a fresh
+    namespace with the defaults filled in.
+    """
     parser = argparse.ArgumentParser(
         prog="dcrit",
         description="Exact Koszul complexes and derived critical loci.")
@@ -335,14 +343,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", help="comma-separated positive variable weights")
     p.add_argument("--cutoff", type=int, default=12, help="largest slice weight")
     common(p)
-    p.set_defaults(handler=_cmd_zero)
 
     p = sub.add_parser("fancy", help="tautological complex with generic section")
     p.add_argument("--vars", default="", help="comma-separated base variables")
     p.add_argument("--rank", type=int, required=True, help="number of fiber generators")
     p.add_argument("--cutoff", type=int, default=12, help="largest slice weight")
     common(p)
-    p.set_defaults(handler=_cmd_fancy)
 
     p = sub.add_parser("crit", help="critical locus of a potential")
     p.add_argument("--vars", required=True, help="comma-separated base variables")
@@ -355,7 +361,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", help="comma-separated positive variable weights")
     p.add_argument("--cutoff", type=int, default=12, help="largest slice weight")
     common(p)
-    p.set_defaults(handler=_cmd_crit)
 
     p = sub.add_parser("check", help="randomized identity suites")
     p.add_argument("which", choices=("gerstenhaber", "bv", "coalgebra", "compat", "d2"))
@@ -370,31 +375,28 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--expect-holds", action="store_true",
                    help="exit nonzero when the identity fails")
     common(p)
-    p.set_defaults(handler=_cmd_check)
 
     p = sub.add_parser("lagr", help="derived intersection of graph Lagrangians")
     p.add_argument("--vars", required=True, help="comma-separated base variables")
     p.add_argument("--alpha", required=True, help="first closed 1-form")
     p.add_argument("--beta", default="0", help="second closed 1-form (default 0)")
     common(p)
-    p.set_defaults(handler=_cmd_lagr)
 
     p = sub.add_parser("suite", help="run every acceptance criterion")
     p.add_argument("--seed", type=int, default=0, help="RNG seed")
     common(p)
-    p.set_defaults(handler=_cmd_suite)
 
     return parser
 
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
     start = time.perf_counter()
     try:
-        report, lines, code = args.handler(args)
+        report, lines, code = globals()[f"_cmd_{args.command}"](args)
     except (ParseError, UnknownVariableError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -6,24 +6,38 @@ monic Groebner basis: a canonical form, idempotent under recomputation.
 This is the independent oracle for degree-zero cohomology (quotient ring
 dimension) and for Milnor numbers.
 
+The work runs on primitive integer polynomials: term maps of Python ints
+with content 1 and a positive leading coefficient, which span the same
+ideal and have the same leading terms as the rational ones.  Division is
+fraction-free: to cancel a term c by a divisor whose leading coefficient is
+gc, the work is scaled by gc/gcd(c, gc) and (c/gcd(c, gc))*x^q*g is
+subtracted, and the content comes off once, at the end.  Scaling by a
+positive integer changes neither the ideal nor any leading term, so the
+basis is the one rational arithmetic gives; it is made monic, with
+Fractions, only when the GroebnerBasis is built, and a rational remainder
+is made only when `normal_form` returns one.
+
 Critical pairs wait in a heap keyed by the degrevlex key of their lcm,
-computed once per pair.  Division reduces one term dict in place and finds
-each leading term through a heap, building a single Poly at the end; one
-private reducer serves `normal_form` and `buchberger`, which grows its
-(leading term, terms) divisor list alongside the basis.  A basis is worth
-computing once per ideal: `quotient_dimension`, `cohomology.hilbert_table`
-and `symplectic.obstruction_theory` all accept a precomputed GroebnerBasis,
-and the `crit` and `zero` commands compute one and pass it to each of them.
+computed once per pair, and each S-polynomial is built straight into the
+integer dict it is reduced in.  Division reduces that dict in place and
+finds each leading term through a heap; one private reducer serves
+`normal_form` and `buchberger`, which grows its (leading term, terms)
+divisor list alongside the basis.  A basis is worth computing once per
+ideal: `quotient_dimension`, `cohomology.hilbert_table` and
+`symplectic.obstruction_theory` all accept a precomputed GroebnerBasis, and
+the `crit` and `zero` commands compute one and pass it to each of them.
 
 Each GroebnerBasis carries one `Quotient`, the description of R/I as a
 vector space on its standard monomials, filled as it is asked.  Counting
 the standard monomials enumerates them once per basis.  The multiplication
 matrices M_k (column s holds NF(x_k*s)) are built only when a normal form
-in R/I is asked for, in `Quotient.matrices`, from the basis alone: a border
-monomial x_k*s is standard, or the leading term of a reduced generator g
-(NF = lt(g) - g), or x_j*b' for a smaller non-standard b' (NF = M_j NF(b'),
-FGLM's increasing-order rule).  After that every normal form in R/I is
-linear algebra on vectors of length mu, memoized per monomial.
+in R/I is asked for, from the basis alone: a border monomial x_k*s is
+standard, or the leading term of a reduced generator g (NF = lt(g) - g), or
+x_j*b' for a smaller non-standard b' (NF = M_j NF(b'), FGLM's
+increasing-order rule).  After that every normal form in R/I is linear
+algebra on vectors of length mu, memoized per monomial.  Those vectors are
+kept as int numerators over one positive int denominator, and the public
+readers hand them out as Fractions.
 """
 
 from __future__ import annotations
@@ -33,8 +47,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from itertools import count, product
+from math import gcd, lcm
 from operator import add, le, sub
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from .poly import Exponents, Poly, _descending_key, degrevlex_key, gradient
 
@@ -54,9 +69,32 @@ def _exps_lcm(a: Exponents, b: Exponents) -> Exponents:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
+def _integral(terms: Mapping) -> tuple[dict[Exponents, int], int]:
+    """(d*terms as an int term map, d), for the least positive d that clears the denominators."""
+    d = 1
+    for c in terms.values():
+        d = lcm(d, c.denominator)
+    return {e: c.numerator * (d // c.denominator) for e, c in terms.items()}, d
+
+
+def _primitive(terms: dict[Exponents, int], lead: Exponents) -> dict[Exponents, int]:
+    """A nonzero int term map divided by its content, signed so the coefficient at lead is positive."""
+    g = gcd(*terms.values())
+    if terms[lead] < 0:
+        g = -g
+    return terms if g == 1 else {e: c // g for e, c in terms.items()}
+
+
 def _with_leads(basis: Sequence[Poly]) -> list:
-    """(leading term, term map) of each nonzero divisor, in list order."""
-    return [(g.leading(), g.terms) for g in basis if not g.is_zero()]
+    """((leading term, its coefficient), term map) of each nonzero divisor, in list
+    order, as primitive integer polynomials."""
+    out = []
+    for g in basis:
+        if g.terms:
+            e = g.leading()[0]
+            terms = _primitive(_integral(g.terms)[0], e)
+            out.append(((e, terms[e]), terms))
+    return out
 
 
 def normal_form(p: Poly, basis: Union["GroebnerBasis", Sequence[Poly]]) -> Poly:
@@ -68,19 +106,25 @@ def normal_form(p: Poly, basis: Union["GroebnerBasis", Sequence[Poly]]) -> Poly:
     generators' leading terms along.
     """
     divisors = basis._divisors if isinstance(basis, GroebnerBasis) else _with_leads(basis)
-    return _reduce(p, divisors)
+    work, d = _integral(p.terms)
+    r, s = _reduce(work, divisors)
+    d *= s
+    return Poly._make(p.vars, {e: Fraction(c, d) for e, c in r.items()})
 
 
-def _reduce(p: Poly, divisors: list) -> Poly:
-    """normal_form against a (leading term, term map) list, as `_with_leads` makes.
+def _reduce(work: dict[Exponents, int], divisors: list) -> tuple[dict[Exponents, int], int]:
+    """Fraction-free division of an int term map by a list `_with_leads` makes.
 
-    The work is done in place on one term dict, with a heap of monomials to
-    find the leading term.
+    Returns (r, s) for a positive int s: r is s times the remainder that
+    rational division of `work` leaves, with its terms in descending order.
+    The work is done in place on `work`, with a heap of monomials to find
+    the leading term.  A term moved to the remainder is not scaled again;
+    it keeps the scale it had then, and is brought up to the final one once.
     """
-    work = dict(p.terms)
     heap = [(_descending_key(e), e) for e in work]
     heapq.heapify(heap)
-    remainder: dict[Exponents, Fraction] = {}
+    scale = 1
+    remainder: dict[Exponents, tuple[int, int]] = {}  # term -> (coefficient, scale then)
     while heap:
         exps = heapq.heappop(heap)[1]
         c = work.get(exps)
@@ -88,7 +132,13 @@ def _reduce(p: Poly, divisors: list) -> Poly:
             continue  # cancelled since it was pushed, or a duplicate entry
         for (ge, gc), gterms in divisors:
             if _divides(ge, exps):
-                m = c / gc
+                g = gcd(c, gc)
+                if g != gc:
+                    s = gc // g
+                    scale *= s
+                    for e in work:
+                        work[e] *= s
+                m = c // g
                 q = _exps_sub(exps, ge)
                 for e, gcoef in gterms.items():
                     e = tuple(map(add, q, e))
@@ -104,20 +154,34 @@ def _reduce(p: Poly, divisors: list) -> Poly:
                             del work[e]  # the divisor's leading term cancels exps here
                 break
         else:
-            remainder[exps] = work.pop(exps)
-    return Poly._make(p.vars, remainder)
+            remainder[exps] = (work.pop(exps), scale)
+    return {e: c * (scale // s) for e, (c, s) in remainder.items()}, scale
 
 
-def s_poly(f: Poly, g: Poly) -> Poly:
-    fe, fc = f.leading()
-    ge, gc = g.leading()
-    lcm = _exps_lcm(fe, ge)
-    mf = Poly.monomial(f.vars, _exps_sub(lcm, fe), Fraction(1) / fc)
-    mg = Poly.monomial(g.vars, _exps_sub(lcm, ge), Fraction(1) / gc)
-    return mf * f - mg * g
+def _s_poly(f, g, lcm_exps: Exponents) -> dict[Exponents, int]:
+    """The S-polynomial of two divisors, as a fresh int term map.
+
+    With d = gcd(fc, gc) it is (gc/d)*x^(l - fe)*f - (fc/d)*x^(l - ge)*g,
+    a positive multiple of the rational S-polynomial.
+    """
+    (fe, fc), fterms = f
+    (ge, gc), gterms = g
+    d = gcd(fc, gc)
+    a, b = gc // d, fc // d
+    qf, qg = _exps_sub(lcm_exps, fe), _exps_sub(lcm_exps, ge)
+    work = {tuple(map(add, qf, e)): a * c for e, c in fterms.items()}
+    for e, c in gterms.items():
+        e = tuple(map(add, qg, e))
+        v = work.get(e, 0) - b * c
+        if v:
+            work[e] = v
+        else:
+            del work[e]  # the leading terms cancel
+    return work
 
 
-Vector = dict  # standard-monomial index -> nonzero coefficient
+IntVector = tuple  # (standard-monomial index -> nonzero int numerator, positive int denominator)
+Vector = dict  # standard-monomial index -> nonzero rational coefficient
 
 
 def _shift(exps: Exponents, k: int, d: int) -> Exponents:
@@ -125,13 +189,32 @@ def _shift(exps: Exponents, k: int, d: int) -> Exponents:
     return exps[:k] + (exps[k] + d,) + exps[k + 1:]
 
 
-def _apply(columns: Sequence[Vector], v: Vector) -> Vector:
-    """The matrix with these sparse columns, applied to a sparse vector."""
-    out: Vector = {}
-    for t, c in v.items():
-        for r, a in columns[t].items():
+def _vector(nums: dict[int, int], den: int) -> IntVector:
+    """nums/den in lowest terms: the numerators and the denominator share no factor."""
+    g = gcd(den, *nums.values())
+    return (nums, den) if g == 1 else ({r: a // g for r, a in nums.items()}, den // g)
+
+
+def _combine(parts: list, den: int = 1) -> IntVector:
+    """The sum of c*v over the (int c, IntVector v) parts, divided by den."""
+    common = lcm(*(v[1] for _, v in parts))
+    out: dict[int, int] = {}
+    for c, (nums, d) in parts:
+        c *= common // d
+        for r, a in nums.items():
             out[r] = out.get(r, 0) + c * a
-    return {r: a for r, a in out.items() if a}
+    return _vector({r: a for r, a in out.items() if a}, den * common)
+
+
+def _apply(columns: Sequence[IntVector], v: IntVector) -> IntVector:
+    """The matrix with these sparse columns, applied to a sparse vector."""
+    nums, den = v
+    return _combine([(c, columns[t]) for t, c in nums.items()], den)
+
+
+def _rational(v: IntVector) -> Vector:
+    nums, den = v
+    return {r: Fraction(a, den) for r, a in nums.items()}
 
 
 class Quotient:
@@ -140,14 +223,17 @@ class Quotient:
     Vectors are sparse dicts from a standard monomial's position in
     `monomials` to its coefficient.  Each part is computed the first time it
     is asked for and kept: `monomials` needs only the leading terms, and
-    `matrices`, with the normal forms built on them, is made only when a
-    vector is asked for.  What it hands out is shared: read it, do not
-    change it.
+    the matrices, with the normal forms built on them, are made only when a
+    vector is asked for.  Inside, a vector is an IntVector, int numerators
+    over a positive int denominator; `matrices`, `vector` and
+    `multiplication_matrix` hand out Fractions, `integer_multiplication_matrix`
+    the IntVectors themselves.  What it hands out is shared: read it, do
+    not change it.
     """
 
     def __init__(self, vars: tuple[str, ...], divisors: list):
         self.vars = vars
-        self._divisors = divisors  # the basis's (leading term, term map) pairs
+        self._divisors = divisors  # the basis's ((leading term, coefficient), terms) pairs
 
     @cached_property
     def monomials(self) -> tuple[Exponents, ...] | None:
@@ -182,7 +268,12 @@ class Quotient:
 
     @cached_property
     def matrices(self) -> tuple[tuple[Vector, ...], ...]:
-        """M_k for each variable x_k, as columns: column s is the vector of NF(x_k*s).
+        """M_k for each variable x_k, as columns: column s is the vector of NF(x_k*s)."""
+        return tuple(tuple(map(_rational, columns)) for columns in self._matrices)
+
+    @cached_property
+    def _matrices(self) -> tuple[tuple[IntVector, ...], ...]:
+        """The M_k with IntVector columns.
 
         Border monomials x_k*s are taken in increasing order.  A standard one
         is a unit vector and a reduced generator's leading term reads its
@@ -199,36 +290,36 @@ class Quotient:
                 b = _shift(s, k, 1)
                 border.setdefault(b, []).append((k, col))
         columns: list[list] = [[None] * len(monos) for _ in range(n)]
-        memo: dict[Exponents, Vector] = {}
+        memo: dict[Exponents, IntVector] = {}
         for b in sorted(border, key=degrevlex_key):
             memo[b] = v = self._border_vector(b, tails, memo, columns)
             for k, col in border[b]:
                 columns[k][col] = v
-        memo.update({m: {k: 1} for m, k in index.items()})
+        memo.update({m: ({k: 1}, 1) for m, k in index.items()})
         if not monos:
-            memo[(0,) * n] = {}  # the unit ideal: every normal form is zero
+            memo[(0,) * n] = ({}, 1)  # the unit ideal: every normal form is zero
         self._memo = memo
         return tuple(tuple(c) for c in columns)
 
-    def _border_vector(self, b, tails, memo, columns) -> Vector:
+    def _border_vector(self, b, tails, memo, columns) -> IntVector:
         index = self.index
         if b in index:
-            return {index[b]: 1}
+            return {index[b]: 1}, 1
         lead = tails.get(b)
         if lead is not None and all(e in index for e in lead[1] if e != b):
             gc, terms = lead
-            return {index[e]: -c / gc for e, c in terms.items() if e != b}
+            return _vector({index[e]: -c for e, c in terms.items() if e != b}, gc)
         for j, a in enumerate(b):
             smaller = _shift(b, j, -1) if a else None
             if smaller in memo and smaller not in index:
                 return _apply(columns[j], memo[smaller])
         # only a basis that is not reduced gets here: one reduction
-        nf = _reduce(Poly._make(self.vars, {b: Fraction(1)}), self._divisors)
-        return {index[e]: c for e, c in nf.terms.items()}
+        r, s = _reduce({b: 1}, self._divisors)
+        return _vector({index[e]: c for e, c in r.items()}, s)
 
-    def _monomial_vector(self, exps: Exponents) -> Vector:
-        """NF(x^exps) as a vector, memoized: M_k applied to NF(x^(exps - e_k))."""
-        matrices = self.matrices
+    def _monomial_vector(self, exps: Exponents) -> IntVector:
+        """NF(x^exps), memoized: M_k applied to NF(x^(exps - e_k))."""
+        matrices = self._matrices
         memo = self._memo  # made along with the matrices
         path = []
         while exps not in memo:
@@ -240,38 +331,43 @@ class Quotient:
             memo[exps] = v = _apply(matrices[k], v)
         return v
 
-    def vector(self, p: Poly) -> Vector:
-        """NF(p) in R/I as a vector."""
+    def _int_vector(self, p: Poly) -> IntVector:
         if p.vars != self.vars:
             raise ValueError("polynomial lives over different variables")
-        out: Vector = {}
-        for e, c in p.terms.items():
-            for r, a in self._monomial_vector(e).items():
-                out[r] = out.get(r, 0) + c * a
-        return {r: a for r, a in out.items() if a}
+        work, d = _integral(p.terms)
+        return _combine([(c, self._monomial_vector(e)) for e, c in work.items()], d)
 
-    def multiplication_matrix(self, p: Poly) -> list[Vector]:
-        """Multiplication by p on R/I, as columns: column s is the vector of NF(p*s).
+    def vector(self, p: Poly) -> Vector:
+        """NF(p) in R/I as a vector."""
+        return _rational(self._int_vector(p))
+
+    def integer_multiplication_matrix(self, p: Poly) -> list[IntVector]:
+        """Multiplication by p on R/I, as IntVector columns: column s is NF(p*s).
 
         The column of the monomial 1 is NF(p); every other standard monomial
         s is x_k times a smaller standard monomial s', and its column is M_k
         times that of s'.
         """
-        columns = [self.vector(p)]
-        matrices, index = self.matrices, self.index
+        columns = [self._int_vector(p)]
+        matrices, index = self._matrices, self.index
         for s in self._finite_monomials()[1:]:
             k = next(k for k, a in enumerate(s) if a)
             columns.append(_apply(matrices[k], columns[index[_shift(s, k, -1)]]))
         return columns[:len(index)]  # none at all for the unit ideal
+
+    def multiplication_matrix(self, p: Poly) -> list[Vector]:
+        """Multiplication by p on R/I, as columns: column s is the vector of NF(p*s)."""
+        return [_rational(v) for v in self.integer_multiplication_matrix(p)]
 
 
 @dataclass(frozen=True)
 class GroebnerBasis:
     """Reduced monic Groebner basis, sorted by ascending leading term.
 
-    The generators' leading terms are found once, when the basis is made,
-    and every normal form divides by them.  `quotient()` is the one
-    description of R/I this basis gives, shared by every caller.
+    The generators' leading terms, and their primitive integer forms, are
+    found once, when the basis is made, and every normal form divides by
+    them.  `quotient()` is the one description of R/I this basis gives,
+    shared by every caller.
     """
 
     vars: tuple[str, ...]
@@ -304,43 +400,45 @@ def buchberger(gens: Iterable[Poly]) -> GroebnerBasis:
     for g in gens:
         if g.vars != vars:
             raise ValueError("generators live over different variables")
-    basis = [g * (Fraction(1) / g.leading()[1]) for g in gens if not g.is_zero()]
-    divisors = _with_leads(basis)  # grows with the basis
+    divisors = _with_leads(gens)  # the basis, as primitive integer polynomials
     leads = [ge for (ge, _), _ in divisors]
     # pairs come off the heap smallest lcm first, which keeps intermediate
     # growth down; among equal lcms the newest pair comes off first
     order = count(0, -1)
-    pairs = [(degrevlex_key(_exps_lcm(leads[i], leads[j])), next(order), i, j)
-             for i in range(len(basis)) for j in range(i + 1, len(basis))]
+
+    def pair(i: int, j: int) -> tuple:
+        m = _exps_lcm(leads[i], leads[j])
+        return degrevlex_key(m), next(order), i, j, m
+
+    pairs = [pair(i, j) for i in range(len(leads)) for j in range(i + 1, len(leads))]
     heapq.heapify(pairs)
     while pairs:
-        _, _, i, j = heapq.heappop(pairs)
-        fe, ge = leads[i], leads[j]
-        if _exps_lcm(fe, ge) == tuple(a + b for a, b in zip(fe, ge)):
+        _, _, i, j, m = heapq.heappop(pairs)
+        if m == tuple(map(add, leads[i], leads[j])):
             continue  # coprime leading terms: s-polynomial reduces to zero
-        r = _reduce(s_poly(basis[i], basis[j]), divisors)
-        if not r.is_zero():
-            re, rc = r.leading()
-            r = r * (Fraction(1) / rc)
-            basis.append(r)
-            divisors.append(((re, Fraction(1)), r.terms))
+        r, _ = _reduce(_s_poly(divisors[i], divisors[j], m), divisors)
+        if r:
+            re = next(iter(r))  # the remainder comes out in descending order
+            r = _primitive(r, re)
+            divisors.append(((re, r[re]), r))
             leads.append(re)
-            last = len(basis) - 1
+            last = len(leads) - 1
             for k in range(last):
-                heapq.heappush(pairs, (degrevlex_key(_exps_lcm(leads[k], leads[last])),
-                                       next(order), k, last))
+                heapq.heappush(pairs, pair(k, last))
     # minimalize: drop any generator whose leading term another one divides
     minimal: list[int] = []
-    for k in sorted(range(len(basis)), key=lambda k: degrevlex_key(leads[k])):
+    for k in sorted(range(len(leads)), key=lambda k: degrevlex_key(leads[k])):
         if not any(_divides(leads[m], leads[k]) for m in minimal):
             minimal.append(k)
     # interreduce: fully reduce each generator against the others; no other
-    # leading term divides its own, so the order by leading term stays
+    # leading term divides its own, so it stays first and the order by
+    # leading term stays.  Then make each one monic.
     kept = [divisors[k] for k in minimal]
     reduced = []
-    for pos, k in enumerate(minimal):
-        r = _reduce(basis[k], kept[:pos] + kept[pos + 1:])
-        reduced.append(r * (Fraction(1) / r.leading()[1]))
+    for pos, ((ge, _), terms) in enumerate(kept):
+        r, _ = _reduce(dict(terms), kept[:pos] + kept[pos + 1:])
+        lc = r[ge]
+        reduced.append(Poly._make(vars, {e: Fraction(c, lc) for e, c in r.items()}))
     return GroebnerBasis(vars, tuple(reduced))
 
 

@@ -1,7 +1,10 @@
 """Exact rank of sparse matrices over Q.
 
 Rows are dicts from column index to coefficient.  A row of Python ints is
-taken as it is; any other row is cleared to integers first.  Each row is
+taken as it is; any other row is cleared to integers first.  Both callers in
+the package hand in int rows: the slice differentials of
+`cohomology.hilbert_table`, and `symplectic.obstruction_theory`, which
+scales each column of its block matrix to integers.  Each row is
 then eliminated in place against previously kept pivot rows: when the
 pivot's leading coefficient divides the row's, a multiple of the pivot is
 subtracted; otherwise the row is cross-multiplied and divided by its

@@ -80,6 +80,7 @@ class _Parser:
         self.tokens = _tokenize(src)
         self.i = 0
         self.depth = 0
+        self.summands: list[tuple[int, ExtElt]] = []  # (position, value) of each top-level term
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.i]
@@ -107,13 +108,21 @@ class _Parser:
         if self.peek()[:2] == ("op", "-"):
             self.advance()
             negate = True
-        value = self.term()
+        value = self.summand()
         if negate:
             value = -value
         while self.peek()[0] == "op" and self.peek()[1] in "+-":
             op = self.advance()[1]
-            rhs = self.term()
+            rhs = self.summand()
             value = value + rhs if op == "+" else value - rhs
+        return value
+
+    def summand(self) -> ExtElt:
+        """One term of an expr; outside all parentheses it is kept with its position."""
+        pos = self.peek()[2]
+        value = self.term()
+        if self.depth == 0:
+            self.summands.append((pos, value))
         return value
 
     def term(self) -> ExtElt:
@@ -179,6 +188,10 @@ def parse_section(src: str, vars: Sequence[str]) -> tuple[Poly, ...]:
     return tuple(parse_poly(part, vars) for part in parts)
 
 
+def _is_one_form(elt: ExtElt) -> bool:
+    return all(len(subset) == 1 for _, subset in elt.terms)
+
+
 def parse_one_form(src: str, vars: Sequence[str]) -> Section:
     """Parse 'a_1*d_x1 + ... + a_n*d_xn' into a 1-form.
 
@@ -193,10 +206,13 @@ def parse_one_form(src: str, vars: Sequence[str]) -> Section:
         if name in ambient.gens:
             raise ValueError(f"variable {name!r} has the name of a 1-form generator")
     gens = {g: j for j, g in enumerate(ambient.gens)}
-    elt = _Parser(src, ambient, gens).parse()
-    for (exps, subset) in elt.terms:
-        if len(subset) != 1:
-            raise ParseError("expected a 1-form (every term needs exactly one d_ factor)", 0, src)
+    parser = _Parser(src, ambient, gens)
+    elt = parser.parse()
+    if not _is_one_form(elt):
+        # terms that cancel in the sum are fine, so the sum is checked first;
+        # the error points at the first summand that has a bad term
+        pos = next(pos for pos, value in parser.summands if not _is_one_form(value))
+        raise ParseError("expected a 1-form (every term needs exactly one d_ factor)", pos, src)
     return Section(polyvector_ambient(vs),
                    tuple(elt.coefficient_poly((i,)) for i in range(len(vs))))
 

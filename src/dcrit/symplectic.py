@@ -13,7 +13,7 @@ Hessian-style pairing attached.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .groebner import INFINITE, GroebnerBasis, jacobian_ideal, standard_monomials
@@ -139,18 +139,26 @@ def obstruction_theory(f: Poly, basis: GroebnerBasis | None = None,
     mu = len(monos)
     n = len(f.vars)
     quotient = gb.quotient()
-    rows: list[dict[int, Fraction]] = [dict() for _ in range(n * mu)]
     # block (i, j) is multiplication by h[i][j] on the quotient; a symmetric
     # Hessian has equal blocks (i, j) and (j, i), so each is computed once
+    blocks = {}
     for i in range(n):
         for j in range(i if sym else 0, n):
-            if h[i][j].is_zero():
-                continue
-            blocks = {(i, j), (j, i)} if sym else {(i, j)}
-            for col_m, column in enumerate(quotient.multiplication_matrix(h[i][j])):
-                for r, c in column.items():
-                    for bi, bj in blocks:
-                        rows[bi * mu + r][bj * mu + col_m] = c
+            if not h[i][j].is_zero():
+                blocks[i, j] = quotient.integer_multiplication_matrix(h[i][j])
+                if sym:
+                    blocks[j, i] = blocks[i, j]
+    # each column, scaled by the lcm of its blocks' denominators, is integral;
+    # scaling a column by a positive integer keeps the rank
+    rows: list[dict[int, int]] = [dict() for _ in range(n * mu)]
+    for j in range(n):
+        for col_m in range(mu):
+            parts = [(i, blocks[i, j][col_m]) for i in range(n) if (i, j) in blocks]
+            scale = lcm(*(den for _, (_, den) in parts))
+            for i, (nums, den) in parts:
+                k = scale // den
+                for r, c in nums.items():
+                    rows[i * mu + r][j * mu + col_m] = c * k
     rank = rank_rows(rows)
     return ObstructionReport(h, sym, mu,
                              h0=n * mu - rank, h1=n * mu - rank,

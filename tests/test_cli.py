@@ -90,6 +90,32 @@ def test_syntax_error_position(capsys):
     assert "position 3" in err
 
 
+def test_one_form_error_position(capsys):
+    # the scalar summand y is at position 6, not at the start of the input
+    code, out, err = run(capsys, "lagr", "--vars", "x,y", "--alpha", "x*d_x+y")
+    assert code == 2
+    assert out == ""
+    assert "expected a 1-form" in err and "position 6" in err
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys):
+    import dcrit.cli as cli
+    first = ("crit", "--vars", "x,y", "-f", "x^3 + y^4", "--milnor", "--weights", "3,4",
+             "--cutoff", "3", "--json", "--no-timing")
+    second = [("crit", "--vars", "x,y", "-f", "x^3 + y^3", "--no-timing"),
+              ("check", "bv", "--trials", "3", "--json", "--no-timing")]
+    alone = []
+    for argv in second:
+        cli._parser.cache_clear()
+        alone.append(run(capsys, *argv))
+    cli._parser.cache_clear()
+    run(capsys, *first)
+    after_first = [run(capsys, *argv) for argv in second]
+    assert cli._parser.cache_info().misses == 1
+    assert after_first == alone
+    assert "milnor = 4" in after_first[0][1] and "pairing:" in after_first[0][1]
+
+
 def test_deep_nesting_is_an_input_error(capsys):
     deep = "(" * 3000 + "x" + ")" * 3000
     code, out, err = run(capsys, "crit", "--vars", "x", "-f", deep)

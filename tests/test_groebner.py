@@ -3,6 +3,7 @@
 import json
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -176,18 +177,24 @@ def _from_sympy(q, vars):
     return Poly(vars, {e: Fraction(int(c.p), int(c.q)) for e, c in q.terms() if c})
 
 
+def sympy_basis(gens, sympy):
+    """sympy's reduced grevlex basis over QQ, as Polys in ascending leading-term order."""
+    vars = gens[0].vars
+    syms = sympy.symbols(vars)
+    expected = sympy.groebner([_to_sympy(g, syms, sympy).as_expr() for g in gens],
+                              *syms, order="grevlex", domain=sympy.QQ)
+    return sorted((_from_sympy(q, vars) for q in expected.polys),
+                  key=lambda g: degrevlex_key(g.leading()[0]))
+
+
 @pytest.mark.parametrize("seed", range(24))
 def test_reduced_basis_matches_sympy(seed):
     sympy = pytest.importorskip("sympy")
     gens = random_ideal(seed)
     vars = gens[0].vars
     syms = sympy.symbols(vars)
-    expected = sympy.groebner([_to_sympy(g, syms, sympy).as_expr() for g in gens],
-                              *syms, order="grevlex", domain=sympy.QQ)
-    expected = sorted((_from_sympy(q, vars) for q in expected.polys),
-                      key=lambda g: degrevlex_key(g.leading()[0]))
     gb = buchberger(gens)
-    assert list(gb.gens) == expected
+    assert list(gb.gens) == sympy_basis(gens, sympy)
     # with a Groebner basis the remainder is unique, so sympy's division agrees
     rng = random.Random(seed)
     divisors = [_to_sympy(g, syms, sympy).as_expr() for g in gb.gens]
@@ -197,6 +204,125 @@ def test_reduced_basis_matches_sympy(seed):
                              *syms, order="grevlex", domain=sympy.QQ)
         assert gb.normal_form(p) == _from_sympy(sympy.Poly(r, *syms, domain=sympy.QQ), vars)
         assert gb.normal_form(p) == reference_division(p, gb.gens)
+
+
+# -- the integer path: content, signs and denominators ------------------------
+
+PRIMES = (10007, 65537, 1000003, 2 ** 31 - 1)
+
+
+def integer_path_ideal(seed):
+    """Generators with non-unit integer content, negative leading coefficients
+    and large coprime denominators, the cases fraction-free division scales for."""
+    rng = random.Random(seed)
+    vars = ("x", "y", "z")[:rng.choice([2, 2, 3])]
+    max_deg = 3 if len(vars) == 2 else 2
+    gens = []
+    for _ in range(rng.randint(2, len(vars) + 1)):
+        g = random_poly(rng, vars, max_deg, rng.randint(2, 4))
+        content = rng.choice([1, 6, -4, 15, -35])
+        den = rng.choice([1, *PRIMES])
+        gens.append(g * Fraction(content, den))
+    # one generator made integral with a known content, e.g. 6*x + 4*y
+    denominator = lcm(*(c.denominator for c in gens[0].terms.values()))
+    gens[0] = gens[0] * (rng.choice([6, -10, 12]) * denominator)
+    return gens
+
+
+def test_content_and_sign_do_not_change_the_basis():
+    gb = buchberger([P("6*x + 4*y"), P("-9*y^2 + 3*x")])
+    assert gb.gens == buchberger([P("x + 2/3*y"), P("y^2 - 1/3*x")]).gens
+    assert all(g.leading()[1] == 1 for g in gb.gens)
+    assert gb.normal_form(P("6*x + 4*y")).is_zero()
+    assert gb.normal_form(P("x")) == P("-2/3*y")
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_integer_path_matches_sympy(seed):
+    sympy = pytest.importorskip("sympy")
+    gens = integer_path_ideal(seed)
+    gb = buchberger(gens)
+    assert list(gb.gens) == sympy_basis(gens, sympy)
+    rng = random.Random(seed)
+    for _ in range(4):
+        p = random_poly(rng, gb.vars, 5, 6) * Fraction(rng.choice(PRIMES), rng.choice(PRIMES))
+        assert gb.normal_form(p) == reference_division(p, gb.gens)
+        assert normal_form(p, gens) == reference_division(p, gens)
+
+
+def loose_basis(gb, rng):
+    """The same ideal through the public constructor, neither monic nor reduced:
+    each generator scaled (sign and denominator included) plus a multiple of a
+    generator with a smaller leading term, which keeps the leading terms."""
+    gens = list(gb.gens)
+    loose = []
+    for k, g in enumerate(gens):
+        c = Fraction(rng.choice([-6, -1, 2, 15]), rng.choice([1, 7, 65537]))
+        g = c * g
+        if k:  # the generators come in ascending order of leading term
+            g = g + rng.choice([-3, 5]) * gens[rng.randrange(k)]
+        loose.append(g)
+    return GroebnerBasis(gb.vars, tuple(loose))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_loose_basis_agrees_with_reference_division(seed):
+    gb = buchberger(zero_dimensional_ideal(seed))
+    loose = loose_basis(gb, random.Random(seed))
+    assert loose.gens != gb.gens
+    q = loose.quotient()
+    assert q.monomials == gb.quotient().monomials
+    rng = random.Random(100 + seed)
+    for _ in range(4):
+        p = random_poly(rng, gb.vars, 5, 5) * Fraction(rng.choice(PRIMES), 3)
+        nf = reference_division(p, loose.gens)
+        assert loose.normal_form(p) == nf == gb.normal_form(p)
+        assert as_poly(q, q.vector(p)) == nf
+    for k in range(len(gb.vars)):
+        for s, m in enumerate(q.monomials):
+            xs = Poly.monomial(gb.vars, tuple(e + (i == k) for i, e in enumerate(m)))
+            assert as_poly(q, q.matrices[k][s]) == reference_division(xs, loose.gens)
+    h = random_poly(rng, gb.vars, 3, 4)
+    assert [as_poly(q, c) for c in q.multiplication_matrix(h)] == [
+        reference_division(h * Poly.monomial(gb.vars, m), loose.gens) for m in q.monomials]
+
+
+def cyclic(n):
+    vars = tuple(f"x{i}" for i in range(n))
+    xs = [Poly.variable(vars, v) for v in vars]
+    gens = []
+    for k in range(1, n):
+        total = Poly.zero(vars)
+        for i in range(n):
+            term = Poly.one(vars)
+            for j in range(k):
+                term = term * xs[(i + j) % n]
+            total = total + term
+        gens.append(total)
+    every = Poly.one(vars)
+    for x in xs:
+        every = every * x
+    return gens + [every - 1]
+
+
+def s_polynomial(f, g):
+    (fe, fc), (ge, gc) = f.leading(), g.leading()
+    m = tuple(max(a, b) for a, b in zip(fe, ge))
+    return (Poly.monomial(f.vars, tuple(a - b for a, b in zip(m, fe)), 1 / fc) * f
+            - Poly.monomial(g.vars, tuple(a - b for a, b in zip(m, ge)), 1 / gc) * g)
+
+
+def test_cyclic_4_certificate():
+    sympy = pytest.importorskip("sympy")
+    gens = cyclic(4)
+    gb = buchberger(gens)
+    assert list(gb.gens) == sympy_basis(gens, sympy)
+    # Buchberger's criterion, checked with textbook division: every S-pair reduces to zero
+    for i, f in enumerate(gb.gens):
+        for g in gb.gens[i + 1:]:
+            assert reference_division(s_polynomial(f, g), gb.gens).is_zero()
+    assert all(reference_division(g, gb.gens).is_zero() for g in gens)
+    assert quotient_dimension(gb) is INFINITE  # cyclic-4 has a curve of solutions
 
 
 @pytest.mark.parametrize("src, vars", [
@@ -367,7 +493,8 @@ def test_counting_never_builds_the_matrices(monkeypatch, capsys):
     def refuse(self):
         raise AssertionError("multiplication matrices built for a count")
 
-    monkeypatch.setattr(groebner.Quotient, "matrices", property(refuse))
+    # the integer matrices are the build; the public Fraction ones are read off them
+    monkeypatch.setattr(groebner.Quotient, "_matrices", property(refuse))
     assert main(["zero", "--vars", "x,y", "--section", "x^2 + y, y^3 - x*y",
                  "--json", "--no-timing"]) == 0
     assert main(["crit", "--vars", "x,y", "-f", "x^3 + y^4", "--milnor", "--hilbert",

@@ -74,6 +74,25 @@ def test_parse_one_form():
         parse_one_form("d_x/\\d_y", VS)  # two odd factors in one term
 
 
+@pytest.mark.parametrize("src, pos", [
+    ("x*d_x+y", 6),                         # a scalar summand
+    ("-y + x*d_x", 1),                      # the first summand, after its sign
+    ("x*d_x + 2*y*d_y - d_x/\\d_y", 18),    # a wedge of two generators
+    ("x*d_x + (y*d_y + 1)*d_x", 8),         # a parenthesized summand counts as one
+    ("x*d_x + y - y + x", 8),               # the first bad summand, though it cancels later
+])
+def test_one_form_error_points_at_the_bad_summand(src, pos):
+    with pytest.raises(ParseError) as e:
+        parse_one_form(src, VS)
+    assert e.value.pos == pos
+    assert f"position {pos}" in str(e.value)
+
+
+def test_one_form_whose_bad_terms_cancel_is_accepted():
+    assert parse_one_form("x*d_x + y - y", VS) == parse_one_form("x*d_x", VS)
+    assert parse_one_form("d_x/\\d_y + y*d_y - d_x/\\d_y", VS) == parse_one_form("y*d_y", VS)
+
+
 def test_one_form_variable_may_not_shadow_a_generator():
     # with x and d_x both variables, "d_x" could be either; it is refused
     with pytest.raises(ValueError, match="'d_x'"):

@@ -2,6 +2,7 @@
 
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -185,8 +186,18 @@ def assert_obstruction_matches_reference(f, monkeypatch):
         assert (report.quotient_dim, report.h0, report.h1, report.hessian_invertible) == (
             INFINITE, None, None, None)
         return report
-    assert seen == [expected]
     mu, n = len(standard_monomials(gb)), len(f.vars)
+    assert len(seen) == 1 and len(seen[0]) == len(expected) == n * mu
+    assert all(type(v) is int for row in seen[0] for v in row.values())
+    # each column is the reference column times a positive integer, which keeps the rank
+    for col in range(n * mu):
+        got = {r: row[col] for r, row in enumerate(seen[0]) if col in row}
+        want = {r: row[col] for r, row in enumerate(expected) if col in row}
+        assert got.keys() == want.keys()
+        if got:
+            k = Fraction(next(iter(got.values()))) / next(iter(want.values()))
+            assert k > 0 and k.denominator == 1
+            assert got == {r: k * v for r, v in want.items()}
     rank = rank_rows(expected)
     assert (report.quotient_dim, report.h0, report.h1, report.hessian_invertible) == (
         mu, n * mu - rank, n * mu - rank, rank == n * mu)
