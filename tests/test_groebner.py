@@ -223,7 +223,7 @@ def integer_path_ideal(seed):
         content = rng.choice([1, 6, -4, 15, -35])
         den = rng.choice([1, *PRIMES])
         gens.append(g * Fraction(content, den))
-    # one generator made integral with a known content, e.g. 6*x + 4*y
+    # one generator made integral with non-unit content, like 6*x + 4*y
     denominator = lcm(*(c.denominator for c in gens[0].terms.values()))
     gens[0] = gens[0] * (rng.choice([6, -10, 12]) * denominator)
     return gens
