@@ -59,6 +59,10 @@ class _Slices:
     rank changes, and the slice columns come out of `_contract` as int
     dicts.  The monomials of each weight are computed once and shared by
     every slice asked of the same object.
+
+    The slice ranks skip rows by clearing, which is exact only when the
+    differential squares to zero.  Contraction is linear over the
+    polynomial ring, so that is checked once, on every wedge monomial e_S.
     """
 
     def __init__(self, c: KoszulComplex, ws: tuple[int, ...]):
@@ -70,6 +74,14 @@ class _Slices:
         self.components = [{e: v.numerator * (den // v.denominator) for e, v in p.terms.items()}
                            for p in comps]
         self._monomials: dict[int, list] = {}
+        zero = (0,) * len(ws)
+        for k in range(self.rank + 1):
+            for subset in combinations(range(self.rank), k):
+                twice = _contract(self.components, _contract(self.components, {(zero, subset): 1}))
+                if any(twice.values()):
+                    raise AssertionError(
+                        f"contracting twice does not give zero on e_{subset}; "
+                        "the differential does not square to zero")
 
     def basis(self, p: int, w: int) -> list:
         """Basis of the weight-w part of cohomological degree p."""
@@ -85,26 +97,30 @@ class _Slices:
         return out
 
     def cohomology(self, w: int) -> dict[int, int]:
-        """dim H^p of the weight-w slice for every degree p: dim - rank(d out) - rank(d in)."""
+        """dim H^p of the weight-w slice for every degree p: dim - rank(d out) - rank(d in).
+
+        The differentials are ranked from the top wedge degree down, and the
+        pivot columns of d_p clear the rows of d_{p+1} they index (Chen and
+        Kerber's twist).  A pivot row with leading column i lies in the image
+        of d_p, so d_{p+1} d_p = 0 writes row i of d_{p+1} as a combination
+        of later rows; by descending induction every cleared row lies in the
+        span of the kept ones, and no rank changes.
+        """
         m = self.rank
         bases = {p: self.basis(p, w) for p in range(-m, 1)}
         ranks: dict[int, int] = {}
+        cleared: set[int] = set()
         for p in range(-m, 0):
+            leads: set[int] = set()
             if bases[p] and bases[p + 1]:
                 index = {key: i for i, key in enumerate(bases[p + 1])}
                 # contraction preserves the slice, so every image key has an index
                 cols = [{index[k]: v for k, v in _contract(self.components, {key: 1}).items()}
-                        for key in bases[p]]
-                ranks[p] = rank_rows(cols)
-        out: dict[int, int] = {}
-        for p, basis in bases.items():
-            h = len(basis) - ranks.get(p, 0) - ranks.get(p - 1, 0)
-            if h < 0:
-                raise AssertionError(
-                    f"negative cohomology dimension at degree {p}, weight {w}; "
-                    "the differential does not square to zero on this slice")
-            out[p] = h
-        return out
+                        for i, key in enumerate(bases[p]) if i not in cleared]
+                ranks[p] = rank_rows(cols, leads)
+            cleared = leads
+        return {p: len(basis) - ranks.get(p, 0) - ranks.get(p - 1, 0)
+                for p, basis in bases.items()}
 
 
 def slice_cohomology(c: KoszulComplex, weights, w: int) -> dict[int, int]:

@@ -379,6 +379,15 @@ class GroebnerBasis:
         object.__setattr__(self, "_divisors", _with_leads(self.gens))
         object.__setattr__(self, "_quotient", Quotient(self.vars, self._divisors))
 
+    @classmethod
+    def _make(cls, vars: tuple[str, ...], gens: tuple[Poly, ...], divisors: list) -> "GroebnerBasis":
+        """Trusted constructor: `divisors` must be what `_with_leads(gens)` would give."""
+        self = object.__new__(cls)
+        for name, value in (("vars", vars), ("gens", gens), ("_divisors", divisors),
+                            ("_quotient", Quotient(vars, divisors))):
+            object.__setattr__(self, name, value)
+        return self
+
     def quotient(self) -> Quotient:
         return self._quotient
 
@@ -432,14 +441,17 @@ def buchberger(gens: Iterable[Poly]) -> GroebnerBasis:
             minimal.append(k)
     # interreduce: fully reduce each generator against the others; no other
     # leading term divides its own, so it stays first and the order by
-    # leading term stays.  Then make each one monic.
+    # leading term stays.  The basis keeps the primitive forms as its
+    # divisors, and each generator is made monic.
     kept = [divisors[k] for k in minimal]
-    reduced = []
+    reduced, primitive = [], []
     for pos, ((ge, _), terms) in enumerate(kept):
         r, _ = _reduce(dict(terms), kept[:pos] + kept[pos + 1:])
+        r = _primitive(r, ge)
         lc = r[ge]
+        primitive.append(((ge, lc), r))
         reduced.append(Poly._make(vars, {e: Fraction(c, lc) for e, c in r.items()}))
-    return GroebnerBasis(vars, tuple(reduced))
+    return GroebnerBasis._make(vars, tuple(reduced), primitive)
 
 
 def standard_monomials(gb: GroebnerBasis) -> list[Exponents] | None:

@@ -11,6 +11,12 @@ subtracted; otherwise the row is cross-multiplied and divided by its
 content.  No rounding or modular reduction ever happens.  Pivots are chosen
 at the smallest column index, which keeps fill-in low for the banded, very
 sparse matrices the slice differentials produce.
+
+The pivot columns found are the leading columns of the row space, the
+columns at which some vector of the span starts; a caller that passes a
+set as `leads` gets them.  `cohomology` uses them to clear rows of the next
+differential: a pivot row with leading column i lies in the image, so d∘d = 0
+makes row i of the next differential a combination of rows after it.
 """
 
 from __future__ import annotations
@@ -40,8 +46,12 @@ def _normalize(row: dict[int, int]) -> dict[int, int]:
     return row
 
 
-def rank_rows(rows: Iterable[Mapping[int, int | Fraction]]) -> int:
-    """Rank over Q of the matrix whose rows are the given sparse dicts."""
+def rank_rows(rows: Iterable[Mapping[int, int | Fraction]],
+              leads: set[int] | None = None) -> int:
+    """Rank over Q of the matrix whose rows are the given sparse dicts.
+
+    When `leads` is given, the pivot columns are added to it.
+    """
     pivots: dict[int, dict[int, int]] = {}
     for raw in rows:
         row = _integer_row(raw)
@@ -67,4 +77,6 @@ def rank_rows(rows: Iterable[Mapping[int, int | Fraction]]) -> int:
                     del row[c]  # absent entries cannot cancel: mb and v are nonzero
             if r:
                 row = _normalize(row)
+    if leads is not None:
+        leads.update(pivots)
     return len(pivots)

@@ -1,16 +1,20 @@
 """Weight-slice cohomology, Hilbert tables, and resolution certificates."""
 
-from itertools import product
+from fractions import Fraction
+from itertools import combinations, product
 from random import Random
 
 import pytest
 
-from dcrit.cohomology import (InhomogeneousSectionError, hilbert_table,
-                              is_regular_sequence, resolution_certificate,
-                              slice_cohomology)
+import dcrit.cohomology as cohomology
+from dcrit.cohomology import (InhomogeneousSectionError, generator_degrees,
+                              hilbert_table, is_regular_sequence,
+                              resolution_certificate, slice_cohomology)
+from dcrit.exterior import ExtElt
 from dcrit.koszul import build_koszul, build_tautological_koszul
+from dcrit.linalg import rank_rows
 from dcrit.parsing import parse_poly
-from dcrit.poly import Poly, gradient
+from dcrit.poly import Poly, exps_add, gradient, monomials_of_weight
 
 VS = ("x", "y")
 
@@ -185,3 +189,107 @@ def test_fractional_common_factor_agrees_with_the_table():
     report = is_regular_sequence(K, (1, 1), 6)
     assert not report.regular
     assert report.first_failure == _first_failure(table) == (-1, 1)
+
+
+# -- clearing: the slice ranks skip rows the previous pivots prove dependent --
+
+def _reference_dims(K, ws, w):
+    """dim H^p of the weight-w slice from the full, uncleared rows of every differential."""
+    m, gd = K.rank, generator_degrees(K, ws)
+    bases = {p: [(e, S) for S in combinations(range(m), -p) if sum(gd[j] for j in S) <= w
+                 for e in monomials_of_weight(ws, w - sum(gd[j] for j in S))]
+             for p in range(-m, 1)}
+    ranks = {}
+    for p in range(-m, 0):
+        index = {key: i for i, key in enumerate(bases[p + 1])}
+        ranks[p] = rank_rows([{index[k]: c for k, c in
+                               K.differential(ExtElt.monomial(K.ambient, *key)).terms.items()}
+                              for key in bases[p]])
+    dims = {p: len(b) - ranks.get(p, 0) - ranks.get(p - 1, 0) for p, b in bases.items()}
+    assert min(dims.values()) >= 0, dims  # the uncleared ranks obey d∘d = 0 too
+    return dims
+
+
+def _fractional(rng, p):
+    """p with every coefficient scaled by its own fraction; weighted degrees stay."""
+    return Poly(p.vars, {e: c * Fraction(rng.choice([-5, -1, 2, 7]), rng.randint(2, 9))
+                         for e, c in p.terms.items()})
+
+
+def _clearing_cases(seed):
+    """(complex, weights): regular, common factor, zero component, fractional, tautological."""
+    rng = Random(f"clearing-{seed}")
+    vs, ws = ("x", "y", "z"), (2, 1, 3)
+    powers = [Poly.monomial(vs, e) for e in ((3, 0, 0), (0, 6, 0), (0, 0, 2))]
+    regular = [p + _quasi_homogeneous(rng, vs, ws, 6) for p in powers]
+    yield build_koszul(vs, regular), ws
+    yield build_koszul(vs, [_fractional(rng, p) for p in regular]), ws
+    vs, ws = ("x", "y"), (1, 2)
+    g = _quasi_homogeneous(rng, vs, ws, 2)
+    common = [g * _quasi_homogeneous(rng, vs, ws, 3), g * _quasi_homogeneous(rng, vs, ws, 4)]
+    yield build_koszul(vs, common), ws
+    yield build_koszul(vs, [_fractional(rng, p) for p in common]), ws
+    f1, f2 = _quasi_homogeneous(rng, vs, ws, 4), _quasi_homogeneous(rng, vs, ws, 3)
+    yield build_koszul(vs, [f1, Poly.zero(vs), f2]), ws
+    yield build_koszul(vs, [Poly.zero(vs), _fractional(rng, f1), f1]), ws
+    yield build_tautological_koszul(("x",), 3), (1,) * 4
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_clearing_matches_the_uncleared_ranks(seed):
+    cutoff = 9
+    for K, ws in _clearing_cases(seed):
+        table = hilbert_table(K, ws, cutoff)
+        for w in range(cutoff + 1):
+            reference = _reference_dims(K, ws, w)
+            assert {p: table.rows[p][w] for p in table.rows} == reference, (str(K), w)
+            assert slice_cohomology(K, ws, w) == reference, (str(K), w)
+
+
+def test_cleared_rows_of_a_regular_sequence_are_all_pivots(monkeypatch):
+    # H^p = 0 for p < 0, so the rows clearing keeps are exactly independent
+    handed = []
+
+    def counting(rows, leads=None):
+        rows = list(rows)
+        rank = rank_rows(rows, leads)
+        handed.append((len(rows), rank))
+        return rank
+
+    monkeypatch.setattr(cohomology, "rank_rows", counting)
+    K = build_koszul(("x", "y", "z"), [P(s, ("x", "y", "z")) for s in ("x^2", "y^2 + x*z", "z^2")])
+    table = hilbert_table(K, (1, 1, 1), 8)
+    assert all(len(table.rows[p]) == 9 and not any(table.rows[p]) for p in (-3, -2, -1))
+    assert handed and all(n == rank for n, rank in handed)
+    assert any(n for n, _ in handed)
+
+
+def _sign_broken_contract(flip_at):
+    """`_contract` with the sign at position `flip_at` of each subset flipped."""
+    def contract(components, terms):
+        out = {}
+        for key, c in terms.items():
+            exps, subset, rest = key[0], key[1], key[2:]
+            for k0, j in enumerate(subset):
+                signed = -c if (k0 % 2 == 0) != (k0 == flip_at) else c
+                omitted = (subset[:k0] + subset[k0 + 1:],) + rest
+                for sexps, sc in components[j].items():
+                    k = (exps_add(exps, sexps),) + omitted
+                    out[k] = out.get(k, 0) + signed * sc
+        return out
+    return contract
+
+
+@pytest.mark.parametrize("flip_at", [0, 1, 2])
+def test_a_contraction_that_does_not_square_to_zero_is_refused(monkeypatch, flip_at):
+    # the flip at position 2 shows only on e_S with three or more factors
+    vs = ("x", "y", "z")
+    K = build_koszul(vs, [P(s, vs) for s in ("x", "y + z", "z^2")])
+    table = hilbert_table(K, (1, 1, 1), 3)
+    monkeypatch.setattr(cohomology, "_contract", _sign_broken_contract(None))
+    assert hilbert_table(K, (1, 1, 1), 3) == table  # the copy, unbroken, is faithful
+    monkeypatch.setattr(cohomology, "_contract", _sign_broken_contract(flip_at))
+    with pytest.raises(AssertionError, match="does not square to zero"):
+        hilbert_table(K, (1, 1, 1), 3)
+    with pytest.raises(AssertionError, match="does not square to zero"):
+        slice_cohomology(K, (1, 1, 1), 0)

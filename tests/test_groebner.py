@@ -373,14 +373,28 @@ def test_basis_finds_its_leading_terms_once(monkeypatch):
 
 def test_buchberger_pairs_each_divisor_with_its_leading_term_once(monkeypatch):
     # the divisor list grows alongside the basis: one pairing of the input,
-    # one when the GroebnerBasis is made, none per reduction
+    # none per reduction, and none when the GroebnerBasis is made, which
+    # takes the interreduced primitive forms as they are
     import dcrit.groebner as groebner
     calls = []
     with_leads = groebner._with_leads
     monkeypatch.setattr(groebner, "_with_leads", lambda b: calls.append(b) or with_leads(b))
     gb = buchberger([P("x^3 - 2*x*y"), P("x^2*y - 2*y^2 + x")])
     assert gb.gens == (P("y^2 - 1/2*x"), P("x*y"), P("x^2"))
-    assert len(calls) == 2
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_buchberger_hands_the_divisors_the_constructor_would_find(seed):
+    from dcrit.groebner import _with_leads
+    rng = random.Random(seed)
+    vars = ("x", "y", "z")[:rng.choice([1, 2, 3])]
+    gb = buchberger([random_poly(rng, vars, 3, 4) * rng.choice([-6, -1, 1, 2, Fraction(5, 3)])
+                     for _ in range(rng.randint(1, 3))])
+    public = GroebnerBasis(gb.vars, gb.gens)
+    assert gb._divisors == public._divisors == _with_leads(gb.gens)
+    # same term order too, so every later reduction walks the same dicts
+    assert [list(t) for _, t in gb._divisors] == [list(t) for _, t in public._divisors]
 
 
 # -- the quotient R/I: border-basis oracle -----------------------------------

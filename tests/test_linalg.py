@@ -10,12 +10,13 @@ from dcrit.linalg import rank_rows
 BIG = 2 ** 64
 
 
-def reference_rank(rows) -> int:
-    """Rank by textbook row reduction of the dense Fraction matrix."""
+def reference_pivots(rows) -> list[int]:
+    """Pivot columns of textbook row reduction of the dense Fraction matrix."""
     ncols = 1 + max((c for r in rows for c in r), default=-1)
     m = [[Fraction(r.get(c, 0)) for c in range(ncols)] for r in rows]
-    rank = 0
+    pivots = []
     for col in range(ncols):
+        rank = len(pivots)
         pivot = next((i for i in range(rank, len(m)) if m[i][col]), None)
         if pivot is None:
             continue
@@ -24,8 +25,12 @@ def reference_rank(rows) -> int:
             if m[i][col]:
                 f = m[i][col] / m[rank][col]
                 m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
-        rank += 1
-    return rank
+        pivots.append(col)
+    return pivots
+
+
+def reference_rank(rows) -> int:
+    return len(reference_pivots(rows))
 
 
 def entry(rng: Random, kind: str):
@@ -76,6 +81,23 @@ def test_rank_matches_fraction_elimination(kind, seed):
     before = [dict(r) for r in rows]
     assert rank_rows(rows) == reference_rank(rows)
     assert rows == before  # elimination works on copies
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction"])
+@pytest.mark.parametrize("seed", range(40))
+def test_leads_are_the_reference_pivot_columns(kind, seed):
+    rows = matrix(Random(f"leads-{kind}-{seed}"), kind)
+    leads: set[int] = set()
+    assert rank_rows(rows, leads) == rank_rows(rows) == reference_rank(rows)
+    assert sorted(leads) == reference_pivots(rows)
+
+
+def test_leads_of_degenerate_and_echelon_matrices():
+    leads: set[int] = set()
+    assert rank_rows([{}, {4: 0}], leads) == 0 and leads == set()
+    # the second row cancels at column 0, so its pivot is its next column
+    assert rank_rows([{0: 2, 3: 1}, {0: 4, 1: Fraction(1, 3)}, {0: 6, 3: 3}], leads) == 2
+    assert leads == {0, 1}
 
 
 def test_degenerate_matrices():
