@@ -12,11 +12,9 @@ content.  No rounding or modular reduction ever happens.  Pivots are chosen
 at the smallest column index, which keeps fill-in low for the banded, very
 sparse matrices the slice differentials produce.
 
-The pivot columns found are the leading columns of the row space, the
-columns at which some vector of the span starts; a caller that passes a
-set as `leads` gets them.  `cohomology` uses them to clear rows of the next
-differential: a pivot row with leading column i lies in the image, so d∘d = 0
-makes row i of the next differential a combination of rows after it.
+The pivot columns, handed out through `leads`, are the leading columns of
+the row space: the columns at which some vector of the span starts.  The
+slice tables use them to clear rows of the next differential.
 """
 
 from __future__ import annotations
