@@ -7,8 +7,9 @@ same construction applied over the total space Sym(dual), with the fiber
 coordinates themselves as the section, gives the tautological complex;
 substituting a concrete section for the fiber coordinates recovers the
 usual Koszul complex on the nose, and `base_change_compare` checks that
-entrywise.  A `MatrixComplex` is given by raw polynomial matrices instead;
-the tangent complex of a critical locus is one.
+entrywise.  So d∘d = 0 is decided once, by `check_d_squared`, on the
+tautological section.  A `MatrixComplex` is given by raw polynomial
+matrices instead; the tangent complex of a critical locus is one.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Mapping, Sequence, Union
 
 from itertools import combinations
 
-from .exterior import Ambient, ExtElt, Section, contract
+from .exterior import Ambient, ExtElt, Section, _contract, contract
 from .groebner import GroebnerBasis, buchberger, quotient_dimension
 from .poly import Poly
 
@@ -154,8 +155,8 @@ class MatrixComplex:
 
     matrices maps a source degree p to the matrix of the map out of p, rows
     indexed by the target basis.  Absent degrees carry the zero map.  The
-    tangent complex of a critical locus is {0: Hessian}; hand-built
-    matrices also exercise the d*d check.
+    tangent complex of a critical locus is {0: Hessian}, and the graph
+    intersection's is {0: Jacobian}.
     """
 
     vars: tuple[str, ...]
@@ -178,24 +179,20 @@ class MatrixComplex:
         return self.matrices.get(p, [])
 
 
-def check_d_squared(c) -> bool:
-    """True when consecutive differentials compose to zero, degree by degree."""
-    degrees = list(c.degrees)
-    for p in degrees:
-        if p + 1 not in degrees:
-            continue
-        second = c.differential_matrix(p + 1)
-        first = c.differential_matrix(p)
-        if not second or not first:
-            continue
-        if len(second[0]) != len(first):
-            raise ValueError(f"matrices at degrees {p} and {p + 1} do not compose")
-        for row in second:
-            for j in range(len(first[0])):
-                products = [a * first[k][j] for k, a in enumerate(row) if a and first[k][j]]
-                if products and sum(products[1:], products[0]):
-                    return False
-    return True
+def check_d_squared(c: KoszulComplex) -> bool:
+    """True when contracting twice gives zero on every wedge monomial e_S.
+
+    Decided along the tautological section of rank `c.rank`, whose
+    component j is one fresh variable xi_j.  Contraction is linear over
+    the base ring and K(s) is the image of that complex under xi_j -> s_j,
+    so this holds for every section of the rank; no zero component can hide
+    a wrong sign, as one of s could.
+    """
+    m = c.rank
+    taut = [{tuple(int(i == j) for i in range(m)): 1} for j in range(m)]
+    zero = (0,) * m
+    return not any(any(_contract(taut, _contract(taut, {(zero, subset): 1})).values())
+                   for k in range(m + 1) for subset in combinations(range(m), k))
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ from random import Random
 import pytest
 
 import dcrit.cohomology as cohomology
+import dcrit.koszul as koszul
 from dcrit.cohomology import (InhomogeneousSectionError, generator_degrees,
                               hilbert_table, is_regular_sequence,
                               resolution_certificate, slice_cohomology)
@@ -29,6 +30,14 @@ def test_dual_numbers_slices():
     table = hilbert_table(K, (), 4)
     assert table.rows[0] == (1, 0, 0, 0, 0)
     assert table.rows[-1] == (0, 1, 0, 0, 0)
+
+
+def test_rank_zero_tables_need_no_basis():
+    # no components: the ring itself, certified finite only over Q
+    line = hilbert_table(build_koszul(("x",), []), (1,), 3)
+    assert line.rows == {0: (1, 1, 1, 1)} and line.complete[0] is False
+    point = hilbert_table(build_koszul((), []), (), 3)
+    assert point.rows == {0: (1, 0, 0, 0)} and point.complete[0] is True
 
 
 def test_cusp_critical_slices():
@@ -286,9 +295,11 @@ def test_a_contraction_that_does_not_square_to_zero_is_refused(monkeypatch, flip
     vs = ("x", "y", "z")
     K = build_koszul(vs, [P(s, vs) for s in ("x", "y + z", "z^2")])
     table = hilbert_table(K, (1, 1, 1), 3)
-    monkeypatch.setattr(cohomology, "_contract", _sign_broken_contract(None))
+    for module in (cohomology, koszul):
+        monkeypatch.setattr(module, "_contract", _sign_broken_contract(None))
     assert hilbert_table(K, (1, 1, 1), 3) == table  # the copy, unbroken, is faithful
-    monkeypatch.setattr(cohomology, "_contract", _sign_broken_contract(flip_at))
+    for module in (cohomology, koszul):
+        monkeypatch.setattr(module, "_contract", _sign_broken_contract(flip_at))
     with pytest.raises(AssertionError, match="does not square to zero"):
         hilbert_table(K, (1, 1, 1), 3)
     with pytest.raises(AssertionError, match="does not square to zero"):

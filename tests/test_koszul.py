@@ -5,11 +5,15 @@ from random import Random
 import pytest
 
 from dcrit.checks import rand_poly, var_names
-from dcrit.koszul import (MatrixComplex, augmentation, base_change_compare,
+import dcrit.koszul as koszul
+from dcrit.cli import main
+from dcrit.cohomology import hilbert_table
+from dcrit.koszul import (KoszulComplex, augmentation, base_change_compare,
                           build_koszul, build_tautological_koszul,
                           check_d_squared)
 from dcrit.parsing import parse_poly, parse_section
 from dcrit.poly import Poly, gradient
+from test_cohomology import _sign_broken_contract
 
 VS = ("x", "y")
 
@@ -43,18 +47,28 @@ def test_d_squared_on_random_sections():
         assert check_d_squared(build_koszul(vs, comps))
 
 
-def test_corrupted_complex_is_caught():
-    bad = MatrixComplex(("x",), {-2: [[Poly.one(("x",))]], -1: [[P("x", ("x",))]]})
-    assert check_d_squared(bad) is False
-    good = MatrixComplex(("x",), {-2: [[P("x", ("x",))]], -1: [[Poly.zero(("x",))]]})
-    assert check_d_squared(good) is True
+@pytest.mark.parametrize("flip_at, shows_from", [(0, 2), (1, 2), (2, 3)])
+def test_a_broken_sign_rule_is_caught_on_every_section(monkeypatch, flip_at, shows_from):
+    # all-zero sections: contracting twice along them gives zero under any
+    # sign rule, so only the tautological section can show the flip
+    sections = [build_koszul(("x",), [Poly.zero(("x",))] * m) for m in range(5)]
+    monkeypatch.setattr(koszul, "_contract", _sign_broken_contract(None))
+    assert [check_d_squared(K) for K in sections] == [True] * 5  # the copy is faithful
+    monkeypatch.setattr(koszul, "_contract", _sign_broken_contract(flip_at))
+    assert [check_d_squared(K) for K in sections] == [m < shows_from for m in range(5)]
 
 
-def test_shape_mismatch_is_rejected():
-    bad = MatrixComplex(("x",), {-2: [[Poly.one(("x",))], [Poly.one(("x",))]],
-                                 -1: [[P("x", ("x",))]]})
-    with pytest.raises(ValueError):
-        check_d_squared(bad)
+def test_zero_and_hilbert_table_build_no_differential_matrix(monkeypatch, capsys):
+    K = build_koszul(VS, [P("x^2"), P("x*y"), P("y^3")])
+    table = hilbert_table(K, (1, 1), 5)
+
+    def refuse(self, p):
+        raise AssertionError("differential_matrix was built")
+
+    monkeypatch.setattr(KoszulComplex, "differential_matrix", refuse)
+    assert hilbert_table(K, (1, 1), 5) == table
+    assert main(["zero", "--vars", "x,y", "--section", "x^2, x*y, y^3"]) == 0
+    assert "d^2 = 0: pass" in capsys.readouterr().out
 
 
 def test_tautological_complex_shape():
