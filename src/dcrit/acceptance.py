@@ -14,7 +14,8 @@ from fractions import Fraction
 from random import Random
 
 from .checks import rand_poly, var_names
-from .cohomology import hilbert_table, is_regular_sequence, resolution_certificate
+from .cohomology import (hilbert_table, is_regular_sequence, resolution_certificate,
+                         slice_cohomology)
 from .groebner import buchberger, quotient_dimension
 from .koszul import base_change_compare, build_koszul, build_tautological_koszul
 from .parsing import parse_one_form, parse_poly
@@ -71,7 +72,11 @@ def _run(name: str, body) -> CriterionResult:
 
 
 def criterion_tautological_resolution(seed: int = 0) -> CriterionResult:
-    """Slices of the tautological complex: H^{<0} = 0 and H^0 counts base monomials."""
+    """The tautological complex: H^{<0} = 0 and H^0 counts base monomials.
+
+    The certificate's table is read off the closed form, so every weight
+    slice is also computed and compared with it.
+    """
 
     def body():
         for n in range(0, 4):
@@ -80,6 +85,11 @@ def criterion_tautological_resolution(seed: int = 0) -> CriterionResult:
                 cert = resolution_certificate(taut, 8)
                 if not cert.ok:
                     return {}, {"n": n, "m": m, **(cert.first_mismatch or {})}
+                table = cert.table
+                for w in range(9):
+                    sliced = slice_cohomology(taut, table.weights, w)
+                    if sliced != {p: table.rows[p][w] for p in table.rows}:
+                        return {}, {"n": n, "m": m, "weight": w, "sliced": sliced}
         return {"cases": "n in 0..3, m in 1..3, cutoff 8"}, None
 
     return _run("tautological_resolution", body)

@@ -1,11 +1,16 @@
-"""Cohomology of Koszul complexes through finite weight slices.
+"""Cohomology of Koszul complexes: a closed form where theory gives one,
+finite weight slices where it does not.
 
 For a quasi-homogeneous section, every differential preserves weighted
 degree once each exterior generator is assigned the weight of its section
-component, so the complex splits into finite-dimensional slices; each slice
-is handled by exact rank computation on integer columns.  Degree-zero
-results can be cross-checked against the Groebner quotient dimension, which
-is an independent route to the same number.
+component, so the complex splits into finite-dimensional slices.  The
+Groebner basis of the section's ideal gives the Hilbert numerator K(t) of
+R/I from its leading terms.  When K(t) = prod_j (1 - t^d_j), the section is
+a regular sequence (Stanley), its Koszul complex resolves R/I, and the whole
+table is read off K: no slice is built.  Every other section is sliced, each
+slice handled by exact rank computation on integer columns, and each
+degree-zero entry is checked against K, an independent route to the same
+number.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from math import lcm
 from typing import Mapping, Sequence
 
 from .exterior import _contract
-from .groebner import INFINITE, GroebnerBasis, quotient_dimension
+from .groebner import INFINITE, GroebnerBasis, buchberger, ci_numerator
 from .koszul import KoszulComplex, TautologicalKoszul, check_d_squared
 from .linalg import rank_rows
 from .poly import ANY_DEGREE, INHOMOGENEOUS, Poly, monomials_of_weight, normalize_weights
@@ -51,6 +56,11 @@ def generator_degrees(c: KoszulComplex, weights) -> tuple[int, ...]:
     return tuple(default if d == ANY_DEGREE else d for d in raw)
 
 
+def _require_d_squared(c: KoszulComplex) -> None:
+    if not check_d_squared(c):
+        raise AssertionError(f"the differential of {c} does not square to zero")
+
+
 class _Slices:
     """The weight slices of one Koszul complex, computed over the integers.
 
@@ -61,7 +71,7 @@ class _Slices:
     every slice asked of the same object.
 
     The slice ranks skip rows by clearing, which is exact only when the
-    differential squares to zero, so each object first asks
+    differential squares to zero, so every caller first asks
     `check_d_squared`, which decides that for every section of the rank.
     """
 
@@ -74,8 +84,6 @@ class _Slices:
         self.components = [{e: v.numerator * (den // v.denominator) for e, v in p.terms.items()}
                            for p in comps]
         self._monomials: dict[int, list] = {}
-        if not check_d_squared(c):
-            raise AssertionError(f"the differential of {c} does not square to zero")
 
     def basis(self, p: int, w: int) -> list:
         """Basis of the weight-w part of cohomological degree p."""
@@ -119,17 +127,22 @@ class _Slices:
 
 def slice_cohomology(c: KoszulComplex, weights, w: int) -> dict[int, int]:
     """Cohomology dimensions of one weight slice, by cohomological degree."""
-    return _Slices(c, normalize_weights(c.ambient.vars, weights)).cohomology(w)
+    slices = _Slices(c, normalize_weights(c.ambient.vars, weights))
+    _require_d_squared(c)
+    return slices.cohomology(w)
 
 
 @dataclass(frozen=True)
 class HilbertTable:
-    """Slice-by-slice cohomology dimensions up to a weight cutoff.
+    """Cohomology dimensions, weight by weight, up to a weight cutoff.
 
-    rows[p][w] is dim H^p in weight w.  complete[p] is True only when an
-    independent oracle certifies that every weight above the cutoff
-    contributes nothing; currently that exists for degree zero (finite
-    Groebner quotient whose dimension the row already accounts for).
+    rows[p][w] is dim H^p in weight w.  For a regular section they are read
+    off the closed form (H^p = 0 for p < 0, H^0 the Hilbert series of R/I);
+    for any other they come from the slices, with each H^0 entry checked
+    against that series.  complete[p] is True only when an independent
+    oracle certifies that every weight above the cutoff contributes
+    nothing; currently that exists for degree zero (finite Groebner
+    quotient whose dimension the row already accounts for).
     """
 
     weights: tuple[int, ...]
@@ -144,31 +157,59 @@ class HilbertTable:
         return sorted(self.rows)
 
 
+def _series(k: Mapping[int, int], ws: Sequence[int], cutoff: int) -> list[int]:
+    """Coefficients of K(t) / prod_i (1 - t^w_i) up to t^cutoff."""
+    out = [0] * (cutoff + 1)
+    for e, v in k.items():
+        if e <= cutoff:
+            out[e] += v
+    for w in ws:
+        for i in range(w, cutoff + 1):
+            out[i] += out[i - w]
+    return out
+
+
 def hilbert_table(c: KoszulComplex, weights, cutoff: int,
                   basis: GroebnerBasis | None = None) -> HilbertTable:
-    """Tabulate slice cohomology for all weights up to the cutoff.
+    """Tabulate the cohomology of every weight slice up to the cutoff.
 
     `basis`, when given, must be the Groebner basis of the ideal the
-    section's components span; it certifies completeness of degree zero in
-    place of a fresh Buchberger run.
+    section's components span; it stands in for a fresh Buchberger run.
+    Its Hilbert numerator K(t) decides the path.  A section whose components
+    are all nonzero and of positive weights d_j is a regular sequence
+    exactly when K(t) = prod_j (1 - t^d_j) (Stanley, 1978).  Its Koszul
+    complex then resolves R/I: every negative row is 0 and row 0 is the
+    series K(t) / prod_i (1 - t^w_i), and no slice is built.  Any other
+    section is sliced, and each entry of row 0 must equal that series.
     """
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
     if basis is not None and basis.vars != c.ambient.vars:
         raise ValueError("basis lives over different variables")
     ws = normalize_weights(c.ambient.vars, weights)
-    slices = _Slices(c, ws)
+    degrees = generator_degrees(c, ws)
+    _require_d_squared(c)
+    comps = c.section.components
+    quotient = (basis if basis is not None
+                else buchberger(list(comps) or [Poly.zero(c.ambient.vars)])).quotient()
+    k = quotient.hilbert_numerator(ws)
+    h0 = _series(k, ws, cutoff)
     m = c.rank
-    rows = {p: [] for p in range(-m, 1)}
-    for w in range(cutoff + 1):
-        for p, h in slices.cohomology(w).items():
-            rows[p].append(h)
+    if all(comps) and all(degrees) and k == ci_numerator(degrees):
+        rows = {p: (0,) * (cutoff + 1) for p in range(-m, 0)}
+        rows[0] = tuple(h0)
+    else:
+        slices = _Slices(c, ws)
+        columns = [slices.cohomology(w) for w in range(cutoff + 1)]
+        rows = {p: tuple(dims[p] for dims in columns) for p in range(-m, 1)}
+        for w, (got, expected) in enumerate(zip(rows[0], h0)):
+            if got != expected:
+                raise AssertionError(f"H^0 of {c} in weight {w}: the slice gives {got}, "
+                                     f"the Groebner basis {expected}")
+    qd = quotient.dimension
     complete = {p: False for p in range(-m, 1)}
-    qd = quotient_dimension(basis if basis is not None
-                            else list(c.section.components) or [Poly.zero(c.ambient.vars)])
-    if qd != INFINITE and sum(rows[0]) == qd:
-        complete[0] = True
-    return HilbertTable(ws, cutoff, {p: tuple(r) for p, r in rows.items()}, complete)
+    complete[0] = qd != INFINITE and sum(rows[0]) == qd
+    return HilbertTable(ws, cutoff, rows, complete)
 
 
 @dataclass(frozen=True)
@@ -190,6 +231,7 @@ def is_regular_sequence(c: KoszulComplex, weights, cutoff: int) -> RegularSequen
     regularity only up to the cutoff, which the report records.
     """
     slices = _Slices(c, normalize_weights(c.ambient.vars, weights))
+    _require_d_squared(c)
     for w in range(cutoff + 1):
         dims = slices.cohomology(w)
         for p in range(-c.rank, 0):
@@ -202,9 +244,11 @@ def is_regular_sequence(c: KoszulComplex, weights, cutoff: int) -> RegularSequen
 class ResolutionCertificate:
     """Evidence that a tautological complex resolves its base ring.
 
-    Checks, slice by slice up to the cutoff, that negative-degree cohomology
-    vanishes and that dim H^0 in weight w equals the number of base-ring
-    monomials of weight w.  `table` is the slice table the checks read.
+    Checks, weight by weight up to the cutoff, that negative-degree
+    cohomology vanishes and that dim H^0 in weight w equals the number of
+    base-ring monomials of weight w.  `table` is the Hilbert table the
+    checks read; the tautological section is a regular sequence, so its
+    rows come from the closed form, and the base-ring count checks that.
     """
 
     ok: bool

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .poly import (_SCALARS, Exponents, Poly, Scalar, _descending_key, _Terms, exps_add,
-                   monomial_str)
+from .poly import (_SCALARS, Exponents, Poly, Scalar, _descending_key, _power, _Terms,
+                   exps_add, monomial_str)
 
 TermKey = tuple[Exponents, tuple[int, ...]]
 
@@ -127,12 +127,7 @@ class ExtElt(_Terms):
         return wedge(self, other)
 
     def __pow__(self, n: int) -> "ExtElt":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = ExtElt.one(self.ambient)
-        for _ in range(n):
-            result = wedge(result, self)
-        return result
+        return _power(self, n, ExtElt.one(self.ambient))
 
     # -- structure -----------------------------------------------------------
 

@@ -229,12 +229,7 @@ class Poly(_Terms):
         return Poly._make(self.vars, terms)
 
     def __pow__(self, n: int) -> "Poly":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = Poly.one(self.vars)
-        for _ in range(n):
-            result = result * self
-        return result
+        return _power(self, n, Poly.one(self.vars))
 
     # -- structure ---------------------------------------------------------
 
@@ -314,6 +309,21 @@ class Poly(_Terms):
     def _factors(self, exps: Exponents) -> list[str]:
         mono = monomial_str(self.vars, exps)
         return [mono] if mono else []
+
+
+def _power(x, n: int, one):
+    """x multiplied by itself n times, starting from `one`, by repeated
+    squaring: log n products, as the product is associative."""
+    if not isinstance(n, int) or n < 0:
+        raise ValueError("exponent must be a nonnegative integer")
+    result = one
+    while n:
+        if n & 1:
+            result = result._product(x)
+        n >>= 1
+        if n:
+            x = x._product(x)
+    return result
 
 
 def monomial_str(vars: Sequence[str], exps: Exponents) -> str:

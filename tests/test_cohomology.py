@@ -106,10 +106,11 @@ def test_resolution_certificate_weighted_base():
     assert cert.ok
 
 
-def _quasi_homogeneous(rng, vars, weights, d):
-    """A random polynomial of weighted degree exactly d, with one to three terms."""
+def _quasi_homogeneous(rng, vars, weights, d, skip=0):
+    """A random polynomial of weighted degree exactly d, with one to three terms,
+    free of the first `skip` variables (zero when no monomial qualifies)."""
     monos = [e for e in product(range(d + 1), repeat=len(vars))
-             if sum(a * w for a, w in zip(e, weights)) == d]
+             if sum(a * w for a, w in zip(e, weights)) == d and not any(e[:skip])]
     out = Poly.zero(vars)
     for e in rng.sample(monos, min(3, len(monos))):
         out = out + Poly.monomial(vars, e, rng.choice([-3, -2, -1, 1, 2, 3]))
@@ -256,7 +257,9 @@ def test_clearing_matches_the_uncleared_ranks(seed):
 
 
 def test_cleared_rows_of_a_regular_sequence_are_all_pivots(monkeypatch):
-    # H^p = 0 for p < 0, so the rows clearing keeps are exactly independent
+    # H^p = 0 for p < 0, so the rows clearing keeps are exactly independent;
+    # hilbert_table reads a regular section off its closed form, so the
+    # slices are asked for one weight at a time
     handed = []
 
     def counting(rows, leads=None):
@@ -267,8 +270,9 @@ def test_cleared_rows_of_a_regular_sequence_are_all_pivots(monkeypatch):
 
     monkeypatch.setattr(cohomology, "rank_rows", counting)
     K = build_koszul(("x", "y", "z"), [P(s, ("x", "y", "z")) for s in ("x^2", "y^2 + x*z", "z^2")])
-    table = hilbert_table(K, (1, 1, 1), 8)
-    assert all(len(table.rows[p]) == 9 and not any(table.rows[p]) for p in (-3, -2, -1))
+    slices = [slice_cohomology(K, (1, 1, 1), w) for w in range(9)]
+    rows = {p: [dims[p] for dims in slices] for p in (-3, -2, -1)}
+    assert all(len(rows[p]) == 9 and not any(rows[p]) for p in (-3, -2, -1))
     assert handed and all(n == rank for n, rank in handed)
     assert any(n for n, _ in handed)
 
@@ -304,3 +308,90 @@ def test_a_contraction_that_does_not_square_to_zero_is_refused(monkeypatch, flip
         hilbert_table(K, (1, 1, 1), 3)
     with pytest.raises(AssertionError, match="does not square to zero"):
         slice_cohomology(K, (1, 1, 1), 0)
+
+
+# -- the closed form: a regular section's table is read off its Hilbert numerator --
+
+def _counting_ranks(monkeypatch):
+    """Record every rank `hilbert_table` and the slices ask for."""
+    calls = []
+
+    def counting(rows, leads=None):
+        calls.append(1)
+        return rank_rows(rows, leads)
+
+    monkeypatch.setattr(cohomology, "rank_rows", counting)
+    return calls
+
+
+def _triangular(rng, vars, weights, powers):
+    """x_i^a_i plus noise in the later variables only.  The only common zero is
+    the origin, so the components are a regular sequence, and so is any part."""
+    return [Poly.monomial(vars, tuple(a if k == i else 0 for k in range(len(vars))))
+            + _quasi_homogeneous(rng, vars, weights, a * weights[i], skip=i + 1)
+            for i, a in enumerate(powers)]
+
+
+def _regular_cases(seed):
+    """(complex, weights) of seeded regular sections: m = n and m < n, unit and
+    non-unit weights, fractional coefficients, and tautological sections."""
+    rng = Random(f"regular-{seed}")
+    vs, ws = ("x", "y", "z"), (2, 1, 3)
+    regular = _triangular(rng, vs, ws, (3, 4, 2))
+    yield build_koszul(vs, regular), ws
+    yield build_koszul(vs, regular[1:]), ws
+    yield build_koszul(vs, [_fractional(rng, p) for p in regular[:2]]), ws
+    vs, ws = ("x", "y"), (1, 2)
+    pair = _triangular(rng, vs, ws, (4, 3))
+    yield build_koszul(vs, [_fractional(rng, p) for p in pair]), ws
+    yield build_koszul(vs, pair[:1]), ws
+    yield build_koszul(vs, _triangular(rng, vs, (1, 1), (3, 2))), (1, 1)
+    yield build_tautological_koszul(("x",), 3), (1,) * 4
+    yield build_tautological_koszul(("x", "y"), 2), (1, 2, 1, 1)
+    yield build_tautological_koszul((), 2), (1, 1)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_closed_form_tables_match_the_slices(monkeypatch, seed):
+    cutoff = 9
+    calls = _counting_ranks(monkeypatch)
+    for K, ws in _regular_cases(seed):
+        table = hilbert_table(K, ws, cutoff)
+        assert not calls, str(K)  # read off the closed form: no slice was ranked
+        for w in range(cutoff + 1):
+            assert slice_cohomology(K, ws, w) == {p: table.rows[p][w] for p in table.rows}, \
+                (str(K), w)
+        assert calls
+        calls.clear()
+
+
+@pytest.mark.parametrize("vs, srcs", [
+    (VS, ["x*y", "x^2"]),        # a common factor: H^-1 is not zero
+    (("x",), ["x", "0"]),        # a zero component
+    (VS, ["1", "x"]),            # a unit component: R/I = 0, and its numerator is the product
+    (VS, ["x", "y", "x + y"]),   # more components than the quotient has room for
+])
+def test_sections_outside_the_theorem_are_sliced(monkeypatch, vs, srcs):
+    K, ws = build_koszul(vs, [P(s, vs) for s in srcs]), (1,) * len(vs)
+    calls = _counting_ranks(monkeypatch)
+    table = hilbert_table(K, ws, 6)
+    assert calls
+    series = _euler_series(generator_degrees(K, ws), ws, 6)
+    assert [sum((-1) ** p * table.rows[p][w] for p in table.rows) for w in range(7)] == series
+
+
+def test_a_slice_table_whose_h0_disagrees_with_groebner_is_refused(monkeypatch):
+    K = build_koszul(VS, [P("x*y"), P("x^2")])
+    assert hilbert_table(K, (1, 1), 4).rows[0] == (1, 2, 1, 1, 1)
+    ranks = []
+
+    def under_reporting(rows, leads=None):
+        rank = rank_rows(rows, leads)
+        ranks.append(rank)
+        return rank - 1 if len(ranks) == 1 else rank
+
+    # the first differential ranked is d_{-1} in weight 2, onto degree zero
+    monkeypatch.setattr(cohomology, "rank_rows", under_reporting)
+    with pytest.raises(AssertionError, match="in weight 2: the slice gives 2, the Groebner basis 1"):
+        hilbert_table(K, (1, 1), 4)
+    assert ranks[0] == 2

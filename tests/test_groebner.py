@@ -10,12 +10,12 @@ import pytest
 import potentials
 from dcrit.cli import main
 from dcrit.cohomology import InhomogeneousSectionError, hilbert_table
-from dcrit.groebner import (INFINITE, GroebnerBasis, buchberger, jacobian_ideal,
-                            milnor_number, normal_form, quotient_dimension,
-                            standard_monomials)
+from dcrit.groebner import (INFINITE, GroebnerBasis, buchberger, ci_numerator,
+                            jacobian_ideal, milnor_number, normal_form,
+                            quotient_dimension, standard_monomials)
 from dcrit.koszul import build_koszul
 from dcrit.parsing import parse_poly
-from dcrit.poly import Poly, degrevlex_key, gradient
+from dcrit.poly import Poly, degrevlex_key, gradient, monomials_of_weight
 from dcrit.symplectic import obstruction_theory
 
 VS = ("x", "y")
@@ -530,3 +530,108 @@ def test_crit_enumerates_the_standard_monomials_once(monkeypatch, capsys):
     doc = json.loads(capsys.readouterr().out)["results"]
     assert doc["milnor"] == doc["obstruction"]["quotient_dim"] == 6
     assert len(calls) == 1
+
+
+# -- the Hilbert numerator: counting from the leading terms alone -----------
+
+def series(k, weights, cutoff):
+    """Coefficients of K(t) / prod_i (1 - t^w_i) up to t^cutoff."""
+    c = [k.get(e, 0) for e in range(cutoff + 1)]
+    for w in weights:
+        for e in range(w, cutoff + 1):
+            c[e] += c[e - w]
+    return c
+
+
+def standard_counts(gb, weights, cutoff):
+    """Per weight, the listed monomials no leading term of the basis divides."""
+    leads = [g.leading()[0] for g in gb.gens]
+    return [sum(1 for e in monomials_of_weight(weights, w)
+                if not any(all(a <= b for a, b in zip(lt, e)) for lt in leads))
+            for w in range(cutoff + 1)]
+
+
+def own_weights(f):
+    """Weights making f quasi-homogeneous: lcm/a_i for a sum of pure powers, else 1."""
+    if any(sum(1 for a in e if a) != 1 for e in f.terms):
+        return (1,) * len(f.vars)
+    powers = [next(e[i] for e in f.terms if e[i]) for i in range(len(f.vars))]
+    return tuple(lcm(*powers) // a for a in powers)
+
+
+def seeded_ideals(seed):
+    """(generators, weights to count in) over the seeded ideals of this file and of potentials."""
+    rng = random.Random(f"numerator-{seed}")
+    for gens in (random_ideal(seed), integer_path_ideal(seed), zero_dimensional_ideal(seed)):
+        n = len(gens[0].vars)
+        yield gens, (1,) * n
+        yield gens, tuple(rng.randint(1, 3) for _ in range(n))
+    for f, _ in potentials.corpus(seed):
+        yield list(gradient(f)), (1,) * len(f.vars)
+        yield list(gradient(f)), own_weights(f)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_hilbert_numerator_counts_the_standard_monomials(seed):
+    cutoff = 14
+    for gens, ws in seeded_ideals(seed):
+        gb = buchberger(gens)
+        q = gb.quotient()
+        k = q.hilbert_numerator(ws)
+        assert all(k.values())
+        assert series(k, ws, cutoff) == standard_counts(gb, ws, cutoff), ([str(g) for g in gens], ws)
+        if q.monomials is None:
+            assert q.dimension is INFINITE
+        else:
+            assert q.dimension == len(q.monomials)
+            # a finite quotient's series is a polynomial: zero past its top weight
+            top = max((sum(a * w for a, w in zip(e, ws)) for e in q.monomials), default=0)
+            assert not any(series(k, ws, top + 6)[top + 1:])
+
+
+def test_hilbert_numerator_of_degenerate_ideals():
+    assert buchberger([P("x"), P("x + 1")]).quotient().hilbert_numerator((1, 1)) == {}
+    assert buchberger([P("0")]).quotient().hilbert_numerator((2, 3)) == {0: 1}
+    assert buchberger([Poly.zero(())]).quotient().hilbert_numerator(()) == {0: 1}
+    # (x^2, x*y, y^3), by inclusion and exclusion of the lcms:
+    # 1 - (t^2 + t^2 + t^3) + (t^3 + t^5 + t^4) - t^5; the quotient is 1, x, y, y^2
+    q = buchberger([P("x^2"), P("x*y"), P("y^3")]).quotient()
+    assert q.hilbert_numerator((1, 1)) == {0: 1, 2: -2, 4: 1}
+    assert series(q.hilbert_numerator((1, 1)), (1, 1), 6) == [1, 2, 1, 0, 0, 0, 0]
+    assert q.dimension == 4
+
+
+def test_complete_intersections_have_the_product_numerator():
+    rng = random.Random(5)
+    for seed in range(6):
+        for f, mu in potentials.corpus(seed)[:2]:  # kinds (a) and (b) are homogeneous
+            ws = own_weights(f)
+            d = f.weighted_degree(ws)
+            q = jacobian_ideal(f).quotient()
+            assert q.hilbert_numerator(ws) == ci_numerator(d - w for w in ws), str(f)
+            assert q.dimension == mu
+    # m < n: two generic quadrics in three variables, and a pure power
+    vs = ("x", "y", "z")
+    quadrics = [sum((rng.choice([-2, -1, 1, 2]) * Poly.monomial(vs, e)
+                     for e in ((2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (0, 1, 1))),
+                    Poly.zero(vs)) for _ in range(2)]
+    assert buchberger(quadrics).quotient().hilbert_numerator((1, 1, 1)) == {0: 1, 2: -2, 4: 1}
+    assert buchberger([parse_poly("z^5", vs)]).quotient().hilbert_numerator((1, 2, 3)) == {0: 1, 15: -1}
+    # not a complete intersection: a common factor leaves the product
+    common = buchberger([P("x*y"), P("x^2")]).quotient().hilbert_numerator((1, 1))
+    assert common != ci_numerator((2, 2))
+
+
+def test_dimension_is_counted_not_listed(monkeypatch, capsys):
+    import dcrit.groebner as groebner
+
+    def refuse(*ranges):
+        raise AssertionError("standard monomials listed for a count")
+
+    monkeypatch.setattr(groebner, "product", refuse)
+    for src, vars, mu in (("x^2000 + y^2000", "x,y", 1999 ** 2), ("x^100000000", "x", 99999999),
+                          ("x^3 + y^3 + z^3 + x*y*z", "x,y,z", 8)):
+        assert main(["crit", "--vars", vars, "-f", src, "--milnor", "--json", "--no-timing"]) == 0
+        assert json.loads(capsys.readouterr().out)["results"]["milnor"] == mu
+    assert main(["zero", "--vars", "x,y", "--section", "x^3, y^4", "--json", "--no-timing"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["h0_dimension"] == 12
