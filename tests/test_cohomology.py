@@ -313,7 +313,7 @@ def test_a_contraction_that_does_not_square_to_zero_is_refused(monkeypatch, flip
 # -- the closed form: a regular section's table is read off its Hilbert numerator --
 
 def _counting_ranks(monkeypatch):
-    """Record every rank `hilbert_table` and the slices ask for."""
+    """Count the `rank_rows` calls the cohomology module makes from here on."""
     calls = []
 
     def counting(rows, leads=None):
