@@ -23,9 +23,9 @@ from .parsing import (ParseError, parse_one_form, parse_poly, parse_polyvector,
 from .groebner import (INFINITE, GroebnerBasis, buchberger, jacobian_ideal,
                        milnor_number, normal_form, quotient_dimension,
                        standard_monomials)
-from .koszul import (BaseChangeReport, KoszulComplex, MatrixComplex,
-                     TautologicalKoszul, augmentation, base_change_compare,
-                     build_koszul, build_tautological_koszul, check_d_squared)
+from .koszul import (BaseChangeReport, KoszulComplex, TautologicalKoszul,
+                     augmentation, base_change_compare, build_koszul,
+                     build_tautological_koszul, check_d_squared)
 from .cohomology import (HilbertTable, InhomogeneousSectionError,
                          RegularSequenceReport, ResolutionCertificate,
                          hilbert_table, is_regular_sequence,
@@ -36,8 +36,7 @@ from .polyvec import (VolumeForm, alpha_of_vector, apply_vector, bv_delta,
                       schouten, vol_contract, vol_contract_inv)
 from .symplectic import (LagrangianIntersection, NotClosedError,
                          ObstructionReport, PairingReport, hessian, intersect_graph_lagrangians,
-                         minus_one_pairing, obstruction_theory,
-                         pairing_report, tangent_complex)
+                         minus_one_pairing, obstruction_theory, pairing_report)
 from .coalgebra import (TensorElt, antipode, coaction, comultiply, counit,
                         tensor_collapse, tensor_flip, tensor_multiply)
 from .checks import CheckReport
@@ -52,7 +51,7 @@ __all__ = [
     "parse_section",
     "INFINITE", "GroebnerBasis", "buchberger", "jacobian_ideal",
     "milnor_number", "normal_form", "quotient_dimension", "standard_monomials",
-    "BaseChangeReport", "KoszulComplex", "MatrixComplex", "TautologicalKoszul",
+    "BaseChangeReport", "KoszulComplex", "TautologicalKoszul",
     "augmentation", "base_change_compare", "build_koszul",
     "build_tautological_koszul", "check_d_squared",
     "HilbertTable", "InhomogeneousSectionError", "RegularSequenceReport",
@@ -65,7 +64,7 @@ __all__ = [
     "LagrangianIntersection", "NotClosedError", "ObstructionReport",
     "PairingReport", "hessian",
     "intersect_graph_lagrangians", "minus_one_pairing", "obstruction_theory",
-    "pairing_report", "tangent_complex",
+    "pairing_report",
     "TensorElt", "antipode", "coaction", "comultiply", "counit",
     "tensor_collapse", "tensor_flip", "tensor_multiply",
     "CheckReport", "CriterionResult", "run_all",

@@ -10,7 +10,9 @@ a regular sequence (Stanley), its Koszul complex resolves R/I, and the whole
 table is read off K: no slice is built.  Every other section is sliced, each
 slice handled by exact rank computation on integer columns, and each
 degree-zero entry is checked against K, an independent route to the same
-number.
+number.  `is_regular_sequence` and `resolution_certificate` read the table;
+`slice_cohomology` always slices, and is the reference the table is tested
+against.
 """
 
 from __future__ import annotations
@@ -225,17 +227,18 @@ class RegularSequenceReport:
 
 
 def is_regular_sequence(c: KoszulComplex, weights, cutoff: int) -> RegularSequenceReport:
-    """Check H^p = 0 for all p < 0 in every weight slice up to the cutoff.
+    """Check H^p = 0 for all p < 0 in every weight up to the cutoff.
 
-    A nonzero slice is a definitive failure; an all-zero sweep certifies
-    regularity only up to the cutoff, which the report records.
+    Read off `hilbert_table`, so a regular section takes the closed form
+    and builds no slice.  The first failure is the first nonzero negative
+    entry, weight by weight and then degree by degree; it is definitive.
+    An all-zero table certifies regularity only up to the cutoff, which the
+    report records.
     """
-    slices = _Slices(c, normalize_weights(c.ambient.vars, weights))
-    _require_d_squared(c)
+    rows = hilbert_table(c, weights, cutoff).rows
     for w in range(cutoff + 1):
-        dims = slices.cohomology(w)
         for p in range(-c.rank, 0):
-            if dims[p]:
+            if rows[p][w]:
                 return RegularSequenceReport(False, cutoff, (p, w))
     return RegularSequenceReport(True, cutoff, None)
 

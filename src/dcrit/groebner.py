@@ -39,8 +39,9 @@ x_k*s is standard, or the leading term of a reduced generator g
 (NF = lt(g) - g), or x_j*b' for a smaller non-standard b'
 (NF = M_j NF(b'), FGLM's increasing-order rule).  After that every normal
 form in R/I is linear algebra on vectors of length mu, memoized per
-monomial.  Those vectors are kept as int numerators over one positive int
-denominator, and the public readers hand them out as Fractions.
+monomial.  Those vectors are IntVectors, int numerators over one positive
+int denominator, and `Quotient.matrices`, `vector` and
+`multiplication_matrix` hand them out as they are.
 """
 
 from __future__ import annotations
@@ -184,7 +185,6 @@ def _s_poly(f, g, lcm_exps: Exponents) -> dict[Exponents, int]:
 
 
 IntVector = tuple  # (standard-monomial index -> nonzero int numerator, positive int denominator)
-Vector = dict  # standard-monomial index -> nonzero rational coefficient
 
 
 def _shift(exps: Exponents, k: int, d: int) -> Exponents:
@@ -213,11 +213,6 @@ def _apply(columns: Sequence[IntVector], v: IntVector) -> IntVector:
     """The matrix with these sparse columns, applied to a sparse vector."""
     nums, den = v
     return _combine([(c, columns[t]) for t, c in nums.items()], den)
-
-
-def _rational(v: IntVector) -> Vector:
-    nums, den = v
-    return {r: Fraction(a, den) for r, a in nums.items()}
 
 
 def ci_numerator(degrees: Iterable[int]) -> dict[int, int]:
@@ -271,15 +266,14 @@ def _hilbert_numerator(gens: list[Exponents], ws: tuple[int, ...]) -> dict[int, 
 class Quotient:
     """R/I as a Q-vector space on the standard monomials of a Groebner basis.
 
-    Vectors are sparse dicts from a standard monomial's position in
-    `monomials` to its coefficient.  Each part is computed the first time it
-    is asked for and kept: `monomials` needs only the leading terms, and
-    the matrices, with the normal forms built on them, are made only when a
-    vector is asked for.  Inside, a vector is an IntVector, int numerators
-    over a positive int denominator; `matrices`, `vector` and
-    `multiplication_matrix` hand out Fractions, `integer_multiplication_matrix`
-    the IntVectors themselves.  What it hands out is shared: read it, do
-    not change it.
+    A vector is an IntVector (nums, den): nums is a sparse dict from a
+    standard monomial's position in `monomials` to a nonzero int numerator,
+    den a positive int denominator, and the two share no factor.  Each part
+    is computed the first time it is asked for and kept: `monomials` needs
+    only the leading terms, and the matrices, with the normal forms built on
+    them, are made only when a vector is asked for.  What `matrices`,
+    `vector` and `multiplication_matrix` hand out is shared: read it, do not
+    change it.
     """
 
     def __init__(self, vars: tuple[str, ...], divisors: list):
@@ -358,13 +352,8 @@ class Quotient:
         return self.monomials
 
     @cached_property
-    def matrices(self) -> tuple[tuple[Vector, ...], ...]:
-        """M_k for each variable x_k, as columns: column s is the vector of NF(x_k*s)."""
-        return tuple(tuple(map(_rational, columns)) for columns in self._matrices)
-
-    @cached_property
-    def _matrices(self) -> tuple[tuple[IntVector, ...], ...]:
-        """The M_k with IntVector columns.
+    def matrices(self) -> tuple[tuple[IntVector, ...], ...]:
+        """M_k for each variable x_k, as columns: column s is the vector of NF(x_k*s).
 
         Border monomials x_k*s are taken in increasing order.  A standard one
         is a unit vector and a reduced generator's leading term reads its
@@ -410,7 +399,7 @@ class Quotient:
 
     def _monomial_vector(self, exps: Exponents) -> IntVector:
         """NF(x^exps), memoized: M_k applied to NF(x^(exps - e_k))."""
-        matrices = self._matrices
+        matrices = self.matrices
         memo = self._memo  # made along with the matrices
         path = []
         while exps not in memo:
@@ -422,33 +411,26 @@ class Quotient:
             memo[exps] = v = _apply(matrices[k], v)
         return v
 
-    def _int_vector(self, p: Poly) -> IntVector:
+    def vector(self, p: Poly) -> IntVector:
+        """NF(p) in R/I as a vector."""
         if p.vars != self.vars:
             raise ValueError("polynomial lives over different variables")
         work, d = _integral(p.terms)
         return _combine([(c, self._monomial_vector(e)) for e, c in work.items()], d)
 
-    def vector(self, p: Poly) -> Vector:
-        """NF(p) in R/I as a vector."""
-        return _rational(self._int_vector(p))
-
-    def integer_multiplication_matrix(self, p: Poly) -> list[IntVector]:
-        """Multiplication by p on R/I, as IntVector columns: column s is NF(p*s).
+    def multiplication_matrix(self, p: Poly) -> list[IntVector]:
+        """Multiplication by p on R/I, as columns: column s is the vector of NF(p*s).
 
         The column of the monomial 1 is NF(p); every other standard monomial
         s is x_k times a smaller standard monomial s', and its column is M_k
         times that of s'.
         """
-        columns = [self._int_vector(p)]
-        matrices, index = self._matrices, self.index
+        columns = [self.vector(p)]
+        matrices, index = self.matrices, self.index
         for s in self._finite_monomials()[1:]:
             k = next(k for k, a in enumerate(s) if a)
             columns.append(_apply(matrices[k], columns[index[_shift(s, k, -1)]]))
         return columns[:len(index)]  # none at all for the unit ideal
-
-    def multiplication_matrix(self, p: Poly) -> list[Vector]:
-        """Multiplication by p on R/I, as columns: column s is the vector of NF(p*s)."""
-        return [_rational(v) for v in self.integer_multiplication_matrix(p)]
 
 
 @dataclass(frozen=True)

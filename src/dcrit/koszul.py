@@ -8,14 +8,13 @@ coordinates themselves as the section, gives the tautological complex;
 substituting a concrete section for the fiber coordinates recovers the
 usual Koszul complex on the nose, and `base_change_compare` checks that
 entrywise.  So d∘d = 0 is decided once, by `check_d_squared`, on the
-tautological section.  A `MatrixComplex` is given by raw polynomial
-matrices instead; the tangent complex of a critical locus is one.
+tautological section.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from typing import Sequence, Union
 
 from itertools import combinations
 
@@ -147,36 +146,6 @@ def base_change_compare(taut: TautologicalKoszul, components: Sequence[Poly]) ->
                         "specialized": str(specialized), "direct": str(de),
                     })
     return BaseChangeReport(True, None)
-
-
-@dataclass(frozen=True)
-class MatrixComplex:
-    """A complex of free modules over Q[vars], given by raw matrices.
-
-    matrices maps a source degree p to the matrix of the map out of p, rows
-    indexed by the target basis.  Absent degrees carry the zero map.  The
-    tangent complex of a critical locus is {0: Hessian}, and the graph
-    intersection's is {0: Jacobian}.
-    """
-
-    vars: tuple[str, ...]
-    matrices: Mapping[int, list[list[Poly]]]
-
-    def __post_init__(self):
-        for matrix in self.matrices.values():
-            if len({len(row) for row in matrix}) > 1:
-                raise ValueError("matrix rows must have equal length")
-            for row in matrix:
-                for p in row:
-                    if p.vars != self.vars:
-                        raise ValueError("matrix entry lives over different variables")
-
-    @property
-    def degrees(self) -> list[int]:
-        return sorted(self.matrices)
-
-    def differential_matrix(self, p: int) -> list[list[Poly]]:
-        return self.matrices.get(p, [])
 
 
 def check_d_squared(c: KoszulComplex) -> bool:

@@ -1,13 +1,13 @@
-"""Two-term tangent complexes of critical loci and their shifted pairing.
+"""The Hessian of a critical locus, its shifted pairing, and obstruction ranks.
 
 For f in Q[x_1..x_n], the critical locus carries the two-term complex
-T^0 -> T^1 (both free of rank n) with differential the Hessian of f: a
-`MatrixComplex` with one map, out of degree 0.  The symmetry of that
-matrix is exactly what makes the degree -1 pairing of the complex with
-itself well defined, and the pairing is perfect levelwise (the duality map
-is the identity on the chosen bases).  Intersections of graph Lagrangians
-reduce to Koszul complexes of differences of closed 1-forms, with the same
-Hessian-style pairing attached.
+T^0 -> T^1 (both free of rank n) with differential the Hessian of f, so
+the complex is the square matrix itself.  The symmetry of that matrix is
+exactly what makes the degree -1 pairing of the complex with itself well
+defined, and the pairing is perfect levelwise (the duality map is the
+identity on the chosen bases).  Intersections of graph Lagrangians reduce
+to Koszul complexes of differences of closed 1-forms, with the same
+pairing attached to the Jacobian of the difference.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .groebner import INFINITE, GroebnerBasis, jacobian_ideal, standard_monomials
 from .exterior import Section
-from .koszul import KoszulComplex, MatrixComplex
+from .koszul import KoszulComplex
 from .linalg import rank_rows
 from .poly import Poly, gradient
 from .polyvec import closedness_witness
@@ -53,11 +53,6 @@ def is_symmetric(m) -> bool:
     return [list(row) for row in m] == [list(col) for col in zip(*m)]
 
 
-def tangent_complex(f: Poly) -> MatrixComplex:
-    """T^0 -> T^1, both free of rank n, with the Hessian as differential."""
-    return MatrixComplex(f.vars, {0: hessian(f)})
-
-
 def _flat(matrix) -> list[str]:
     return [str(p) for row in matrix for p in row]
 
@@ -76,25 +71,27 @@ class PairingReport:
                 "nondegenerate": self.nondegenerate}
 
 
-def pairing_report(complex: MatrixComplex) -> PairingReport:
-    """Symmetry decides everything: an asymmetric matrix admits no pairing.
+def pairing_report(matrix) -> PairingReport:
+    """The degree -1 pairing of T^0 -> T^1 with this square matrix as differential.
 
-    The complex must be one square matrix out of degree 0.  When the matrix
-    is symmetric the pairing is perfect levelwise, with the identity matrix
-    as duality map on the chosen bases.
+    Symmetry decides everything: an asymmetric matrix admits no pairing.
+    When the matrix is symmetric the pairing is perfect levelwise, with the
+    identity matrix as duality map on the chosen bases.
     """
-    m = complex.differential_matrix(0)
-    if complex.degrees != [0] or any(len(row) != len(m) for row in m):
-        raise ValueError("a pairing needs one square matrix out of degree 0")
+    m = tuple(tuple(row) for row in matrix)
+    if any(len(row) != len(m) for row in m):
+        raise ValueError("a pairing needs a square matrix")
+    if len({p.vars for row in m for p in row}) > 1:
+        raise ValueError("matrix entry lives over different variables")
     sym = is_symmetric(m)
     duality = ("identity on the chosen bases (perfect levelwise)" if sym
                else "none: differential is not self-adjoint")
-    return PairingReport(tuple(tuple(row) for row in m), sym, sym, duality)
+    return PairingReport(m, sym, sym, duality)
 
 
 def minus_one_pairing(f: Poly, hess=None) -> PairingReport:
     """The pairing of f's tangent complex; `hess`, when given, must be hessian(f)."""
-    return pairing_report(MatrixComplex(f.vars, {0: _given_hessian(f, hess)}))
+    return pairing_report(_given_hessian(f, hess))
 
 
 @dataclass(frozen=True)
@@ -145,7 +142,7 @@ def obstruction_theory(f: Poly, basis: GroebnerBasis | None = None,
     for i in range(n):
         for j in range(i if sym else 0, n):
             if not h[i][j].is_zero():
-                blocks[i, j] = quotient.integer_multiplication_matrix(h[i][j])
+                blocks[i, j] = quotient.multiplication_matrix(h[i][j])
                 if sym:
                     blocks[j, i] = blocks[i, j]
     # each column, scaled by the lcm of its blocks' denominators, is integral;
@@ -202,5 +199,4 @@ def intersect_graph_lagrangians(alpha: Section, beta: Section) -> LagrangianInte
     vs = alpha.ambient.vars
     diff = tuple(a - b for a, b in zip(alpha.components, beta.components))
     jac = [[d.diff(v) for v in vs] for d in diff]
-    return LagrangianIntersection(KoszulComplex(Section(alpha.ambient, diff)),
-                                  pairing_report(MatrixComplex(vs, {0: jac})))
+    return LagrangianIntersection(KoszulComplex(Section(alpha.ambient, diff)), pairing_report(jac))

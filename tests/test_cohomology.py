@@ -93,6 +93,12 @@ def test_regular_sequence_reports():
     assert degenerate.first_failure == (-1, 1)
 
 
+def test_regular_sequence_refuses_a_negative_cutoff():
+    K = build_koszul(VS, [P("x"), P("y")])
+    with pytest.raises(ValueError, match="cutoff must be nonnegative"):
+        is_regular_sequence(K, (1, 1), -1)
+
+
 def test_resolution_certificate_small():
     cert = resolution_certificate(build_tautological_koszul(("x",), 2), 6)
     assert cert.ok and cert.h0_matches and cert.negatives_vanish
@@ -378,6 +384,38 @@ def test_sections_outside_the_theorem_are_sliced(monkeypatch, vs, srcs):
     assert calls
     series = _euler_series(generator_degrees(K, ws), ws, 6)
     assert [sum((-1) ** p * table.rows[p][w] for p in table.rows) for w in range(7)] == series
+
+
+def _regularity_cases(seed):
+    """(complex, weights, regular): seeded regular and common-factor sections of ranks 2 and 3."""
+    rng = Random(f"regularity-{seed}")
+    for vs, ws, powers in ((VS, (1, 2), (4, 3)), (("x", "y", "z"), (2, 1, 3), (3, 4, 2))):
+        yield build_koszul(vs, _triangular(rng, vs, ws, powers)), ws, True
+        g = _quasi_homogeneous(rng, vs, ws, rng.choice([1, 2]))
+        common = [g * _quasi_homogeneous(rng, vs, ws, rng.choice([2, 3])) for _ in vs]
+        yield build_koszul(vs, common), ws, False
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_regular_sequence_first_failure_matches_the_slices(monkeypatch, seed):
+    # the reference: slice_cohomology's first nonzero negative entry, weight by
+    # weight and then degree by degree.  The cutoff reaches the first H^-2
+    # class of each rank-3 common factor, which comes after its first H^-1.
+    cutoff = 14
+    calls = _counting_ranks(monkeypatch)
+    for K, ws, regular in _regularity_cases(seed):
+        report = is_regular_sequence(K, ws, cutoff)
+        assert bool(calls) is not regular, str(K)  # a regular section slices nothing
+        sliced = None
+        for w in range(cutoff + 1):
+            dims = slice_cohomology(K, ws, w)
+            sliced = next(((p, w) for p in range(-K.rank, 0) if dims[p]), None)
+            if sliced:
+                break
+        assert report.first_failure == sliced, str(K)
+        assert report.regular is (sliced is None) is regular, str(K)
+        assert report.cutoff == cutoff
+        calls.clear()
 
 
 def test_a_slice_table_whose_h0_disagrees_with_groebner_is_refused(monkeypatch):

@@ -3,7 +3,7 @@
 import json
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
@@ -399,16 +399,28 @@ def test_buchberger_hands_the_divisors_the_constructor_would_find(seed):
 
 # -- the quotient R/I: border-basis oracle -----------------------------------
 
+def assert_int_vector(v):
+    """(nums, den): nonzero int numerators over a positive int denominator, in lowest terms."""
+    nums, den = v
+    assert type(den) is int and den > 0
+    assert all(type(a) is int and a for a in nums.values())
+    assert gcd(den, *nums.values()) == 1
+
+
 def apply(columns, v):
+    """The matrix with these IntVector columns applied to an IntVector, in Fractions."""
+    nums, den = v
     out = {}
-    for t, c in v.items():
-        for r, a in columns[t].items():
-            out[r] = out.get(r, 0) + c * a
+    for t, c in nums.items():
+        col_nums, col_den = columns[t]
+        for r, a in col_nums.items():
+            out[r] = out.get(r, 0) + Fraction(c * a, den * col_den)
     return {r: a for r, a in out.items() if a}
 
 
 def as_poly(quotient, v):
-    return Poly(quotient.vars, {quotient.monomials[r]: c for r, c in v.items()})
+    nums, den = v
+    return Poly(quotient.vars, {quotient.monomials[r]: Fraction(c, den) for r, c in nums.items()})
 
 
 def zero_dimensional_ideal(seed):
@@ -434,6 +446,7 @@ def check_border_basis(gens, seed):
     for k in range(n):
         for s, m in enumerate(q.monomials):
             xs = Poly.monomial(gb.vars, tuple(e + (i == k) for i, e in enumerate(m)))
+            assert_int_vector(M[k][s])
             assert as_poly(q, M[k][s]) == gb.normal_form(xs)
     # the multiplication matrices commute, independently of S-pair bookkeeping
     for j in range(n):
@@ -442,10 +455,11 @@ def check_border_basis(gens, seed):
                 assert apply(M[j], M[k][s]) == apply(M[k], M[j][s])
     # every original generator is zero in the quotient
     for g in gens:
-        assert q.vector(g) == {}
+        assert q.vector(g) == ({}, 1)
     rng = random.Random(seed)
     for _ in range(6):
         p = random_poly(rng, gb.vars, 6, 6)
+        assert_int_vector(q.vector(p))
         assert as_poly(q, q.vector(p)) == gb.normal_form(p)
     return q
 
@@ -465,12 +479,13 @@ def test_quotient_is_a_border_basis_of_corpus_jacobians(seed):
 def test_quotient_of_the_unit_and_the_zero_variable_ideal():
     unit = buchberger([P("x"), P("x + 1")]).quotient()
     assert unit.monomials == () and unit.matrices == ((), ())
-    assert unit.vector(P("x^3*y + 5")) == {}
+    assert unit.vector(P("x^3*y + 5")) == ({}, 1)
     assert unit.multiplication_matrix(P("x")) == []
     point = buchberger([Poly.zero(())]).quotient()
     assert point.monomials == ((),) and point.matrices == ()
-    assert point.vector(parse_poly("3", ())) == {0: 3}
-    assert point.multiplication_matrix(parse_poly("2", ())) == [{0: 2}]
+    assert point.vector(parse_poly("3", ())) == ({0: 3}, 1)
+    assert point.vector(parse_poly("3/4", ())) == ({0: 3}, 4)
+    assert point.multiplication_matrix(parse_poly("2", ())) == [({0: 2}, 1)]
     with pytest.raises(ValueError):
         unit.vector(parse_poly("x", ("x",)))
 
@@ -497,6 +512,8 @@ def test_multiplication_matrix_columns_are_normal_forms():
     q = gb.quotient()
     for h in (P("x^3 - 2*y"), P("7"), P("0"), P("x*y^4 + 1/3*x")):
         columns = q.multiplication_matrix(h)
+        for c in columns:
+            assert_int_vector(c)
         assert [as_poly(q, c) for c in columns] == [
             gb.normal_form(h * Poly.monomial(VS, m)) for m in q.monomials]
 
@@ -507,8 +524,7 @@ def test_counting_never_builds_the_matrices(monkeypatch, capsys):
     def refuse(self):
         raise AssertionError("multiplication matrices built for a count")
 
-    # the integer matrices are the build; the public Fraction ones are read off them
-    monkeypatch.setattr(groebner.Quotient, "_matrices", property(refuse))
+    monkeypatch.setattr(groebner.Quotient, "matrices", property(refuse))
     assert main(["zero", "--vars", "x,y", "--section", "x^2 + y, y^3 - x*y",
                  "--json", "--no-timing"]) == 0
     assert main(["crit", "--vars", "x,y", "-f", "x^3 + y^4", "--milnor", "--hilbert",

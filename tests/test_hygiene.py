@@ -3,9 +3,11 @@
 Every name a module under src/dcrit imports must be used in that module
 (`__init__.py` re-exports, so it is exempt), and every import must come from
 the standard library or from dcrit itself: the runtime is stdlib-only.
-Every layer the benchmark harness times or counts by name (`TIMED` and
-`CALLED` in bench/run.py) must still be a public function of its module:
-the harness reads a missing one as zero instead of failing.
+`dcrit.__all__` names exactly what `__init__.py` imports, plus
+`__version__`, and each name resolves.  Every layer the benchmark harness
+times or counts by name (`TIMED` and `CALLED` in bench/run.py) must still be
+a public function of its module: the harness reads a missing one as zero
+instead of failing.
 """
 
 import ast
@@ -62,6 +64,16 @@ def test_every_imported_name_is_used(path):
     unused = [name for module, _, names in imports(tree) if module != "__future__"
               for name in names if name not in used]
     assert unused == []
+
+
+def test_all_is_exactly_what_init_imports():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = [name for module, _, names in imports(tree) if module != "__future__"
+                for name in names]
+    dcrit = importlib.import_module("dcrit")
+    assert sorted(dcrit.__all__) == sorted(imported + ["__version__"])
+    for name in dcrit.__all__:
+        assert hasattr(dcrit, name), name
 
 
 def traced_layers():
