@@ -1,7 +1,8 @@
 """A first tour: exact polynomials and the wedge algebra they coefficient.
 
-Everything below runs over Q with fractions.Fraction coefficients, so every
-printed value is exact.  Run as: python3 demos/01_polynomials_and_wedges.py
+Everything below runs over Q with exact coefficients: an int when integral,
+a fractions.Fraction otherwise, never a float, so every printed value is
+exact.  Run as: python3 demos/01_polynomials_and_wedges.py
 """
 
 from fractions import Fraction

@@ -14,7 +14,7 @@ from random import Random
 from typing import Callable, Sequence
 
 from .exterior import Ambient, ExtElt, Section
-from .poly import Poly
+from .poly import Poly, Scalar
 
 
 @dataclass
@@ -53,13 +53,13 @@ def _require_trials(trials: int) -> None:
         raise ValueError(f"trials must be nonnegative, got {trials}")
 
 
-def rand_coeff(rng: Random) -> Fraction:
+def rand_coeff(rng: Random) -> Scalar:
     c = 0
     while c == 0:
         c = rng.randint(-3, 3)
     if rng.random() < 0.2:
         return Fraction(c, rng.randint(2, 3))
-    return Fraction(c)
+    return c
 
 
 def rand_exps(rng: Random, nvars: int, max_deg: int) -> tuple[int, ...]:

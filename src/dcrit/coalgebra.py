@@ -15,7 +15,6 @@ coefficient never splits the polynomial between the slots.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 from random import Random
 from typing import Callable, Sequence
@@ -23,7 +22,7 @@ from typing import Callable, Sequence
 from .checks import CheckReport, _require_trials, rand_mixed, rand_section, shrink_elements
 from .exterior import Ambient, ExtElt, Section, _contract, contract, merge_sign, wedge
 from .koszul import KoszulComplex, default_gens
-from .poly import Exponents, Poly, _Terms, exps_add, monomial_str
+from .poly import Exponents, Poly, Scalar, _Terms, exps_add, monomial_str
 
 TensorKey = tuple[Exponents, tuple[int, ...], tuple[int, ...]]
 
@@ -44,7 +43,7 @@ class TensorElt(_Terms):
     @classmethod
     def tensor(cls, a: ExtElt, b: ExtElt) -> "TensorElt":
         a._check(b)
-        terms: dict[TensorKey, Fraction] = {}
+        terms: dict[TensorKey, Scalar] = {}
         for (e1, s1), c1 in a.terms.items():
             for (e2, s2), c2 in b.terms.items():
                 key = (exps_add(e1, e2), s1, s2)
@@ -103,7 +102,7 @@ def coaction(complex: KoszulComplex, a: ExtElt) -> TensorElt:
 def tensor_multiply(s: TensorElt, t: TensorElt) -> TensorElt:
     """Slotwise wedge with the sign rule (a (x) b)(c (x) d) = (-1)^(|b||c|) ac (x) bd."""
     s._check(t)
-    terms: dict[TensorKey, Fraction] = {}
+    terms: dict[TensorKey, Scalar] = {}
     for (e1, u1, v1), c1 in s.terms.items():
         for (e2, u2, v2), c2 in t.terms.items():
             cross = -1 if (len(v1) * len(u2)) % 2 else 1
@@ -137,7 +136,7 @@ def tensor_collapse(t: TensorElt) -> ExtElt:
 
 def _slot_map(t: TensorElt, fn: Callable[[ExtElt], ExtElt], slot: int) -> TensorElt:
     """Apply an even R-linear map to the slot at key position 1 or 2 (no crossing signs arise)."""
-    terms: dict[TensorKey, Fraction] = {}
+    terms: dict[TensorKey, Scalar] = {}
     for key, c in t.terms.items():
         image = fn(ExtElt._make(t.ambient, {(key[0], key[slot]): c}))
         for (iexps, isub), ic in image.terms.items():

@@ -2,7 +2,8 @@
 
 Elements live in R otimes Lambda(e_1, ..., e_m) for R = Q[vars]: sparse maps
 from (exponent vector, strictly increasing generator subset) to nonzero
-rational coefficients.  The generator in slot j of a wedge monomial is
+rational coefficients, stored as `Poly` stores them: ints for integral
+input, Fractions otherwise.  The generator in slot j of a wedge monomial is
 e_{j}; a subset is a tuple of 0-based generator indices.  Wedge degree p
 sits in cohomological degree -p, so contraction along a section raises
 cohomological degree by one.
@@ -20,8 +21,7 @@ Sign conventions (the single source of truth for every complex built here):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .poly import (_SCALARS, Exponents, Poly, Scalar, _descending_key, _power, _Terms,
                    exps_add, monomial_str)
@@ -90,7 +90,7 @@ class ExtElt(_Terms):
 
     @classmethod
     def one(cls, ambient: Ambient) -> "ExtElt":
-        return cls(ambient, {((0,) * len(ambient.vars), ()): Fraction(1)})
+        return cls(ambient, {((0,) * len(ambient.vars), ()): 1})
 
     @classmethod
     def from_poly(cls, ambient: Ambient, p: Poly) -> "ExtElt":
@@ -100,11 +100,11 @@ class ExtElt(_Terms):
     def generator(cls, ambient: Ambient, j: int) -> "ExtElt":
         if not 0 <= j < ambient.rank:
             raise ValueError(f"no generator with index {j}")
-        return cls(ambient, {((0,) * len(ambient.vars), (j,)): Fraction(1)})
+        return cls(ambient, {((0,) * len(ambient.vars), (j,)): 1})
 
     @classmethod
     def monomial(cls, ambient: Ambient, exps: Exponents, subset: Sequence[int], c: Scalar = 1) -> "ExtElt":
-        return cls(ambient, {(tuple(exps), tuple(subset)): Fraction(c)})
+        return cls(ambient, {(tuple(exps), tuple(subset)): c})
 
     @classmethod
     def wedge_monomial(cls, ambient: Ambient, p: Poly, subset: Sequence[int]) -> "ExtElt":
@@ -145,7 +145,7 @@ class ExtElt(_Terms):
 
     def homogeneous_components(self) -> dict[int, "ExtElt"]:
         """Split by cohomological degree (wedge degree p lives in degree -p)."""
-        buckets: dict[int, dict[TermKey, Fraction]] = {}
+        buckets: dict[int, dict[TermKey, Scalar]] = {}
         for (exps, subset), c in self.terms.items():
             buckets.setdefault(-len(subset), {})[(exps, subset)] = c
         return {d: ExtElt._make(self.ambient, t) for d, t in buckets.items()}
@@ -158,16 +158,6 @@ class ExtElt(_Terms):
         if len(sizes) > 1:
             raise ValueError("element is not homogeneous")
         return -sizes.pop()
-
-    def map_coefficients(self, fn: Callable[[Poly], Poly]) -> "ExtElt":
-        """Apply an R-linear map to each wedge monomial's polynomial coefficient."""
-        terms: dict[TermKey, Fraction] = {}
-        for subset in self.subsets():
-            img = fn(self.coefficient_poly(subset))
-            if img.vars != self.ambient.vars:
-                raise ValueError("the map leaves the coefficient ring")
-            terms.update(((exps, subset), c) for exps, c in img.terms.items())
-        return ExtElt._make(self.ambient, terms)
 
     # -- printing --------------------------------------------------------------
 
@@ -204,7 +194,7 @@ class Section:
 def wedge(a: ExtElt, b: ExtElt) -> ExtElt:
     """Graded-commutative product."""
     a._check(b)
-    terms: dict[TermKey, Fraction] = {}
+    terms: dict[TermKey, Scalar] = {}
     for (e1, s1), c1 in a.terms.items():
         for (e2, s2), c2 in b.terms.items():
             sign, merged = merge_sign(s1, s2)

@@ -13,9 +13,10 @@ fraction-free: to cancel a term c by a divisor whose leading coefficient is
 gc, the work is scaled by gc/gcd(c, gc) and (c/gcd(c, gc))*x^q*g is
 subtracted, and the content comes off once, at the end.  Scaling by a
 positive integer changes neither the ideal nor any leading term, so the
-basis is the one rational arithmetic gives; it is made monic, with
-Fractions, only when the GroebnerBasis is built, and a rational remainder
-is made only when `normal_form` returns one.
+basis is the one rational arithmetic gives; it is made monic, with a
+Fraction for each coefficient the leading one does not divide, only when
+the GroebnerBasis is built, and a rational remainder is made only when
+`normal_form` returns one.
 
 Critical pairs wait in a heap keyed by the degrevlex key of their lcm,
 computed once per pair, and each S-polynomial is built straight into the
@@ -49,13 +50,12 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from functools import cached_property
-from fractions import Fraction
 from itertools import count, product
 from math import comb, gcd, lcm
 from operator import add, le, mul, sub
 from typing import Iterable, Mapping, Sequence, Union
 
-from .poly import Exponents, Poly, _descending_key, degrevlex_key, gradient
+from .poly import Exponents, Poly, _descending_key, _quotient, degrevlex_key, gradient
 
 #: Returned where a quotient ring has no finite vector-space dimension.
 INFINITE = "infinite"
@@ -113,7 +113,7 @@ def normal_form(p: Poly, basis: Union["GroebnerBasis", Sequence[Poly]]) -> Poly:
     work, d = _integral(p.terms)
     r, s = _reduce(work, divisors)
     d *= s
-    return Poly._make(p.vars, {e: Fraction(c, d) for e, c in r.items()})
+    return Poly._make(p.vars, {e: _quotient(c, d) for e, c in r.items()})
 
 
 def _reduce(work: dict[Exponents, int], divisors: list) -> tuple[dict[Exponents, int], int]:
@@ -523,7 +523,7 @@ def buchberger(gens: Iterable[Poly]) -> GroebnerBasis:
         r = _primitive(r, ge)
         lc = r[ge]
         primitive.append(((ge, lc), r))
-        reduced.append(Poly._make(vars, {e: Fraction(c, lc) for e, c in r.items()}))
+        reduced.append(Poly._make(vars, {e: _quotient(c, lc) for e, c in r.items()}))
     return GroebnerBasis._make(vars, tuple(reduced), primitive)
 
 

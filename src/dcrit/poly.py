@@ -1,10 +1,14 @@
 """Exact multivariate polynomial arithmetic over the rationals.
 
-A polynomial is a sparse map from exponent vectors to nonzero Fraction
+A polynomial is a sparse map from exponent vectors to nonzero rational
 coefficients, canonical by construction: two polynomials are equal exactly
-when their variable tuples and term maps are equal.  No floating point is
-used anywhere.  The monomial order for printing and leading-term extraction
-is degree-reverse-lexicographic with respect to the declared variable order.
+when their variable tuples and term maps are equal.  The constructors store
+an integral coefficient as an `int` and any other as a `Fraction`, so
+arithmetic on integral input stays on ints; an integral `Fraction` that
+mixed arithmetic leaves behind compares, hashes and prints as its `int`.
+No floating point is used anywhere.  The monomial order for printing and
+leading-term extraction is degree-reverse-lexicographic with respect to the
+declared variable order.
 The same storage, arithmetic and printing rule (`_Terms`) backs the exterior
 algebra and the coalgebra tensors.
 """
@@ -48,15 +52,31 @@ def exps_add(a: Exponents, b: Exponents) -> Exponents:
     return tuple(map(add, a, b))
 
 
+def _exact(c) -> Scalar:
+    """c as an int when it is integral, else as a Fraction."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _quotient(n: int, d: int) -> Scalar:
+    """n/d for ints, exactly: an int when d divides n, else a Fraction."""
+    q, r = divmod(n, d)
+    return Fraction(n, d) if r else q
+
+
 class _Terms:
-    """Immutable sparse map from monomial keys to nonzero Fractions, over a ring tag.
+    """Immutable sparse map from monomial keys to nonzero rationals, over a ring tag.
 
     The one storage, arithmetic and printing rule shared by Poly, ExtElt and
     the coalgebra tensors.  Subclasses supply `_valid_key` (the public
     constructor's key check), `_coerce` (the operands they accept besides
     their own type), `_product`, and `_sort_key`/`_factors` for printing.
     Instances must not be mutated after construction; every operation
-    returns a fresh element, so values can be shared freely.
+    returns a fresh element, so values can be shared freely.  The public
+    constructor and scalar multiplication store an integral coefficient as
+    an int (see `_exact`); `_make` keeps what the arithmetic gave.
     """
 
     __slots__ = ("_ring", "terms")
@@ -65,7 +85,7 @@ class _Terms:
         clean = {}
         for key, c in terms.items():
             key = self._valid_key(ring, key)
-            c = Fraction(c)
+            c = _exact(c)
             if c:
                 clean[key] = c
         object.__setattr__(self, "_ring", ring)
@@ -124,7 +144,7 @@ class _Terms:
 
     def __mul__(self, other):
         if isinstance(other, _SCALARS):
-            c = Fraction(other)
+            c = _exact(other)
             return self._make(self._ring, {k: c * v for k, v in self.terms.items()})
         other = self._coerce(other)
         if other is None:
@@ -193,11 +213,11 @@ class Poly(_Terms):
 
     @classmethod
     def one(cls, vars: Sequence[str]) -> "Poly":
-        return cls(vars, {(0,) * len(vars): Fraction(1)})
+        return cls(vars, {(0,) * len(vars): 1})
 
     @classmethod
     def constant(cls, vars: Sequence[str], c: Scalar) -> "Poly":
-        return cls(vars, {(0,) * len(vars): Fraction(c)})
+        return cls(vars, {(0,) * len(vars): c})
 
     @classmethod
     def variable(cls, vars: Sequence[str], name: str) -> "Poly":
@@ -206,11 +226,11 @@ class Poly(_Terms):
             raise UnknownVariableError(f"unknown variable {name!r} (have {', '.join(vs) or 'none'})")
         i = vs.index(name)
         exps = tuple(1 if j == i else 0 for j in range(len(vs)))
-        return cls(vs, {exps: Fraction(1)})
+        return cls(vs, {exps: 1})
 
     @classmethod
     def monomial(cls, vars: Sequence[str], exps: Exponents, c: Scalar = 1) -> "Poly":
-        return cls(vars, {tuple(exps): Fraction(c)})
+        return cls(vars, {tuple(exps): c})
 
     # -- ring operations ---------------------------------------------------
 
@@ -221,7 +241,7 @@ class Poly(_Terms):
 
     def _product(self, other: "Poly") -> "Poly":
         self._check(other)
-        terms: dict[Exponents, Fraction] = {}
+        terms: dict[Exponents, Scalar] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = exps_add(e1, e2)
@@ -239,7 +259,7 @@ class Poly(_Terms):
             return -1
         return max(sum(e) for e in self.terms)
 
-    def leading(self) -> tuple[Exponents, Fraction]:
+    def leading(self) -> tuple[Exponents, Scalar]:
         """Leading (exponents, coefficient) under degrevlex; error on zero."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")

@@ -13,12 +13,14 @@ randomized identity suites in `check_*` are the normative statement of it:
   * the bracket measures exactly the failure of `bv_delta` to be a
     derivation (the generating relation below).
 
-Closed formula used here, for a of pure wedge degree p (extended linearly):
+Closed formulas used here, for a of pure wedge degree p (extended linearly):
 
     [[a, b]] = (-1)^(p+1) * sum_i od_i(a) ^ d_i(b)  -  sum_i d_i(a) ^ od_i(b)
+    Delta(a) = sum_i d_i(od_i(a))
 
 where od_i is the left odd derivative along @x_i and d_i differentiates the
-polynomial coefficients along x_i.
+polynomial coefficients along x_i.  Both are evaluated term by term (term
+pair by term pair for the bracket), building no intermediate element.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import Sequence
 from .checks import (CheckReport, _require_trials, rand_homogeneous, rand_mixed,
                      rand_poly, shrink_elements, var_names)
 from .exterior import Ambient, ExtElt, Section, contract, merge_sign, wedge
-from .poly import Poly, gradient
+from .poly import Exponents, Poly, Scalar, _exact, exps_add, gradient
 
 
 def polyvector_ambient(vars: Sequence[str]) -> Ambient:
@@ -45,7 +47,8 @@ def form_ambient(vars: Sequence[str]) -> Ambient:
 
 
 def _require_polyvector(a: ExtElt | Section) -> None:
-    if a.ambient != polyvector_ambient(a.ambient.vars):
+    amb = a.ambient
+    if amb.gens != tuple("@" + v for v in amb.vars):
         raise ValueError("expected an element of the polyvector ambient")
 
 
@@ -113,47 +116,52 @@ def alpha_of_vector(alpha: Section, X: ExtElt) -> Poly:
     return out
 
 
-# -- derivatives and the bracket ----------------------------------------------
+# -- the bracket ---------------------------------------------------------------
 
 
-def odd_derivative(a: ExtElt, i: int) -> ExtElt:
-    """Left derivative along the i-th odd generator."""
-    terms: dict = {}
-    for (exps, subset), c in a.terms.items():
-        if i in subset:
-            k0 = subset.index(i)
-            terms[(exps, subset[:k0] + subset[k0 + 1:])] = c if k0 % 2 == 0 else -c
-    return ExtElt._make(a.ambient, terms)
+def _odd_parts(subset: tuple[int, ...]) -> list[tuple[int, int, tuple[int, ...]]]:
+    """(i, sign, subset without i) for each generator i of a wedge monomial: the
+    left odd derivative along @x_i drops i with the sign (-1)^k, k its position."""
+    return [(i, -1 if k % 2 else 1, subset[:k] + subset[k + 1:]) for k, i in enumerate(subset)]
 
 
-def coeff_derivative(a: ExtElt, i: int) -> ExtElt:
-    """Partial derivative of the polynomial coefficients along x_i."""
-    var = a.ambient.vars[i]
-    return a.map_coefficients(lambda p: p.diff(var))
+def _lower(exps: Exponents, i: int) -> Exponents:
+    return exps[:i] + (exps[i] - 1,) + exps[i + 1:]
 
 
 def schouten(a: ExtElt, b: ExtElt) -> ExtElt:
-    """The odd bracket of polyvector fields (degree +1 in each slot)."""
+    """The odd bracket of polyvector fields (degree +1 in each slot).
+
+    The closed formula of the module docstring, one term pair at a time:
+    each i with @x_i in a's term and x_i in b's gives an od_i(a) ^ d_i(b)
+    term, each i with @x_i in b's term and x_i in a's a d_i(a) ^ od_i(b) term.
+    """
     _require_polyvector(a)
     if a.ambient != b.ambient:
         raise ValueError("mixed ambients")
-    n = len(a.ambient.vars)
-    result = ExtElt.zero(a.ambient)
-    for deg, comp in a.homogeneous_components().items():
-        p = -deg
-        front = 1 if (p + 1) % 2 == 0 else -1
-        for i in range(n):
-            da = odd_derivative(comp, i)
-            if not da.is_zero():
-                db = coeff_derivative(b, i)
-                if not db.is_zero():
-                    result = result + front * wedge(da, db)
-            xa = coeff_derivative(comp, i)
-            if not xa.is_zero():
-                ob = odd_derivative(b, i)
-                if not ob.is_zero():
-                    result = result - wedge(xa, ob)
-    return result
+    bterms = [(eb, sb, cb, _odd_parts(sb)) for (eb, sb), cb in b.terms.items()]
+    terms: dict = {}
+    for (ea, sa), ca in a.terms.items():
+        front = 1 if len(sa) % 2 else -1  # (-1)^(p+1) on wedge degree p
+        aparts = _odd_parts(sa)
+        for eb, sb, cb, bparts in bterms:
+            e = exps_add(ea, eb)
+            c = ca * cb
+            for i, sign, rest in aparts:
+                k = eb[i]
+                if k:
+                    s, merged = merge_sign(rest, sb)
+                    if s:
+                        key = (_lower(e, i), merged)
+                        terms[key] = terms.get(key, 0) + front * sign * s * k * c
+            for i, sign, rest in bparts:
+                k = ea[i]
+                if k:
+                    s, merged = merge_sign(sa, rest)
+                    if s:
+                        key = (_lower(e, i), merged)
+                        terms[key] = terms.get(key, 0) - sign * s * k * c
+    return ExtElt._make(a.ambient, terms)
 
 
 # -- volume forms, contraction, de Rham, divergence ----------------------------
@@ -164,10 +172,10 @@ class VolumeForm:
     """A constant multiple of dx_1 ^ ... ^ dx_n."""
 
     vars: tuple[str, ...]
-    density: Fraction = Fraction(1)
+    density: Scalar = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "density", Fraction(self.density))
+        object.__setattr__(self, "density", _exact(self.density))
         if self.density == 0:
             raise ValueError("volume density must be nonzero")
 
@@ -177,7 +185,7 @@ def _complement(subset: tuple[int, ...], n: int) -> tuple[int, ...]:
     return tuple(i for i in range(n) if i not in inside)
 
 
-def _vol_factor(subset: tuple[int, ...], n: int, density: Fraction) -> Fraction:
+def _vol_factor(subset: tuple[int, ...], n: int, density: Scalar) -> Scalar:
     p = len(subset)
     tau = 1 if (p * (p - 1) // 2) % 2 == 0 else -1
     sign, _ = merge_sign(subset, _complement(subset, n))
@@ -203,7 +211,7 @@ def vol_contract_inv(vol: VolumeForm, w: ExtElt) -> ExtElt:
     terms: dict = {}
     for (exps, subset), c in w.terms.items():
         src = _complement(subset, n)
-        terms[(exps, src)] = c / _vol_factor(src, n, vol.density)
+        terms[(exps, src)] = _exact(Fraction(c, _vol_factor(src, n, vol.density)))
     return ExtElt._make(polyvector_ambient(vol.vars), terms)
 
 
@@ -220,7 +228,7 @@ def de_rham(w: ExtElt) -> ExtElt:
             if k == 0 or i in subset:
                 continue
             sign, merged = merge_sign((i,), subset)
-            key = (exps[:i] + (k - 1,) + exps[i + 1:], merged)
+            key = (_lower(exps, i), merged)
             terms[key] = terms.get(key, 0) + c * k * sign
     return ExtElt._make(amb, terms)
 
@@ -234,10 +242,14 @@ def bv_delta(vol: VolumeForm, a: ExtElt) -> ExtElt:
     _require_polyvector(a)
     if a.ambient.vars != vol.vars:
         raise ValueError("volume form lives over different variables")
-    out = ExtElt.zero(a.ambient)
-    for i in range(len(vol.vars)):
-        out = out + coeff_derivative(odd_derivative(a, i), i)
-    return out
+    terms: dict = {}
+    for (exps, subset), c in a.terms.items():
+        for i, sign, rest in _odd_parts(subset):
+            k = exps[i]
+            if k:
+                key = (_lower(exps, i), rest)
+                terms[key] = terms.get(key, 0) + sign * k * c
+    return ExtElt._make(a.ambient, terms)
 
 
 # -- randomized identity suites -------------------------------------------------

@@ -4,10 +4,11 @@ Every name a module under src/dcrit imports must be used in that module
 (`__init__.py` re-exports, so it is exempt), and every import must come from
 the standard library or from dcrit itself: the runtime is stdlib-only.
 `dcrit.__all__` names exactly what `__init__.py` imports, plus
-`__version__`, and each name resolves.  Every layer the benchmark harness
-times or counts by name (`TIMED` and `CALLED` in bench/run.py) must still be
-a public function of its module: the harness reads a missing one as zero
-instead of failing.
+`__version__`, and each name resolves.  No module divides with `/`: on two
+int coefficients it gives a float, so exact quotients go through `Fraction`.
+Every layer the benchmark harness times or counts by name (`TIMED` and
+`CALLED` in bench/run.py) must still be a public function of its module:
+the harness reads a missing one as zero instead of failing.
 """
 
 import ast
@@ -64,6 +65,14 @@ def test_every_imported_name_is_used(path):
     unused = [name for module, _, names in imports(tree) if module != "__future__"
               for name in names if name not in used]
     assert unused == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_true_division(path):
+    tree = ast.parse(path.read_text())
+    divisions = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)]
+    assert divisions == []
 
 
 def test_all_is_exactly_what_init_imports():

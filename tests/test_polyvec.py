@@ -5,7 +5,7 @@ from random import Random
 
 import pytest
 
-from dcrit.checks import rand_mixed
+from dcrit.checks import rand_mixed, var_names
 from dcrit.exterior import Ambient, ExtElt, Section, contract
 from dcrit.parsing import parse_one_form, parse_poly, parse_polyvector
 from dcrit.poly import Poly
@@ -193,3 +193,67 @@ def test_de_rham_squares_to_zero():
 def test_volume_form_rejects_zero_density():
     with pytest.raises(ValueError):
         VolumeForm(VS, Fraction(0))
+
+
+# -- the closed formulas, written out as a reference for the one-pass kernels
+
+
+def odd_derivative(a, i):
+    """Left derivative along @x_i: drops i from each subset, with sign (-1)^k at position k."""
+    terms = {}
+    for (exps, subset), c in a.terms.items():
+        if i in subset:
+            k = subset.index(i)
+            terms[(exps, subset[:k] + subset[k + 1:])] = c if k % 2 == 0 else -c
+    return ExtElt(a.ambient, terms)
+
+
+def coeff_derivative(a, i):
+    """Partial derivative of each polynomial coefficient along x_i."""
+    var = a.ambient.vars[i]
+    out = ExtElt.zero(a.ambient)
+    for subset in a.subsets():
+        out = out + ExtElt.wedge_monomial(a.ambient, a.coefficient_poly(subset).diff(var), subset)
+    return out
+
+
+def reference_bracket(a, b):
+    """[[a, b]] = (-1)^(p+1) sum_i od_i(a) ^ d_i(b) - sum_i d_i(a) ^ od_i(b), a of wedge degree p."""
+    out = ExtElt.zero(a.ambient)
+    for deg, comp in a.homogeneous_components().items():
+        front = 1 if (1 - deg) % 2 == 0 else -1
+        for i in range(len(a.ambient.vars)):
+            out = out + front * (odd_derivative(comp, i) * coeff_derivative(b, i))
+            out = out - coeff_derivative(comp, i) * odd_derivative(b, i)
+    return out
+
+
+def reference_delta(a):
+    """Delta = sum_i d_i o od_i."""
+    out = ExtElt.zero(a.ambient)
+    for i in range(len(a.ambient.vars)):
+        out = out + coeff_derivative(odd_derivative(a, i), i)
+    return out
+
+
+def test_reference_derivatives_are_pinned():
+    assert odd_derivative(V("x*@x/\\@y"), 1) == V("-x*@x")
+    assert odd_derivative(V("y^2*@y"), 0).terms == {}
+    assert coeff_derivative(V("x^2*y*@y + 3*x"), 0) == V("2*x*y*@y + 3")
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_one_pass_kernels_match_the_closed_formulas(n):
+    rng = Random(40 + n)
+    amb = polyvector_ambient(var_names(n))
+    vol = VolumeForm(amb.vars)
+    elements = [ExtElt.zero(amb)] + [rand_mixed(rng, amb, 3) for _ in range(9)]
+    elements.append(Fraction(2, 3) * elements[1])
+    coeffs = [c for e in elements for c in e.terms.values()]
+    assert any(type(c) is Fraction for c in coeffs) and any(type(c) is int for c in coeffs)
+    if n:
+        assert any(len({len(s) for s in e.subsets()}) > 1 for e in elements)
+    for a in elements:
+        assert bv_delta(vol, a) == reference_delta(a)
+        for b in elements:
+            assert schouten(a, b) == reference_bracket(a, b)
