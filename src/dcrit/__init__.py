@@ -10,7 +10,7 @@ floating point anywhere in the package.  The main entry points:
 - schouten, bv_delta, vol_contract: the odd bracket and its generator
 - minus_one_pairing, intersect_graph_lagrangians: shifted pairings
 - comultiply, coaction: the exterior coalgebra acting on Koszul complexes
-- run_all (acceptance), cli.main: the gating suites
+- run_all (acceptance), cli.main: the gating suites, each outcome a CheckReport
 """
 
 __version__ = "0.1.0"
@@ -40,7 +40,7 @@ from .symplectic import (LagrangianIntersection, NotClosedError,
 from .coalgebra import (TensorElt, antipode, coaction, comultiply, counit,
                         tensor_collapse, tensor_flip, tensor_multiply)
 from .checks import CheckReport
-from .acceptance import CriterionResult, run_all
+from .acceptance import run_all
 
 __all__ = [
     "__version__",
@@ -67,5 +67,5 @@ __all__ = [
     "pairing_report",
     "TensorElt", "antipode", "coaction", "comultiply", "counit",
     "tensor_collapse", "tensor_flip", "tensor_multiply",
-    "CheckReport", "CriterionResult", "run_all",
+    "CheckReport", "run_all",
 ]

@@ -1,19 +1,19 @@
 """The acceptance suite: every release-gating property in one runnable list.
 
-Each criterion is a function returning a CriterionResult; `run_all` executes
-them in order.  Determinism of the CLI's JSON output (the eleventh gate) is
-exercised in the test suite by invoking the CLI twice, since the suite
-cannot usefully re-run itself from within.
+Each criterion is a function returning a `checks.CheckReport` that carries
+its wall time and no trial count; `run_all` executes them in order.
+Determinism of the CLI's JSON output (the eleventh gate) is exercised in the
+test suite by invoking the CLI twice, since the suite cannot usefully re-run
+itself from within.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
 
-from .checks import rand_poly, var_names
+from .checks import CheckReport, rand_poly, var_names
 from .cohomology import (hilbert_table, is_regular_sequence, resolution_certificate,
                          slice_cohomology)
 from .groebner import buchberger, quotient_dimension
@@ -36,42 +36,19 @@ CORPUS = (
 )
 
 
-@dataclass
-class CriterionResult:
-    name: str
-    passed: bool
-    elapsed: float
-    details: dict = field(default_factory=dict)
-    counterexample: dict | None = None
-
-    @property
-    def status(self) -> str:
-        return "pass" if self.passed else "fail"
-
-    def to_json(self, with_timing: bool = False) -> dict:
-        out: dict = {"name": self.name, "status": self.status}
-        if self.counterexample is not None:
-            out["counterexample"] = self.counterexample
-        if self.details:
-            out["details"] = self.details
-        if with_timing:
-            out["seconds"] = round(self.elapsed, 3)
-        return out
-
-
-def _run(name: str, body) -> CriterionResult:
+def _run(name: str, body) -> CheckReport:
     start = time.perf_counter()
     try:
         details, counterexample = body()
-        passed = counterexample is None
+        status = "pass" if counterexample is None else "fail"
     except Exception as exc:  # a crash is a failure, not an abort
         details = {"error": f"{type(exc).__name__}: {exc}"}
         counterexample = None
-        passed = False
-    return CriterionResult(name, passed, time.perf_counter() - start, details, counterexample)
+        status = "fail"
+    return CheckReport(name, status, None, counterexample, details, time.perf_counter() - start)
 
 
-def criterion_tautological_resolution(seed: int = 0) -> CriterionResult:
+def criterion_tautological_resolution(seed: int = 0) -> CheckReport:
     """The tautological complex: H^{<0} = 0 and H^0 counts base monomials.
 
     The certificate's table is read off the closed form, so every weight
@@ -95,7 +72,7 @@ def criterion_tautological_resolution(seed: int = 0) -> CriterionResult:
     return _run("tautological_resolution", body)
 
 
-def criterion_dual_numbers(seed: int = 0) -> CriterionResult:
+def criterion_dual_numbers(seed: int = 0) -> CheckReport:
     """Rank-1 zero section over the empty base: one dimension each in degrees 0, -1."""
 
     def body():
@@ -109,7 +86,7 @@ def criterion_dual_numbers(seed: int = 0) -> CriterionResult:
     return _run("dual_numbers", body)
 
 
-def criterion_base_change(seed: int = 0) -> CriterionResult:
+def criterion_base_change(seed: int = 0) -> CheckReport:
     """Specializing the tautological complex equals the direct Koszul complex."""
 
     def body():
@@ -141,7 +118,7 @@ def _closed_form_milnor(f: Poly, weights) -> int:
     return int(value)
 
 
-def criterion_milnor_oracles(seed: int = 0) -> CriterionResult:
+def criterion_milnor_oracles(seed: int = 0) -> CheckReport:
     """Slice H^0 total, Groebner quotient dimension, and the product formula agree."""
 
     def body():
@@ -164,7 +141,7 @@ def criterion_milnor_oracles(seed: int = 0) -> CriterionResult:
     return _run("milnor_oracles", body)
 
 
-def criterion_regular_sequences(seed: int = 0) -> CriterionResult:
+def criterion_regular_sequences(seed: int = 0) -> CheckReport:
     """Coordinate sections are regular up to the cutoff; (x, x) is not."""
 
     def body():
@@ -186,7 +163,7 @@ def criterion_regular_sequences(seed: int = 0) -> CriterionResult:
     return _run("regular_sequences", body)
 
 
-def criterion_gerstenhaber(seed: int = 0) -> CriterionResult:
+def criterion_gerstenhaber(seed: int = 0) -> CheckReport:
     """Antisymmetry, Jacobi, Leibniz on 220 random homogeneous triples."""
 
     def body():
@@ -201,7 +178,7 @@ def criterion_gerstenhaber(seed: int = 0) -> CriterionResult:
     return _run("gerstenhaber", body)
 
 
-def criterion_bracket_compat(seed: int = 0) -> CriterionResult:
+def criterion_bracket_compat(seed: int = 0) -> CheckReport:
     """Contraction compatibility holds for exact forms; y d_x is falsified."""
 
     def body():
@@ -221,7 +198,7 @@ def criterion_bracket_compat(seed: int = 0) -> CriterionResult:
     return _run("bracket_compat", body)
 
 
-def criterion_bv(seed: int = 0) -> CriterionResult:
+def criterion_bv(seed: int = 0) -> CheckReport:
     """Square-zero, generating relation, de Rham intertwining, non-derivation."""
 
     def body():
@@ -238,7 +215,7 @@ def criterion_bv(seed: int = 0) -> CriterionResult:
     return _run("bv_divergence", body)
 
 
-def criterion_hessian_pairing(seed: int = 0) -> CriterionResult:
+def criterion_hessian_pairing(seed: int = 0) -> CheckReport:
     """Hessian symmetry, graph-intersection consistency, closedness rejection."""
 
     def body():
@@ -269,7 +246,7 @@ def criterion_hessian_pairing(seed: int = 0) -> CriterionResult:
     return _run("hessian_pairing", body)
 
 
-def criterion_coalgebra(seed: int = 0) -> CriterionResult:
+def criterion_coalgebra(seed: int = 0) -> CheckReport:
     """Coalgebra axioms and the coaction chain map, ranks 1 through 4."""
 
     def body():
@@ -298,5 +275,5 @@ ALL_CRITERIA = (
 )
 
 
-def run_all(seed: int = 0) -> list[CriterionResult]:
+def run_all(seed: int = 0) -> list[CheckReport]:
     return [fn(seed) for fn in ALL_CRITERIA]

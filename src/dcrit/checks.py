@@ -1,9 +1,9 @@
 """Shared infrastructure for randomized identity checks.
 
 Every check runs a deterministic RNG from an explicit seed, tries a fixed
-budget of random instances, and reports a CheckReport.  Failing instances
-are shrunk by greedily deleting terms while the failure persists, so
-counterexamples stay readable.
+budget of random instances, and reports a CheckReport, as the acceptance
+criteria do.  `counterexample` shrinks a failing instance by greedily deleting
+terms while the failure persists, so counterexamples stay readable.
 """
 
 from __future__ import annotations
@@ -19,24 +19,31 @@ from .poly import Poly, Scalar
 
 @dataclass
 class CheckReport:
-    """Outcome of one randomized check."""
+    """Outcome of one identity suite (counted in trials, not timed) or
+    acceptance criterion (timed, no trial count)."""
 
     name: str
     status: str  # "pass" or "fail"
-    trials: int
+    trials: int | None
     counterexample: dict | None = None
     details: dict = field(default_factory=dict)
+    elapsed: float | None = None
 
     @property
     def passed(self) -> bool:
         return self.status == "pass"
 
-    def to_json(self) -> dict:
-        out = {"name": self.name, "status": self.status, "trials": self.trials}
+    def to_json(self, with_timing: bool = False) -> dict:
+        """name, status, then trials, counterexample, details and seconds where present."""
+        out: dict = {"name": self.name, "status": self.status}
+        if self.trials is not None:
+            out["trials"] = self.trials
         if self.counterexample is not None:
             out["counterexample"] = self.counterexample
         if self.details:
             out["details"] = self.details
+        if with_timing and self.elapsed is not None:
+            out["seconds"] = round(self.elapsed, 3)
         return out
 
 
@@ -119,8 +126,11 @@ def rand_section(rng: Random, ambient: Ambient, max_deg: int, zero_chance: float
     return Section(ambient, tuple(comps))
 
 
-def shrink_elements(fails: Callable[..., bool], elts: Sequence[ExtElt]) -> list[ExtElt]:
-    """Greedily delete terms from each element while the failure persists."""
+def counterexample(identity: str, fails: Callable[..., bool], elts: Sequence[ExtElt],
+                   labels: Sequence[str] = "abc") -> dict:
+    """{"identity": identity, label: input, ...} for a failing identity, each input
+    shrunk by deleting terms while `fails` still holds (a deletion it raises on is
+    skipped)."""
     current = list(elts)
     changed = True
     while changed:
@@ -138,4 +148,4 @@ def shrink_elements(fails: Callable[..., bool], elts: Sequence[ExtElt]) -> list[
                     continue
             if changed:
                 break
-    return current
+    return {"identity": identity, **dict(zip(labels, map(str, current)))}

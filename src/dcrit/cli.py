@@ -122,6 +122,21 @@ def _hilbert_lines(table) -> list[str]:
     return lines
 
 
+def _slice_table(complex, weights, args, basis, results: dict, lines: list[str]) -> None:
+    """Add the slice table of `zero` and `crit` to their results and lines; an
+    inhomogeneous section gets `"hilbert": null` unless --weights was given."""
+    try:
+        table = hilbert_table(complex, weights, args.cutoff, basis=basis)
+    except InhomogeneousSectionError as e:
+        if args.weights:
+            raise
+        results["hilbert"] = None
+        lines.append(f"slice table unavailable: {e}")
+        return
+    results["hilbert"] = _hilbert_json(table)
+    lines.extend(_hilbert_lines(table))
+
+
 def _check_lines(entry: dict) -> list[str]:
     label = entry["name"]
     trials = f" ({entry['trials']} trials)" if "trials" in entry else ""
@@ -159,15 +174,7 @@ def _cmd_zero(args):
     lines = [f"zero locus of ({', '.join(str(c) for c in components)}) over {_ring(vars)}",
              f"d^2 = 0: {checks[0]['status']}",
              f"H^0 dimension: {h0}"]
-    try:
-        table = hilbert_table(complex, weights, args.cutoff, basis=ideal)
-        results["hilbert"] = _hilbert_json(table)
-        lines.extend(_hilbert_lines(table))
-    except InhomogeneousSectionError as e:
-        if args.weights:
-            raise
-        results["hilbert"] = None
-        lines.append(f"slice table unavailable: {e}")
+    _slice_table(complex, weights, args, ideal, results, lines)
     inputs = {"vars": list(vars), "section": [str(c) for c in components],
               "weights": list(weights), "cutoff": args.cutoff}
     return Report("zero", inputs, _plain(results)), lines, (0 if d2 else 1)
@@ -220,16 +227,7 @@ def _cmd_crit(args):
                      f"h0 = {report.h0}, h1 = {report.h1}, "
                      f"hessian_invertible = {str(report.hessian_invertible).lower()}")
     if args.hilbert or want_all:
-        try:
-            table = hilbert_table(build_koszul(vars, grads), weights, args.cutoff,
-                                  basis=jacobian)
-            results["hilbert"] = _hilbert_json(table)
-            lines.extend(_hilbert_lines(table))
-        except InhomogeneousSectionError as e:
-            if args.weights:
-                raise
-            results["hilbert"] = None
-            lines.append(f"slice table unavailable: {e}")
+        _slice_table(build_koszul(vars, grads), weights, args, jacobian, results, lines)
     inputs = {"vars": list(vars), "f": str(f), "weights": list(weights),
               "cutoff": args.cutoff}
     return Report("crit", inputs, _plain(results)), lines, 0

@@ -19,7 +19,7 @@ from itertools import combinations
 from random import Random
 from typing import Callable, Sequence
 
-from .checks import CheckReport, _require_trials, rand_mixed, rand_section, shrink_elements
+from .checks import CheckReport, _require_trials, counterexample, rand_mixed, rand_section
 from .exterior import Ambient, ExtElt, Section, _contract, contract, merge_sign, wedge
 from .koszul import KoszulComplex, default_gens
 from .poly import Exponents, Poly, Scalar, _Terms, exps_add, monomial_str
@@ -261,13 +261,12 @@ def check_coalgebra(rank: int, trials: int = 200, seed: int = 0,
                   ("chain_map", chain_map_fails)]
         for name, fails in single:
             if fails(a):
-                small = shrink_elements(fails, [a])
-                ce = {"identity": name, "a": str(small[0])}
+                ce = counterexample(name, fails, [a])
                 if name == "chain_map":
                     ce["section"] = str(section)
                 return CheckReport("coalgebra", "fail", ran, ce, {"rank": rank})
         if algebra_map_fails(a, b):
-            small = shrink_elements(algebra_map_fails, [a, b])
-            ce = {"identity": "algebra_map", "a": str(small[0]), "b": str(small[1])}
-            return CheckReport("coalgebra", "fail", ran, ce, {"rank": rank})
+            return CheckReport("coalgebra", "fail", ran,
+                               counterexample("algebra_map", algebra_map_fails, [a, b]),
+                               {"rank": rank})
     return CheckReport("coalgebra", "pass", ran, None, {"rank": rank})

@@ -19,14 +19,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import lcm
 from typing import Mapping, Sequence
 
 from .exterior import _contract
 from .groebner import INFINITE, GroebnerBasis, buchberger, ci_numerator
 from .koszul import KoszulComplex, TautologicalKoszul, check_d_squared
 from .linalg import rank_rows
-from .poly import ANY_DEGREE, INHOMOGENEOUS, Poly, monomials_of_weight, normalize_weights
+from .poly import (ANY_DEGREE, INHOMOGENEOUS, Poly, _integral, monomials_of_weight,
+                   normalize_weights)
 
 
 class InhomogeneousSectionError(ValueError):
@@ -66,11 +66,13 @@ def _require_d_squared(c: KoszulComplex) -> None:
 class _Slices:
     """The weight slices of one Koszul complex, computed over the integers.
 
-    The section's components are multiplied by one positive integer that
-    clears every denominator.  That scales each slice differential, so no
-    rank changes, and the slice columns come out of `_contract` as int
-    dicts.  The monomials of each weight are computed once and shared by
-    every slice asked of the same object.
+    Each section component j is multiplied by the least positive integer
+    lambda_j that clears its denominators (`_integral`).  That conjugates
+    every slice differential by the diagonal map e_S -> prod_{j in S}
+    lambda_j * e_S, which changes no rank and no pivot column, so the
+    clearing below stays exact; the slice columns come out of `_contract`
+    as int dicts.  The monomials of each weight are computed once and
+    shared by every slice asked of the same object.
 
     The slice ranks skip rows by clearing, which is exact only when the
     differential squares to zero, so every caller first asks
@@ -81,10 +83,7 @@ class _Slices:
         self.rank = c.rank
         self.ws = ws
         self.gd = generator_degrees(c, ws)
-        comps = c.section.components
-        den = lcm(1, *(v.denominator for p in comps for v in p.terms.values()))
-        self.components = [{e: v.numerator * (den // v.denominator) for e, v in p.terms.items()}
-                           for p in comps]
+        self.components = [_integral(p.terms)[0] for p in c.section.components]
         self._monomials: dict[int, list] = {}
 
     def basis(self, p: int, w: int) -> list:

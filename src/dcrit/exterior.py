@@ -16,6 +16,9 @@ Sign conventions (the single source of truth for every complex built here):
   * contraction along s = (s_1, ..., s_m) sends e_{j_1} ^ ... ^ e_{j_p}
     (j_1 < ... < j_p) to sum_k (-1)^k s_{j_k} e_{j_1} ^ ... omit k ... ^ e_{j_p}
     with k counted from 1.  In particular contract(s, e_j) = -s_j.
+  * equivalently, contraction is -sum_j s_j od_j for the left odd
+    derivatives od_j, which `_odd_parts` writes once for contraction and
+    for the polyvector bracket and divergence.
 """
 
 from __future__ import annotations
@@ -205,6 +208,12 @@ def wedge(a: ExtElt, b: ExtElt) -> ExtElt:
     return ExtElt._make(a.ambient, terms)
 
 
+def _odd_parts(subset: tuple[int, ...]) -> list[tuple[int, int, tuple[int, ...]]]:
+    """(i, sign, subset without i) for each generator i of a wedge monomial: the left
+    odd derivative od_i drops i with the sign (-1)^k, k its position from 0."""
+    return [(i, -1 if k % 2 else 1, subset[:k] + subset[k + 1:]) for k, i in enumerate(subset)]
+
+
 def _contract(components: Sequence[Mapping[Exponents, Scalar]],
               terms: Mapping[tuple, Scalar]) -> dict:
     """The contraction sign rule, written once.
@@ -217,12 +226,11 @@ def _contract(components: Sequence[Mapping[Exponents, Scalar]],
     """
     out: dict = {}
     for key, c in terms.items():
-        exps, subset, rest = key[0], key[1], key[2:]
-        for k0, j in enumerate(subset):
-            signed = -c if k0 % 2 == 0 else c
-            omitted = (subset[:k0] + subset[k0 + 1:],) + rest
+        exps, rest = key[0], key[2:]
+        for j, sign, omitted in _odd_parts(key[1]):
+            signed = -sign * c
             for sexps, sc in components[j].items():
-                k = (exps_add(exps, sexps),) + omitted
+                k = (exps_add(exps, sexps), omitted) + rest
                 out[k] = out.get(k, 0) + signed * sc
     return out
 

@@ -53,9 +53,10 @@ from functools import cached_property
 from itertools import count, product
 from math import comb, gcd, lcm
 from operator import add, le, mul, sub
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Sequence, Union
 
-from .poly import Exponents, Poly, _descending_key, _quotient, degrevlex_key, gradient
+from .poly import (Exponents, Poly, _descending_key, _integral, _primitive, _quotient, _shift,
+                   degrevlex_key, gradient)
 
 #: Returned where a quotient ring has no finite vector-space dimension.
 INFINITE = "infinite"
@@ -71,22 +72,6 @@ def _exps_sub(a: Exponents, b: Exponents) -> Exponents:
 
 def _exps_lcm(a: Exponents, b: Exponents) -> Exponents:
     return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def _integral(terms: Mapping) -> tuple[dict[Exponents, int], int]:
-    """(d*terms as an int term map, d), for the least positive d that clears the denominators."""
-    d = 1
-    for c in terms.values():
-        d = lcm(d, c.denominator)
-    return {e: c.numerator * (d // c.denominator) for e, c in terms.items()}, d
-
-
-def _primitive(terms: dict[Exponents, int], lead: Exponents) -> dict[Exponents, int]:
-    """A nonzero int term map divided by its content, signed so the coefficient at lead is positive."""
-    g = gcd(*terms.values())
-    if terms[lead] < 0:
-        g = -g
-    return terms if g == 1 else {e: c // g for e, c in terms.items()}
 
 
 def _with_leads(basis: Sequence[Poly]) -> list:
@@ -185,11 +170,6 @@ def _s_poly(f, g, lcm_exps: Exponents) -> dict[Exponents, int]:
 
 
 IntVector = tuple  # (standard-monomial index -> nonzero int numerator, positive int denominator)
-
-
-def _shift(exps: Exponents, k: int, d: int) -> Exponents:
-    """exps with d added to the exponent of variable k."""
-    return exps[:k] + (exps[k] + d,) + exps[k + 1:]
 
 
 def _vector(nums: dict[int, int], den: int) -> IntVector:

@@ -84,17 +84,18 @@ def build_koszul(vars: Sequence[str], components: Sequence[Poly], gens: Sequence
 class TautologicalKoszul(KoszulComplex):
     """Koszul complex over the total space, against the tautological section.
 
-    Base ring Q[vars], fiber coordinates one per generator; the section is
+    Base ring Q[vars], fiber coordinates xi1..xim, one per generator, which
+    must not be base variables; the section is
     the tuple of fiber coordinates, so each differential entry is linear in
     them.  Substituting an actual section for the fiber coordinates must
     reproduce the ordinary Koszul complex entry by entry.
     """
 
-    def __init__(self, base_vars: Sequence[str], rank: int, fiber_prefix: str = "xi"):
+    def __init__(self, base_vars: Sequence[str], rank: int):
         base = tuple(base_vars)
         if rank < 1:
             raise ValueError("rank must be at least 1")
-        fiber = tuple(f"{fiber_prefix}{j + 1}" for j in range(rank))
+        fiber = tuple(f"xi{j + 1}" for j in range(rank))
         clash = set(base) & set(fiber)
         if clash:
             raise ValueError(f"fiber coordinate names collide with base variables: {sorted(clash)}")
@@ -110,8 +111,8 @@ class TautologicalKoszul(KoszulComplex):
         return entry.substitute(images, vars_out=components[0].vars if components else self.base_vars)
 
 
-def build_tautological_koszul(vars: Sequence[str], rank: int, fiber_prefix: str = "xi") -> TautologicalKoszul:
-    return TautologicalKoszul(vars, rank, fiber_prefix)
+def build_tautological_koszul(vars: Sequence[str], rank: int) -> TautologicalKoszul:
+    return TautologicalKoszul(vars, rank)
 
 
 @dataclass(frozen=True)

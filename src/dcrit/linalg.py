@@ -1,8 +1,9 @@
 """Exact rank of sparse matrices over Q.
 
 Rows are dicts from column index to coefficient.  A row of Python ints is
-taken as it is; any other row is cleared to integers first.  Both callers in
-the package hand in int rows: the slice differentials of
+taken as it is; any other row is cleared to integers first by `poly._integral`,
+the package's one rule for clearing denominators, and divided by its content.
+Both callers in the package hand in int rows: the slice differentials of
 `cohomology.hilbert_table`, and `symplectic.obstruction_theory`, which
 scales each column of its block matrix to integers.  Each row is
 then eliminated in place against previously kept pivot rows: when the
@@ -23,22 +24,18 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Mapping
 
+from .poly import _integral
+
 
 def _integer_row(row: Mapping[int, int | Fraction]) -> dict[int, int]:
     """A fresh integer row with the same span; the caller's row is not touched."""
     if all(type(v) is int for v in row.values()):
         return {c: v for c, v in row.items() if v}
-    entries = {c: Fraction(v) for c, v in row.items() if v}
-    denom = 1
-    for v in entries.values():
-        denom = denom * v.denominator // gcd(denom, v.denominator)
-    return _normalize({c: int(v * denom) for c, v in entries.items()})
+    return _normalize(_integral({c: v for c, v in row.items() if v})[0])
 
 
 def _normalize(row: dict[int, int]) -> dict[int, int]:
-    g = 0
-    for v in row.values():
-        g = gcd(g, v)
+    g = gcd(*row.values())
     if g > 1:
         row = {c: v // g for c, v in row.items()}
     return row

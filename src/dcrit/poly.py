@@ -16,6 +16,7 @@ algebra and the coalgebra tensors.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from operator import add
 from typing import Mapping, Sequence, Union
 
@@ -64,6 +65,27 @@ def _quotient(n: int, d: int) -> Scalar:
     """n/d for ints, exactly: an int when d divides n, else a Fraction."""
     q, r = divmod(n, d)
     return Fraction(n, d) if r else q
+
+
+def _integral(terms: Mapping) -> tuple[dict, int]:
+    """(d*terms as an int term map, d), for the least positive d that clears the denominators."""
+    d = 1
+    for c in terms.values():
+        d = lcm(d, c.denominator)
+    return {e: c.numerator * (d // c.denominator) for e, c in terms.items()}, d
+
+
+def _primitive(terms: dict[Exponents, int], lead: Exponents) -> dict[Exponents, int]:
+    """A nonzero int term map divided by its content, signed so the coefficient at lead is positive."""
+    g = gcd(*terms.values())
+    if terms[lead] < 0:
+        g = -g
+    return terms if g == 1 else {e: c // g for e, c in terms.items()}
+
+
+def _shift(exps: Exponents, k: int, d: int) -> Exponents:
+    """exps with d added to the exponent of variable k."""
+    return exps[:k] + (exps[k] + d,) + exps[k + 1:]
 
 
 class _Terms:
@@ -271,7 +293,7 @@ class Poly(_Terms):
         if var not in self.vars:
             raise UnknownVariableError(f"unknown variable {var!r}")
         i = self.vars.index(var)
-        return Poly._make(self.vars, {exps[:i] + (exps[i] - 1,) + exps[i + 1:]: c * exps[i]
+        return Poly._make(self.vars, {_shift(exps, i, -1): c * exps[i]
                                       for exps, c in self.terms.items() if exps[i]})
 
     def weighted_degree(self, weights):

@@ -30,10 +30,10 @@ from fractions import Fraction
 from random import Random
 from typing import Sequence
 
-from .checks import (CheckReport, _require_trials, rand_homogeneous, rand_mixed,
-                     rand_poly, shrink_elements, var_names)
-from .exterior import Ambient, ExtElt, Section, contract, merge_sign, wedge
-from .poly import Exponents, Poly, Scalar, _exact, exps_add, gradient
+from .checks import (CheckReport, _require_trials, counterexample, rand_homogeneous,
+                     rand_mixed, rand_poly, var_names)
+from .exterior import Ambient, ExtElt, Section, _odd_parts, contract, merge_sign, wedge
+from .poly import Poly, Scalar, _exact, _shift, exps_add, gradient
 
 
 def polyvector_ambient(vars: Sequence[str]) -> Ambient:
@@ -119,16 +119,6 @@ def alpha_of_vector(alpha: Section, X: ExtElt) -> Poly:
 # -- the bracket ---------------------------------------------------------------
 
 
-def _odd_parts(subset: tuple[int, ...]) -> list[tuple[int, int, tuple[int, ...]]]:
-    """(i, sign, subset without i) for each generator i of a wedge monomial: the
-    left odd derivative along @x_i drops i with the sign (-1)^k, k its position."""
-    return [(i, -1 if k % 2 else 1, subset[:k] + subset[k + 1:]) for k, i in enumerate(subset)]
-
-
-def _lower(exps: Exponents, i: int) -> Exponents:
-    return exps[:i] + (exps[i] - 1,) + exps[i + 1:]
-
-
 def schouten(a: ExtElt, b: ExtElt) -> ExtElt:
     """The odd bracket of polyvector fields (degree +1 in each slot).
 
@@ -152,14 +142,14 @@ def schouten(a: ExtElt, b: ExtElt) -> ExtElt:
                 if k:
                     s, merged = merge_sign(rest, sb)
                     if s:
-                        key = (_lower(e, i), merged)
+                        key = (_shift(e, i, -1), merged)
                         terms[key] = terms.get(key, 0) + front * sign * s * k * c
             for i, sign, rest in bparts:
                 k = ea[i]
                 if k:
                     s, merged = merge_sign(sa, rest)
                     if s:
-                        key = (_lower(e, i), merged)
+                        key = (_shift(e, i, -1), merged)
                         terms[key] = terms.get(key, 0) - sign * s * k * c
     return ExtElt._make(a.ambient, terms)
 
@@ -228,7 +218,7 @@ def de_rham(w: ExtElt) -> ExtElt:
             if k == 0 or i in subset:
                 continue
             sign, merged = merge_sign((i,), subset)
-            key = (_lower(exps, i), merged)
+            key = (_shift(exps, i, -1), merged)
             terms[key] = terms.get(key, 0) + c * k * sign
     return ExtElt._make(amb, terms)
 
@@ -247,7 +237,7 @@ def bv_delta(vol: VolumeForm, a: ExtElt) -> ExtElt:
         for i, sign, rest in _odd_parts(subset):
             k = exps[i]
             if k:
-                key = (_lower(exps, i), rest)
+                key = (_shift(exps, i, -1), rest)
                 terms[key] = terms.get(key, 0) + sign * k * c
     return ExtElt._make(a.ambient, terms)
 
@@ -292,11 +282,8 @@ def check_gerstenhaber(n: int, trials: int = 200, seed: int = 0, max_deg: int = 
                                   ("jacobi", jacobi_fails, [a, b, c]),
                                   ("leibniz", leibniz_fails, [a, b, c])):
             if fails(*elts):
-                small = shrink_elements(fails, elts)
-                ce = {"identity": name}
-                for label, e in zip("abc", small):
-                    ce[label] = str(e)
-                return CheckReport("gerstenhaber", "fail", ran, ce, {"n": n})
+                return CheckReport("gerstenhaber", "fail", ran,
+                                   counterexample(name, fails, elts), {"n": n})
     return CheckReport("gerstenhaber", "pass", ran, None, {"n": n})
 
 
@@ -359,9 +346,8 @@ def check_bracket_compat(alpha: Section, trials: int = 50, seed: int = 0,
             return lhs != rhs
 
         if derivation_fails(a, b):
-            small = shrink_elements(derivation_fails, [a, b])
-            ce = {"identity": "derivation", "a": str(small[0]), "b": str(small[1])}
-            return CheckReport("bracket_compat", "fail", ran, ce, details)
+            return CheckReport("bracket_compat", "fail", ran,
+                               counterexample("derivation", derivation_fails, [a, b]), details)
     return CheckReport("bracket_compat", "pass", ran, None, details)
 
 
@@ -404,6 +390,17 @@ def check_bv(n: int, trials: int = 200, seed: int = 0, max_deg: int = 3) -> Chec
             witness = {"a": str(a), "b": str(b), "deviation": str(dev)}
             break
 
+    def square_fails(v):
+        return not bv_delta(vol, bv_delta(vol, v)).is_zero()
+
+    def generating_fails(a, b):
+        front = 1 if (1 - a.degree()) % 2 == 0 else -1
+        return schouten(a, b) != front * deviation(a, b)
+
+    def intertwine_fails(v):
+        return any(vol_contract(vf, bv_delta(vf, v)) != de_rham(vol_contract(vf, v))
+                   for vf in (vol, vol2))
+
     anticommute = True
     ran = 0
     for _ in range(trials):
@@ -411,34 +408,13 @@ def check_bv(n: int, trials: int = 200, seed: int = 0, max_deg: int = 3) -> Chec
         v = rand_mixed(rng, amb, max_deg)
         a = rand_homogeneous(rng, amb, max_deg)
         b = rand_mixed(rng, amb, max_deg)
-
-        def square_fails(v):
-            return not bv_delta(vol, bv_delta(vol, v)).is_zero()
-
-        if square_fails(v):
-            small = shrink_elements(square_fails, [v])
-            return CheckReport("bv", "fail", ran,
-                               {"identity": "square_zero", "input": str(small[0])}, details)
-
-        def generating_fails(a, b):
-            p = -a.degree()
-            front = 1 if (p + 1) % 2 == 0 else -1
-            return schouten(a, b) != front * deviation(a, b)
-
-        if generating_fails(a, b):
-            small = shrink_elements(generating_fails, [a, b])
-            return CheckReport("bv", "fail", ran,
-                               {"identity": "generating_relation",
-                                "a": str(small[0]), "b": str(small[1])}, details)
-
-        def intertwine_fails(v):
-            return any(vol_contract(vf, bv_delta(vf, v)) != de_rham(vol_contract(vf, v))
-                       for vf in (vol, vol2))
-
-        if intertwine_fails(v):
-            small = shrink_elements(intertwine_fails, [v])
-            return CheckReport("bv", "fail", ran,
-                               {"identity": "volume_intertwine", "input": str(small[0])}, details)
+        for name, fails, elts in (("square_zero", square_fails, [v]),
+                                  ("generating_relation", generating_fails, [a, b]),
+                                  ("volume_intertwine", intertwine_fails, [v])):
+            if fails(*elts):
+                labels = "ab" if len(elts) == 2 else ["input"]
+                return CheckReport("bv", "fail", ran, counterexample(name, fails, elts, labels),
+                                   details)
 
         if witness is None:
             dev = deviation(a, b)

@@ -191,6 +191,32 @@ def test_check_gerstenhaber(capsys):
     assert doc["results"]["checks"][0]["status"] == "pass"
 
 
+def test_suite_json_times_each_criterion_last_and_counts_no_trials(capsys):
+    code, out, _ = run(capsys, "suite", "--json")
+    assert code == 0
+    entries = json.loads(out)["results"]["checks"]
+    assert len(entries) == 10
+    for entry in entries:
+        assert list(entry)[-1] == "seconds"
+        # report values pass through _plain, which writes a float as a string
+        assert float(entry["seconds"]) >= 0
+        assert "trials" not in entry
+        assert list(entry)[:2] == ["name", "status"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("gerstenhaber", "--trials", "5"),
+    ("compat", "--vars", "x,y", "--alpha", "y*d_x", "--trials", "5"),
+    ("d2", "--vars", "x,y", "--section", "x*y, x - y"),
+], ids=["gerstenhaber", "compat-fail", "d2"])
+def test_check_json_keeps_trials_after_status(capsys, argv):
+    code, out, _ = run(capsys, "check", *argv, "--json")
+    assert code == 0
+    entry = json.loads(out)["results"]["checks"][0]
+    assert list(entry)[:3] == ["name", "status", "trials"]
+    assert "seconds" not in entry
+
+
 def test_check_d2(capsys):
     code, doc, _ = run_json(capsys, "check", "d2", "--vars", "x,y",
                             "--section", "x*y, x - y")

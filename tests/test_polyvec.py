@@ -5,7 +5,7 @@ from random import Random
 
 import pytest
 
-from dcrit.checks import rand_mixed, var_names
+from dcrit.checks import rand_mixed, rand_poly, var_names
 from dcrit.exterior import Ambient, ExtElt, Section, contract
 from dcrit.parsing import parse_one_form, parse_poly, parse_polyvector
 from dcrit.poly import Poly
@@ -257,3 +257,25 @@ def test_one_pass_kernels_match_the_closed_formulas(n):
         assert bv_delta(vol, a) == reference_delta(a)
         for b in elements:
             assert schouten(a, b) == reference_bracket(a, b)
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_contraction_is_minus_alpha_times_the_odd_derivatives(n):
+    """The one sign rule: contract(alpha, a) = -sum_i alpha_i * od_i(a), checked
+    against the test-local odd derivative that also pins the bracket kernels."""
+    rng = Random(70 + n)
+    amb = polyvector_ambient(var_names(n))
+    elements = [rand_mixed(rng, amb, 3) for _ in range(8)]
+    elements.append(Fraction(3, 5) * elements[0])
+    alphas = [Section(amb, tuple(rand_poly(rng, amb.vars, 2) for _ in amb.vars))
+              for _ in range(6)]
+    alphas.append(Section(amb, tuple(Fraction(1, 2) * p for p in alphas[0].components)))
+    coeffs = [c for e in elements for c in e.terms.values()]
+    coeffs += [c for alpha in alphas for p in alpha.components for c in p.terms.values()]
+    assert any(type(c) is Fraction for c in coeffs) and any(type(c) is int for c in coeffs)
+    for alpha in alphas:
+        for a in elements:
+            expected = ExtElt.zero(amb)
+            for i, alpha_i in enumerate(alpha.components):
+                expected = expected - alpha_i * odd_derivative(a, i)
+            assert contract(alpha, a) == expected
