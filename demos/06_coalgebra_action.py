@@ -8,7 +8,7 @@ Run as: python3 demos/06_coalgebra_action.py
 
 from dcrit import (Ambient, ExtElt, build_koszul, check_d_squared, coaction,
                    comultiply, counit, antipode, parse_poly, parse_section)
-from dcrit.coalgebra import tensor_collapse, tensor_d_first, tensor_map_first
+from dcrit.coalgebra import tensor_collapse, tensor_d_first, tensor_map
 from dcrit.exterior import contract
 
 VS = ("x", "y")
@@ -25,7 +25,7 @@ print()
 print("== the Hopf law, melted by hand ==")
 a = e1 * e2
 d = comultiply(a)
-melted = tensor_collapse(tensor_map_first(d, antipode))
+melted = tensor_collapse(tensor_map(d, antipode, 1))
 print(f"collapse((S x id)(D(e1/\\e2))) = {melted}")
 print(f"counit(e1/\\e2)                = {counit(a)}   (they agree)")
 

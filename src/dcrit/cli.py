@@ -26,9 +26,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 from functools import cache
-from fractions import Fraction
 
 from . import __version__
 from .acceptance import run_all
@@ -42,39 +40,6 @@ from .poly import Poly, UnknownVariableError, gradient
 from .polyvec import check_bracket_compat, check_bv, check_gerstenhaber, form_str
 from .symplectic import (hessian, intersect_graph_lagrangians, minus_one_pairing,
                          obstruction_theory)
-
-
-@dataclass
-class Report:
-    """Everything one invocation computed, in serialization-stable form."""
-
-    command: str
-    inputs: dict
-    results: dict
-    version: str = __version__
-    timing: dict | None = None
-
-    def to_json(self) -> dict:
-        out = {"command": self.command, "inputs": self.inputs,
-               "results": self.results, "version": self.version}
-        if self.timing is not None:
-            out["timing"] = self.timing
-        return out
-
-
-def _plain(value):
-    """Coerce nested report values to JSON primitives (round-trip safe)."""
-    if isinstance(value, dict):
-        return {str(k): _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, Poly):
-        return str(value)
-    if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
-        return value
-    return str(value)
 
 
 def _parse_vars(spec: str) -> tuple[str, ...]:
@@ -159,7 +124,8 @@ def _ring(vars) -> str:
 
 
 # one handler per subcommand, `_cmd_<command>`, looked up by name when main
-# runs; each returns (Report, human lines, exit code)
+# runs; each returns (inputs, results, human lines, exit code), and main
+# wraps inputs and results into the JSON document
 
 def _cmd_zero(args):
     vars = _parse_vars(args.vars)
@@ -177,7 +143,7 @@ def _cmd_zero(args):
     _slice_table(complex, weights, args, ideal, results, lines)
     inputs = {"vars": list(vars), "section": [str(c) for c in components],
               "weights": list(weights), "cutoff": args.cutoff}
-    return Report("zero", inputs, _plain(results)), lines, (0 if d2 else 1)
+    return inputs, results, lines, (0 if d2 else 1)
 
 
 def _cmd_fancy(args):
@@ -196,7 +162,7 @@ def _cmd_fancy(args):
              f"resolution certificate (cutoff {args.cutoff}): {status}"]
     lines.extend(_hilbert_lines(table))
     inputs = {"vars": list(vars), "rank": args.rank, "cutoff": args.cutoff}
-    return Report("fancy", inputs, _plain(results)), lines, (0 if cert.ok else 1)
+    return inputs, results, lines, (0 if cert.ok else 1)
 
 
 def _cmd_crit(args):
@@ -230,7 +196,7 @@ def _cmd_crit(args):
         _slice_table(build_koszul(vars, grads), weights, args, jacobian, results, lines)
     inputs = {"vars": list(vars), "f": str(f), "weights": list(weights),
               "cutoff": args.cutoff}
-    return Report("crit", inputs, _plain(results)), lines, 0
+    return inputs, results, lines, 0
 
 
 def _cmd_check(args):
@@ -280,7 +246,7 @@ def _cmd_check(args):
     results = {"checks": [entry], "holds": report.passed}
     lines = _check_lines(entry)
     code = 1 if (args.expect_holds and not report.passed) else 0
-    return Report("check", inputs, _plain(results)), lines, code
+    return inputs, results, lines, code
 
 
 def _cmd_lagr(args):
@@ -298,7 +264,7 @@ def _cmd_lagr(args):
                 for r in range(mat["rows"])]
         lines.append(f"d_{p}: [" + "; ".join(rows) + "]")
     lines.append(_pairing_line(results["pairing"]))
-    return Report("lagr", inputs, _plain(results)), lines, 0
+    return inputs, results, lines, 0
 
 
 def _cmd_suite(args):
@@ -315,7 +281,7 @@ def _cmd_suite(args):
     lines.append(f"suite: {passed}/{len(outcomes)} passed")
     inputs = {"seed": args.seed}
     code = 0 if passed == len(outcomes) else 1
-    return Report("suite", inputs, _plain(results)), lines, code
+    return inputs, results, lines, code
 
 
 @cache
@@ -394,7 +360,7 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     start = time.perf_counter()
     try:
-        report, lines, code = globals()[f"_cmd_{args.command}"](args)
+        inputs, results, lines, code = globals()[f"_cmd_{args.command}"](args)
     except (ParseError, UnknownVariableError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -404,10 +370,12 @@ def main(argv=None) -> int:
         if args.json:
             print(json.dumps({"command": args.command, "error": error}, indent=2))
         return 3
-    if not args.no_timing:
-        report.timing = {"seconds": round(time.perf_counter() - start, 3)}
     if args.json:
-        print(json.dumps(report.to_json(), indent=2))
+        doc = {"command": args.command, "inputs": inputs, "results": results,
+               "version": __version__}
+        if not args.no_timing:
+            doc["timing"] = {"seconds": round(time.perf_counter() - start, 3)}
+        print(json.dumps(doc, indent=2, default=str))
     else:
         for line in lines:
             print(line)

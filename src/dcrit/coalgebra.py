@@ -8,9 +8,12 @@ compatibilities checked in `check_coalgebra`.  The same splitting map is a
 coaction of the bare coalgebra (zero differential) on every Koszul complex
 with the same generators: contraction in the left slot commutes with it.
 
-Tensors are stored over R: a term is (exponent vector, left subset, right
-subset) with a rational coefficient, so e_U (x) e_V with a polynomial
-coefficient never splits the polynomial between the slots.
+Tensors are stored over R: a term is (exponent vector, slot_1, ..., slot_k),
+each slot a subset of the generators, with a rational coefficient, so
+e_U (x) e_V with a polynomial coefficient never splits the polynomial
+between the slots.  The identities apply one structure map to one slot:
+`tensor_map`, `tensor_counit` and `tensor_comultiply` take the slot (1 or 2)
+they act on.
 """
 
 from __future__ import annotations
@@ -22,23 +25,24 @@ from typing import Callable, Sequence
 from .checks import CheckReport, _require_trials, counterexample, rand_mixed, rand_section
 from .exterior import Ambient, ExtElt, Section, _contract, contract, merge_sign, wedge
 from .koszul import KoszulComplex, default_gens
-from .poly import Exponents, Poly, Scalar, _Terms, exps_add, monomial_str
+from .poly import Poly, Scalar, _Terms, exps_add, monomial_str
 
-TensorKey = tuple[Exponents, tuple[int, ...], tuple[int, ...]]
+TensorKey = tuple  # (exponents, slot_1, ..., slot_k), each slot a tuple of generator indices
 
 
 class TensorElt(_Terms):
-    """Element of (Lambda otimes_R Lambda) over the polynomial ring."""
+    """Element of a tensor power of Lambda over the polynomial ring."""
 
     __slots__ = ()
     ambient = _Terms._ring  # the ring tag is the Ambient
 
     @staticmethod
     def _valid_key(ambient: Ambient, key) -> TensorKey:
-        exps, left, right = key
-        if len(exps) != len(ambient.vars):
-            raise ValueError("exponent vector does not match the variables")
-        return tuple(exps), tuple(left), tuple(right)
+        """Each slot is checked as the subset of an exterior term."""
+        exps, *slots = key
+        if not slots:
+            raise ValueError("a tensor term needs at least one slot")
+        return (tuple(exps),) + tuple(ExtElt._valid_key(ambient, (exps, s))[1] for s in slots)
 
     @classmethod
     def tensor(cls, a: ExtElt, b: ExtElt) -> "TensorElt":
@@ -55,13 +59,11 @@ class TensorElt(_Terms):
 
     @staticmethod
     def _sort_key(key: TensorKey) -> tuple:
-        exps, left, right = key
-        return (len(left), left, right, exps)
+        return (len(key[1]),) + key[1:] + (key[0],)
 
     def _factors(self, key: TensorKey) -> list[str]:
-        exps, left, right = key
-        slots = [("/\\".join(self.ambient.gens[j] for j in s) or "1") for s in (left, right)]
-        mono = monomial_str(self.ambient.vars, exps)
+        slots = [("/\\".join(self.ambient.gens[j] for j in s) or "1") for s in key[1:]]
+        mono = monomial_str(self.ambient.vars, key[0])
         return ([mono] if mono else []) + [" (x) ".join(slots)]
 
 
@@ -134,8 +136,14 @@ def tensor_collapse(t: TensorElt) -> ExtElt:
     return ExtElt._make(t.ambient, terms)
 
 
-def _slot_map(t: TensorElt, fn: Callable[[ExtElt], ExtElt], slot: int) -> TensorElt:
-    """Apply an even R-linear map to the slot at key position 1 or 2 (no crossing signs arise)."""
+def _check_slot(slot: int) -> None:
+    if slot not in (1, 2):
+        raise ValueError(f"slot must be 1 or 2, got {slot}")
+
+
+def tensor_map(t: TensorElt, fn: Callable[[ExtElt], ExtElt], slot: int) -> TensorElt:
+    """Apply an even R-linear map to slot 1 or 2 (no crossing signs arise)."""
+    _check_slot(slot)
     terms: dict[TensorKey, Scalar] = {}
     for key, c in t.terms.items():
         image = fn(ExtElt._make(t.ambient, {(key[0], key[slot]): c}))
@@ -145,27 +153,20 @@ def _slot_map(t: TensorElt, fn: Callable[[ExtElt], ExtElt], slot: int) -> Tensor
     return TensorElt._make(t.ambient, terms)
 
 
-def tensor_map_first(t: TensorElt, fn: Callable[[ExtElt], ExtElt]) -> TensorElt:
-    return _slot_map(t, fn, 1)
+def tensor_counit(t: TensorElt, slot: int) -> ExtElt:
+    """Apply the counit to slot 1 or 2 of a two-slot tensor, keeping the other slot."""
+    _check_slot(slot)
+    return ExtElt._make(t.ambient, {(exps, right if slot == 1 else left): c
+                                    for (exps, left, right), c in t.terms.items()
+                                    if not (left if slot == 1 else right)})
 
 
-def tensor_map_second(t: TensorElt, fn: Callable[[ExtElt], ExtElt]) -> TensorElt:
-    return _slot_map(t, fn, 2)
-
-
-def _counit_slot(t: TensorElt, slot: int) -> ExtElt:
-    """Apply the counit to the slot at key position 1 or 2, keeping the other slot."""
-    return ExtElt._make(t.ambient, {(key[0], key[3 - slot]): c
-                                    for key, c in t.terms.items() if not key[slot]})
-
-
-def tensor_counit_first(t: TensorElt) -> ExtElt:
-    """(counit otimes id), landing back in the exterior algebra."""
-    return _counit_slot(t, 1)
-
-
-def tensor_counit_second(t: TensorElt) -> ExtElt:
-    return _counit_slot(t, 2)
+def tensor_comultiply(t: TensorElt, slot: int) -> TensorElt:
+    """Comultiply slot 1 or 2 into two slots; comultiplication is even, so no extra signs."""
+    _check_slot(slot)
+    return TensorElt._make(t.ambient, {key[:slot] + (a, b) + key[slot + 1:]: sign * c
+                                       for key, c in t.terms.items()
+                                       for a, b, sign in _split_terms(key[slot])})
 
 
 def tensor_d_first(t: TensorElt, section: Section) -> TensorElt:
@@ -173,39 +174,6 @@ def tensor_d_first(t: TensorElt, section: Section) -> TensorElt:
     if section.ambient != t.ambient:
         raise ValueError("section lives on a different ambient")
     return TensorElt._make(t.ambient, _contract([p.terms for p in section.components], t.terms))
-
-
-class Tensor3(_Terms):
-    """Triple tensors, only as far as coassociativity needs them."""
-
-    __slots__ = ()
-    ambient = _Terms._ring  # the ring tag is the Ambient
-
-    @staticmethod
-    def _valid_key(ambient: Ambient, key) -> tuple:
-        return key
-
-    def __repr__(self) -> str:
-        return f"Tensor3({len(self.terms)} terms)"
-
-    __str__ = __repr__
-
-
-def _comultiply_slot(t: TensorElt, slot: int) -> Tensor3:
-    """Comultiply the slot at key position 1 or 2; comultiplication is even, so no extra signs."""
-    return Tensor3._make(t.ambient, {key[:slot] + (a, b) + key[slot + 1:]: sign * c
-                                     for key, c in t.terms.items()
-                                     for a, b, sign in _split_terms(key[slot])})
-
-
-def comultiply_first(t: TensorElt) -> Tensor3:
-    """(comultiply otimes id)."""
-    return _comultiply_slot(t, 1)
-
-
-def comultiply_second(t: TensorElt) -> Tensor3:
-    """(id otimes comultiply)."""
-    return _comultiply_slot(t, 2)
 
 
 def check_coalgebra(rank: int, trials: int = 200, seed: int = 0,
@@ -232,11 +200,11 @@ def check_coalgebra(rank: int, trials: int = 200, seed: int = 0,
 
         def coassoc_fails(a):
             d = comultiply(a)
-            return comultiply_first(d) != comultiply_second(d)
+            return tensor_comultiply(d, 1) != tensor_comultiply(d, 2)
 
         def counit_fails(a):
             d = comultiply(a)
-            return tensor_counit_first(d) != a or tensor_counit_second(d) != a
+            return any(tensor_counit(d, slot) != a for slot in (1, 2))
 
         def cocomm_fails(a):
             d = comultiply(a)
@@ -245,8 +213,8 @@ def check_coalgebra(rank: int, trials: int = 200, seed: int = 0,
         def antipode_fails(a):
             d = comultiply(a)
             target = ExtElt.from_poly(amb, counit(a))
-            return (tensor_collapse(tensor_map_first(d, antipode)) != target
-                    or tensor_collapse(tensor_map_second(d, antipode)) != target)
+            return any(tensor_collapse(tensor_map(d, antipode, slot)) != target
+                       for slot in (1, 2))
 
         def algebra_map_fails(a, b):
             return comultiply(wedge(a, b)) != tensor_multiply(comultiply(a), comultiply(b))

@@ -126,6 +126,42 @@ def rank_two_ambient():
     return Ambient(("x", "y"), default_gens(2))
 
 
+def test_coalgebra_shrinks_a_coassociativity_failure(monkeypatch):
+    def unsigned(t, slot):
+        return coalgebra.TensorElt._make(t.ambient, {
+            key[:slot] + (a, b) + key[slot + 1:]: c
+            for key, c in t.terms.items() for a, b, _ in coalgebra._split_terms(key[slot])})
+
+    monkeypatch.setattr(coalgebra, "tensor_comultiply", unsigned)
+    report = coalgebra.check_coalgebra(2, trials=50, seed=0)
+    assert report.status == "fail"
+    ce = report.counterexample
+    assert list(ce) == ["identity", "a"]
+    assert ce["identity"] == "coassociativity"
+
+    def coassoc_fails(a):
+        d = coalgebra.comultiply(a)
+        return unsigned(d, 1) != unsigned(d, 2)
+
+    assert_shrunk(coassoc_fails, [parse_elt(ce["a"], rank_two_ambient())])
+
+
+def test_coalgebra_shrinks_a_counit_failure(monkeypatch):
+    tensor_counit = coalgebra.tensor_counit
+    monkeypatch.setattr(coalgebra, "tensor_counit", lambda t, slot: -tensor_counit(t, slot))
+    report = coalgebra.check_coalgebra(2, trials=50, seed=0)
+    assert report.status == "fail"
+    ce = report.counterexample
+    assert list(ce) == ["identity", "a"]
+    assert ce["identity"] == "counit"
+
+    def counit_fails(a):
+        d = coalgebra.comultiply(a)
+        return any(-tensor_counit(d, slot) != a for slot in (1, 2))
+
+    assert_shrunk(counit_fails, [parse_elt(ce["a"], rank_two_ambient())])
+
+
 def test_coalgebra_shrinks_an_antipode_failure(monkeypatch):
     monkeypatch.setattr(coalgebra, "antipode", lambda a: a)
     report = coalgebra.check_coalgebra(2, trials=50, seed=0)
@@ -138,8 +174,8 @@ def test_coalgebra_shrinks_an_antipode_failure(monkeypatch):
     def antipode_fails(a):
         d = coalgebra.comultiply(a)
         target = ExtElt.from_poly(amb, coalgebra.counit(a))
-        return any(coalgebra.tensor_collapse(apply(d, coalgebra.antipode)) != target
-                   for apply in (coalgebra.tensor_map_first, coalgebra.tensor_map_second))
+        return any(coalgebra.tensor_collapse(coalgebra.tensor_map(d, coalgebra.antipode, slot))
+                   != target for slot in (1, 2))
 
     assert_shrunk(antipode_fails, [parse_elt(ce["a"], amb)])
 

@@ -194,12 +194,14 @@ def test_check_gerstenhaber(capsys):
 def test_suite_json_times_each_criterion_last_and_counts_no_trials(capsys):
     code, out, _ = run(capsys, "suite", "--json")
     assert code == 0
-    entries = json.loads(out)["results"]["checks"]
+    doc = json.loads(out)
+    assert isinstance(doc["timing"]["seconds"], float)
+    entries = doc["results"]["checks"]
     assert len(entries) == 10
     for entry in entries:
         assert list(entry)[-1] == "seconds"
-        # report values pass through _plain, which writes a float as a string
-        assert float(entry["seconds"]) >= 0
+        assert isinstance(entry["seconds"], float)
+        assert entry["seconds"] >= 0
         assert "trials" not in entry
         assert list(entry)[:2] == ["name", "status"]
 

@@ -7,8 +7,9 @@ import pytest
 
 from dcrit.checks import rand_mixed, rand_section
 from dcrit.coalgebra import (TensorElt, antipode, check_coalgebra, coaction,
-                             comultiply, counit, tensor_collapse, tensor_flip,
-                             tensor_d_first, tensor_map_first, tensor_multiply)
+                             comultiply, counit, tensor_collapse, tensor_comultiply,
+                             tensor_counit, tensor_d_first, tensor_flip, tensor_map,
+                             tensor_multiply)
 from dcrit.exterior import Ambient, ExtElt, contract
 from dcrit.koszul import build_koszul
 from dcrit.parsing import parse_poly
@@ -60,9 +61,60 @@ def test_counit_axiom():
     for _ in range(30):
         a = rand_mixed(rng, AMB, 2)
         d = comultiply(a)
-        left = tensor_collapse(tensor_map_first(d, lambda u: ExtElt.from_poly(
-            AMB, counit(u))))
+        left = tensor_collapse(tensor_map(d, lambda u: ExtElt.from_poly(
+            AMB, counit(u)), 1))
         assert left == a
+
+
+def test_counit_slots_recover_the_element():
+    rng = Random(36)
+    for _ in range(30):
+        a = rand_mixed(rng, AMB, 2)
+        for slot in (1, 2):
+            assert tensor_counit(comultiply(a), slot) == a
+
+
+def test_comultiplying_a_slot_gives_three_slots():
+    zero = (0, 0)
+    expected = TensorElt(AMB, {(zero, (), (), (0, 1)): 1, (zero, (), (0,), (1,)): 1,
+                               (zero, (0,), (), (1,)): 1, (zero, (), (1,), (0,)): -1,
+                               (zero, (1,), (), (0,)): -1, (zero, (), (0, 1), ()): 1,
+                               (zero, (0,), (1,), ()): 1, (zero, (1,), (0,), ()): -1,
+                               (zero, (0, 1), (), ()): 1})
+    assert tensor_comultiply(comultiply(E1 * E2), 1) == expected
+    assert str(TensorElt(AMB, {(zero, (0,), (), (1,)): 1})) == "e1 (x) 1 (x) e2"
+
+
+@pytest.mark.parametrize("key", [((0, 0),), ((0,), (0,), ()), ((0, 0), (1, 0), ()),
+                                 ((0, 0), (0,), (0, 0)), ((0, 0), (2,), ())],
+                         ids=["no-slot", "short-exponents", "unsorted", "repeated", "out-of-range"])
+def test_tensor_keys_are_checked_slot_by_slot(key):
+    with pytest.raises(ValueError):
+        TensorElt(AMB, {key: 1})
+
+
+def test_comultiply_prints_as_in_the_coalgebra_demo():
+    assert str(comultiply(P("x") * E1 * E2)) == (
+        "x*1 (x) e1/\\e2 + x*e1 (x) e2 - x*e2 (x) e1 + x*e1/\\e2 (x) 1")
+
+
+@pytest.mark.parametrize("slot", [0, 3])
+def test_slot_maps_take_slot_one_or_two(slot):
+    d = comultiply(E1 * E2)
+    with pytest.raises(ValueError):
+        tensor_map(d, antipode, slot)
+    with pytest.raises(ValueError):
+        tensor_counit(d, slot)
+    with pytest.raises(ValueError):
+        tensor_comultiply(d, slot)
+
+
+def test_two_slot_maps_reject_three_slot_tensors():
+    t = tensor_comultiply(comultiply(E1 * E2), 1)
+    for apply in (lambda u: tensor_counit(u, 1), tensor_flip, tensor_collapse,
+                  lambda u: tensor_multiply(u, u)):
+        with pytest.raises(ValueError):
+            apply(t)
 
 
 def test_antipode_is_parity():
@@ -75,7 +127,7 @@ def test_hopf_law_samples():
     one = ExtElt.one(AMB)
     for a in (E1, E1 * E2, P("x") * E1 + 2 * one, E2 + E1 * E2):
         d = comultiply(a)
-        melted = tensor_collapse(tensor_map_first(d, antipode))
+        melted = tensor_collapse(tensor_map(d, antipode, 1))
         assert melted == ExtElt.from_poly(AMB, counit(a))
 
 
@@ -88,12 +140,11 @@ def test_graded_cocommutativity():
 
 
 def test_coassociativity_samples():
-    from dcrit.coalgebra import comultiply_first, comultiply_second
     rng = Random(33)
     for _ in range(30):
         a = rand_mixed(rng, AMB, 2)
         d = comultiply(a)
-        assert comultiply_first(d) == comultiply_second(d)
+        assert tensor_comultiply(d, 1) == tensor_comultiply(d, 2)
 
 
 def test_comultiply_is_an_algebra_map():
