@@ -1,6 +1,6 @@
 """Groebner bases over Q in degrevlex order, and the quotient rings they describe.
 
-Buchberger's algorithm with the coprime-leading-term criterion, followed by
+Buchberger's algorithm with Gebauer and Moller's pair criteria, followed by
 minimalization and full interreduction, so the returned basis is the reduced
 monic Groebner basis: a canonical form, idempotent under recomputation.
 This is the independent oracle for degree-zero cohomology (quotient ring
@@ -18,7 +18,17 @@ Fraction for each coefficient the leading one does not divide, only when
 the GroebnerBasis is built, and a rational remainder is made only when
 `normal_form` returns one.
 
-Critical pairs wait in a heap keyed by the degrevlex key of their lcm,
+Critical pairs are kept by Gebauer and Moller's update (Installation of
+Buchberger's algorithm, J. Symb. Comp. 1988; the UPDATE procedure of Becker
+and Weispfenning, Groebner Bases, 1993, section 5.5).  Each input generator,
+and then each nonzero remainder h, is paired only with the active
+generators, those whose leading term no later one divides.  Of those new
+pairs the chain criterion keeps the ones whose lcm no other new pair's lcm
+divides, one per equal lcm, and then drops the coprime ones, whose
+S-polynomials reduce to zero.  The B-criterion drops an old pair (i, j)
+when lt(h) divides its lcm m and neither lcm(lt_i, lt_h) nor lcm(lt_j, lt_h)
+is m.  The generators lt(h) divides leave the active set; their pairs already
+queued stay.  Pairs wait in a heap keyed by the degrevlex key of their lcm,
 computed once per pair, and each S-polynomial is built straight into the
 integer dict it is reduced in.  Division reduces that dict in place and
 finds each leading term through a heap; one private reducer serves
@@ -50,7 +60,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import count, product
+from itertools import chain, count, product
 from math import comb, gcd, lcm
 from operator import add, le, mul, sub
 from typing import Iterable, Sequence, Union
@@ -454,7 +464,12 @@ class GroebnerBasis:
 
 
 def buchberger(gens: Iterable[Poly]) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal the generators span."""
+    """Reduced Groebner basis of the ideal the generators span.
+
+    Pairs form only among the active generators, those whose leading term
+    no later leading term divides; every generator still divides in each
+    reduction, in list order.
+    """
     gens = list(gens)
     if not gens:
         raise ValueError("need at least the ring (pass explicit zero polynomials)")
@@ -462,31 +477,51 @@ def buchberger(gens: Iterable[Poly]) -> GroebnerBasis:
     for g in gens:
         if g.vars != vars:
             raise ValueError("generators live over different variables")
-    divisors = _with_leads(gens)  # the basis, as primitive integer polynomials
-    leads = [ge for (ge, _), _ in divisors]
+    divisors: list = []  # the basis, as primitive integer polynomials
+    leads: list[Exponents] = []
+    active: list[int] = []  # the generators whose leading term no later one divides
+    pairs: list[tuple] = []
     # pairs come off the heap smallest lcm first, which keeps intermediate
     # growth down; among equal lcms the newest pair comes off first
     order = count(0, -1)
 
-    def pair(i: int, j: int) -> tuple:
-        m = _exps_lcm(leads[i], leads[j])
-        return degrevlex_key(m), next(order), i, j, m
+    def update(divisor) -> None:
+        """Add a divisor with the pairs it needs, and drop the old pairs it makes redundant."""
+        (he, _), _ = divisor
+        h = len(leads)
+        new = [(_exps_lcm(leads[g], he), g) for g in active]
+        # chain criterion: a new pair goes when another new pair's lcm divides
+        # its lcm, and one of each equal lcm stays; a coprime pair counts here
+        # and goes only after, since its S-polynomial reduces to zero
+        chosen: list[tuple] = []
+        for k, (m, g) in enumerate(new):
+            if m == tuple(map(add, leads[g], he)):
+                chosen.append((m, None))
+            elif not any(_divides(q, m) for q, _ in chain(new[k + 1:], chosen)):
+                chosen.append((m, g))
+        # B-criterion: an old pair (i, j) goes when lt(h) divides its lcm m
+        # and neither lcm(lt_i, lt_h) nor lcm(lt_j, lt_h) is m
+        old = [p for p in pairs if not (_divides(he, p[4]) and _exps_lcm(leads[p[2]], he) != p[4]
+                                        and _exps_lcm(leads[p[3]], he) != p[4])]
+        if len(old) < len(pairs):
+            pairs[:] = old
+            heapq.heapify(pairs)
+        for m, g in chosen:
+            if g is not None:
+                heapq.heappush(pairs, (degrevlex_key(m), next(order), g, h, m))
+        active[:] = [g for g in active if not _divides(he, leads[g])] + [h]
+        divisors.append(divisor)
+        leads.append(he)
 
-    pairs = [pair(i, j) for i in range(len(leads)) for j in range(i + 1, len(leads))]
-    heapq.heapify(pairs)
+    for divisor in _with_leads(gens):
+        update(divisor)
     while pairs:
         _, _, i, j, m = heapq.heappop(pairs)
-        if m == tuple(map(add, leads[i], leads[j])):
-            continue  # coprime leading terms: s-polynomial reduces to zero
         r, _ = _reduce(_s_poly(divisors[i], divisors[j], m), divisors)
         if r:
             re = next(iter(r))  # the remainder comes out in descending order
             r = _primitive(r, re)
-            divisors.append(((re, r[re]), r))
-            leads.append(re)
-            last = len(leads) - 1
-            for k in range(last):
-                heapq.heappush(pairs, pair(k, last))
+            update(((re, r[re]), r))
     # minimalize: drop any generator whose leading term another one divides
     minimal: list[int] = []
     for k in sorted(range(len(leads)), key=lambda k: degrevlex_key(leads[k])):

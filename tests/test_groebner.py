@@ -1,12 +1,16 @@
 """Groebner bases, normal forms, and quotient dimension oracles."""
 
+import heapq
 import json
 import random
 from fractions import Fraction
+from itertools import count
 from math import gcd, lcm
+from operator import add, le
 
 import pytest
 
+import dcrit.groebner as groebner
 import potentials
 from dcrit.cli import main
 from dcrit.cohomology import InhomogeneousSectionError, hilbert_table
@@ -303,6 +307,21 @@ def cyclic(n):
     for x in xs:
         every = every * x
     return gens + [every - 1]
+
+
+def katsura(n):
+    """Katsura-n: n + 1 unknowns u_0..u_n, with u_{-i} = u_i and u_i = 0 past n;
+    its quotient has dimension 2^n."""
+    vars = tuple(f"u{i}" for i in range(n + 1))
+    us = [Poly.variable(vars, v) for v in vars]
+
+    def u(i):
+        return us[abs(i)] if abs(i) <= n else Poly.zero(vars)
+
+    gens = [sum((u(i) for i in range(-n, n + 1)), Poly.zero(vars)) - Poly.one(vars)]
+    for m in range(n):
+        gens.append(sum((u(i) * u(m - i) for i in range(-n, n + 1)), Poly.zero(vars)) - u(m))
+    return gens
 
 
 def s_polynomial(f, g):
@@ -651,3 +670,109 @@ def test_dimension_is_counted_not_listed(monkeypatch, capsys):
         assert json.loads(capsys.readouterr().out)["results"]["milnor"] == mu
     assert main(["zero", "--vars", "x,y", "--section", "x^3, y^4", "--json", "--no-timing"]) == 0
     assert json.loads(capsys.readouterr().out)["results"]["h0_dimension"] == 12
+
+
+# -- pair criteria: Gebauer-Moller's update against all pairs ---------------
+
+def all_pairs_buchberger(gens):
+    """Reference basis: every pair of generators, skipping only coprime leading
+    terms, on the module's S-polynomial and reducer, then minimalized and
+    interreduced; the reduced basis is canonical, so it must equal buchberger's."""
+    vars = gens[0].vars
+    divisors = groebner._with_leads(gens)
+    leads = [ge for (ge, _), _ in divisors]
+    order = count(0, -1)
+
+    def pair(i, j):
+        m = tuple(map(max, leads[i], leads[j]))
+        return degrevlex_key(m), next(order), i, j, m
+
+    pairs = [pair(i, j) for i in range(len(leads)) for j in range(i + 1, len(leads))]
+    heapq.heapify(pairs)
+    while pairs:
+        _, _, i, j, m = heapq.heappop(pairs)
+        if m == tuple(map(add, leads[i], leads[j])):
+            continue
+        r, _ = groebner._reduce(groebner._s_poly(divisors[i], divisors[j], m), divisors)
+        if r:
+            re = next(iter(r))
+            r = groebner._primitive(r, re)
+            divisors.append(((re, r[re]), r))
+            leads.append(re)
+            for k in range(len(leads) - 1):
+                heapq.heappush(pairs, pair(k, len(leads) - 1))
+    minimal = []
+    for k in sorted(range(len(leads)), key=lambda k: degrevlex_key(leads[k])):
+        if not any(all(map(le, leads[m], leads[k])) for m in minimal):
+            minimal.append(k)
+    kept = [divisors[k] for k in minimal]
+    basis = []
+    for pos, ((ge, _), terms) in enumerate(kept):
+        r, _ = groebner._reduce(dict(terms), kept[:pos] + kept[pos + 1:])
+        basis.append(Poly(vars, {e: Fraction(c, r[ge]) for e, c in r.items()}))
+    return basis
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_pair_criteria_keep_the_all_pairs_basis_on_seeded_ideals(seed):
+    # random_ideal, integer_path_ideal, zero_dimensional_ideal and the corpus
+    # Jacobians, each drawn twice in a row for two weightings
+    for gens, _ in list(seeded_ideals(seed))[::2]:
+        assert list(buchberger(gens).gens) == all_pairs_buchberger(gens), [str(g) for g in gens]
+
+
+@pytest.mark.parametrize("gens, mu", [(cyclic(5), 70), (katsura(4), 16)], ids=["cyclic-5", "katsura-4"])
+def test_pair_criteria_keep_the_all_pairs_basis_on_named_systems(gens, mu):
+    gb = buchberger(gens)
+    assert list(gb.gens) == all_pairs_buchberger(gens)
+    assert quotient_dimension(gb) == mu
+
+
+@pytest.mark.parametrize("srcs, vars", [
+    (["x^2 + y", "x^2 + y", "x*y - 1"], VS),                # duplicate generators
+    (["x^2 + y", "x^2 - y^2", "x*y + x"], VS),              # equal leading terms
+    (["x^2*y + y", "x*y - x", "y^3 + 2"], VS),              # a later leading term divides an earlier
+    (["x^3*y^2 - z", "x*y^2 + y", "x^2 - z^2", "y*z - x"], ("x", "y", "z")),
+    (["0", "x^3 - y", "0", "x*y^2 + 1", "0"], VS),          # zero generators mixed in
+    (["x*y - 1", "x", "y^2"], VS),                          # the unit ideal, reached by a pair
+    (["x^2 + y", "3", "x*y"], VS),                          # the unit ideal, given
+    (["0"], VS),
+    (["0", "0"], ()),                                       # the zero-variable ring
+    (["0", "5", "2"], ()),
+])
+def test_pair_criteria_keep_the_all_pairs_basis_on_edge_inputs(srcs, vars):
+    gens = [parse_poly(src, vars) for src in srcs]
+    assert list(buchberger(gens).gens) == all_pairs_buchberger(gens)
+
+
+def count_s_pair_reductions(monkeypatch, build, gens):
+    """(S-pairs reduced, how many came back zero) by one basis computation.
+
+    Interreduction calls the reducer once per reduced generator, never with
+    a zero result; those calls are taken off.
+    """
+    calls = zeros = 0
+    reduce = groebner._reduce
+
+    def counting(work, divisors):
+        nonlocal calls, zeros
+        r = reduce(work, divisors)
+        calls += 1
+        zeros += not r[0]
+        return r
+
+    monkeypatch.setattr(groebner, "_reduce", counting)
+    basis = build(gens)
+    size = len(basis.gens if isinstance(basis, GroebnerBasis) else basis)
+    return calls - size, zeros
+
+
+@pytest.mark.parametrize("gens, pinned, reference", [
+    (cyclic(5), (106, 65), (868, 827)),
+    (list(gradient(potentials.corpus(0)[1][0])), (10, 5), (16, 11)),
+], ids=["cyclic-5", "power-sum-jacobian"])
+def test_pair_criteria_reduce_fewer_pairs(monkeypatch, gens, pinned, reference):
+    # pinned, so that switching off the chain criterion or the B-criterion fails here
+    assert count_s_pair_reductions(monkeypatch, buchberger, gens) == pinned
+    assert count_s_pair_reductions(monkeypatch, all_pairs_buchberger, gens) == reference
+    assert pinned[0] < reference[0] and pinned[1] < reference[1]

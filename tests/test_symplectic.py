@@ -240,6 +240,71 @@ def test_obstruction_edge_cases_match_per_entry_reduction(monkeypatch, capsys):
     assert doc["obstruction"] == report.to_json()
 
 
+# -- the obstruction numbers against closed forms -----------------------------
+
+def closed_form_cases(seed):
+    """(potential, its h0 = h1) from a closed form, drawn from the seed.
+
+    f = sum_i x_i^a_i has a diagonal Hessian and R/J = (x) Q[x_i]/(x_i^(a_i - 1)),
+    so h0 = h1 = sum_i mu (a_i - 2)/(a_i - 1).  A sum of d-th powers of n
+    independent linear forms is that case after a change of coordinates, with
+    every a_i = d: h0 = h1 = n (d - 2) (d - 1)^(n - 1).
+    """
+    rng = random.Random(f"closed-form-{seed}")
+    n = rng.randint(1, 3)
+    exps = [rng.randint(2, 6 if n < 3 else 5) for _ in range(n)]
+    pham = Poly(potentials.VARS[:n], {tuple(a if i == k else 0 for i in range(n)): 1
+                                      for k, a in enumerate(exps)})
+    mu = 1
+    for a in exps:
+        mu *= a - 1
+    n, d = rng.randint(1, 3), rng.randint(2, 5)
+    if n == 3:
+        d = min(d, 4)
+    powers = potentials.power_sum(rng, n, d)
+    return [(pham, sum(mu * (a - 2) // (a - 1) for a in exps)),
+            (powers, n * (d - 2) * (d - 1) ** (n - 1))]
+
+
+def closed_form_misses(seeds, capsys):
+    """Each seeded case whose obstruction numbers, as crit reports them, miss the closed form."""
+    misses = []
+    for seed in seeds:
+        for f, h in closed_form_cases(seed):
+            assert main(["crit", "--vars", ",".join(f.vars), f"--function={f}",
+                         "--obstruction", "--json", "--no-timing"]) == 0
+            got = json.loads(capsys.readouterr().out)["results"]["obstruction"]
+            if (got["h0"], got["h1"]) != (h, h):
+                misses.append((str(f), h, got["h0"], got["h1"]))
+    return misses
+
+
+def test_closed_form_examples():
+    xyz = ("x", "y", "z")
+    assert obstruction_theory(P("x^2 + y^5 + z^3", xyz)).h0 == 10  # mu = 8: 0 + 6 + 4
+    assert obstruction_theory(P("x^3 + y^3 + z^3", xyz)).h0 == 12  # n = 3, d = 3
+
+
+@pytest.mark.parametrize("seeds", [range(0, 12), range(12, 24)])
+def test_obstruction_numbers_match_closed_forms(seeds, capsys):
+    assert closed_form_misses(seeds, capsys) == []
+
+
+def test_closed_forms_catch_a_dropped_hessian_entry(monkeypatch, capsys):
+    real = dcrit.symplectic.obstruction_theory
+
+    def dropped(f, basis=None, hess=None):
+        h = [list(row) for row in (hess if hess is not None else hessian(f))]
+        h[-1][-1] = Poly.zero(f.vars)
+        return real(f, basis=basis, hess=h)
+
+    monkeypatch.setattr(dcrit.symplectic, "obstruction_theory", dropped)
+    monkeypatch.setattr(dcrit.cli, "obstruction_theory", dropped)
+    # all but two of the twelve: without that entry the restricted Hessian
+    # keeps its rank on a nondegenerate quadric and on -48*x^2*y - 16*y^3
+    assert len(closed_form_misses(range(6), capsys)) == 10
+
+
 # -- local duality: the Hessian determinant spans the socle -------------------
 
 def determinant(m):
