@@ -87,11 +87,13 @@ def _hilbert_lines(table) -> list[str]:
     return lines
 
 
-def _slice_table(complex, weights, args, basis, results: dict, lines: list[str]) -> None:
+def _slice_table(complex, weights, args, basis, results: dict, lines: list[str],
+                 d_squared: bool | None = None) -> None:
     """Add the slice table of `zero` and `crit` to their results and lines; an
-    inhomogeneous section gets `"hilbert": null` unless --weights was given."""
+    inhomogeneous section gets `"hilbert": null` unless --weights was given.
+    `d_squared`, when given, is what `check_d_squared` said of the complex."""
     try:
-        table = hilbert_table(complex, weights, args.cutoff, basis=basis)
+        table = hilbert_table(complex, weights, args.cutoff, basis=basis, d_squared=d_squared)
     except InhomogeneousSectionError as e:
         if args.weights:
             raise
@@ -140,7 +142,7 @@ def _cmd_zero(args):
     lines = [f"zero locus of ({', '.join(str(c) for c in components)}) over {_ring(vars)}",
              f"d^2 = 0: {checks[0]['status']}",
              f"H^0 dimension: {h0}"]
-    _slice_table(complex, weights, args, ideal, results, lines)
+    _slice_table(complex, weights, args, ideal, results, lines, d_squared=d2)
     inputs = {"vars": list(vars), "section": [str(c) for c in components],
               "weights": list(weights), "cutoff": args.cutoff}
     return inputs, results, lines, (0 if d2 else 1)
@@ -350,12 +352,46 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="RNG seed")
     common(p)
 
+    parser.commands = sub.choices  # name -> subcommand parser, for _attach_expressions
     return parser
 
 
+#: Destinations of the options whose value is an expression, which may start with '-'.
+_EXPRESSIONS = ("function", "section", "alpha", "beta")
+
+
+def _attach_expressions(argv: list[str]) -> list[str]:
+    """argv with each expression option and a value after it that starts with
+    a single '-' joined into one `--option=value` token.
+
+    argparse reads a token that starts with '-' and holds no space as an
+    option, so `-f "-8*x^3"` would stop at "expected one argument".  A value
+    that is an option of the subcommand, or starts with '--', stays as it is.
+    """
+    commands = _parser().commands
+    command = next((arg for arg in argv if arg in commands), None)
+    if command is None:
+        return argv
+    options = commands[command]._option_string_actions
+    out, rest = [], iter(argv)
+    for arg in rest:
+        action = options.get(arg)
+        if action is None or action.dest not in _EXPRESSIONS:
+            out.append(arg)
+            continue
+        value = next(rest, None)
+        if (value is not None and value.startswith("-") and not value.startswith("--")
+                and value.split("=")[0] not in options):
+            out.append(f"{action.option_strings[-1]}={value}")
+        else:
+            out += [arg] if value is None else [arg, value]
+    return out
+
+
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _parser().parse_args(argv)
+        args = _parser().parse_args(_attach_expressions(argv))
     except SystemExit as e:
         return int(e.code or 0)
     start = time.perf_counter()

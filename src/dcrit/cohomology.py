@@ -58,8 +58,10 @@ def generator_degrees(c: KoszulComplex, weights) -> tuple[int, ...]:
     return tuple(default if d == ANY_DEGREE else d for d in raw)
 
 
-def _require_d_squared(c: KoszulComplex) -> None:
-    if not check_d_squared(c):
+def _require_d_squared(c: KoszulComplex, d_squared: bool | None = None) -> None:
+    """Refuse a complex whose differential does not square to zero; `d_squared`,
+    when given, is what `check_d_squared(c)` said, and is not asked again."""
+    if not (check_d_squared(c) if d_squared is None else d_squared):
         raise AssertionError(f"the differential of {c} does not square to zero")
 
 
@@ -171,11 +173,14 @@ def _series(k: Mapping[int, int], ws: Sequence[int], cutoff: int) -> list[int]:
 
 
 def hilbert_table(c: KoszulComplex, weights, cutoff: int,
-                  basis: GroebnerBasis | None = None) -> HilbertTable:
+                  basis: GroebnerBasis | None = None,
+                  d_squared: bool | None = None) -> HilbertTable:
     """Tabulate the cohomology of every weight slice up to the cutoff.
 
     `basis`, when given, must be the Groebner basis of the ideal the
     section's components span; it stands in for a fresh Buchberger run.
+    `d_squared`, when given, must be `check_d_squared(c)`, which a caller
+    that reports it has already asked; it is not decided again.
     Its Hilbert numerator K(t) decides the path.  A section whose components
     are all nonzero and of positive weights d_j is a regular sequence
     exactly when K(t) = prod_j (1 - t^d_j) (Stanley, 1978).  Its Koszul
@@ -189,7 +194,7 @@ def hilbert_table(c: KoszulComplex, weights, cutoff: int,
         raise ValueError("basis lives over different variables")
     ws = normalize_weights(c.ambient.vars, weights)
     degrees = generator_degrees(c, ws)
-    _require_d_squared(c)
+    _require_d_squared(c, d_squared)
     comps = c.section.components
     quotient = (basis if basis is not None
                 else buchberger(list(comps) or [Poly.zero(c.ambient.vars)])).quotient()

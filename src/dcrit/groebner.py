@@ -52,18 +52,24 @@ x_k*s is standard, or the leading term of a reduced generator g
 form in R/I is linear algebra on vectors of length mu, memoized per
 monomial.  Those vectors are IntVectors, int numerators over one positive
 int denominator, and `Quotient.matrices`, `vector` and
-`multiplication_matrix` hand them out as they are.
+`multiplication_matrix` hand them out as they are.  Multiplication by p is
+the one place columns of a matrix on R/I are made: `multiplication_matrix`
+returns them lazily, column s = NF(p*s) built from the column of s/x_k
+through M_k only when it is asked for, so a caller that needs few columns
+(`symplectic.obstruction_theory` skips every multiple of a dependent one)
+builds few.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, count, product
 from math import comb, gcd, lcm
 from operator import add, le, mul, sub
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 from .poly import (Exponents, Poly, _descending_key, _integral, _primitive, _quotient, _shift,
                    degrevlex_key, gradient)
@@ -262,8 +268,8 @@ class Quotient:
     is computed the first time it is asked for and kept: `monomials` needs
     only the leading terms, and the matrices, with the normal forms built on
     them, are made only when a vector is asked for.  What `matrices`,
-    `vector` and `multiplication_matrix` hand out is shared: read it, do not
-    change it.
+    `vector` and the columns of `multiplication_matrix` hand out is shared:
+    read it, do not change it.
     """
 
     def __init__(self, vars: tuple[str, ...], divisors: list):
@@ -408,19 +414,64 @@ class Quotient:
         work, d = _integral(p.terms)
         return _combine([(c, self._monomial_vector(e)) for e, c in work.items()], d)
 
-    def multiplication_matrix(self, p: Poly) -> list[IntVector]:
-        """Multiplication by p on R/I, as columns: column s is the vector of NF(p*s).
-
-        The column of the monomial 1 is NF(p); every other standard monomial
-        s is x_k times a smaller standard monomial s', and its column is M_k
-        times that of s'.
-        """
-        columns = [self.vector(p)]
-        matrices, index = self.matrices, self.index
+    @cached_property
+    def _predecessors(self) -> tuple[tuple[int, int] | None, ...]:
+        """For each standard monomial s but 1, (k, position of s/x_k) with x_k
+        the first variable s holds; s/x_k divides s, so it is standard too."""
+        index = self.index
+        out: list = [None]
         for s in self._finite_monomials()[1:]:
             k = next(k for k, a in enumerate(s) if a)
-            columns.append(_apply(matrices[k], columns[index[_shift(s, k, -1)]]))
-        return columns[:len(index)]  # none at all for the unit ideal
+            out.append((k, index[_shift(s, k, -1)]))
+        return tuple(out)
+
+    def multiplication_matrix(self, p: Poly) -> "MultiplicationColumns":
+        """Multiplication by p on R/I, as columns built when they are asked for."""
+        if p.vars != self.vars:
+            raise ValueError("polynomial lives over different variables")
+        self._finite_monomials()  # raises on an infinite-dimensional quotient
+        return MultiplicationColumns(self, p)
+
+
+class MultiplicationColumns(Sequence):
+    """Multiplication by p on R/I, one lazily built column per standard monomial:
+    item s is the vector of NF(p*s).
+
+    The column of the monomial 1 is NF(p); every other standard monomial s
+    is x_k times a smaller standard monomial s', and its column is M_k times
+    that of s'.  A column is built the first time it, or one after it on
+    that chain, is asked for, and kept; a caller that asks for s only after
+    s' builds each column once, with one matrix-vector product.
+    """
+
+    def __init__(self, quotient: Quotient, p: Poly):
+        self._quotient = quotient
+        self._p = p
+        self._columns: dict[int, IntVector] = {}
+
+    def __len__(self) -> int:
+        return len(self._quotient.index)
+
+    def __getitem__(self, s: int) -> IntVector:
+        columns = self._columns
+        v = columns.get(s)
+        if v is not None:
+            return v
+        if not 0 <= s < len(self):
+            raise IndexError("no standard monomial at that position")
+        q = self._quotient
+        path = []
+        while s not in columns:
+            if s == 0:
+                columns[0] = q.vector(self._p)
+                break
+            k, s_prev = q._predecessors[s]
+            path.append((s, k))
+            s = s_prev
+        v = columns[s]
+        for s, k in reversed(path):
+            v = columns[s] = _apply(q.matrices[k], v)
+        return v
 
 
 @dataclass(frozen=True)

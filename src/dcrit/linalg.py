@@ -5,13 +5,18 @@ taken as it is; any other row is cleared to integers first by `poly._integral`,
 the package's one rule for clearing denominators, and divided by its content.
 Both callers in the package hand in int rows: the slice differentials of
 `cohomology.hilbert_table`, and `symplectic.obstruction_theory`, which
-scales each column of its block matrix to integers.  Each row is
-then eliminated in place against previously kept pivot rows: when the
-pivot's leading coefficient divides the row's, a multiple of the pivot is
-subtracted; otherwise the row is cross-multiplied and divided by its
-content.  No rounding or modular reduction ever happens.  Pivots are chosen
-at the smallest column index, which keeps fill-in low for the banded, very
-sparse matrices the slice differentials produce.
+scales each column of the restricted Hessian to integers.
+
+An `Echelon` takes rows one at a time.  Each is eliminated in place
+against the pivot rows kept so far: when the pivot's leading coefficient
+divides the row's, a multiple of the pivot is subtracted; otherwise the row
+is cross-multiplied and divided by its content.  No rounding or modular
+reduction ever happens.  `add` says whether the row was independent of the
+ones before it, which lets `obstruction_theory` decide, row by row, which
+later rows it need not build at all.  `rank_rows` is a loop over one
+Echelon.  Pivots are chosen at the smallest column index, which keeps
+fill-in low for the banded, very sparse matrices the slice differentials
+produce.
 
 The pivot columns, handed out through `leads`, are the leading columns of
 the row space: the columns at which some vector of the span starts.  The
@@ -41,21 +46,30 @@ def _normalize(row: dict[int, int]) -> dict[int, int]:
     return row
 
 
-def rank_rows(rows: Iterable[Mapping[int, int | Fraction]],
-              leads: set[int] | None = None) -> int:
-    """Rank over Q of the matrix whose rows are the given sparse dicts.
+class Echelon:
+    """Rows in echelon form over Q, grown one row at a time.
 
-    When `leads` is given, the pivot columns are added to it.
+    `pivots` maps each pivot column to its kept integer row, whose entry
+    there is the row's leading one; the rank is the number of pivots.
     """
-    pivots: dict[int, dict[int, int]] = {}
-    for raw in rows:
+
+    def __init__(self):
+        self.pivots: dict[int, dict[int, int]] = {}
+
+    def add(self, raw: Mapping[int, int | Fraction]) -> bool:
+        """Eliminate a row against the pivots; keep it and return True when it
+        is independent of the rows added before it, else return False.
+
+        The caller's row is not touched.
+        """
+        pivots = self.pivots
         row = _integer_row(raw)
         while row:
             lead = min(row)
             pivot = pivots.get(lead)
             if pivot is None:
                 pivots[lead] = _normalize(row)
-                break
+                return True
             a = pivot[lead]
             b = row[lead]
             mb, r = divmod(b, a)
@@ -72,6 +86,22 @@ def rank_rows(rows: Iterable[Mapping[int, int | Fraction]],
                     del row[c]  # absent entries cannot cancel: mb and v are nonzero
             if r:
                 row = _normalize(row)
+        return False
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+
+def rank_rows(rows: Iterable[Mapping[int, int | Fraction]],
+              leads: set[int] | None = None) -> int:
+    """Rank over Q of the matrix whose rows are the given sparse dicts.
+
+    When `leads` is given, the pivot columns are added to it.
+    """
+    echelon = Echelon()
+    for row in rows:
+        echelon.add(row)
     if leads is not None:
-        leads.update(pivots)
-    return len(pivots)
+        leads.update(echelon.pivots)
+    return echelon.rank

@@ -8,6 +8,13 @@ defined, and the pairing is perfect levelwise (the duality map is the
 identity on the chosen bases).  Intersections of graph Lagrangians reduce
 to Koszul complexes of differences of closed 1-forms, with the same
 pairing attached to the Jacobian of the difference.
+
+On the Milnor algebra A = R/J the Hessian is an A-linear map A^n -> A^n,
+whose kernel and cokernel dimensions are the obstruction numbers h0 and
+h1.  `obstruction_theory` eliminates its columns one at a time through a
+`linalg.Echelon`, building each from `Quotient.multiplication_matrix` only
+when it is needed: once the column of t*e_j is dependent, so is that of
+m*t*e_j for every monomial m, and none of those is built or eliminated.
 """
 
 from __future__ import annotations
@@ -16,10 +23,10 @@ from dataclasses import dataclass
 from math import lcm
 from typing import Sequence
 
-from .groebner import INFINITE, GroebnerBasis, jacobian_ideal, standard_monomials
+from .groebner import INFINITE, GroebnerBasis, _divides, jacobian_ideal, standard_monomials
 from .exterior import Section
 from .koszul import KoszulComplex
-from .linalg import rank_rows
+from .linalg import Echelon
 from .poly import Poly, gradient
 from .polyvec import closedness_witness
 
@@ -124,6 +131,22 @@ def obstruction_theory(f: Poly, basis: GroebnerBasis | None = None,
 
     `basis`, when given, must be the Groebner basis of the Jacobian ideal
     of f, and `hess` must be hessian(f); what is not given is computed here.
+
+    On A = R/J the Hessian is an A-linear map H: A^n -> A^n, and its rank
+    over Q is that of the n*mu columns H(t*e_j), for t a standard monomial
+    and j a variable; component i of column (t, j) is NF(t*h_ij).  The
+    columns are eliminated one at a time, t ascending in degrevlex and then
+    j.  When (t, j) lies in the span of the columns before it, so does
+    (t*x_k, j) for every standard t*x_k.  Proof: H(t*x_k*e_j) = x_k*H(t*e_j)
+    = sum c*x_k*H(s*e_j'), summed over columns (s, j') before (t, j); and
+    x_k*H(s*e_j') is a combination of the H(u*e_j') over the terms u of
+    NF(x_k*s), each at most x_k*s, which is below x_k*t when s < t and is
+    x_k*t with j' < j when s = t.  So for each j the minimal monomials whose
+    column was dependent are kept, and no column whose t one of them divides
+    is built or eliminated (Faugere's F5 rule, J. Pure Appl. Algebra 2002:
+    never reduce a row already known to be a syzygy, here over A).  Each
+    eliminated column is scaled by the lcm of its entries' denominators,
+    which keeps the rank.
     """
     if basis is not None and basis.vars != f.vars:
         raise ValueError("basis lives over different variables")
@@ -136,27 +159,33 @@ def obstruction_theory(f: Poly, basis: GroebnerBasis | None = None,
     mu = len(monos)
     n = len(f.vars)
     quotient = gb.quotient()
-    # block (i, j) is multiplication by h[i][j] on the quotient; a symmetric
-    # Hessian has equal blocks (i, j) and (j, i), so each is computed once
-    blocks = {}
+    # entry (i, j) is multiplication by h[i][j] on the quotient, its columns
+    # built as they are asked for; a symmetric Hessian shares (i, j) and (j, i)
+    entries = {}
     for i in range(n):
         for j in range(i if sym else 0, n):
             if not h[i][j].is_zero():
-                blocks[i, j] = quotient.multiplication_matrix(h[i][j])
+                entries[i, j] = quotient.multiplication_matrix(h[i][j])
                 if sym:
-                    blocks[j, i] = blocks[i, j]
-    # each column, scaled by the lcm of its blocks' denominators, is integral;
-    # scaling a column by a positive integer keeps the rank
-    rows: list[dict[int, int]] = [dict() for _ in range(n * mu)]
-    for j in range(n):
-        for col_m in range(mu):
-            parts = [(i, blocks[i, j][col_m]) for i in range(n) if (i, j) in blocks]
+                    entries[j, i] = entries[i, j]
+    by_column = [[(i * mu, entries[i, j]) for i in range(n) if (i, j) in entries]
+                 for j in range(n)]
+    echelon = Echelon()
+    dead: list[list] = [[] for _ in range(n)]  # per j, the minimal dependent t
+    for t, mono in enumerate(monos):
+        for j in range(n):
+            if any(_divides(d, mono) for d in dead[j]):
+                continue
+            parts = [(offset, entry[t]) for offset, entry in by_column[j]]
             scale = lcm(*(den for _, (_, den) in parts))
-            for i, (nums, den) in parts:
+            column = {}
+            for offset, (nums, den) in parts:
                 k = scale // den
                 for r, c in nums.items():
-                    rows[i * mu + r][j * mu + col_m] = c * k
-    rank = rank_rows(rows)
+                    column[offset + r] = c * k
+            if not echelon.add(column):
+                dead[j].append(mono)
+    rank = echelon.rank
     return ObstructionReport(h, sym, mu,
                              h0=n * mu - rank, h1=n * mu - rank,
                              hessian_invertible=(rank == n * mu))

@@ -336,3 +336,55 @@ def test_unexpected_handler_exception_is_an_internal_error(capsys, monkeypatch):
     assert json.loads(out) == {"command": "crit",
                                "error": "RuntimeError: slice table exploded"}
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, option, value", [
+    (("crit", "--vars", "x"), "-f", "-8*x^3"),
+    (("crit", "--vars", "x,y"), "--function", "-x^3-y^3"),
+    (("crit", "--vars", "f,x"), "-f", "-f*x+x^3"),   # not -f with the value "*x+x^3"
+    (("zero", "--vars", "x,y"), "--section", "-x^2"),
+    (("check", "d2", "--vars", "x,y"), "--section", "-x, y"),
+    (("check", "compat", "--vars", "x,y", "--trials", "3"), "--alpha", "-y*d_x"),
+    (("lagr", "--vars", "x,y"), "--alpha", "-2*x*d_x"),
+    (("lagr", "--vars", "x,y", "--alpha", "x*d_x"), "--beta", "-y*d_y"),
+], ids=["f", "function", "f-variable", "section", "d2-section", "alpha", "lagr-alpha", "beta"])
+def test_an_expression_may_start_with_a_minus(capsys, argv, option, value):
+    long = {"-f": "--function"}.get(option, option)
+    code, doc, err = run_json(capsys, *argv, option, value)
+    assert (code, err) == (0, "")
+    assert (code, doc, err) == run_json(capsys, *argv, f"{long}={value}")
+
+
+def test_an_option_after_an_expression_option_is_not_its_value(capsys):
+    for value in ("--json", "-h", "--milnor"):
+        code, out, err = run(capsys, "crit", "--vars", "x", "-f", value)
+        assert code == 2 and out == ""
+        assert "argument -f/--function: expected one argument" in err
+
+
+def test_zero_decides_d_squared_once(capsys, monkeypatch):
+    import dcrit.cli
+    import dcrit.cohomology
+    from dcrit.koszul import check_d_squared
+    calls = []
+
+    def counting(c):
+        calls.append(c)
+        return check_d_squared(c)
+
+    monkeypatch.setattr(dcrit.cli, "check_d_squared", counting)
+    monkeypatch.setattr(dcrit.cohomology, "check_d_squared", counting)
+    code, doc, _ = run_json(capsys, "zero", "--vars", "x,y", "--section", "x^2, x*y, y^3")
+    assert code == 0 and doc["results"]["hilbert"] is not None
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("section", ["x^2, x*y, y^3", "x^2, y^3, x + y"], ids=["sliced", "rank-3"])
+def test_zero_refuses_a_table_when_d_squared_fails(capsys, monkeypatch, section):
+    # the one d∘d answer zero takes is the one the slice table is refused on
+    import dcrit.koszul
+    from test_cohomology import _sign_broken_contract
+    monkeypatch.setattr(dcrit.koszul, "_contract", _sign_broken_contract(0))
+    code, out, err = run(capsys, "zero", "--vars", "x,y", "--section", section)
+    assert code == 3 and out == ""
+    assert "does not square to zero" in err

@@ -499,12 +499,12 @@ def test_quotient_of_the_unit_and_the_zero_variable_ideal():
     unit = buchberger([P("x"), P("x + 1")]).quotient()
     assert unit.monomials == () and unit.matrices == ((), ())
     assert unit.vector(P("x^3*y + 5")) == ({}, 1)
-    assert unit.multiplication_matrix(P("x")) == []
+    assert list(unit.multiplication_matrix(P("x"))) == []
     point = buchberger([Poly.zero(())]).quotient()
     assert point.monomials == ((),) and point.matrices == ()
     assert point.vector(parse_poly("3", ())) == ({0: 3}, 1)
     assert point.vector(parse_poly("3/4", ())) == ({0: 3}, 4)
-    assert point.multiplication_matrix(parse_poly("2", ())) == [({0: 2}, 1)]
+    assert list(point.multiplication_matrix(parse_poly("2", ()))) == [({0: 2}, 1)]
     with pytest.raises(ValueError):
         unit.vector(parse_poly("x", ("x",)))
 
@@ -535,6 +535,39 @@ def test_multiplication_matrix_columns_are_normal_forms():
             assert_int_vector(c)
         assert [as_poly(q, c) for c in columns] == [
             gb.normal_form(h * Poly.monomial(VS, m)) for m in q.monomials]
+
+
+def test_multiplication_columns_are_built_along_their_chain(monkeypatch):
+    # column s is M_k times the column of s/x_k, x_k the first variable of s:
+    # asking for one builds exactly the columns on its chain down to 1
+    gb = jacobian_ideal(P("x^4 + x^2*y^2 + y^5 + x*y"))
+    q = gb.quotient()
+    h = P("x^3 - 2*y")
+    q.vector(h)  # builds the M_k and memoizes the normal forms of h's monomials
+    applied = []
+    real = groebner._apply
+    monkeypatch.setattr(groebner, "_apply", lambda cols, v: applied.append(1) or real(cols, v))
+    columns = q.multiplication_matrix(h)
+    assert len(columns) == len(q.monomials) and applied == []
+    last = len(q.monomials) - 1
+    chain, m = [], q.monomials[last]
+    while any(m):
+        chain.append(q.index[m])
+        k = next(k for k, a in enumerate(m) if a)
+        m = m[:k] + (m[k] - 1,) + m[k + 1:]
+    chain.append(0)
+    assert as_poly(q, columns[last]) == gb.normal_form(h * Poly.monomial(VS, q.monomials[last]))
+    assert len(applied) == len(chain) - 1   # one product per step above the monomial 1
+    assert columns[last] is columns[last] and len(applied) == len(chain) - 1
+    assert sorted(columns._columns) == sorted(chain)
+    with pytest.raises(IndexError):
+        columns[len(q.monomials)]
+    with pytest.raises(IndexError):
+        columns[-1]
+    with pytest.raises(ValueError):
+        q.multiplication_matrix(parse_poly("x", ("x",)))
+    with pytest.raises(ValueError):
+        buchberger([P("x*y")]).quotient().multiplication_matrix(P("x"))
 
 
 def test_counting_never_builds_the_matrices(monkeypatch, capsys):

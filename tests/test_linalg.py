@@ -5,7 +5,7 @@ from random import Random
 
 import pytest
 
-from dcrit.linalg import rank_rows
+from dcrit.linalg import Echelon, rank_rows
 
 BIG = 2 ** 64
 
@@ -90,6 +90,19 @@ def test_leads_are_the_reference_pivot_columns(kind, seed):
     leads: set[int] = set()
     assert rank_rows(rows, leads) == rank_rows(rows) == reference_rank(rows)
     assert sorted(leads) == reference_pivots(rows)
+
+
+@pytest.mark.parametrize("kind", ["int", "mixed"])
+@pytest.mark.parametrize("seed", range(40))
+def test_echelon_says_which_rows_are_independent(kind, seed):
+    # row k is independent of rows 0..k-1 exactly when it raises the reference rank
+    rows = matrix(Random(f"echelon-{kind}-{seed}"), kind)
+    echelon = Echelon()
+    added = [echelon.add(row) for row in rows]
+    ranks = [reference_rank(rows[:k]) for k in range(len(rows) + 1)]
+    assert added == [b > a for a, b in zip(ranks, ranks[1:])]
+    assert echelon.rank == ranks[-1] == rank_rows(rows)
+    assert sorted(echelon.pivots) == reference_pivots(rows)
 
 
 def test_leads_of_degenerate_and_echelon_matrices():

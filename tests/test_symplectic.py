@@ -3,6 +3,7 @@
 import json
 import random
 from fractions import Fraction
+from operator import le
 
 import pytest
 
@@ -11,7 +12,7 @@ import dcrit.symplectic
 import potentials
 from dcrit.cli import main
 from dcrit.groebner import INFINITE, buchberger, standard_monomials
-from dcrit.linalg import rank_rows
+from dcrit.linalg import Echelon, rank_rows
 from dcrit.koszul import build_koszul
 from dcrit.parsing import parse_one_form, parse_poly
 from dcrit.poly import Poly, gradient
@@ -172,48 +173,96 @@ def reference_rows(f, gb):
     return rows
 
 
+def reference_columns(rows, n, mu):
+    """((t, j), column (t, j) of the reference rows), t ascending and then j:
+    the order obstruction_theory takes the columns in."""
+    out = []
+    for t in range(mu):
+        for j in range(n):
+            col = j * mu + t
+            out.append(((t, j), {r: row[col] for r, row in enumerate(rows) if col in row}))
+    return out
+
+
+def positive_multiple(got, want):
+    """True when the sparse vector got is a positive integer times want."""
+    if got.keys() != want.keys():
+        return False
+    if not got:
+        return True
+    r = next(iter(got))
+    k = Fraction(got[r]) / want[r]
+    return k > 0 and k.denominator == 1 and got == {r: k * v for r, v in want.items()}
+
+
+def skipped_outside_span(eliminated, columns):
+    """The (t, j) of each skipped column that is not in the span of the columns before it.
+
+    The eliminated rows are matched, in order, to reference columns, each
+    row a positive integer multiple of its column; the columns no row is
+    matched to are the skipped ones.  A row that matches no later column
+    fails outright.  If the list is empty, the eliminated rows span what
+    all the columns span.
+    """
+    matched, p = set(), 0
+    for row in eliminated:
+        while p < len(columns) and not positive_multiple(row, columns[p][1]):
+            p += 1
+        assert p < len(columns), f"the eliminated row {row} is no reference column"
+        matched.add(p)
+        p += 1
+    echelon = Echelon()
+    return [key for p, (key, col) in enumerate(columns)
+            if echelon.add(col) and p not in matched]
+
+
 def assert_obstruction_matches_reference(f, monkeypatch):
+    """obstruction_theory's report against n*mu - rank of the reference rows;
+    returns the report and the number of columns it eliminated."""
     gb = buchberger(list(gradient(f)) or [Poly.zero(f.vars)])
-    seen = []
+    made = []
 
-    def capture(rows):
-        seen.append([dict(r) for r in rows])
-        return rank_rows(seen[-1])
+    class Recording(Echelon):
+        def __init__(self):
+            super().__init__()
+            self.rows = []
+            made.append(self)
 
-    monkeypatch.setattr(dcrit.symplectic, "rank_rows", capture)
+        def add(self, row):
+            self.rows.append(dict(row))
+            return super().add(row)
+
+    monkeypatch.setattr(dcrit.symplectic, "Echelon", Recording)
     report = obstruction_theory(f, basis=gb)
     expected = reference_rows(f, gb)
     assert report.hessian == tuple(map(tuple, hessian(f)))
     if expected is None:
-        assert seen == []
+        assert made == []
         assert (report.quotient_dim, report.h0, report.h1, report.hessian_invertible) == (
             INFINITE, None, None, None)
-        return report
+        return report, 0
     mu, n = len(standard_monomials(gb)), len(f.vars)
-    assert len(seen) == 1 and len(seen[0]) == len(expected) == n * mu
-    assert all(type(v) is int for row in seen[0] for v in row.values())
-    # each column is the reference column times a positive integer, which keeps the rank
-    for col in range(n * mu):
-        got = {r: row[col] for r, row in enumerate(seen[0]) if col in row}
-        want = {r: row[col] for r, row in enumerate(expected) if col in row}
-        assert got.keys() == want.keys()
-        if got:
-            k = Fraction(next(iter(got.values()))) / next(iter(want.values()))
-            assert k > 0 and k.denominator == 1
-            assert got == {r: k * v for r, v in want.items()}
+    assert len(made) == 1 and len(expected) == n * mu
+    eliminated = made[0].rows
+    assert all(type(v) is int for row in eliminated for v in row.values())
+    assert skipped_outside_span(eliminated, reference_columns(expected, n, mu)) == []
     rank = rank_rows(expected)
     assert (report.quotient_dim, report.h0, report.h1, report.hessian_invertible) == (
         mu, n * mu - rank, n * mu - rank, rank == n * mu)
-    return report
+    return report, len(eliminated)
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_obstruction_matches_per_entry_reduction_on_seeded_potentials(seed, monkeypatch):
+def seeded_potentials(seed):
     rng = random.Random(seed)
     homogeneous = potentials.power_sum(rng, rng.choice([2, 3]), rng.choice([3, 4]))
     inhomogeneous = potentials.power_sum(rng, 2, rng.choice([3, 4]), lower=True)
     weighted = potentials.brieskorn_pham(rng, rng.choice([2, 3]))
-    for f in (homogeneous, inhomogeneous, weighted):
+    return [homogeneous, inhomogeneous, weighted]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_obstruction_matches_per_entry_reduction_on_seeded_potentials(seed, monkeypatch):
+    for f in seeded_potentials(seed):
         assert_obstruction_matches_reference(f, monkeypatch)
 
 
@@ -229,15 +278,26 @@ def test_obstruction_matches_per_entry_reduction_on_fixed_potentials(src, vars, 
 
 
 def test_obstruction_edge_cases_match_per_entry_reduction(monkeypatch, capsys):
-    report = assert_obstruction_matches_reference(P("x^2*y^2"), monkeypatch)
+    report, _ = assert_obstruction_matches_reference(P("x^2*y^2"), monkeypatch)
     assert report.to_json()["quotient_dim"] == INFINITE
-    report = assert_obstruction_matches_reference(P("x + y^2"), monkeypatch)
+    report, _ = assert_obstruction_matches_reference(P("x + y^2"), monkeypatch)
     assert (report.quotient_dim, report.h0, report.h1, report.hessian_invertible) == (0, 0, 0, True)
-    report = assert_obstruction_matches_reference(P("3", ()), monkeypatch)
+    report, _ = assert_obstruction_matches_reference(P("3", ()), monkeypatch)
     assert (report.quotient_dim, report.h0, report.h1, report.hessian_invertible) == (1, 0, 0, True)
     assert main(["crit", "--vars", "", "-f", "3", "--json", "--no-timing"]) == 0
     doc = json.loads(capsys.readouterr().out)["results"]
     assert doc["obstruction"] == report.to_json()
+
+
+@pytest.mark.parametrize("src, eliminated", [("x^3 + y^4 + z^5", 29), ("x^2 + y^5 + z^3", 16)])
+def test_each_power_above_two_costs_one_dependent_column(src, eliminated, monkeypatch):
+    # on A = (x) Q[x_i]/(x_i^(a_i - 1)) column (t, i) is a_i(a_i - 1) x_i^(a_i - 2) t e_i:
+    # it vanishes exactly when x_i divides t and a_i >= 3, so the first dependent
+    # column of variable i is (x_i, i), and every later multiple of x_i is skipped
+    f = P(src, ("x", "y", "z"))
+    report, count = assert_obstruction_matches_reference(f, monkeypatch)
+    rank = 3 * report.quotient_dim - report.h0
+    assert count == rank + sum(1 for e in f.terms if max(e) >= 3) == eliminated
 
 
 # -- the obstruction numbers against closed forms -----------------------------
@@ -303,6 +363,39 @@ def test_closed_forms_catch_a_dropped_hessian_entry(monkeypatch, capsys):
     # all but two of the twelve: without that entry the restricted Hessian
     # keeps its rank on a nondegenerate quadric and on -48*x^2*y - 16*y^3
     assert len(closed_form_misses(range(6), capsys)) == 10
+
+
+def shared_list_eliminations(columns, monos):
+    """The columns a wrong skip rule eliminates: one list of dependent
+    monomials shared by every j, in place of one list per j."""
+    echelon, dead, out = Echelon(), [], []
+    for (t, j), col in columns:
+        if any(all(map(le, d, monos[t])) for d in dead):
+            continue
+        out.append(col)
+        if not echelon.add(col):
+            dead.append(monos[t])
+    return out
+
+
+def shared_list_report(f):
+    """(h0 under the wrong skip rule, the true h0, whether the span check fails it)."""
+    gb = buchberger(list(gradient(f)))
+    rows, monos = reference_rows(f, gb), standard_monomials(gb)
+    columns = reference_columns(rows, len(f.vars), len(monos))
+    eliminated = shared_list_eliminations(columns, monos)
+    return (len(columns) - rank_rows(eliminated), len(columns) - rank_rows(rows),
+            skipped_outside_span(eliminated, columns) != [])
+
+
+def test_the_checks_catch_one_dependent_list_for_every_variable():
+    # a skip rule that shares the list across j skips (t*x_k, j) once (t, j') went
+    # dependent for another j'; the span check, the rank and the closed forms see it
+    reports = [shared_list_report(f) for seed in range(6) for f in seeded_potentials(seed)]
+    assert sum(caught for _, _, caught in reports) == 7
+    assert sum(wrong != h0 for wrong, h0, _ in reports) == 7
+    misses = sum(shared_list_report(f)[0] != h for seed in range(24) for f, h in closed_form_cases(seed))
+    assert misses == 18
 
 
 # -- local duality: the Hessian determinant spans the socle -------------------
