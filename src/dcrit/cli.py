@@ -91,7 +91,12 @@ def _slice_table(complex, weights, args, basis, results: dict, lines: list[str],
                  d_squared: bool | None = None) -> None:
     """Add the slice table of `zero` and `crit` to their results and lines; an
     inhomogeneous section gets `"hilbert": null` unless --weights was given.
-    `d_squared`, when given, is what `check_d_squared` said of the complex."""
+    `d_squared`, when given, is what `check_d_squared` said of the complex;
+    when it failed, the table is `null` as well, and the check reports it."""
+    if d_squared is False:
+        results["hilbert"] = None
+        lines.append("slice table unavailable: the differential does not square to zero")
+        return
     try:
         table = hilbert_table(complex, weights, args.cutoff, basis=basis, d_squared=d_squared)
     except InhomogeneousSectionError as e:

@@ -7,18 +7,24 @@ component, so the complex splits into finite-dimensional slices.  The
 Groebner basis of the section's ideal gives the Hilbert numerator K(t) of
 R/I from its leading terms.  When K(t) = prod_j (1 - t^d_j), the section is
 a regular sequence (Stanley), its Koszul complex resolves R/I, and the whole
-table is read off K: no slice is built.  Every other section is sliced, each
-slice handled by exact rank computation on integer columns, and each
-degree-zero entry is checked against K, an independent route to the same
-number.  `is_regular_sequence` and `resolution_certificate` read the table;
-`slice_cohomology` always slices, and is the reference the table is tested
-against.
+table is read off K: no slice is built.  Every other section is sliced, and
+K gives two ranks there too.  Rank d_{-1} is dim R_w - dim (R/I)_w, so the
+degree-zero row is K's series, as on the closed-form path.  The grade g of
+I, the multiplicity of t = 1 as a root of K, makes the complex exact in its
+g lowest degrees (depth sensitivity), so their ranks follow from the
+dimensions.  Only the other ranks are eliminated, exactly, on integer
+columns, and so is the highest rank the grade gives, which must agree with
+it.  `is_regular_sequence` and `resolution_certificate` read the table;
+`slice_cohomology` always slices and eliminates every degree, and is the
+independent route the table is tested against (in the tests, and in the
+`tautological_resolution` criterion of `dcrit suite`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 from typing import Mapping, Sequence
 
 from .exterior import _contract
@@ -101,8 +107,18 @@ class _Slices:
             out.extend((exps, subset) for exps in monos)
         return out
 
-    def cohomology(self, w: int) -> dict[int, int]:
+    def cohomology(self, w: int, h0: int | None = None, grade: int = 0) -> dict[int, int]:
         """dim H^p of the weight-w slice for every degree p: dim - rank(d out) - rank(d in).
+
+        Two rank facts, when given, stand in for elimination.  `h0` is
+        dim H^0, read off the Hilbert series of R/I, so rank d_{-1} =
+        dim C^0 - h0.  `grade` is grade I: by depth sensitivity (Eisenbud,
+        Thm 17.4) the complex is exact in its `grade` lowest degrees, so
+        rank d_p = dim C^p - rank d_{p-1} for p = -m, ..., -m + grade - 1.
+        Only the other differentials are eliminated, plus d_{-m+grade-1},
+        the highest the grade gives: its pivots clear the next one's rows,
+        and its eliminated rank must equal the grade's, or AssertionError
+        names the degree and weight.
 
         The differentials are ranked from the top wedge degree down, and the
         pivot columns of d_p clear the rows of d_{p+1} they index (Chen and
@@ -114,15 +130,23 @@ class _Slices:
         m = self.rank
         bases = {p: self.basis(p, w) for p in range(-m, 1)}
         ranks: dict[int, int] = {}
+        for p in range(-m, -m + grade):
+            ranks[p] = len(bases[p]) - ranks.get(p - 1, 0)
+        if h0 is not None:
+            ranks[-1] = len(bases[0]) - h0
         cleared: set[int] = set()
-        for p in range(-m, 0):
+        for p in range(max(-m, -m + grade - 1), 0 if h0 is None else -1):
             leads: set[int] = set()
+            rank = 0
             if bases[p] and bases[p + 1]:
                 index = {key: i for i, key in enumerate(bases[p + 1])}
                 # contraction preserves the slice, so every image key has an index
                 cols = [{index[k]: v for k, v in _contract(self.components, {key: 1}).items()}
                         for i, key in enumerate(bases[p]) if i not in cleared]
-                ranks[p] = rank_rows(cols, leads)
+                rank = rank_rows(cols, leads)
+            if ranks.setdefault(p, rank) != rank:
+                raise AssertionError(f"d_{p} in weight {w} has rank {rank}, "
+                                     f"but grade {grade} gives {ranks[p]}")
             cleared = leads
         return {p: len(basis) - ranks.get(p, 0) - ranks.get(p - 1, 0)
                 for p, basis in bases.items()}
@@ -141,11 +165,11 @@ class HilbertTable:
 
     rows[p][w] is dim H^p in weight w.  For a regular section they are read
     off the closed form (H^p = 0 for p < 0, H^0 the Hilbert series of R/I);
-    for any other they come from the slices, with each H^0 entry checked
-    against that series.  complete[p] is True only when an independent
-    oracle certifies that every weight above the cutoff contributes
-    nothing; currently that exists for degree zero (finite Groebner
-    quotient whose dimension the row already accounts for).
+    for any other they come from the slices, whose H^0 is that series too.
+    complete[p] is True only when an independent oracle certifies that
+    every weight above the cutoff contributes nothing; currently that
+    exists for degree zero (finite Groebner quotient whose dimension the
+    row already accounts for).
     """
 
     weights: tuple[int, ...]
@@ -186,7 +210,13 @@ def hilbert_table(c: KoszulComplex, weights, cutoff: int,
     exactly when K(t) = prod_j (1 - t^d_j) (Stanley, 1978).  Its Koszul
     complex then resolves R/I: every negative row is 0 and row 0 is the
     series K(t) / prod_i (1 - t^w_i), and no slice is built.  Any other
-    section is sliced, and each entry of row 0 must equal that series.
+    section is sliced, with two ranks read off K.  Rank d_{-1} in weight w
+    is dim R_w minus that series, so row 0 is the series here too.  The
+    grade g of I is the multiplicity of t = 1 as a root of K, the least j
+    with sum_e k_e C(e, j) != 0, capped at m (K = 0 for a unit ideal); the
+    complex is exact in its g lowest degrees (Eisenbud, Thm 17.4), which
+    gives their ranks.  The rest are eliminated, and so is d_{-m+g-1}: an
+    eliminated rank that disagrees with the grade's raises AssertionError.
     """
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
@@ -205,13 +235,11 @@ def hilbert_table(c: KoszulComplex, weights, cutoff: int,
         rows = {p: (0,) * (cutoff + 1) for p in range(-m, 0)}
         rows[0] = tuple(h0)
     else:
+        # grade I = n - dim R/I, the multiplicity of t = 1 as a root of K
+        grade = next((j for j in range(m) if sum(v * comb(e, j) for e, v in k.items())), m)
         slices = _Slices(c, ws)
-        columns = [slices.cohomology(w) for w in range(cutoff + 1)]
+        columns = [slices.cohomology(w, h0[w], grade) for w in range(cutoff + 1)]
         rows = {p: tuple(dims[p] for dims in columns) for p in range(-m, 1)}
-        for w, (got, expected) in enumerate(zip(rows[0], h0)):
-            if got != expected:
-                raise AssertionError(f"H^0 of {c} in weight {w}: the slice gives {got}, "
-                                     f"the Groebner basis {expected}")
     qd = quotient.dimension
     complete = {p: False for p in range(-m, 1)}
     complete[0] = qd != INFINITE and sum(rows[0]) == qd

@@ -381,10 +381,16 @@ def test_zero_decides_d_squared_once(capsys, monkeypatch):
 
 @pytest.mark.parametrize("section", ["x^2, x*y, y^3", "x^2, y^3, x + y"], ids=["sliced", "rank-3"])
 def test_zero_refuses_a_table_when_d_squared_fails(capsys, monkeypatch, section):
-    # the one d∘d answer zero takes is the one the slice table is refused on
+    # the one d∘d answer zero takes is the one the slice table is refused on;
+    # a failed check is exit 1, with the report printed
     import dcrit.koszul
     from test_cohomology import _sign_broken_contract
     monkeypatch.setattr(dcrit.koszul, "_contract", _sign_broken_contract(0))
     code, out, err = run(capsys, "zero", "--vars", "x,y", "--section", section)
-    assert code == 3 and out == ""
-    assert "does not square to zero" in err
+    assert code == 1 and err == ""
+    assert "d^2 = 0: fail" in out
+    assert "slice table unavailable: the differential does not square to zero" in out
+    code, doc, _ = run_json(capsys, "zero", "--vars", "x,y", "--section", section)
+    assert code == 1
+    assert doc["results"]["checks"] == [{"name": "d_squared", "status": "fail"}]
+    assert doc["results"]["hilbert"] is None

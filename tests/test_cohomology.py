@@ -371,19 +371,57 @@ def test_closed_form_tables_match_the_slices(monkeypatch, seed):
         calls.clear()
 
 
-@pytest.mark.parametrize("vs, srcs", [
-    (VS, ["x*y", "x^2"]),        # a common factor: H^-1 is not zero
-    (("x",), ["x", "0"]),        # a zero component
-    (VS, ["1", "x"]),            # a unit component: R/I = 0, and its numerator is the product
-    (VS, ["x", "y", "x + y"]),   # more components than the quotient has room for
-])
-def test_sections_outside_the_theorem_are_sliced(monkeypatch, vs, srcs):
+def _table_matches_the_slices(K, ws, cutoff):
+    """hilbert_table's rows against slice_cohomology, which eliminates every degree."""
+    table = hilbert_table(K, ws, cutoff)
+    for w in range(cutoff + 1):
+        assert slice_cohomology(K, ws, w) == {p: table.rows[p][w] for p in table.rows}, \
+            (str(K), w)
+    return table
+
+
+# (vars, section, grade I): sections the closed form does not cover, whose
+# tables take H^0 from K(t) and the ranks of the grade's exact degrees from
+# the dimensions
+OUTSIDE_THE_THEOREM = [
+    (VS, ["x*y", "x^2"], 1),                      # a common factor: H^-1 is not zero
+    (("x",), ["x", "0"], 1),                      # a zero component
+    (VS, ["1", "x"], 2),                          # a unit component: R/I = 0 and K = 0
+    (VS, ["x", "y", "x + y"], 2),                 # more components than the quotient has room for
+    (("x", "y", "z"), ["x*y", "x*z", "x^2"], 1),  # a common factor of rank 3: H^-2 too
+    (VS, ["x^2", "x*y", "y^2"], 2),
+    ((), ["0"], 0),                               # no variables: the dual numbers
+    ((), ["1", "0"], 2),
+]
+
+
+@pytest.mark.parametrize("vs, srcs", [case[:2] for case in OUTSIDE_THE_THEOREM])
+def test_sections_outside_the_theorem_are_sliced(vs, srcs):
     K, ws = build_koszul(vs, [P(s, vs) for s in srcs]), (1,) * len(vs)
-    calls = _counting_ranks(monkeypatch)
-    table = hilbert_table(K, ws, 6)
-    assert calls
+    table = _table_matches_the_slices(K, ws, 6)
     series = _euler_series(generator_degrees(K, ws), ws, 6)
     assert [sum((-1) ** p * table.rows[p][w] for p in table.rows) for w in range(7)] == series
+
+
+@pytest.mark.parametrize("vs, srcs, grade", OUTSIDE_THE_THEOREM)
+def test_the_grade_decides_which_differentials_are_eliminated(monkeypatch, vs, srcs, grade):
+    # d_{-1} comes from K and d_p, p < -m + grade - 1, from the grade; d_{-m+grade-1}
+    # is eliminated all the same, to clear the next one's rows and check the grade
+    K, ws, cutoff = build_koszul(vs, [P(s, vs) for s in srcs]), (1,) * len(vs), 6
+    m, gd = K.rank, generator_degrees(K, ws)
+
+    def dim(p, w):
+        return sum(len(monomials_of_weight(ws, w - sum(gd[j] for j in S)))
+                   for S in combinations(range(m), -p) if sum(gd[j] for j in S) <= w)
+
+    eliminated = [(p, w) for w in range(cutoff + 1) for p in range(max(-m, -m + grade - 1), -1)
+                  if dim(p, w) and dim(p + 1, w)]
+    calls = _counting_ranks(monkeypatch)
+    table = hilbert_table(K, ws, cutoff)
+    assert len(calls) == len(eliminated), eliminated
+    # depth sensitivity: exact in the `grade` lowest degrees and in no other negative one
+    exact = [p for p in table.degrees() if p < 0 and not any(table.rows[p])]
+    assert exact == list(range(-m, -m + grade))
 
 
 def _regularity_cases(seed):
@@ -405,7 +443,9 @@ def test_regular_sequence_first_failure_matches_the_slices(monkeypatch, seed):
     calls = _counting_ranks(monkeypatch)
     for K, ws, regular in _regularity_cases(seed):
         report = is_regular_sequence(K, ws, cutoff)
-        assert bool(calls) is not regular, str(K)  # a regular section slices nothing
+        if regular:
+            assert not calls, str(K)  # a regular section slices nothing
+        _table_matches_the_slices(K, ws, cutoff)
         sliced = None
         for w in range(cutoff + 1):
             dims = slice_cohomology(K, ws, w)
@@ -418,9 +458,14 @@ def test_regular_sequence_first_failure_matches_the_slices(monkeypatch, seed):
         calls.clear()
 
 
-def test_a_slice_table_whose_h0_disagrees_with_groebner_is_refused(monkeypatch):
-    K = build_koszul(VS, [P("x*y"), P("x^2")])
-    assert hilbert_table(K, (1, 1), 4).rows[0] == (1, 2, 1, 1, 1)
+@pytest.mark.parametrize("srcs, message", [
+    (["x*y", "x^2"], "d_-2 in weight 4 has rank 0, but grade 1 gives 1"),
+    (["x", "y", "x + y"], "d_-2 in weight 2 has rank 2, but grade 2 gives 3"),
+], ids=["grade-1", "grade-2"])
+def test_an_eliminated_rank_the_grade_disagrees_with_is_refused(monkeypatch, srcs, message):
+    # d_-2 is the highest rank the grade gives, and the first one eliminated
+    K = build_koszul(VS, [P(s) for s in srcs])
+    _table_matches_the_slices(K, (1, 1), 4)
     ranks = []
 
     def under_reporting(rows, leads=None):
@@ -428,8 +473,6 @@ def test_a_slice_table_whose_h0_disagrees_with_groebner_is_refused(monkeypatch):
         ranks.append(rank)
         return rank - 1 if len(ranks) == 1 else rank
 
-    # the first differential ranked is d_{-1} in weight 2, onto degree zero
     monkeypatch.setattr(cohomology, "rank_rows", under_reporting)
-    with pytest.raises(AssertionError, match="in weight 2: the slice gives 2, the Groebner basis 1"):
+    with pytest.raises(AssertionError, match=message):
         hilbert_table(K, (1, 1), 4)
-    assert ranks[0] == 2
