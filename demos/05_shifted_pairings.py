@@ -2,13 +2,16 @@
 
 The two-term tangent complex of a critical locus is self-dual through the
 Hessian; symmetry of that matrix is exactly what makes the pairing work.
-Intersecting the graphs of two closed 1-forms generalizes the picture.
+The critical locus of f is the Koszul complex of df, whose Jacobian is the
+Hessian.  Intersecting the graphs of two closed 1-forms generalizes the
+picture.
 Run as: python3 demos/05_shifted_pairings.py
 """
 
-from dcrit import (NotClosedError, Poly, exact_form, form_str, hessian,
-                   intersect_graph_lagrangians, minus_one_pairing,
-                   obstruction_theory, parse_one_form, parse_poly)
+from dcrit import (NotClosedError, Poly, build_koszul, exact_form, form_str,
+                   gradient, hessian, intersect_graph_lagrangians,
+                   minus_one_pairing, obstruction_theory, parse_one_form,
+                   parse_poly)
 
 VS = ("x", "y")
 
@@ -17,18 +20,23 @@ def P(src):
     return parse_poly(src, VS)
 
 
+def crit_locus(src):
+    """The derived critical locus of f: the Koszul complex of df."""
+    return build_koszul(VS, gradient(P(src)))
+
+
 print("== the Hessian pairing ==")
 for src in ("x*y", "x^3 + y^3"):
     rows = ["[" + ", ".join(str(e) for e in row) + "]" for row in hessian(P(src))]
     print(f"hessian({src:9}) = {' '.join(rows)}")
-report = minus_one_pairing(P("x^3 + y^3"))
+report = minus_one_pairing(crit_locus("x^3 + y^3"))
 print(f"symmetric = {report.symmetric}, nondegenerate = {report.nondegenerate}")
 print(f"duality map: {report.duality_map}")
 
 print()
 print("== obstruction data on the critical quotient ==")
 for src in ("x^2 + y^2", "x^3 + y^3", "x^2*y^2"):
-    ob = obstruction_theory(P(src))
+    ob = obstruction_theory(crit_locus(src))
     print(f"f = {src:9}: quotient {ob.quotient_dim!s:>8}, h0 = {ob.h0}, "
           f"h1 = {ob.h1}, hessian invertible = {ob.hessian_invertible}")
 

@@ -20,12 +20,12 @@ from .poly import (ANY_DEGREE, INHOMOGENEOUS, Poly, UnknownVariableError,
 from .exterior import Ambient, ExtElt, Section, contract, merge_sign, wedge
 from .parsing import (ParseError, parse_one_form, parse_poly, parse_polyvector,
                       parse_section)
-from .groebner import (INFINITE, GroebnerBasis, buchberger, jacobian_ideal,
-                       milnor_number, normal_form, quotient_dimension,
-                       standard_monomials)
+from .groebner import (INFINITE, GroebnerBasis, buchberger, normal_form,
+                       quotient_dimension, standard_monomials)
 from .koszul import (BaseChangeReport, KoszulComplex, TautologicalKoszul,
                      augmentation, base_change_compare, build_koszul,
-                     build_tautological_koszul, check_d_squared)
+                     build_tautological_koszul, check_d_squared, jacobian_ideal,
+                     milnor_number)
 from .cohomology import (HilbertTable, InhomogeneousSectionError,
                          RegularSequenceReport, ResolutionCertificate,
                          hilbert_table, is_regular_sequence,

@@ -16,7 +16,7 @@ from random import Random
 from .checks import CheckReport, rand_poly, var_names
 from .cohomology import (hilbert_table, is_regular_sequence, resolution_certificate,
                          slice_cohomology)
-from .groebner import buchberger, quotient_dimension
+from .groebner import quotient_dimension
 from .koszul import base_change_compare, build_koszul, build_tautological_koszul
 from .parsing import parse_one_form, parse_poly
 from .poly import Poly, gradient, normalize_weights
@@ -126,12 +126,10 @@ def criterion_milnor_oracles(seed: int = 0) -> CheckReport:
         for src, vs in CORPUS:
             f = parse_poly(src, vs)
             ws = (1,) * len(vs)
-            grads = list(gradient(f))
+            locus = build_koszul(vs, gradient(f))
             cutoff = len(vs) * (f.total_degree() - 2) + 2
-            basis = buchberger(grads)
-            table = hilbert_table(build_koszul(vs, grads), ws, cutoff, basis=basis)
-            slice_total = table.total(0)
-            quotient = quotient_dimension(basis)
+            slice_total = hilbert_table(locus, ws, cutoff).total(0)
+            quotient = quotient_dimension(locus.ideal)
             closed = _closed_form_milnor(f, ws)
             rows[src] = {"slices": slice_total, "groebner": quotient, "product": closed}
             if not (slice_total == quotient == closed):

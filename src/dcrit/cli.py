@@ -33,13 +33,12 @@ from .acceptance import run_all
 from .checks import CheckReport
 from .coalgebra import check_coalgebra
 from .cohomology import InhomogeneousSectionError, hilbert_table, resolution_certificate
-from .groebner import buchberger, quotient_dimension
+from .groebner import quotient_dimension
 from .koszul import build_koszul, build_tautological_koszul, check_d_squared
 from .parsing import ParseError, parse_one_form, parse_poly, parse_section
-from .poly import Poly, UnknownVariableError, gradient
+from .poly import UnknownVariableError, gradient, normalize_weights
 from .polyvec import check_bracket_compat, check_bv, check_gerstenhaber, form_str
-from .symplectic import (hessian, intersect_graph_lagrangians, minus_one_pairing,
-                         obstruction_theory)
+from .symplectic import intersect_graph_lagrangians, minus_one_pairing, obstruction_theory
 
 
 def _parse_vars(spec: str) -> tuple[str, ...]:
@@ -54,17 +53,12 @@ def _parse_vars(spec: str) -> tuple[str, ...]:
     return names
 
 
-def _parse_weights(spec: str, nvars: int) -> tuple[int, ...]:
-    parts = [part.strip() for part in spec.split(",")]
+def _parse_weights(spec: str, vars) -> tuple[int, ...]:
     try:
-        ws = tuple(int(p) for p in parts)
+        ws = [int(part.strip()) for part in spec.split(",")]
     except ValueError:
         raise ValueError(f"weights must be integers, got {spec!r}")
-    if len(ws) != nvars:
-        raise ValueError(f"expected {nvars} weights, got {len(ws)}")
-    if any(w <= 0 for w in ws):
-        raise ValueError("weights must be positive")
-    return ws
+    return normalize_weights(vars, ws)
 
 
 def _matrix_json(matrix) -> dict:
@@ -87,18 +81,11 @@ def _hilbert_lines(table) -> list[str]:
     return lines
 
 
-def _slice_table(complex, weights, args, basis, results: dict, lines: list[str],
-                 d_squared: bool | None = None) -> None:
+def _slice_table(complex, weights, args, results: dict, lines: list[str]) -> None:
     """Add the slice table of `zero` and `crit` to their results and lines; an
-    inhomogeneous section gets `"hilbert": null` unless --weights was given.
-    `d_squared`, when given, is what `check_d_squared` said of the complex;
-    when it failed, the table is `null` as well, and the check reports it."""
-    if d_squared is False:
-        results["hilbert"] = None
-        lines.append("slice table unavailable: the differential does not square to zero")
-        return
+    inhomogeneous section gets `"hilbert": null` unless --weights was given."""
     try:
-        table = hilbert_table(complex, weights, args.cutoff, basis=basis, d_squared=d_squared)
+        table = hilbert_table(complex, weights, args.cutoff)
     except InhomogeneousSectionError as e:
         if args.weights:
             raise
@@ -137,17 +124,20 @@ def _ring(vars) -> str:
 def _cmd_zero(args):
     vars = _parse_vars(args.vars)
     components = parse_section(args.section, vars)
-    weights = _parse_weights(args.weights, len(vars)) if args.weights else (1,) * len(vars)
+    weights = _parse_weights(args.weights, vars) if args.weights else (1,) * len(vars)
     complex = build_koszul(vars, list(components))
-    d2 = check_d_squared(complex)
-    ideal = buchberger(list(components))
-    h0 = quotient_dimension(ideal)
+    d2 = complex.d_squared
+    h0 = quotient_dimension(complex.ideal)
     checks = [{"name": "d_squared", "status": "pass" if d2 else "fail"}]
     results: dict = {"checks": checks, "h0_dimension": h0}
     lines = [f"zero locus of ({', '.join(str(c) for c in components)}) over {_ring(vars)}",
              f"d^2 = 0: {checks[0]['status']}",
              f"H^0 dimension: {h0}"]
-    _slice_table(complex, weights, args, ideal, results, lines, d_squared=d2)
+    if d2:
+        _slice_table(complex, weights, args, results, lines)
+    else:  # the check reports it; a table would need d∘d = 0
+        results["hilbert"] = None
+        lines.append("slice table unavailable: the differential does not square to zero")
     inputs = {"vars": list(vars), "section": [str(c) for c in components],
               "weights": list(weights), "cutoff": args.cutoff}
     return inputs, results, lines, (0 if d2 else 1)
@@ -175,32 +165,28 @@ def _cmd_fancy(args):
 def _cmd_crit(args):
     vars = _parse_vars(args.vars)
     f = parse_poly(args.function, vars)
-    weights = _parse_weights(args.weights, len(vars)) if args.weights else (1,) * len(vars)
+    weights = _parse_weights(args.weights, vars) if args.weights else (1,) * len(vars)
     want_all = not (args.milnor or args.pairing or args.obstruction or args.hilbert)
     results: dict = {}
     lines = [f"f = {f} over {_ring(vars)}"]
-    grads = list(gradient(f))
-    # one Jacobian basis serves milnor, obstruction and hilbert; with no
-    # variables the ideal is zero and the quotient is Q itself
-    jacobian = (buchberger(grads or [Poly.zero(vars)])
-                if want_all or args.milnor or args.obstruction or args.hilbert else None)
-    # one Hessian serves the pairing and the obstruction report
-    hess = hessian(f, grads) if want_all or args.pairing or args.obstruction else None
+    # the derived critical locus: every part reads its one Jacobian ideal and
+    # Hessian, each computed when a part first asks for it
+    locus = build_koszul(vars, gradient(f))
     if args.milnor or want_all:
-        mu = quotient_dimension(jacobian)
+        mu = quotient_dimension(locus.ideal)
         results["milnor"] = mu
         lines.append(f"milnor = {mu}")
     if args.pairing or want_all:
-        results["pairing"] = minus_one_pairing(f, hess).to_json()
+        results["pairing"] = minus_one_pairing(locus).to_json()
         lines.append(_pairing_line(results["pairing"]))
     if args.obstruction or want_all:
-        report = obstruction_theory(f, basis=jacobian, hess=hess)
+        report = obstruction_theory(locus)
         results["obstruction"] = report.to_json()
         lines.append(f"obstruction: quotient_dim = {report.quotient_dim}, "
                      f"h0 = {report.h0}, h1 = {report.h1}, "
                      f"hessian_invertible = {str(report.hessian_invertible).lower()}")
     if args.hilbert or want_all:
-        _slice_table(build_koszul(vars, grads), weights, args, jacobian, results, lines)
+        _slice_table(locus, weights, args, results, lines)
     inputs = {"vars": list(vars), "f": str(f), "weights": list(weights),
               "cutoff": args.cutoff}
     return inputs, results, lines, 0

@@ -28,8 +28,8 @@ from math import comb
 from typing import Mapping, Sequence
 
 from .exterior import _contract
-from .groebner import INFINITE, GroebnerBasis, buchberger, ci_numerator
-from .koszul import KoszulComplex, TautologicalKoszul, check_d_squared
+from .groebner import INFINITE, ci_numerator
+from .koszul import KoszulComplex, TautologicalKoszul
 from .linalg import rank_rows
 from .poly import (ANY_DEGREE, INHOMOGENEOUS, Poly, _integral, monomials_of_weight,
                    normalize_weights)
@@ -64,10 +64,9 @@ def generator_degrees(c: KoszulComplex, weights) -> tuple[int, ...]:
     return tuple(default if d == ANY_DEGREE else d for d in raw)
 
 
-def _require_d_squared(c: KoszulComplex, d_squared: bool | None = None) -> None:
-    """Refuse a complex whose differential does not square to zero; `d_squared`,
-    when given, is what `check_d_squared(c)` said, and is not asked again."""
-    if not (check_d_squared(c) if d_squared is None else d_squared):
+def _require_d_squared(c: KoszulComplex) -> None:
+    """Refuse a complex whose differential does not square to zero."""
+    if not c.d_squared:
         raise AssertionError(f"the differential of {c} does not square to zero")
 
 
@@ -83,8 +82,8 @@ class _Slices:
     shared by every slice asked of the same object.
 
     The slice ranks skip rows by clearing, which is exact only when the
-    differential squares to zero, so every caller first asks
-    `check_d_squared`, which decides that for every section of the rank.
+    differential squares to zero, so every caller first reads the complex's
+    `d_squared`, which decides that for every section of the rank.
     """
 
     def __init__(self, c: KoszulComplex, ws: tuple[int, ...]):
@@ -196,18 +195,12 @@ def _series(k: Mapping[int, int], ws: Sequence[int], cutoff: int) -> list[int]:
     return out
 
 
-def hilbert_table(c: KoszulComplex, weights, cutoff: int,
-                  basis: GroebnerBasis | None = None,
-                  d_squared: bool | None = None) -> HilbertTable:
+def hilbert_table(c: KoszulComplex, weights, cutoff: int) -> HilbertTable:
     """Tabulate the cohomology of every weight slice up to the cutoff.
 
-    `basis`, when given, must be the Groebner basis of the ideal the
-    section's components span; it stands in for a fresh Buchberger run.
-    `d_squared`, when given, must be `check_d_squared(c)`, which a caller
-    that reports it has already asked; it is not decided again.
-    Its Hilbert numerator K(t) decides the path.  A section whose components
-    are all nonzero and of positive weights d_j is a regular sequence
-    exactly when K(t) = prod_j (1 - t^d_j) (Stanley, 1978).  Its Koszul
+    The Hilbert numerator K(t) of the complex's `ideal` decides the path.
+    A section whose components are all nonzero and of positive weights d_j
+    is a regular sequence exactly when K(t) = prod_j (1 - t^d_j) (Stanley, 1978).  Its Koszul
     complex then resolves R/I: every negative row is 0 and row 0 is the
     series K(t) / prod_i (1 - t^w_i), and no slice is built.  Any other
     section is sliced, with two ranks read off K.  Rank d_{-1} in weight w
@@ -220,14 +213,11 @@ def hilbert_table(c: KoszulComplex, weights, cutoff: int,
     """
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
-    if basis is not None and basis.vars != c.ambient.vars:
-        raise ValueError("basis lives over different variables")
     ws = normalize_weights(c.ambient.vars, weights)
     degrees = generator_degrees(c, ws)
-    _require_d_squared(c, d_squared)
+    _require_d_squared(c)
     comps = c.section.components
-    quotient = (basis if basis is not None
-                else buchberger(list(comps) or [Poly.zero(c.ambient.vars)])).quotient()
+    quotient = c.ideal.quotient()
     k = quotient.hilbert_numerator(ws)
     h0 = _series(k, ws, cutoff)
     m = c.rank

@@ -72,7 +72,7 @@ from operator import add, le, mul, sub
 from typing import Iterable, Union
 
 from .poly import (Exponents, Poly, _descending_key, _integral, _primitive, _quotient, _shift,
-                   degrevlex_key, gradient)
+                   degrevlex_key)
 
 #: Returned where a quotient ring has no finite vector-space dimension.
 INFINITE = "infinite"
@@ -603,12 +603,3 @@ def quotient_dimension(arg: Union[GroebnerBasis, Iterable[Poly]]):
     """dim_Q of R/I as a vector space, or INFINITE; counted, not listed."""
     gb = arg if isinstance(arg, GroebnerBasis) else buchberger(arg)
     return gb.quotient().dimension
-
-
-def milnor_number(f: Poly):
-    """dim_Q R/(all partials of f), or INFINITE for non-isolated critical loci."""
-    return quotient_dimension(gradient(f))
-
-
-def jacobian_ideal(f: Poly) -> GroebnerBasis:
-    return buchberger(gradient(f))

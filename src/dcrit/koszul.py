@@ -9,18 +9,25 @@ substituting a concrete section for the fiber coordinates recovers the
 usual Koszul complex on the nose, and `base_change_compare` checks that
 entrywise.  So d∘d = 0 is decided once, by `check_d_squared`, on the
 tautological section.
+
+A complex computes three values on first use and keeps them: `ideal`, the
+Groebner basis of its components; `jacobian`, the matrix of their partials;
+and `d_squared`, the answer of `check_d_squared`.  Everything that reads
+them from the same complex shares one computation.  For a potential f, the
+derived critical locus is the complex of df, so its ideal is the Jacobian
+ideal and its Jacobian is the Hessian.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
-
+from functools import cached_property
 from itertools import combinations
+from typing import Sequence, Union
 
 from .exterior import Ambient, ExtElt, Section, _contract, contract
 from .groebner import GroebnerBasis, buchberger, quotient_dimension
-from .poly import Poly
+from .poly import Poly, gradient
 
 
 def default_gens(m: int) -> tuple[str, ...]:
@@ -68,6 +75,25 @@ class KoszulComplex:
                 matrix[index[t]][j] = image.coefficient_poly(t)
         return matrix
 
+    @cached_property
+    def ideal(self) -> GroebnerBasis:
+        """Reduced Groebner basis of the ideal the components span.
+
+        With no components it is the zero ideal of the ring, so R/I is R.
+        """
+        return buchberger(list(self.section.components) or [Poly.zero(self.ambient.vars)])
+
+    @cached_property
+    def jacobian(self) -> tuple[tuple[Poly, ...], ...]:
+        """The matrix ds_i/dx_j of the section; the Hessian when s = df."""
+        vs = self.ambient.vars
+        return tuple(tuple(s.diff(v) for v in vs) for s in self.section.components)
+
+    @cached_property
+    def d_squared(self) -> bool:
+        """What `check_d_squared` says of this complex."""
+        return check_d_squared(self)
+
     def __str__(self) -> str:
         return f"Koszul complex of {self.section} (rank {self.rank})"
 
@@ -79,6 +105,16 @@ def build_koszul(vars: Sequence[str], components: Sequence[Poly], gens: Sequence
     names = tuple(gens) if gens is not None else default_gens(len(comps))
     ambient = Ambient(vs, names)
     return KoszulComplex(Section(ambient, comps))
+
+
+def jacobian_ideal(f: Poly) -> GroebnerBasis:
+    """Groebner basis of the partials of f: the ideal of its critical locus."""
+    return build_koszul(f.vars, gradient(f)).ideal
+
+
+def milnor_number(f: Poly):
+    """dim_Q R/(all partials of f), or INFINITE for non-isolated critical loci."""
+    return quotient_dimension(jacobian_ideal(f))
 
 
 class TautologicalKoszul(KoszulComplex):
@@ -189,7 +225,6 @@ class Augmentation:
 
 
 def augmentation(complex: KoszulComplex) -> Augmentation:
-    comps = list(complex.section.components)
-    if not comps:
+    if not complex.section.components:
         raise ValueError("rank-zero complex has nothing to augment")
-    return Augmentation(complex, buchberger(comps))
+    return Augmentation(complex, complex.ideal)

@@ -7,7 +7,10 @@ exactly what makes the degree -1 pairing of the complex with itself well
 defined, and the pairing is perfect levelwise (the duality map is the
 identity on the chosen bases).  Intersections of graph Lagrangians reduce
 to Koszul complexes of differences of closed 1-forms, with the same
-pairing attached to the Jacobian of the difference.
+pairing attached to the Jacobian of the difference.  Both kinds of locus
+are Koszul complexes, that of f being the complex of df, and the pairing
+and the obstruction report read the `jacobian` and `ideal` the complex
+computes once.
 
 On the Milnor algebra A = R/J the Hessian is an A-linear map A^n -> A^n,
 whose kernel and cokernel dimensions are the obstruction numbers h0 and
@@ -21,9 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm
-from typing import Sequence
 
-from .groebner import INFINITE, GroebnerBasis, _divides, jacobian_ideal, standard_monomials
+from .groebner import INFINITE, _divides, standard_monomials
 from .exterior import Section
 from .koszul import KoszulComplex
 from .linalg import Echelon
@@ -31,28 +33,9 @@ from .poly import Poly, gradient
 from .polyvec import closedness_witness
 
 
-def hessian(f: Poly, grads: Sequence[Poly] | None = None) -> list[list[Poly]]:
-    """Matrix of second partials, in variable order.
-
-    `grads`, when given, must be the gradient of f; it is not taken again.
-    """
-    vs = f.vars
-    if grads is None:
-        grads = gradient(f)
-    elif len(grads) != len(vs) or any(g.vars != vs for g in grads):
-        raise ValueError("the gradient needs one partial per variable of f")
-    return [[g.diff(v) for v in vs] for g in grads]
-
-
-def _given_hessian(f: Poly, hess) -> tuple[tuple[Poly, ...], ...]:
-    """hessian(f), or the matrix a caller already holds for it, checked for shape."""
-    if hess is None:
-        hess = hessian(f)
-    h = tuple(tuple(row) for row in hess)
-    n = len(f.vars)
-    if len(h) != n or any(len(row) != n or any(e.vars != f.vars for e in row) for row in h):
-        raise ValueError("the Hessian must be a square matrix over the variables of f")
-    return h
+def hessian(f: Poly) -> list[list[Poly]]:
+    """Matrix of second partials, in variable order."""
+    return [[g.diff(v) for v in f.vars] for g in gradient(f)]
 
 
 def is_symmetric(m) -> bool:
@@ -96,9 +79,19 @@ def pairing_report(matrix) -> PairingReport:
     return PairingReport(m, sym, sym, duality)
 
 
-def minus_one_pairing(f: Poly, hess=None) -> PairingReport:
-    """The pairing of f's tangent complex; `hess`, when given, must be hessian(f)."""
-    return pairing_report(_given_hessian(f, hess))
+def _tangent_differential(locus: KoszulComplex) -> tuple[tuple[Poly, ...], ...]:
+    """The Jacobian of the locus's section, square: one component per variable."""
+    n = len(locus.ambient.vars)
+    if locus.rank != n:
+        raise ValueError(f"the tangent complex needs one section component per variable, "
+                         f"got {locus.rank} for {n}")
+    return locus.jacobian
+
+
+def minus_one_pairing(locus: KoszulComplex) -> PairingReport:
+    """The pairing of a derived zero locus's tangent complex, whose differential
+    is the Jacobian of the section: for the critical locus of f, the Hessian."""
+    return pairing_report(_tangent_differential(locus))
 
 
 @dataclass(frozen=True)
@@ -125,12 +118,12 @@ class ObstructionReport:
                 "hessian_invertible": self.hessian_invertible}
 
 
-def obstruction_theory(f: Poly, basis: GroebnerBasis | None = None,
-                       hess=None) -> ObstructionReport:
+def obstruction_theory(locus: KoszulComplex) -> ObstructionReport:
     """Restrict the Hessian to the critical quotient and measure exactness.
 
-    `basis`, when given, must be the Groebner basis of the Jacobian ideal
-    of f, and `hess` must be hessian(f); what is not given is computed here.
+    `locus` is the derived critical locus of f, the Koszul complex of df:
+    J is its `ideal` and the Hessian its `jacobian`.  Any section with one
+    component per variable is taken the same way; another is a ValueError.
 
     On A = R/J the Hessian is an A-linear map H: A^n -> A^n, and its rank
     over Q is that of the n*mu columns H(t*e_j), for t a standard monomial
@@ -148,16 +141,14 @@ def obstruction_theory(f: Poly, basis: GroebnerBasis | None = None,
     eliminated column is scaled by the lcm of its entries' denominators,
     which keeps the rank.
     """
-    if basis is not None and basis.vars != f.vars:
-        raise ValueError("basis lives over different variables")
-    h = _given_hessian(f, hess)
+    h = _tangent_differential(locus)
+    n = len(h)
     sym = is_symmetric(h)
-    gb = basis if basis is not None else jacobian_ideal(f)
+    gb = locus.ideal
     monos = standard_monomials(gb)
     if monos is None:
         return ObstructionReport(h, sym, INFINITE)
     mu = len(monos)
-    n = len(f.vars)
     quotient = gb.quotient()
     # entry (i, j) is multiplication by h[i][j] on the quotient, its columns
     # built as they are asked for; a symmetric Hessian shares (i, j) and (j, i)
@@ -225,7 +216,6 @@ def intersect_graph_lagrangians(alpha: Section, beta: Section) -> LagrangianInte
             raise NotClosedError(label, w)
     if alpha.ambient != beta.ambient:
         raise ValueError("forms live over different variables")
-    vs = alpha.ambient.vars
     diff = tuple(a - b for a, b in zip(alpha.components, beta.components))
-    jac = [[d.diff(v) for v in vs] for d in diff]
-    return LagrangianIntersection(KoszulComplex(Section(alpha.ambient, diff)), pairing_report(jac))
+    complex = KoszulComplex(Section(alpha.ambient, diff))
+    return LagrangianIntersection(complex, minus_one_pairing(complex))

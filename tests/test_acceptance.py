@@ -121,6 +121,6 @@ def test_milnor_oracles_compute_one_basis_per_potential(monkeypatch):
         return buchberger(gens)
 
     monkeypatch.setattr("dcrit.groebner.buchberger", counting)
-    monkeypatch.setattr("dcrit.acceptance.buchberger", counting)
+    monkeypatch.setattr("dcrit.koszul.buchberger", counting)
     assert criterion_milnor_oracles(SEED).passed
     assert len(calls) == len(CORPUS) == 6

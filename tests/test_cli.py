@@ -4,10 +4,15 @@ import json
 
 import pytest
 
+import dcrit.groebner
+import dcrit.koszul
 from dcrit import __version__
 from dcrit.checks import CheckReport
 from dcrit.cli import main
+from dcrit.koszul import build_koszul, jacobian_ideal, milnor_number
 from dcrit.parsing import parse_poly
+from dcrit.poly import Poly, gradient
+from dcrit.symplectic import obstruction_theory
 
 
 def run(capsys, *argv):
@@ -19,6 +24,20 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv, "--json", "--no-timing")
     return code, json.loads(out), err
+
+
+def count_calls(monkeypatch, name, *owners):
+    """One list that grows on every call of `name` through any of the owners."""
+    calls = []
+    real = getattr(owners[0], name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for owner in owners:
+        monkeypatch.setattr(owner, name, counting)
+    return calls
 
 
 def test_milnor_line(capsys):
@@ -133,14 +152,51 @@ def test_crit_over_a_point(capsys):
     assert doc["results"]["hilbert"]["0"][:2] == [1, 0]
 
 
+def test_a_potential_over_a_point_gets_the_clis_values_from_the_library(capsys):
+    # no variables: R = Q, the Jacobian ideal is zero and the Milnor number 1
+    code, doc, _ = run_json(capsys, "crit", "--vars", "", "-f", "3")
+    f = parse_poly("3", ())
+    assert code == 0
+    assert milnor_number(f) == jacobian_ideal(f).quotient().dimension == doc["results"]["milnor"]
+    report = obstruction_theory(build_koszul((), gradient(f)))
+    assert report.to_json() == doc["results"]["obstruction"]
+    assert (report.quotient_dim, report.h0, report.h1) == (1, 0, 0)
+
+
 def test_crit_pairing_alone_runs_no_buchberger(capsys, monkeypatch):
     def refuse(gens):
         raise AssertionError("buchberger called")
-    monkeypatch.setattr("dcrit.cli.buchberger", refuse)
+    monkeypatch.setattr(dcrit.koszul, "buchberger", refuse)
+    monkeypatch.setattr(dcrit.groebner, "buchberger", refuse)
     code, doc, _ = run_json(capsys, "crit", "--vars", "x,y", "-f", "x^3 + y^3",
                             "--pairing")
     assert code == 0
     assert list(doc["results"]) == ["pairing"]
+
+
+@pytest.mark.parametrize("vars, f", [("x,y", "x^3 + y^3"), ("x,y,z", "x^3 + y^3 + z^3 + x*y*z")])
+def test_crit_computes_one_basis_and_one_jacobian(capsys, monkeypatch, vars, f):
+    # milnor, obstruction and hilbert share one Groebner basis, and pairing and
+    # obstruction one Hessian: n partials for the gradient, n^2 for the Jacobian
+    bases = count_calls(monkeypatch, "buchberger", dcrit.koszul, dcrit.groebner)
+    partials = count_calls(monkeypatch, "diff", Poly)
+    code, doc, _ = run_json(capsys, "crit", "--vars", vars, "-f", f, "--cutoff", "6")
+    n = len(vars.split(","))
+    assert code == 0 and doc["results"]["hilbert"] is not None
+    assert len(bases) == 1
+    assert len(partials) == n + n * n
+
+
+@pytest.mark.parametrize("argv, runs", [
+    (("zero", "--vars", "x,y", "--section", "x^2, x*y, y^3"), 1),
+    (("zero", "--vars", "x,y", "--section", "x^2 + y^2, x*y"), 1),
+    (("lagr", "--vars", "x,y", "--alpha", "(3*x^2 + y^2)*d_x + 2*x*y*d_y"), 0),
+], ids=["zero-sliced", "zero-closed-form", "lagr"])
+def test_buchberger_runs_once_for_zero_and_never_for_lagr(capsys, monkeypatch, argv, runs):
+    bases = count_calls(monkeypatch, "buchberger", dcrit.koszul, dcrit.groebner)
+    code, _, _ = run_json(capsys, *argv)
+    assert code == 0
+    assert len(bases) == runs
 
 
 def test_unknown_variable_is_an_input_error(capsys):
@@ -363,17 +419,7 @@ def test_an_option_after_an_expression_option_is_not_its_value(capsys):
 
 
 def test_zero_decides_d_squared_once(capsys, monkeypatch):
-    import dcrit.cli
-    import dcrit.cohomology
-    from dcrit.koszul import check_d_squared
-    calls = []
-
-    def counting(c):
-        calls.append(c)
-        return check_d_squared(c)
-
-    monkeypatch.setattr(dcrit.cli, "check_d_squared", counting)
-    monkeypatch.setattr(dcrit.cohomology, "check_d_squared", counting)
+    calls = count_calls(monkeypatch, "check_d_squared", dcrit.koszul)
     code, doc, _ = run_json(capsys, "zero", "--vars", "x,y", "--section", "x^2, x*y, y^3")
     assert code == 0 and doc["results"]["hilbert"] is not None
     assert len(calls) == 1

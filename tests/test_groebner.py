@@ -15,9 +15,8 @@ import potentials
 from dcrit.cli import main
 from dcrit.cohomology import InhomogeneousSectionError, hilbert_table
 from dcrit.groebner import (INFINITE, GroebnerBasis, buchberger, ci_numerator,
-                            jacobian_ideal, milnor_number, normal_form,
-                            quotient_dimension, standard_monomials)
-from dcrit.koszul import build_koszul
+                            normal_form, quotient_dimension, standard_monomials)
+from dcrit.koszul import build_koszul, jacobian_ideal, milnor_number
 from dcrit.parsing import parse_poly
 from dcrit.poly import Poly, degrevlex_key, gradient, monomials_of_weight
 from dcrit.symplectic import obstruction_theory
@@ -357,25 +356,16 @@ def test_crit_results_do_not_depend_on_sharing_the_basis(capsys, src, vars):
     f = parse_poly(src, vars)
     assert code == 0
     assert shared["milnor"] == milnor_number(f)
-    assert shared["obstruction"] == obstruction_theory(f).to_json()
     K = build_koszul(vars, list(gradient(f)))
+    assert shared["obstruction"] == obstruction_theory(K).to_json()
     try:
-        table = hilbert_table(K, (1,) * len(vars), 6)
+        table = hilbert_table(build_koszul(vars, list(gradient(f))), (1,) * len(vars), 6)
     except InhomogeneousSectionError:
         assert shared["hilbert"] is None
     else:
         assert shared["hilbert"] == {str(p): list(table.rows[p]) for p in table.rows}
-        with_basis = hilbert_table(K, (1,) * len(vars), 6, basis=jacobian_ideal(f))
-        assert with_basis == table  # rows and the degree-zero completeness flag
-
-
-def test_precomputed_basis_must_share_the_variables():
-    f = P("x^3 + y^3")
-    other = buchberger([parse_poly("x^2", ("x",))])
-    with pytest.raises(ValueError):
-        obstruction_theory(f, basis=other)
-    with pytest.raises(ValueError):
-        hilbert_table(build_koszul(VS, list(gradient(f))), (1, 1), 3, basis=other)
+        # K already holds the basis the obstruction report computed
+        assert hilbert_table(K, (1,) * len(vars), 6) == table  # rows and completeness
 
 
 def test_basis_finds_its_leading_terms_once(monkeypatch):
@@ -582,7 +572,7 @@ def test_counting_never_builds_the_matrices(monkeypatch, capsys):
     assert main(["crit", "--vars", "x,y", "-f", "x^3 + y^4", "--milnor", "--hilbert",
                  "--json", "--no-timing"]) == 0
     K = build_koszul(VS, [P("x^2"), P("y^3")])
-    hilbert_table(K, (1, 1), 5, basis=buchberger([P("x^2"), P("y^3")]))
+    hilbert_table(K, (1, 1), 5)
     capsys.readouterr()
     # the obstruction report is what asks for them
     assert main(["crit", "--vars", "x,y", "-f", "x^3 + y^4", "--obstruction", "--no-timing"]) == 3

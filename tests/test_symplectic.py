@@ -29,6 +29,11 @@ def P(src, vars=VS):
     return parse_poly(src, vars)
 
 
+def crit_locus(f):
+    """The derived critical locus of f: the Koszul complex of df."""
+    return build_koszul(f.vars, gradient(f))
+
+
 def test_hessian_values():
     assert hessian(P("x*y")) == [[P("0"), P("1")], [P("1"), P("0")]]
     assert hessian(P("x^3 + y^3")) == [[P("6*x"), P("0")], [P("0"), P("6*y")]]
@@ -36,17 +41,18 @@ def test_hessian_values():
 
 
 def test_a_given_hessian_gives_the_same_reports():
+    # the Jacobian of the critical locus is the Hessian, and both reports read it
     f = P("x^4*y + x*y^3 - 2*x")
-    h = hessian(f, gradient(f))
-    assert h == hessian(f)
-    assert minus_one_pairing(f, h) == minus_one_pairing(f)
-    assert obstruction_theory(f, hess=h) == obstruction_theory(f)
-    with pytest.raises(ValueError):
-        hessian(f, gradient(f)[:1])
-    with pytest.raises(ValueError):
-        obstruction_theory(f, hess=h[:1])
-    with pytest.raises(ValueError):
-        minus_one_pairing(f, [[P("x", ("x",))]])
+    locus = crit_locus(f)
+    assert [list(row) for row in locus.jacobian] == hessian(f)
+    assert minus_one_pairing(locus) == pairing_report(hessian(f))
+    assert obstruction_theory(locus).hessian == locus.jacobian
+    # one component, or none, over two variables: the Jacobian is not square
+    for short in (build_koszul(VS, gradient(f)[:1]), build_koszul(VS, [])):
+        with pytest.raises(ValueError, match="one section component per variable"):
+            obstruction_theory(short)
+        with pytest.raises(ValueError, match="one section component per variable"):
+            minus_one_pairing(short)
 
 
 def test_crit_takes_the_gradient_once(monkeypatch, capsys):
@@ -70,11 +76,11 @@ def test_tangent_complex_shape():
     report = pairing_report(hessian(f))
     assert [len(row) for row in report.matrix] == [2, 2]
     assert [list(row) for row in report.matrix] == hessian(f)
-    assert report == minus_one_pairing(f)
+    assert report == minus_one_pairing(crit_locus(f))
 
 
 def test_pairing_symmetric_iff_nondegenerate():
-    report = minus_one_pairing(P("x^3 + y^3"))
+    report = minus_one_pairing(crit_locus(P("x^3 + y^3")))
     assert report.symmetric and report.nondegenerate
     assert "identity" in report.duality_map
     assert report.to_json() == {"hessian": ["6*x", "0", "0", "6*y"],
@@ -87,21 +93,21 @@ def test_pairing_symmetric_iff_nondegenerate():
 
 
 def test_obstruction_isolated_degenerate():
-    report = obstruction_theory(P("x^3 + y^3"))
+    report = obstruction_theory(crit_locus(P("x^3 + y^3")))
     assert report.quotient_dim == 4
     assert report.h0 == 4 and report.h1 == 4
     assert report.hessian_invertible is False
 
 
 def test_obstruction_nondegenerate_point():
-    report = obstruction_theory(P("x^2 + y^2"))
+    report = obstruction_theory(crit_locus(P("x^2 + y^2")))
     assert report.quotient_dim == 1
     assert report.h0 == 0 and report.h1 == 0
     assert report.hessian_invertible is True
 
 
 def test_obstruction_non_isolated():
-    report = obstruction_theory(P("x^2*y^2"))
+    report = obstruction_theory(crit_locus(P("x^2*y^2")))
     assert report.quotient_dim is INFINITE
     assert report.h0 is None and report.h1 is None
     assert report.to_json()["quotient_dim"] == INFINITE
@@ -219,7 +225,7 @@ def skipped_outside_span(eliminated, columns):
 def assert_obstruction_matches_reference(f, monkeypatch):
     """obstruction_theory's report against n*mu - rank of the reference rows;
     returns the report and the number of columns it eliminated."""
-    gb = buchberger(list(gradient(f)) or [Poly.zero(f.vars)])
+    gb = buchberger(list(gradient(f)) or [Poly.zero(f.vars)])  # the reference's own basis
     made = []
 
     class Recording(Echelon):
@@ -233,7 +239,7 @@ def assert_obstruction_matches_reference(f, monkeypatch):
             return super().add(row)
 
     monkeypatch.setattr(dcrit.symplectic, "Echelon", Recording)
-    report = obstruction_theory(f, basis=gb)
+    report = obstruction_theory(crit_locus(f))
     expected = reference_rows(f, gb)
     assert report.hessian == tuple(map(tuple, hessian(f)))
     if expected is None:
@@ -341,8 +347,8 @@ def closed_form_misses(seeds, capsys):
 
 def test_closed_form_examples():
     xyz = ("x", "y", "z")
-    assert obstruction_theory(P("x^2 + y^5 + z^3", xyz)).h0 == 10  # mu = 8: 0 + 6 + 4
-    assert obstruction_theory(P("x^3 + y^3 + z^3", xyz)).h0 == 12  # n = 3, d = 3
+    assert obstruction_theory(crit_locus(P("x^2 + y^5 + z^3", xyz))).h0 == 10  # mu = 8: 0 + 6 + 4
+    assert obstruction_theory(crit_locus(P("x^3 + y^3 + z^3", xyz))).h0 == 12  # n = 3, d = 3
 
 
 @pytest.mark.parametrize("seeds", [range(0, 12), range(12, 24)])
@@ -353,10 +359,11 @@ def test_obstruction_numbers_match_closed_forms(seeds, capsys):
 def test_closed_forms_catch_a_dropped_hessian_entry(monkeypatch, capsys):
     real = dcrit.symplectic.obstruction_theory
 
-    def dropped(f, basis=None, hess=None):
-        h = [list(row) for row in (hess if hess is not None else hessian(f))]
-        h[-1][-1] = Poly.zero(f.vars)
-        return real(f, basis=basis, hess=h)
+    def dropped(locus):
+        h = [list(row) for row in locus.jacobian]
+        h[-1][-1] = Poly.zero(locus.ambient.vars)
+        locus.jacobian = tuple(map(tuple, h))
+        return real(locus)
 
     monkeypatch.setattr(dcrit.symplectic, "obstruction_theory", dropped)
     monkeypatch.setattr(dcrit.cli, "obstruction_theory", dropped)
