@@ -51,8 +51,8 @@ def _run(name: str, body) -> CheckReport:
 def criterion_tautological_resolution(seed: int = 0) -> CheckReport:
     """The tautological complex: H^{<0} = 0 and H^0 counts base monomials.
 
-    The certificate's table is read off the closed form, so every weight
-    slice is also computed and compared with it.
+    The certificate's table takes every rank from a theorem, so every
+    weight slice is also computed and compared with it.
     """
 
     def body():

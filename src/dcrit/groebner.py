@@ -34,9 +34,8 @@ integer dict it is reduced in.  Division reduces that dict in place and
 finds each leading term through a heap; one private reducer serves
 `normal_form` and `buchberger`, which grows its (leading term, terms)
 divisor list alongside the basis.  A basis is worth computing once per
-ideal: `quotient_dimension`, `cohomology.hilbert_table` and
-`symplectic.obstruction_theory` all accept a precomputed GroebnerBasis, and
-the `crit` and `zero` commands compute one and pass it to each of them.
+ideal, so a `KoszulComplex` computes the basis of its components once, as
+its `ideal`, and every caller that needs one reads it there.
 
 Each GroebnerBasis carries one `Quotient`, the description of R/I as a
 vector space on its standard monomials, filled as it is asked.  Counting

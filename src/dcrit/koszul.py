@@ -225,6 +225,4 @@ class Augmentation:
 
 
 def augmentation(complex: KoszulComplex) -> Augmentation:
-    if not complex.section.components:
-        raise ValueError("rank-zero complex has nothing to augment")
     return Augmentation(complex, complex.ideal)

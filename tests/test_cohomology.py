@@ -2,11 +2,13 @@
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import comb
 from random import Random
 
 import pytest
 
 import dcrit.cohomology as cohomology
+import dcrit.groebner as groebner
 import dcrit.koszul as koszul
 from dcrit.cohomology import (InhomogeneousSectionError, generator_degrees,
                               hilbert_table, is_regular_sequence,
@@ -185,7 +187,7 @@ def test_fractional_sections_match_cleared_denominators(vs, ws, srcs, scales, de
     K = build_koszul(vs, comps)
     table = hilbert_table(K, ws, cutoff)
     assert table.rows == hilbert_table(build_koszul(vs, cleared), ws, cutoff).rows
-    # each section is a complete intersection: H^0 is the closed-form series
+    # each section is a complete intersection: H^0 is the complete-intersection series
     assert list(table.rows[0]) == _euler_series(degrees, ws, cutoff)
     assert not any(any(table.rows[p]) for p in table.degrees() if p < 0)
     for w in range(cutoff + 1):
@@ -264,8 +266,8 @@ def test_clearing_matches_the_uncleared_ranks(seed):
 
 def test_cleared_rows_of_a_regular_sequence_are_all_pivots(monkeypatch):
     # H^p = 0 for p < 0, so the rows clearing keeps are exactly independent;
-    # hilbert_table reads a regular section off its closed form, so the
-    # slices are asked for one weight at a time
+    # hilbert_table takes every rank of a regular section from a theorem, so
+    # the slices are asked for one weight at a time
     handed = []
 
     def counting(rows, leads=None):
@@ -320,7 +322,7 @@ def test_a_contraction_that_does_not_square_to_zero_is_refused(monkeypatch, flip
         slice_cohomology(build(), (1, 1, 1), 0)
 
 
-# -- the closed form: a regular section's table is read off its Hilbert numerator --
+# -- regular sections: grade m, so every rank of the table comes from a theorem --
 
 def _counting_ranks(monkeypatch):
     """Count the `rank_rows` calls the cohomology module makes from here on."""
@@ -367,12 +369,61 @@ def test_closed_form_tables_match_the_slices(monkeypatch, seed):
     calls = _counting_ranks(monkeypatch)
     for K, ws in _regular_cases(seed):
         table = hilbert_table(K, ws, cutoff)
-        assert not calls, str(K)  # read off the closed form: no slice was ranked
+        assert not calls, str(K)  # every rank from a theorem: no slice was ranked
         for w in range(cutoff + 1):
             assert slice_cohomology(K, ws, w) == {p: table.rows[p][w] for p in table.rows}, \
                 (str(K), w)
         assert calls
         calls.clear()
+
+
+def _counting_bases(monkeypatch):
+    """Record the (degree, weight) of every slice basis listed from here on."""
+    listed = []
+    basis = cohomology._Slices.basis
+
+    def counting(self, p, w, *args):
+        listed.append((p, w))
+        return basis(self, p, w, *args)
+
+    monkeypatch.setattr(cohomology._Slices, "basis", counting)
+    return listed
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_regular_tables_list_no_slice_basis(monkeypatch, seed):
+    listed = _counting_bases(monkeypatch)
+    for K, ws in _regular_cases(seed):
+        hilbert_table(K, ws, 9)
+        assert listed == [], str(K)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_a_numerator_that_keeps_the_grade_but_not_the_series_is_refused(monkeypatch, seed):
+    # adding t^e (1 - t)^m to K(t) keeps t = 1 a root of multiplicity m, so the
+    # grade still gives every rank, but moves the series from weight e on
+    numerator = groebner.Quotient.hilbert_numerator
+    shift = {}
+
+    def moved(self, weights):
+        k = dict(numerator(self, weights))
+        for d, v in shift.items():
+            k[d] = k.get(d, 0) + v
+        return {d: v for d, v in k.items() if v}
+
+    monkeypatch.setattr(groebner.Quotient, "hilbert_numerator", moved)
+    e = 1 + seed
+    for K, ws in _regular_cases(seed):
+        shift.clear()
+        shift.update({e + i: (-1) ** i * comb(K.rank, i) for i in range(K.rank + 1)})
+        with pytest.raises(AssertionError, match=rf"^d_-1 in weight {e} has rank -?\d+ by K\(t\), "
+                                                 rf"but grade {K.rank} gives \d+$"):
+            hilbert_table(K, ws, 9)
+    shift.clear()
+    shift.update({3: 1, 4: -2, 5: 1})
+    with pytest.raises(AssertionError, match=r"^d_-1 in weight 3 has rank 3 by K\(t\), "
+                                             r"but grade 2 gives 4$"):
+        hilbert_table(build_koszul(VS, [P("x"), P("y")]), (1, 1), 6)
 
 
 def _table_matches_the_slices(K, ws, cutoff):
@@ -384,9 +435,9 @@ def _table_matches_the_slices(K, ws, cutoff):
     return table
 
 
-# (vars, section, grade I): sections the closed form does not cover, whose
-# tables take H^0 from K(t) and the ranks of the grade's exact degrees from
-# the dimensions
+# (vars, section, grade I): sections outside Stanley's criterion (a zero or
+# constant component, or K(t) other than prod_j (1 - t^d_j)), whose tables take
+# H^0 from K(t) and the ranks of the grade's exact degrees from the dimensions
 OUTSIDE_THE_THEOREM = [
     (VS, ["x*y", "x^2"], 1),                      # a common factor: H^-1 is not zero
     (("x",), ["x", "0"], 1),                      # a zero component
@@ -480,3 +531,30 @@ def test_an_eliminated_rank_the_grade_disagrees_with_is_refused(monkeypatch, src
     monkeypatch.setattr(cohomology, "rank_rows", under_reporting)
     with pytest.raises(AssertionError, match=message):
         hilbert_table(K, (1, 1), 4)
+
+
+@pytest.mark.parametrize("vs, srcs, grade", OUTSIDE_THE_THEOREM)
+def test_only_eliminated_degrees_and_their_targets_are_listed(monkeypatch, vs, srcs, grade):
+    # d_-1 comes from K(t), so C^0 is never listed; the lowest eliminated
+    # degree and every target are listed once per weight, in order
+    K, ws, cutoff = build_koszul(vs, [P(s, vs) for s in srcs]), (1,) * len(vs), 6
+    lowest = max(-K.rank, -K.rank + grade - 1)
+    listed = _counting_bases(monkeypatch)
+    hilbert_table(K, ws, cutoff)
+    assert listed == [(q, w) for w in range(cutoff + 1) for q in range(lowest, 0) if lowest < -1]
+    assert all(q < 0 for q, _ in listed)
+
+
+def test_a_dropped_monomial_trips_the_basis_count(monkeypatch):
+    # the dimensions are counted; every listed basis must have the counted length
+    K = build_koszul(VS, [P("x*y"), P("x^2")])
+    table = _table_matches_the_slices(K, (1, 1), 6)
+    assert table.total(-1) > 0
+    monkeypatch.setattr(cohomology, "monomials_of_weight",
+                        lambda ws, w: monomials_of_weight(ws, w)[:-1])
+    with pytest.raises(AssertionError,
+                       match=r"^C\^-1 in weight 2 lists 0 elements, but the count gives 2$"):
+        hilbert_table(K, (1, 1), 6)
+    with pytest.raises(AssertionError,
+                       match=r"^C\^-2 in weight 4 lists 0 elements, but the count gives 1$"):
+        slice_cohomology(K, (1, 1), 4)

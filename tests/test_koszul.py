@@ -107,6 +107,14 @@ def test_augmentation_projects_to_the_critical_quotient():
     assert aug.project(P("x^4 + x")) == P("x")
 
 
+def test_a_complex_with_no_components_augments_onto_the_ring():
+    # the zero ideal: R/0 = R, an infinite-dimensional target
+    aug = augmentation(build_koszul(("x",), []))
+    x = parse_poly("x", ("x",))
+    assert aug.project(x) == x
+    assert aug.target_dimension() == "infinite"
+
+
 def test_zero_rank_and_empty_base():
     K = build_koszul((), [])
     assert list(K.degrees) == [0]
