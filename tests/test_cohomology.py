@@ -336,6 +336,19 @@ def _counting_ranks(monkeypatch):
     return calls
 
 
+def _counting_bases(monkeypatch):
+    """Record the (degree, weight) of every slice basis listed from here on."""
+    listed = []
+    basis = cohomology._Slices.basis
+
+    def counting(self, p, w, *args):
+        listed.append((p, w))
+        return basis(self, p, w, *args)
+
+    monkeypatch.setattr(cohomology._Slices, "basis", counting)
+    return listed
+
+
 def _triangular(rng, vars, weights, powers):
     """x_i^a_i plus noise in the later variables only.  The only common zero is
     the origin, so the components are a regular sequence, and so is any part."""
@@ -367,35 +380,17 @@ def _regular_cases(seed):
 def test_closed_form_tables_match_the_slices(monkeypatch, seed):
     cutoff = 9
     calls = _counting_ranks(monkeypatch)
+    listed = _counting_bases(monkeypatch)
     for K, ws in _regular_cases(seed):
         table = hilbert_table(K, ws, cutoff)
-        assert not calls, str(K)  # every rank from a theorem: no slice was ranked
+        # every rank from a theorem: no slice basis was listed or ranked
+        assert not calls and not listed, str(K)
         for w in range(cutoff + 1):
             assert slice_cohomology(K, ws, w) == {p: table.rows[p][w] for p in table.rows}, \
                 (str(K), w)
-        assert calls
+        assert calls and listed
         calls.clear()
-
-
-def _counting_bases(monkeypatch):
-    """Record the (degree, weight) of every slice basis listed from here on."""
-    listed = []
-    basis = cohomology._Slices.basis
-
-    def counting(self, p, w, *args):
-        listed.append((p, w))
-        return basis(self, p, w, *args)
-
-    monkeypatch.setattr(cohomology._Slices, "basis", counting)
-    return listed
-
-
-@pytest.mark.parametrize("seed", range(3))
-def test_regular_tables_list_no_slice_basis(monkeypatch, seed):
-    listed = _counting_bases(monkeypatch)
-    for K, ws in _regular_cases(seed):
-        hilbert_table(K, ws, 9)
-        assert listed == [], str(K)
+        listed.clear()
 
 
 @pytest.mark.parametrize("seed", range(3))
