@@ -9,7 +9,8 @@ floating point anywhere in the package.  The main entry points:
 - milnor_number, quotient_dimension: Groebner oracles for critical loci
 - schouten, bv_delta, vol_contract: the odd bracket and its generator
 - minus_one_pairing, intersect_graph_lagrangians: shifted pairings
-- comultiply, coaction: the exterior coalgebra acting on Koszul complexes
+- comultiply, coaction: the exterior coalgebra acting on Koszul complexes,
+  its tensors exterior elements on copies of the generators (tensor_ambient)
 - run_all (acceptance), cli.main: the gating suites, each outcome a CheckReport
 """
 
@@ -17,7 +18,7 @@ __version__ = "0.1.0"
 
 from .poly import (ANY_DEGREE, INHOMOGENEOUS, Poly, UnknownVariableError,
                    degrevlex_key, gradient, monomials_of_weight, normalize_weights)
-from .exterior import Ambient, ExtElt, Section, contract, merge_sign, wedge
+from .exterior import Ambient, ExtElt, Section, algebra_map, contract, merge_sign, wedge
 from .parsing import (ParseError, parse_one_form, parse_poly, parse_polyvector,
                       parse_section)
 from .groebner import (INFINITE, GroebnerBasis, buchberger, normal_form,
@@ -37,8 +38,7 @@ from .polyvec import (VolumeForm, alpha_of_vector, apply_vector, bv_delta,
 from .symplectic import (LagrangianIntersection, NotClosedError,
                          ObstructionReport, PairingReport, hessian, intersect_graph_lagrangians,
                          minus_one_pairing, obstruction_theory, pairing_report)
-from .coalgebra import (TensorElt, antipode, coaction, comultiply, counit,
-                        tensor_collapse, tensor_flip, tensor_multiply)
+from .coalgebra import antipode, coaction, comultiply, counit, tensor_ambient
 from .checks import CheckReport
 from .acceptance import run_all
 
@@ -46,7 +46,7 @@ __all__ = [
     "__version__",
     "ANY_DEGREE", "INHOMOGENEOUS", "Poly", "UnknownVariableError",
     "degrevlex_key", "gradient", "monomials_of_weight", "normalize_weights",
-    "Ambient", "ExtElt", "Section", "contract", "merge_sign", "wedge",
+    "Ambient", "ExtElt", "Section", "algebra_map", "contract", "merge_sign", "wedge",
     "ParseError", "parse_one_form", "parse_poly", "parse_polyvector",
     "parse_section",
     "INFINITE", "GroebnerBasis", "buchberger", "jacobian_ideal",
@@ -65,7 +65,6 @@ __all__ = [
     "PairingReport", "hessian",
     "intersect_graph_lagrangians", "minus_one_pairing", "obstruction_theory",
     "pairing_report",
-    "TensorElt", "antipode", "coaction", "comultiply", "counit",
-    "tensor_collapse", "tensor_flip", "tensor_multiply",
+    "antipode", "coaction", "comultiply", "counit", "tensor_ambient",
     "CheckReport", "run_all",
 ]

@@ -195,26 +195,22 @@ def _cmd_crit(args):
 def _cmd_check(args):
     if args.max_deg is not None and args.max_deg < 0:
         raise ValueError(f"--max-deg must be nonnegative, got {args.max_deg}")
-
-    def max_deg(default: int) -> int:
-        return default if args.max_deg is None else args.max_deg
-
+    # each suite keeps its own default unless --max-deg is given
+    max_deg = {} if args.max_deg is None else {"max_deg": args.max_deg}
     inputs: dict = {"which": args.which, "trials": args.trials, "seed": args.seed,
                     "expect_holds": args.expect_holds}
     if args.which == "gerstenhaber":
         inputs["n"] = args.n
-        report = check_gerstenhaber(args.n, trials=args.trials, seed=args.seed,
-                                    max_deg=max_deg(3))
+        report = check_gerstenhaber(args.n, trials=args.trials, seed=args.seed, **max_deg)
     elif args.which == "bv":
         inputs["n"] = args.n
-        report = check_bv(args.n, trials=args.trials, seed=args.seed,
-                          max_deg=max_deg(3))
+        report = check_bv(args.n, trials=args.trials, seed=args.seed, **max_deg)
     elif args.which == "coalgebra":
         vars = _parse_vars(args.vars) if args.vars else ("x", "y")
         inputs["rank"] = args.rank
         inputs["vars"] = list(vars)
         report = check_coalgebra(args.rank, trials=args.trials, seed=args.seed,
-                                 vars=vars, max_deg=max_deg(2))
+                                 vars=vars, **max_deg)
     elif args.which == "compat":
         if args.vars is None or args.alpha is None:
             raise ValueError("check compat needs --vars and --alpha")
@@ -222,8 +218,7 @@ def _cmd_check(args):
         alpha = parse_one_form(args.alpha, vars)
         inputs["vars"] = list(vars)
         inputs["alpha"] = form_str(alpha)
-        report = check_bracket_compat(alpha, trials=args.trials, seed=args.seed,
-                                      max_deg=max_deg(2))
+        report = check_bracket_compat(alpha, trials=args.trials, seed=args.seed, **max_deg)
     elif args.which == "d2":
         if args.vars is None or args.section is None:
             raise ValueError("check d2 needs --vars and --section")

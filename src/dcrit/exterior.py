@@ -19,6 +19,9 @@ Sign conventions (the single source of truth for every complex built here):
   * equivalently, contraction is -sum_j s_j od_j for the left odd
     derivatives od_j, which `_odd_parts` writes once for contraction and
     for the polyvector bracket and divergence.
+  * an algebra map sends e_{j_1} ^ ... ^ e_{j_p} (j_1 < ... < j_p) to the
+    wedge of the images of e_{j_1}, ..., e_{j_p} in that order
+    (`algebra_map`), so its signs are the wedge's.
 """
 
 from __future__ import annotations
@@ -54,6 +57,8 @@ def merge_sign(left: tuple[int, ...], right: tuple[int, ...]) -> tuple[int, tupl
     Returns (sign, merged) where sign is (-1)**inversions for the shuffle
     sorting left + right, or (0, ()) when the tuples overlap.
     """
+    if not left or not right or left[-1] < right[0]:  # already in order: no inversion
+        return 1, left + right
     inv = 0
     merged: list[int] = []
     i = j = 0
@@ -208,6 +213,44 @@ def wedge(a: ExtElt, b: ExtElt) -> ExtElt:
     return ExtElt._make(a.ambient, terms)
 
 
+def algebra_map(a: ExtElt, target: Ambient,
+                images: Sequence[Sequence[tuple[int, int]]]) -> ExtElt:
+    """The R-algebra map sending generator j to the sum of sign * e_t over the
+    (t, sign) pairs in images[j], e_t a generator of `target`.
+
+    A generator sent to () kills every term that holds it.  Each subset's
+    product of images is expanded once per call with `merge_sign`; its signs
+    stay ints, each multiplying a coefficient once.
+    """
+    if target.vars != a.ambient.vars:
+        raise ValueError("target lives over different variables")
+    if len(images) != a.ambient.rank:
+        raise ValueError(f"expected images of {a.ambient.rank} generators, got {len(images)}")
+    if any(not 0 <= t < target.rank for image in images for t, _ in image):
+        raise ValueError(f"an image leaves the {target.rank} generators of the target")
+    singles = [[((t,), s) for t, s in image] for image in images]
+    products: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
+    terms: dict[TermKey, Scalar] = {}
+    for (exps, subset), c in a.terms.items():
+        product = products.get(subset)
+        if product is None:
+            product = {(): 1}
+            for j in subset:
+                step: dict[tuple[int, ...], int] = {}
+                for sub, sign in product.items():
+                    for t, s in singles[j]:
+                        merge, merged = merge_sign(sub, t)
+                        if merge:
+                            step[merged] = step.get(merged, 0) + merge * s * sign
+                product = step
+            products[subset] = product
+        for sub, sign in product.items():
+            if sign:
+                key = (exps, sub)
+                terms[key] = terms[key] + sign * c if key in terms else sign * c
+    return ExtElt._make(target, terms)
+
+
 def _odd_parts(subset: tuple[int, ...]) -> list[tuple[int, int, tuple[int, ...]]]:
     """(i, sign, subset without i) for each generator i of a wedge monomial: the left
     odd derivative od_i drops i with the sign (-1)^k, k its position from 0."""
@@ -215,22 +258,19 @@ def _odd_parts(subset: tuple[int, ...]) -> list[tuple[int, int, tuple[int, ...]]
 
 
 def _contract(components: Sequence[Mapping[Exponents, Scalar]],
-              terms: Mapping[tuple, Scalar]) -> dict:
+              terms: Mapping[TermKey, Scalar]) -> dict[TermKey, Scalar]:
     """The contraction sign rule, written once.
 
-    `components` are the section components' term maps.  Each key of
-    `terms` is (exponents, subset, *rest); the subset is contracted along
-    the components and the rest of the key is carried along.  The result is
-    the accumulated term dict, zeros included; it holds ints when every
-    coefficient given is an int.
+    `components` are the section components' term maps and `terms` an
+    exterior element's.  The result is the accumulated term dict, zeros
+    included; it holds ints when every coefficient given is an int.
     """
-    out: dict = {}
-    for key, c in terms.items():
-        exps, rest = key[0], key[2:]
-        for j, sign, omitted in _odd_parts(key[1]):
+    out: dict[TermKey, Scalar] = {}
+    for (exps, subset), c in terms.items():
+        for j, sign, omitted in _odd_parts(subset):
             signed = -sign * c
             for sexps, sc in components[j].items():
-                k = (exps_add(exps, sexps), omitted) + rest
+                k = (exps_add(exps, sexps), omitted)
                 out[k] = out.get(k, 0) + signed * sc
     return out
 

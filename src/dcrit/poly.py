@@ -10,7 +10,7 @@ No floating point is used anywhere.  The monomial order for printing and
 leading-term extraction is degree-reverse-lexicographic with respect to the
 declared variable order.
 The same storage, arithmetic and printing rule (`_Terms`) backs the exterior
-algebra and the coalgebra tensors.
+algebra, whose elements on copies of the generators are the coalgebra tensors.
 """
 
 from __future__ import annotations
@@ -91,10 +91,11 @@ def _shift(exps: Exponents, k: int, d: int) -> Exponents:
 class _Terms:
     """Immutable sparse map from monomial keys to nonzero rationals, over a ring tag.
 
-    The one storage, arithmetic and printing rule shared by Poly, ExtElt and
-    the coalgebra tensors.  Subclasses supply `_valid_key` (the public
-    constructor's key check), `_coerce` (the operands they accept besides
-    their own type), `_product`, and `_sort_key`/`_factors` for printing.
+    The one storage, arithmetic and printing rule shared by Poly and ExtElt
+    (the coalgebra tensors are ExtElts on copies of the generators).
+    Subclasses supply `_valid_key` (the public constructor's key check),
+    `_coerce` (the operands they accept besides their own type), `_product`,
+    and `_sort_key`/`_factors` for printing.
     Instances must not be mutated after construction; every operation
     returns a fresh element, so values can be shared freely.  The public
     constructor and scalar multiplication store an integral coefficient as

@@ -354,9 +354,9 @@ def check_bracket_compat(alpha: Section, trials: int = 50, seed: int = 0,
 def check_bv(n: int, trials: int = 200, seed: int = 0, max_deg: int = 3) -> CheckReport:
     """The divergence operator: square zero, generating relation, de Rham.
 
-    Also hunts for a witness that the operator is not a derivation (one must
-    exist for n >= 1), and records whether it anticommutes with contraction
-    along exact 1-forms on the inputs tried.
+    Also records the witness that the operator is not a derivation, the
+    deviation x1 on a = x1*@x1 and b = x1 (fails if it is zero), and whether
+    it anticommutes with contraction along exact 1-forms on the inputs tried.
     """
     _require_trials(trials)
     if n < 1:
@@ -369,7 +369,8 @@ def check_bv(n: int, trials: int = 200, seed: int = 0, max_deg: int = 3) -> Chec
     details: dict = {"n": n, "densities": [str(vol.density), str(vol2.density)]}
 
     x1 = Poly.variable(vars, vars[0])
-    if bv_delta(vol, ExtElt.wedge_monomial(amb, x1, (0,))) != ExtElt.one(amb):
+    a, b = ExtElt.wedge_monomial(amb, x1, (0,)), ExtElt.from_poly(amb, x1)
+    if bv_delta(vol, a) != ExtElt.one(amb):
         return CheckReport("bv", "fail", 0,
                            {"identity": "normalization", "input": f"{vars[0]}*@{vars[0]}"},
                            details)
@@ -378,17 +379,10 @@ def check_bv(n: int, trials: int = 200, seed: int = 0, max_deg: int = 3) -> Chec
         sign = 1 if (-a.degree()) % 2 == 0 else -1
         return bv_delta(vol, wedge(a, b)) - wedge(bv_delta(vol, a), b) - sign * wedge(a, bv_delta(vol, b))
 
-    witness = None
-    candidates = [(ExtElt.wedge_monomial(amb, x1, (0,)), ExtElt.from_poly(amb, x1))]
-    if n >= 2:
-        x2 = Poly.variable(vars, vars[1])
-        candidates.append((ExtElt.wedge_monomial(amb, x2, (0,)),
-                           ExtElt.wedge_monomial(amb, x1, (1,))))
-    for a, b in candidates:
-        dev = deviation(a, b)
-        if not dev.is_zero():
-            witness = {"a": str(a), "b": str(b), "deviation": str(dev)}
-            break
+    dev = deviation(a, b)
+    witness = {"a": str(a), "b": str(b), "deviation": str(dev)}
+    if dev.is_zero():
+        return CheckReport("bv", "fail", 0, {"identity": "non_derivation", **witness}, details)
 
     def square_fails(v):
         return not bv_delta(vol, bv_delta(vol, v)).is_zero()
@@ -416,20 +410,11 @@ def check_bv(n: int, trials: int = 200, seed: int = 0, max_deg: int = 3) -> Chec
                 return CheckReport("bv", "fail", ran, counterexample(name, fails, elts, labels),
                                    details)
 
-        if witness is None:
-            dev = deviation(a, b)
-            if not dev.is_zero():
-                witness = {"a": str(a), "b": str(b), "deviation": str(dev)}
-
         f = rand_poly(rng, vars, max_deg)
         alpha = exact_form(f)
         if bv_delta(vol, contract(alpha, v)) + contract(alpha, bv_delta(vol, v)) != ExtElt.zero(amb):
             anticommute = False
 
     details["delta_d_alpha_anticommute"] = "holds on all trials" if anticommute else "violated"
-    if witness is None:
-        return CheckReport("bv", "fail", ran,
-                           {"identity": "non_derivation",
-                            "reason": "no witness found, but one must exist"}, details)
     details["non_derivation_witness"] = witness
     return CheckReport("bv", "pass", ran, None, details)

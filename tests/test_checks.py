@@ -10,10 +10,13 @@ reported strings, parsed back, are judged independently of the suite.
 from fractions import Fraction
 
 from dcrit import coalgebra, polyvec
-from dcrit.exterior import Ambient, ExtElt, Section
+from dcrit.exterior import Ambient, ExtElt, Section, algebra_map, merge_sign
 from dcrit.koszul import KoszulComplex, default_gens
 from dcrit.parsing import _Parser, parse_poly, parse_polyvector, parse_section
+from dcrit.poly import Poly, exps_add
 from dcrit.polyvec import VolumeForm
+
+from test_cohomology import _sign_broken_contract
 
 
 def parse_elt(src, ambient):
@@ -126,44 +129,63 @@ def rank_two_ambient():
     return Ambient(("x", "y"), default_gens(2))
 
 
-def test_coalgebra_shrinks_a_coassociativity_failure(monkeypatch):
-    def unsigned(t, slot):
-        return coalgebra.TensorElt._make(t.ambient, {
-            key[:slot] + (a, b) + key[slot + 1:]: c
-            for key, c in t.terms.items() for a, b, _ in coalgebra._split_terms(key[slot])})
+def copy_images(i, m=2):
+    """Images e_j -> e_j of copy i."""
+    return [((i * m + j, 1),) for j in range(m)]
 
-    monkeypatch.setattr(coalgebra, "tensor_comultiply", unsigned)
+
+def split_images(i, m=2):
+    """Images e_j -> e_j of copy i + e_j of copy i + 1."""
+    return [((i * m + j, 1), ((i + 1) * m + j, 1)) for j in range(m)]
+
+
+def test_coalgebra_shrinks_a_coassociativity_failure(monkeypatch):
+    amb = rank_two_ambient()
+    two, three = coalgebra.tensor_ambient(amb, 2), coalgebra.tensor_ambient(amb, 3)
+
+    def second_copy_negated(a):
+        return algebra_map(a, two, [((j, 1), (j + 2, -1)) for j in range(2)])
+
+    monkeypatch.setattr(coalgebra, "comultiply", second_copy_negated)
     report = coalgebra.check_coalgebra(2, trials=50, seed=0)
     assert report.status == "fail"
     ce = report.counterexample
     assert list(ce) == ["identity", "a"]
     assert ce["identity"] == "coassociativity"
+    left, right = split_images(0) + copy_images(2), copy_images(0) + split_images(1)
 
     def coassoc_fails(a):
-        d = coalgebra.comultiply(a)
-        return unsigned(d, 1) != unsigned(d, 2)
+        d = second_copy_negated(a)
+        return algebra_map(d, three, left) != algebra_map(d, three, right)
 
-    assert_shrunk(coassoc_fails, [parse_elt(ce["a"], rank_two_ambient())])
+    assert_shrunk(coassoc_fails, [parse_elt(ce["a"], amb)])
 
 
 def test_coalgebra_shrinks_a_counit_failure(monkeypatch):
-    tensor_counit = coalgebra.tensor_counit
-    monkeypatch.setattr(coalgebra, "tensor_counit", lambda t, slot: -tensor_counit(t, slot))
+    def negated_onto_fewer_copies(a, target, images):
+        image = algebra_map(a, target, images)
+        return -image if target.rank < a.ambient.rank else image
+
+    monkeypatch.setattr(coalgebra, "algebra_map", negated_onto_fewer_copies)
     report = coalgebra.check_coalgebra(2, trials=50, seed=0)
     assert report.status == "fail"
     ce = report.counterexample
     assert list(ce) == ["identity", "a"]
     assert ce["identity"] == "counit"
+    amb = rank_two_ambient()
 
     def counit_fails(a):
         d = coalgebra.comultiply(a)
-        return any(-tensor_counit(d, slot) != a for slot in (1, 2))
+        return any(-algebra_map(d, amb, images) != a
+                   for images in ([()] * 2 + copy_images(0), copy_images(0) + [()] * 2))
 
-    assert_shrunk(counit_fails, [parse_elt(ce["a"], rank_two_ambient())])
+    assert_shrunk(counit_fails, [parse_elt(ce["a"], amb)])
 
 
 def test_coalgebra_shrinks_an_antipode_failure(monkeypatch):
-    monkeypatch.setattr(coalgebra, "antipode", lambda a: a)
+    # with its sign dropped, the antipode in either slot is the identity
+    copy = coalgebra._copy
+    monkeypatch.setattr(coalgebra, "_copy", lambda m, i, sign=1: copy(m, i))
     report = coalgebra.check_coalgebra(2, trials=50, seed=0)
     assert report.status == "fail"
     ce = report.counterexample
@@ -172,17 +194,20 @@ def test_coalgebra_shrinks_an_antipode_failure(monkeypatch):
     amb = rank_two_ambient()
 
     def antipode_fails(a):
-        d = coalgebra.comultiply(a)
-        target = ExtElt.from_poly(amb, coalgebra.counit(a))
-        return any(coalgebra.tensor_collapse(coalgebra.tensor_map(d, coalgebra.antipode, slot))
-                   != target for slot in (1, 2))
+        # the Hopf law with the identity in place of the antipode: collapse(D(a)) = counit(a)
+        collapsed = algebra_map(coalgebra.comultiply(a), amb, copy_images(0) + copy_images(0))
+        return collapsed != ExtElt.from_poly(amb, coalgebra.counit(a))
 
     assert_shrunk(antipode_fails, [parse_elt(ce["a"], amb)])
 
 
 def test_coalgebra_shrinks_a_chain_map_failure(monkeypatch):
-    contract = coalgebra.contract
-    monkeypatch.setattr(coalgebra, "contract", lambda s, a: -contract(s, a))
+    # the contraction with the sign of each subset's second factor flipped
+    def flipped(s, a):
+        return ExtElt._make(a.ambient, _sign_broken_contract(1)([p.terms for p in s.components],
+                                                                a.terms))
+
+    monkeypatch.setattr(coalgebra, "contract", flipped)
     report = coalgebra.check_coalgebra(2, trials=50, seed=0)
     assert report.status == "fail"
     ce = report.counterexample
@@ -191,17 +216,29 @@ def test_coalgebra_shrinks_a_chain_map_failure(monkeypatch):
     amb = rank_two_ambient()
     section = Section(amb, parse_section(ce["section"][1:-1], amb.vars))
     complex = KoszulComplex(section)
+    on_first = Section(coalgebra.tensor_ambient(amb, 2),
+                       section.components + (Poly.zero(amb.vars),) * 2)
 
     def chain_map_fails(a):
-        lhs = coalgebra.tensor_d_first(coalgebra.coaction(complex, a), section)
-        return lhs != coalgebra.coaction(complex, coalgebra.contract(section, a))
+        lhs = flipped(on_first, coalgebra.coaction(complex, a))
+        return lhs != coalgebra.coaction(complex, flipped(section, a))
 
     assert_shrunk(chain_map_fails, [parse_elt(ce["a"], amb)])
 
 
 def test_coalgebra_shrinks_an_algebra_map_failure(monkeypatch):
-    wedge = coalgebra.wedge
-    monkeypatch.setattr(coalgebra, "wedge", lambda a, b: wedge(b, a))
+    def unsigned_wedge(a, b):
+        """The wedge with every merge sign taken as +1."""
+        terms: dict = {}
+        for (e1, s1), c1 in a.terms.items():
+            for (e2, s2), c2 in b.terms.items():
+                sign, merged = merge_sign(s1, s2)
+                if sign:
+                    key = (exps_add(e1, e2), merged)
+                    terms[key] = terms.get(key, 0) + c1 * c2
+        return ExtElt._make(a.ambient, terms)
+
+    monkeypatch.setattr(coalgebra, "wedge", unsigned_wedge)
     report = coalgebra.check_coalgebra(2, trials=50, seed=0)
     assert report.status == "fail"
     ce = report.counterexample
@@ -210,7 +247,7 @@ def test_coalgebra_shrinks_an_algebra_map_failure(monkeypatch):
     amb = rank_two_ambient()
 
     def algebra_map_fails(a, b):
-        lhs = coalgebra.comultiply(coalgebra.wedge(a, b))
-        return lhs != coalgebra.tensor_multiply(coalgebra.comultiply(a), coalgebra.comultiply(b))
+        lhs = coalgebra.comultiply(unsigned_wedge(a, b))
+        return lhs != unsigned_wedge(coalgebra.comultiply(a), coalgebra.comultiply(b))
 
     assert_shrunk(algebra_map_fails, [parse_elt(ce[k], amb) for k in "ab"])

@@ -317,6 +317,23 @@ def test_check_max_deg_zero_is_honoured(capsys, monkeypatch, argv, suite):
     assert seen == [0]
 
 
+@pytest.mark.parametrize("argv, suite", [
+    (("gerstenhaber",), "check_gerstenhaber"),
+    (("bv",), "check_bv"),
+    (("coalgebra",), "check_coalgebra"),
+    (("compat", "--vars", "x,y", "--alpha", "y*d_x"), "check_bracket_compat"),
+], ids=["gerstenhaber", "bv", "coalgebra", "compat"])
+def test_check_without_max_deg_keeps_the_suite_default(capsys, monkeypatch, argv, suite):
+    seen = []
+
+    def record(*args, **kwargs):
+        seen.append(kwargs)
+        return CheckReport(suite, "pass", 0)
+    monkeypatch.setattr(f"dcrit.cli.{suite}", record)
+    assert run(capsys, "check", *argv)[0] == 0
+    assert len(seen) == 1 and "max_deg" not in seen[0]
+
+
 @pytest.mark.parametrize("which", ["gerstenhaber", "bv", "coalgebra"])
 def test_check_negative_max_deg_is_an_input_error(capsys, which):
     code, out, err = run(capsys, "check", which, "--max-deg", "-1")

@@ -289,13 +289,12 @@ def _sign_broken_contract(flip_at):
     """`_contract` with the sign at position `flip_at` of each subset flipped."""
     def contract(components, terms):
         out = {}
-        for key, c in terms.items():
-            exps, subset, rest = key[0], key[1], key[2:]
+        for (exps, subset), c in terms.items():
             for k0, j in enumerate(subset):
                 signed = -c if (k0 % 2 == 0) != (k0 == flip_at) else c
-                omitted = (subset[:k0] + subset[k0 + 1:],) + rest
+                omitted = subset[:k0] + subset[k0 + 1:]
                 for sexps, sc in components[j].items():
-                    k = (exps_add(exps, sexps),) + omitted
+                    k = (exps_add(exps, sexps), omitted)
                     out[k] = out.get(k, 0) + signed * sc
         return out
     return contract

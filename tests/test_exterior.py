@@ -1,12 +1,13 @@
 """Wedge algebra, merge signs, and the contraction differential."""
 
 from fractions import Fraction
+from itertools import combinations
 from random import Random
 
 import pytest
 
 from dcrit.checks import rand_mixed, rand_section
-from dcrit.exterior import Ambient, ExtElt, Section, contract, merge_sign, wedge
+from dcrit.exterior import Ambient, ExtElt, Section, algebra_map, contract, merge_sign, wedge
 from dcrit.parsing import parse_poly
 from dcrit.poly import Poly
 
@@ -24,6 +25,15 @@ def test_merge_sign():
     assert merge_sign((), (0, 2)) == (1, (0, 2))
     assert merge_sign((0, 2), (1,)) == (-1, (0, 1, 2))
     assert merge_sign((0, 1), (1,)) == (0, ())  # overlap kills the term
+
+
+def test_merge_sign_counts_inversions_on_every_pair_of_subsets():
+    subsets = [s for r in range(6) for s in combinations(range(5), r)]
+    for left in subsets:
+        for right in subsets:
+            inversions = sum(1 for i in left for j in right if i > j)
+            expected = ((-1) ** inversions, tuple(sorted(left + right)))
+            assert merge_sign(left, right) == (expected if not set(left) & set(right) else (0, ()))
 
 
 def test_ambient_validation():
@@ -127,3 +137,52 @@ def test_wedge_helper_matches_mul():
     a = rand_mixed(rng, AMB, 2)
     b = rand_mixed(rng, AMB, 2)
     assert wedge(a, b) == a * b
+
+
+# -- algebra maps: an R-algebra map is given by the images of the generators --
+
+def test_identity_images_return_the_input():
+    rng = Random(12)
+    for _ in range(20):
+        a = rand_mixed(rng, AMB, 2)
+        assert algebra_map(a, AMB, [((j, 1),) for j in range(3)]) == a
+
+
+def test_two_maps_composed_are_the_map_of_the_composed_images():
+    # f sends the three generators into four, g sends those four back into three
+    four = Ambient(VS, ("f1", "f2", "f3", "f4"))
+    f = [((0, 1), (2, -1)), ((3, 1),), ((1, 2), (0, 1), (3, -1))]
+    g = [((2, 1),), ((0, -1), (1, 1)), ((1, 3),), ((0, 1), (2, 1))]
+    composed = [tuple((u, s * r) for t, s in image for u, r in g[t]) for image in f]
+    rng = Random(13)
+    for _ in range(20):
+        a = rand_mixed(rng, AMB, 2)
+        once = algebra_map(a, AMB, composed)
+        assert algebra_map(algebra_map(a, four, f), AMB, g) == once
+        assert algebra_map(a * a, AMB, composed) == once * once
+
+
+def test_a_generator_sent_to_nothing_removes_every_term_that_holds_it():
+    rng = Random(14)
+    images = [((0, 1),), (), ((2, 1),)]
+    for _ in range(20):
+        a = rand_mixed(rng, AMB, 2)
+        kept = ExtElt(AMB, {k: c for k, c in a.terms.items() if 1 not in k[1]})
+        assert algebra_map(a, AMB, images) == kept
+
+
+def test_algebra_map_signs_follow_the_wedge():
+    # e1 -> e2, e2 -> e1 swaps the factors of e1/\e2, so one sign
+    swap = [((1, 1),), ((0, 1),), ((2, 1),)]
+    assert algebra_map(gen(0) * gen(1), AMB, swap) == -(gen(0) * gen(1))
+    assert algebra_map(gen(0) * gen(1), AMB, [((0, 1), (1, 1)), ((0, 1), (1, 1)), ()]) == ExtElt.zero(AMB)
+
+
+@pytest.mark.parametrize("target, images", [
+    (Ambient(("x",), ("e1", "e2", "e3")), [((j, 1),) for j in range(3)]),
+    (AMB, [((0, 1),), ((1, 1),)]),
+    (AMB, [((0, 1),), ((1, 1),), ((3, 1),)]),
+], ids=["other-variables", "too-few-images", "out-of-range"])
+def test_algebra_map_rejects_tables_that_do_not_fit(target, images):
+    with pytest.raises(ValueError):
+        algebra_map(gen(0), target, images)

@@ -5,6 +5,7 @@ from random import Random
 
 import pytest
 
+from dcrit import polyvec
 from dcrit.checks import rand_mixed, rand_poly, var_names
 from dcrit.exterior import Ambient, ExtElt, Section, contract
 from dcrit.parsing import parse_one_form, parse_poly, parse_polyvector
@@ -155,6 +156,29 @@ def test_bv_suite_passes():
     assert report.passed, report.counterexample
     assert report.details["non_derivation_witness"] is not None
     assert report.details["delta_d_alpha_anticommute"] == "holds on all trials"
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_the_non_derivation_witness_is_x1_in_every_dimension(n):
+    vs = var_names(n)
+    vol = VolumeForm(vs)
+    amb = polyvector_ambient(vs)
+    x1 = Poly.variable(vs, vs[0])
+    a, b = ExtElt.wedge_monomial(amb, x1, (0,)), ExtElt.from_poly(amb, x1)
+    # b is a function, so delta(b) = 0 and the sign in front of a * delta(b) does not matter
+    deviation = bv_delta(vol, a * b) - bv_delta(vol, a) * b - a * bv_delta(vol, b)
+    assert deviation == b
+    witness = check_bv(n, trials=2, seed=n).details["non_derivation_witness"]
+    assert witness == {"a": f"{vs[0]}*@{vs[0]}", "b": vs[0], "deviation": vs[0]}
+
+
+def test_a_zero_deviation_on_the_witness_fails(monkeypatch):
+    # a wedge that returns zero makes every deviation zero: no witness
+    monkeypatch.setattr(polyvec, "wedge", lambda a, b: ExtElt.zero(a.ambient))
+    report = check_bv(2, trials=5, seed=0)
+    assert (report.status, report.trials) == ("fail", 0)
+    assert report.counterexample == {"identity": "non_derivation", "a": "x*@x", "b": "x",
+                                     "deviation": "0"}
 
 
 def test_volume_contraction_frozen_values():
