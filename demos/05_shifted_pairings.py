@@ -9,7 +9,7 @@ Run as: python3 demos/05_shifted_pairings.py
 """
 
 from dcrit import (NotClosedError, Poly, build_koszul, exact_form, form_str,
-                   gradient, hessian, intersect_graph_lagrangians,
+                   gradient, intersect_graph_lagrangians,
                    minus_one_pairing, obstruction_theory, parse_one_form,
                    parse_poly)
 
@@ -27,7 +27,7 @@ def crit_locus(src):
 
 print("== the Hessian pairing ==")
 for src in ("x*y", "x^3 + y^3"):
-    rows = ["[" + ", ".join(str(e) for e in row) + "]" for row in hessian(P(src))]
+    rows = ["[" + ", ".join(str(e) for e in row) + "]" for row in crit_locus(src).jacobian]
     print(f"hessian({src:9}) = {' '.join(rows)}")
 report = minus_one_pairing(crit_locus("x^3 + y^3"))
 print(f"symmetric = {report.symmetric}, nondegenerate = {report.nondegenerate}")

@@ -36,7 +36,7 @@ from .polyvec import (VolumeForm, alpha_of_vector, apply_vector, bv_delta,
                       closedness_witness, de_rham, exact_form, form_str,
                       schouten, vol_contract, vol_contract_inv)
 from .symplectic import (LagrangianIntersection, NotClosedError,
-                         ObstructionReport, PairingReport, hessian, intersect_graph_lagrangians,
+                         ObstructionReport, PairingReport, intersect_graph_lagrangians,
                          minus_one_pairing, obstruction_theory, pairing_report)
 from .coalgebra import antipode, coaction, comultiply, counit, tensor_ambient
 from .checks import CheckReport
@@ -62,7 +62,7 @@ __all__ = [
     "closedness_witness", "de_rham", "exact_form", "form_str", "schouten",
     "vol_contract", "vol_contract_inv",
     "LagrangianIntersection", "NotClosedError", "ObstructionReport",
-    "PairingReport", "hessian",
+    "PairingReport",
     "intersect_graph_lagrangians", "minus_one_pairing", "obstruction_theory",
     "pairing_report",
     "antipode", "coaction", "comultiply", "counit", "tensor_ambient",

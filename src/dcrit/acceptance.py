@@ -21,8 +21,7 @@ from .koszul import base_change_compare, build_koszul, build_tautological_koszul
 from .parsing import parse_one_form, parse_poly
 from .poly import Poly, gradient, normalize_weights
 from .polyvec import check_bracket_compat, check_bv, check_gerstenhaber, exact_form
-from .symplectic import (NotClosedError, hessian, intersect_graph_lagrangians,
-                         is_symmetric)
+from .symplectic import NotClosedError, intersect_graph_lagrangians, is_symmetric
 from .coalgebra import check_coalgebra
 
 #: quasi-homogeneous corpus used by several criteria: source and variables
@@ -222,7 +221,7 @@ def criterion_hessian_pairing(seed: int = 0) -> CheckReport:
             n = rng.randint(1, 3)
             vs = var_names(n)
             f = rand_poly(rng, vs, 4, max_terms=4)
-            if not is_symmetric(hessian(f)):
+            if not is_symmetric(build_koszul(vs, gradient(f)).jacobian):
                 return {}, {"trial": k, "f": str(f), "issue": "hessian not symmetric"}
         for src, vs in CORPUS:
             f = parse_poly(src, vs)

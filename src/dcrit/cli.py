@@ -206,7 +206,7 @@ def _cmd_check(args):
         inputs["n"] = args.n
         report = check_bv(args.n, trials=args.trials, seed=args.seed, **max_deg)
     elif args.which == "coalgebra":
-        vars = _parse_vars(args.vars) if args.vars else ("x", "y")
+        vars = _parse_vars(args.vars) if args.vars is not None else ("x", "y")
         inputs["rank"] = args.rank
         inputs["vars"] = list(vars)
         report = check_coalgebra(args.rank, trials=args.trials, seed=args.seed,

@@ -48,23 +48,24 @@ normal form in R/I is asked for, from the basis alone: a border monomial
 x_k*s is standard, or the leading term of a reduced generator g
 (NF = lt(g) - g), or x_j*b' for a smaller non-standard b'
 (NF = M_j NF(b'), FGLM's increasing-order rule).  After that every normal
-form in R/I is linear algebra on vectors of length mu, memoized per
-monomial.  Those vectors are IntVectors, int numerators over one positive
-int denominator, and `Quotient.matrices`, `vector` and
-`multiplication_matrix` hand them out as they are.  Multiplication by p is
-the one place columns of a matrix on R/I are made: `multiplication_matrix`
-returns them lazily, column s = NF(p*s) built from the column of s/x_k
-through M_k only when it is asked for, so a caller that needs few columns
-(`symplectic.obstruction_theory` skips every multiple of a dependent one)
-builds few.
+form in R/I is linear algebra on vectors of length mu.  Those vectors are
+IntVectors, int numerators over one positive int denominator, and
+`Quotient.matrices`, `vector` and `multiples` hand them out as they are.
+One walk makes them all: NF(p*x^s) comes from NF(p*x^(s - e_k)), x_k the
+first variable x^s holds, through M_k, and each value on the way is kept.
+`vector` walks from NF(1) over the memo the matrices seed with the standard
+and border monomials; `multiples(p)` walks from NF(p), so it is the map
+s -> NF(p*x^s), each value built only when it is asked for, and a caller
+that needs few of them (`symplectic.obstruction_theory` skips every
+multiple of a dependent column) builds few.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain, count, product
 from math import comb, gcd, lcm
 from operator import add, le, mul, sub
@@ -267,14 +268,14 @@ class Quotient:
     is computed the first time it is asked for and kept: `monomials` needs
     only the leading terms, and the matrices, with the normal forms built on
     them, are made only when a vector is asked for.  What `matrices`,
-    `vector` and the columns of `multiplication_matrix` hand out is shared:
-    read it, do not change it.
+    `vector` and `multiples` hand out is shared: read it, do not change it.
     """
 
     def __init__(self, vars: tuple[str, ...], divisors: list):
         self.vars = vars
         self._divisors = divisors  # the basis's ((leading term, coefficient), terms) pairs
         self._numerators: dict[tuple[int, ...], dict[int, int]] = {}
+        self._memo: dict[Exponents, IntVector] = {}  # NF(x^e) by e, seeded by `matrices`
 
     @cached_property
     def _box(self) -> tuple[int, ...] | None:
@@ -365,7 +366,7 @@ class Quotient:
                 b = _shift(s, k, 1)
                 border.setdefault(b, []).append((k, col))
         columns: list[list] = [[None] * len(monos) for _ in range(n)]
-        memo: dict[Exponents, IntVector] = {}
+        memo = self._memo
         for b in sorted(border, key=degrevlex_key):
             memo[b] = v = self._border_vector(b, tails, memo, columns)
             for k, col in border[b]:
@@ -373,7 +374,6 @@ class Quotient:
         memo.update({m: ({k: 1}, 1) for m, k in index.items()})
         if not monos:
             memo[(0,) * n] = ({}, 1)  # the unit ideal: every normal form is zero
-        self._memo = memo
         return tuple(tuple(c) for c in columns)
 
     def _border_vector(self, b, tails, memo, columns) -> IntVector:
@@ -392,10 +392,11 @@ class Quotient:
         r, s = _reduce({b: 1}, self._divisors)
         return _vector({index[e]: c for e, c in r.items()}, s)
 
-    def _monomial_vector(self, exps: Exponents) -> IntVector:
-        """NF(x^exps), memoized: M_k applied to NF(x^(exps - e_k))."""
+    def _walk(self, memo: dict[Exponents, IntVector], exps: Exponents) -> IntVector:
+        """NF(q*x^exps), for the q whose values s -> NF(q*x^s) `memo` holds in part
+        (q = 1 in `self._memo`): walk down by the first variable x_k each monomial
+        holds until one is in memo, then apply M_k back up, keeping each step."""
         matrices = self.matrices
-        memo = self._memo  # made along with the matrices
         path = []
         while exps not in memo:
             k = next(k for k, a in enumerate(exps) if a)
@@ -410,67 +411,19 @@ class Quotient:
         """NF(p) in R/I as a vector."""
         if p.vars != self.vars:
             raise ValueError("polynomial lives over different variables")
+        self._finite_monomials()  # raises on an infinite-dimensional quotient, even for p = 0
         work, d = _integral(p.terms)
-        return _combine([(c, self._monomial_vector(e)) for e, c in work.items()], d)
+        return _combine([(c, self._walk(self._memo, e)) for e, c in work.items()], d)
 
-    @cached_property
-    def _predecessors(self) -> tuple[tuple[int, int] | None, ...]:
-        """For each standard monomial s but 1, (k, position of s/x_k) with x_k
-        the first variable s holds; s/x_k divides s, so it is standard too."""
-        index = self.index
-        out: list = [None]
-        for s in self._finite_monomials()[1:]:
-            k = next(k for k, a in enumerate(s) if a)
-            out.append((k, index[_shift(s, k, -1)]))
-        return tuple(out)
+    def multiples(self, p: Poly) -> Callable[[Exponents], IntVector]:
+        """Multiplication by p on R/I: the map s -> NF(p*x^s), keyed by exponent
+        vector, each value built the first time it is asked for and kept.
 
-    def multiplication_matrix(self, p: Poly) -> "MultiplicationColumns":
-        """Multiplication by p on R/I, as columns built when they are asked for."""
-        if p.vars != self.vars:
-            raise ValueError("polynomial lives over different variables")
-        self._finite_monomials()  # raises on an infinite-dimensional quotient
-        return MultiplicationColumns(self, p)
-
-
-class MultiplicationColumns(Sequence):
-    """Multiplication by p on R/I, one lazily built column per standard monomial:
-    item s is the vector of NF(p*s).
-
-    The column of the monomial 1 is NF(p); every other standard monomial s
-    is x_k times a smaller standard monomial s', and its column is M_k times
-    that of s'.  A column is built the first time it, or one after it on
-    that chain, is asked for, and kept; a caller that asks for s only after
-    s' builds each column once, with one matrix-vector product.
-    """
-
-    def __init__(self, quotient: Quotient, p: Poly):
-        self._quotient = quotient
-        self._p = p
-        self._columns: dict[int, IntVector] = {}
-
-    def __len__(self) -> int:
-        return len(self._quotient.index)
-
-    def __getitem__(self, s: int) -> IntVector:
-        columns = self._columns
-        v = columns.get(s)
-        if v is not None:
-            return v
-        if not 0 <= s < len(self):
-            raise IndexError("no standard monomial at that position")
-        q = self._quotient
-        path = []
-        while s not in columns:
-            if s == 0:
-                columns[0] = q.vector(self._p)
-                break
-            k, s_prev = q._predecessors[s]
-            path.append((s, k))
-            s = s_prev
-        v = columns[s]
-        for s, k in reversed(path):
-            v = columns[s] = _apply(q.matrices[k], v)
-        return v
+        Every monomial s other than 1 is x_k times s/x_k, x_k the first variable
+        it holds, and its value is M_k times that of s/x_k; a caller that asks
+        for s only after s/x_k builds each value with one matrix-vector product.
+        """
+        return partial(self._walk, {(0,) * len(self.vars): self.vector(p)})
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,10 @@ computes once.
 On the Milnor algebra A = R/J the Hessian is an A-linear map A^n -> A^n,
 whose kernel and cokernel dimensions are the obstruction numbers h0 and
 h1.  `obstruction_theory` eliminates its columns one at a time through a
-`linalg.Echelon`, building each from `Quotient.multiplication_matrix` only
-when it is needed: once the column of t*e_j is dependent, so is that of
-m*t*e_j for every monomial m, and none of those is built or eliminated.
+`linalg.Echelon`, reading entry (i, j) of column t*e_j from
+`Quotient.multiples(h_ij)`, which builds NF(h_ij*t) only when it is asked
+for: once the column of t*e_j is dependent, so is that of m*t*e_j for every
+monomial m, and none of those is built or eliminated.
 """
 
 from __future__ import annotations
@@ -29,13 +30,8 @@ from .groebner import INFINITE, _divides, standard_monomials
 from .exterior import Section
 from .koszul import KoszulComplex
 from .linalg import Echelon
-from .poly import Poly, gradient
+from .poly import Poly
 from .polyvec import closedness_witness
-
-
-def hessian(f: Poly) -> list[list[Poly]]:
-    """Matrix of second partials, in variable order."""
-    return [[g.diff(v) for v in f.vars] for g in gradient(f)]
 
 
 def is_symmetric(m) -> bool:
@@ -150,24 +146,24 @@ def obstruction_theory(locus: KoszulComplex) -> ObstructionReport:
         return ObstructionReport(h, sym, INFINITE)
     mu = len(monos)
     quotient = gb.quotient()
-    # entry (i, j) is multiplication by h[i][j] on the quotient, its columns
-    # built as they are asked for; a symmetric Hessian shares (i, j) and (j, i)
+    # entry (i, j) is multiplication by h[i][j] on the quotient, t -> NF(h[i][j]*t)
+    # built as it is asked for; a symmetric Hessian shares (i, j) and (j, i)
     entries = {}
     for i in range(n):
         for j in range(i if sym else 0, n):
             if not h[i][j].is_zero():
-                entries[i, j] = quotient.multiplication_matrix(h[i][j])
+                entries[i, j] = quotient.multiples(h[i][j])
                 if sym:
                     entries[j, i] = entries[i, j]
     by_column = [[(i * mu, entries[i, j]) for i in range(n) if (i, j) in entries]
                  for j in range(n)]
     echelon = Echelon()
     dead: list[list] = [[] for _ in range(n)]  # per j, the minimal dependent t
-    for t, mono in enumerate(monos):
+    for mono in monos:
         for j in range(n):
             if any(_divides(d, mono) for d in dead[j]):
                 continue
-            parts = [(offset, entry[t]) for offset, entry in by_column[j]]
+            parts = [(offset, entry(mono)) for offset, entry in by_column[j]]
             scale = lcm(*(den for _, (_, den) in parts))
             column = {}
             for offset, (nums, den) in parts:

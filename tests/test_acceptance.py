@@ -17,6 +17,7 @@ from dcrit.acceptance import (criterion_base_change, criterion_bracket_compat,
 from dcrit.acceptance import CORPUS
 from dcrit.cli import main
 from dcrit.groebner import buchberger
+from dcrit.koszul import TautologicalKoszul
 
 SEED = 0
 
@@ -124,3 +125,31 @@ def test_milnor_oracles_compute_one_basis_per_potential(monkeypatch):
     monkeypatch.setattr("dcrit.koszul.buchberger", counting)
     assert criterion_milnor_oracles(SEED).passed
     assert len(calls) == len(CORPUS) == 6
+
+
+def add_one_to_each_specialized_entry(monkeypatch):
+    """Break base change: every specialized entry of the tautological complex is off by 1."""
+    real = TautologicalKoszul.specialize_entry
+    monkeypatch.setattr(TautologicalKoszul, "specialize_entry",
+                        lambda self, entry, components: real(self, entry, components) + 1)
+
+
+def test_base_change_criterion_reports_the_first_mismatched_entry(monkeypatch):
+    add_one_to_each_specialized_entry(monkeypatch)
+    result = criterion_base_change(SEED)
+    assert not result.passed
+    ce = result.counterexample
+    assert list(ce) == ["trial", "n", "m", "section", "degree", "row", "col",
+                        "specialized", "direct"]
+    assert ce["trial"] == 0 and (ce["degree"], ce["row"], ce["col"]) == (-ce["m"], 0, 0)
+
+
+def test_a_failing_criterion_prints_its_counterexample_and_exits_one(monkeypatch, capsys):
+    add_one_to_each_specialized_entry(monkeypatch)
+    assert main(["suite", "--no-timing"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    at = lines.index("[FAIL] base_change")
+    assert [line.split(" = ")[0] for line in lines[at + 1:at + 10]] == [
+        "    trial", "    n", "    m", "    section", "    degree", "    row", "    col",
+        "    specialized", "    direct"]
+    assert lines[at + 10].startswith("[PASS]") and lines[-1] == "suite: 9/10 passed"

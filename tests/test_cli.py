@@ -1,9 +1,11 @@
 """Command line behavior: output shapes, exit codes, determinism."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
+import dcrit.cohomology
 import dcrit.groebner
 import dcrit.koszul
 from dcrit import __version__
@@ -215,6 +217,24 @@ def test_fancy_subcommand(capsys):
     assert doc["results"]["hilbert"]["-1"] == [0, 0, 0, 0, 0, 0]
 
 
+def test_fancy_reports_a_failing_certificate_and_exits_one(capsys, monkeypatch):
+    # a mutant table with H^-1 = 1 in weight 2: the certificate fails there
+    real = dcrit.cohomology.hilbert_table
+
+    def mutant(c, weights, cutoff):
+        table = real(c, weights, cutoff)
+        return replace(table, rows={**table.rows, -1: (0, 0, 1) + table.rows[-1][3:]})
+
+    monkeypatch.setattr(dcrit.cohomology, "hilbert_table", mutant)
+    code, doc, _ = run_json(capsys, "fancy", "--vars", "x", "--rank", "2",
+                            "--cutoff", "5")
+    assert code == 1
+    assert doc["results"]["checks"][0] == {
+        "name": "resolution_certificate", "status": "fail",
+        "counterexample": {"degree": -1, "weight": 2, "expected": 0, "got": 1}}
+    assert doc["results"]["hilbert"]["-1"] == [0, 0, 1, 0, 0, 0]
+
+
 def test_check_compat_records_failure_but_exits_zero(capsys):
     code, doc, _ = run_json(capsys, "check", "compat", "--vars", "x,y",
                             "--alpha", "y*d_x", "--trials", "5")
@@ -347,6 +367,14 @@ def test_check_compat_without_variables_is_an_input_error(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "variable" in err
+
+
+def test_check_coalgebra_over_no_variables_keeps_them(capsys):
+    # an empty --vars is the ring with no variables, not the default x, y
+    code, doc, _ = run_json(capsys, "check", "coalgebra", "--vars", "", "--trials", "20")
+    assert code == 0
+    assert doc["inputs"]["vars"] == []
+    assert doc["results"]["holds"] is True
 
 
 def test_check_missing_argument(capsys):

@@ -1,5 +1,6 @@
 """Weight-slice cohomology, Hilbert tables, and resolution certificates."""
 
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
@@ -106,6 +107,20 @@ def test_resolution_certificate_small():
     assert cert.ok and cert.h0_matches and cert.negatives_vanish
     assert cert.first_mismatch is None
     assert cert.cutoff == 6
+
+
+def test_resolution_certificate_names_a_nonzero_negative_entry(monkeypatch):
+    # a mutant table with H^-1 = 1 in weight 2 and H^0 right
+    real = cohomology.hilbert_table
+
+    def mutant(c, weights, cutoff):
+        table = real(c, weights, cutoff)
+        return replace(table, rows={**table.rows, -1: (0, 0, 1) + table.rows[-1][3:]})
+
+    monkeypatch.setattr(cohomology, "hilbert_table", mutant)
+    cert = resolution_certificate(build_tautological_koszul(("x",), 2), 6)
+    assert not cert.ok and cert.h0_matches and not cert.negatives_vanish
+    assert cert.first_mismatch == {"degree": -1, "weight": 2, "expected": 0, "got": 1}
 
 
 def test_resolution_certificate_weighted_base():

@@ -8,6 +8,7 @@ from operator import le
 import pytest
 
 import dcrit.cli
+import dcrit.groebner
 import dcrit.symplectic
 import potentials
 from dcrit.cli import main
@@ -17,7 +18,7 @@ from dcrit.koszul import build_koszul
 from dcrit.parsing import parse_one_form, parse_poly
 from dcrit.poly import Poly, gradient
 from dcrit.polyvec import exact_form
-from dcrit.symplectic import (NotClosedError, hessian,
+from dcrit.symplectic import (NotClosedError,
                               intersect_graph_lagrangians, is_symmetric,
                               minus_one_pairing, obstruction_theory,
                               pairing_report)
@@ -35,17 +36,19 @@ def crit_locus(f):
 
 
 def test_hessian_values():
-    assert hessian(P("x*y")) == [[P("0"), P("1")], [P("1"), P("0")]]
-    assert hessian(P("x^3 + y^3")) == [[P("6*x"), P("0")], [P("0"), P("6*y")]]
-    assert is_symmetric(hessian(P("x^4*y + x*y^3 - 2*x")))
+    # the Jacobian of the complex of df is the Hessian of f
+    assert crit_locus(P("x*y")).jacobian == ((P("0"), P("1")), (P("1"), P("0")))
+    assert crit_locus(P("x^3 + y^3")).jacobian == ((P("6*x"), P("0")), (P("0"), P("6*y")))
+    assert is_symmetric(crit_locus(P("x^4*y + x*y^3 - 2*x")).jacobian)
 
 
 def test_a_given_hessian_gives_the_same_reports():
     # the Jacobian of the critical locus is the Hessian, and both reports read it
     f = P("x^4*y + x*y^3 - 2*x")
     locus = crit_locus(f)
-    assert [list(row) for row in locus.jacobian] == hessian(f)
-    assert minus_one_pairing(locus) == pairing_report(hessian(f))
+    assert locus.jacobian == ((P("12*x^2*y"), P("4*x^3 + 3*y^2")),
+                              (P("4*x^3 + 3*y^2"), P("6*x*y")))
+    assert minus_one_pairing(locus) == pairing_report(locus.jacobian)
     assert obstruction_theory(locus).hessian == locus.jacobian
     # one component, or none, over two variables: the Jacobian is not square
     for short in (build_koszul(VS, gradient(f)[:1]), build_koszul(VS, [])):
@@ -63,7 +66,6 @@ def test_crit_takes_the_gradient_once(monkeypatch, capsys):
         return gradient(f)
 
     monkeypatch.setattr(dcrit.cli, "gradient", counting)
-    monkeypatch.setattr(dcrit.symplectic, "gradient", counting)
     assert main(["crit", "--vars", "x,y", "-f", "x^3 + y^3", "--json", "--no-timing"]) == 0
     doc = json.loads(capsys.readouterr().out)["results"]
     assert doc["pairing"]["hessian"] == doc["obstruction"]["hessian"] == ["6*x", "0", "0", "6*y"]
@@ -73,9 +75,10 @@ def test_crit_takes_the_gradient_once(monkeypatch, capsys):
 def test_tangent_complex_shape():
     # T^0 -> T^1 is given by its one differential, the Hessian, a square matrix
     f = P("x^3 + y^3")
-    report = pairing_report(hessian(f))
+    h = crit_locus(f).jacobian
+    report = pairing_report(h)
     assert [len(row) for row in report.matrix] == [2, 2]
-    assert [list(row) for row in report.matrix] == hessian(f)
+    assert report.matrix == h
     assert report == minus_one_pairing(crit_locus(f))
 
 
@@ -161,7 +164,7 @@ def test_two_term_complex_validation():
 def reference_rows(f, gb):
     """The block rows obstruction_theory built before the quotient's matrices:
     h[i][j]*m reduced by division for every entry and every standard monomial."""
-    h = hessian(f)
+    h = crit_locus(f).jacobian
     monos = standard_monomials(gb)
     if monos is None:
         return None
@@ -241,7 +244,7 @@ def assert_obstruction_matches_reference(f, monkeypatch):
     monkeypatch.setattr(dcrit.symplectic, "Echelon", Recording)
     report = obstruction_theory(crit_locus(f))
     expected = reference_rows(f, gb)
-    assert report.hessian == tuple(map(tuple, hessian(f)))
+    assert report.hessian == crit_locus(f).jacobian
     if expected is None:
         assert made == []
         assert (report.quotient_dim, report.h0, report.h1, report.hessian_invertible) == (
@@ -304,6 +307,31 @@ def test_each_power_above_two_costs_one_dependent_column(src, eliminated, monkey
     report, count = assert_obstruction_matches_reference(f, monkeypatch)
     rank = 3 * report.quotient_dim - report.h0
     assert count == rank + sum(1 for e in f.terms if max(e) >= 3) == eliminated
+
+
+def test_each_eliminated_column_costs_at_most_one_product(monkeypatch):
+    # columns are taken t ascending, so the value of t*x_k's entry comes from that
+    # of t, kept by the walk: once the M_k are built, a column costs at most one
+    # matrix-vector product.  On x^300 + y^300, mu = 299^2 = 89,401 and
+    # h0 = mu * sum_i (a_i - 2)/(a_i - 1) = 178,204
+    locus = crit_locus(P("x^300 + y^300"))
+    locus.ideal.quotient().matrices
+    counts = {"apply": 0, "add": 0}
+    real_apply, real_add = dcrit.groebner._apply, Echelon.add
+
+    def apply(columns, v):
+        counts["apply"] += 1
+        return real_apply(columns, v)
+
+    def add(self, row):
+        counts["add"] += 1
+        return real_add(self, row)
+
+    monkeypatch.setattr(dcrit.groebner, "_apply", apply)
+    monkeypatch.setattr(Echelon, "add", add)
+    report = obstruction_theory(locus)
+    assert (report.quotient_dim, report.h0) == (89401, 178204)
+    assert 0 < counts["apply"] <= counts["add"]
 
 
 # -- the obstruction numbers against closed forms -----------------------------
@@ -432,7 +460,7 @@ def socle_dimension(quotient):
 
 def duality_data(f):
     q = buchberger(list(gradient(f))).quotient()
-    det = determinant(hessian(f))
+    det = determinant(crit_locus(f).jacobian)
     times_x = [q.vector(Poly.variable(f.vars, v) * det) for v in f.vars]
     return q.vector(det), times_x, socle_dimension(q)
 
