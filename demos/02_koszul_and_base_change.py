@@ -7,9 +7,8 @@ coordinates; substituting a concrete section recovers the direct complex
 on the nose.  Run as: python3 demos/02_koszul_and_base_change.py
 """
 
-from dcrit import (augmentation, base_change_compare, build_koszul,
-                   build_tautological_koszul, check_d_squared, gradient,
-                   parse_poly, parse_section)
+from dcrit import (base_change_compare, build_koszul, build_tautological_koszul,
+                   check_d_squared, gradient, normal_form, parse_poly, parse_section)
 
 VS = ("x", "y")
 
@@ -38,7 +37,6 @@ print()
 print("== the augmentation onto the critical quotient ==")
 f = parse_poly("x^3 + y^3", VS)
 crit = build_koszul(VS, list(gradient(f)))
-aug = augmentation(crit)
-print(f"f = {f}, quotient dimension = {aug.target_dimension()}")
+print(f"f = {f}, quotient dimension = {crit.ideal.dimension}")
 for src in ("x^2", "x*y", "x^4 + x"):
-    print(f"  image of {src:8} = {aug.project(parse_poly(src, VS))}")
+    print(f"  image of {src:8} = {normal_form(parse_poly(src, VS), crit.ideal)}")

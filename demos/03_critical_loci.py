@@ -7,8 +7,8 @@ agree exactly.  Run as: python3 demos/03_critical_loci.py
 
 from fractions import Fraction
 
-from dcrit import (build_koszul, gradient, hilbert_table, is_regular_sequence,
-                   milnor_number, parse_poly, quotient_dimension)
+from dcrit import (buchberger, build_koszul, gradient, hilbert_table,
+                   is_regular_sequence, milnor_number, parse_poly)
 
 CORPUS = (
     ("x^2", ("x",)),
@@ -27,7 +27,7 @@ for src, vs in CORPUS:
     cutoff = len(vs) * (f.total_degree() - 2) + 2
     table = hilbert_table(build_koszul(vs, grads), (1,) * len(vs), cutoff)
     slices = table.total(0)
-    groebner = quotient_dimension(grads)
+    groebner = buchberger(grads).dimension
     d = f.total_degree()
     product = 1
     for _ in vs:

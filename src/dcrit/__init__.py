@@ -6,7 +6,7 @@ floating point anywhere in the package.  The main entry points:
 - Poly, parse_poly: sparse multivariate polynomials over Q
 - build_koszul, build_tautological_koszul: Koszul complexes of sections
 - hilbert_table, resolution_certificate: weight-slice cohomology
-- milnor_number, quotient_dimension: Groebner oracles for critical loci
+- buchberger, milnor_number: Groebner oracles; a basis is also its quotient R/I
 - schouten, bv_delta, vol_contract: the odd bracket and its generator
 - minus_one_pairing, intersect_graph_lagrangians: shifted pairings
 - comultiply, coaction: the exterior coalgebra acting on Koszul complexes,
@@ -21,10 +21,9 @@ from .poly import (ANY_DEGREE, INHOMOGENEOUS, Poly, UnknownVariableError,
 from .exterior import Ambient, ExtElt, Section, algebra_map, contract, merge_sign, wedge
 from .parsing import (ParseError, parse_one_form, parse_poly, parse_polyvector,
                       parse_section)
-from .groebner import (INFINITE, GroebnerBasis, buchberger, normal_form,
-                       quotient_dimension, standard_monomials)
+from .groebner import INFINITE, GroebnerBasis, buchberger, normal_form, standard_monomials
 from .koszul import (BaseChangeReport, KoszulComplex, TautologicalKoszul,
-                     augmentation, base_change_compare, build_koszul,
+                     base_change_compare, build_koszul,
                      build_tautological_koszul, check_d_squared, jacobian_ideal,
                      milnor_number)
 from .cohomology import (HilbertTable, InhomogeneousSectionError,
@@ -34,7 +33,7 @@ from .cohomology import (HilbertTable, InhomogeneousSectionError,
 from .polyvec import (VolumeForm, alpha_of_vector, apply_vector, bv_delta,
                       check_bracket_compat, check_bv, check_gerstenhaber,
                       closedness_witness, de_rham, exact_form, form_str,
-                      schouten, vol_contract, vol_contract_inv)
+                      schouten, vol_contract)
 from .symplectic import (LagrangianIntersection, NotClosedError,
                          ObstructionReport, PairingReport, intersect_graph_lagrangians,
                          minus_one_pairing, obstruction_theory, pairing_report)
@@ -50,9 +49,9 @@ __all__ = [
     "ParseError", "parse_one_form", "parse_poly", "parse_polyvector",
     "parse_section",
     "INFINITE", "GroebnerBasis", "buchberger", "jacobian_ideal",
-    "milnor_number", "normal_form", "quotient_dimension", "standard_monomials",
+    "milnor_number", "normal_form", "standard_monomials",
     "BaseChangeReport", "KoszulComplex", "TautologicalKoszul",
-    "augmentation", "base_change_compare", "build_koszul",
+    "base_change_compare", "build_koszul",
     "build_tautological_koszul", "check_d_squared",
     "HilbertTable", "InhomogeneousSectionError", "RegularSequenceReport",
     "ResolutionCertificate", "hilbert_table", "is_regular_sequence",
@@ -60,7 +59,7 @@ __all__ = [
     "VolumeForm", "alpha_of_vector", "apply_vector", "bv_delta",
     "check_bracket_compat", "check_bv", "check_gerstenhaber",
     "closedness_witness", "de_rham", "exact_form", "form_str", "schouten",
-    "vol_contract", "vol_contract_inv",
+    "vol_contract",
     "LagrangianIntersection", "NotClosedError", "ObstructionReport",
     "PairingReport",
     "intersect_graph_lagrangians", "minus_one_pairing", "obstruction_theory",

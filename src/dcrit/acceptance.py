@@ -16,7 +16,6 @@ from random import Random
 from .checks import CheckReport, rand_poly, var_names
 from .cohomology import (hilbert_table, is_regular_sequence, resolution_certificate,
                          slice_cohomology)
-from .groebner import quotient_dimension
 from .koszul import base_change_compare, build_koszul, build_tautological_koszul
 from .parsing import parse_one_form, parse_poly
 from .poly import Poly, gradient, normalize_weights
@@ -128,7 +127,7 @@ def criterion_milnor_oracles(seed: int = 0) -> CheckReport:
             locus = build_koszul(vs, gradient(f))
             cutoff = len(vs) * (f.total_degree() - 2) + 2
             slice_total = hilbert_table(locus, ws, cutoff).total(0)
-            quotient = quotient_dimension(locus.ideal)
+            quotient = locus.ideal.dimension
             closed = _closed_form_milnor(f, ws)
             rows[src] = {"slices": slice_total, "groebner": quotient, "product": closed}
             if not (slice_total == quotient == closed):

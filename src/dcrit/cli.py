@@ -33,7 +33,6 @@ from .acceptance import run_all
 from .checks import CheckReport
 from .coalgebra import check_coalgebra
 from .cohomology import InhomogeneousSectionError, hilbert_table, resolution_certificate
-from .groebner import quotient_dimension
 from .koszul import build_koszul, build_tautological_koszul, check_d_squared
 from .parsing import ParseError, parse_one_form, parse_poly, parse_section
 from .poly import UnknownVariableError, gradient, normalize_weights
@@ -127,7 +126,7 @@ def _cmd_zero(args):
     weights = _parse_weights(args.weights, vars) if args.weights else (1,) * len(vars)
     complex = build_koszul(vars, list(components))
     d2 = complex.d_squared
-    h0 = quotient_dimension(complex.ideal)
+    h0 = complex.ideal.dimension
     checks = [{"name": "d_squared", "status": "pass" if d2 else "fail"}]
     results: dict = {"checks": checks, "h0_dimension": h0}
     lines = [f"zero locus of ({', '.join(str(c) for c in components)}) over {_ring(vars)}",
@@ -173,7 +172,7 @@ def _cmd_crit(args):
     # Hessian, each computed when a part first asks for it
     locus = build_koszul(vars, gradient(f))
     if args.milnor or want_all:
-        mu = quotient_dimension(locus.ideal)
+        mu = locus.ideal.dimension
         results["milnor"] = mu
         lines.append(f"milnor = {mu}")
     if args.pairing or want_all:

@@ -232,14 +232,13 @@ def hilbert_table(c: KoszulComplex, weights, cutoff: int) -> HilbertTable:
     ws = normalize_weights(c.ambient.vars, weights)
     slices = _Slices(c, ws)
     _require_d_squared(c)
-    quotient = c.ideal.quotient()
-    k = quotient.hilbert_numerator(ws)
+    k = c.ideal.hilbert_numerator(ws)
     m = c.rank
     # grade I = n - dim R/I, the multiplicity of t = 1 as a root of K
     grade = next((j for j in range(m) if sum(v * comb(e, j) for e, v in k.items())), m)
     columns = slices.cohomology(cutoff, _series(k, ws, cutoff), grade)
     rows = {p: tuple(row) for p, row in columns.items()}
-    qd = quotient.dimension
+    qd = c.ideal.dimension
     complete = {p: p == 0 and qd != INFINITE and sum(rows[0]) == qd for p in rows}
     return HilbertTable(ws, cutoff, rows, complete)
 

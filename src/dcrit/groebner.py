@@ -37,27 +37,26 @@ divisor list alongside the basis.  A basis is worth computing once per
 ideal, so a `KoszulComplex` computes the basis of its components once, as
 its `ideal`, and every caller that needs one reads it there.
 
-Each GroebnerBasis carries one `Quotient`, the description of R/I as a
-vector space on its standard monomials, filled as it is asked.  Counting
-lists nothing: the Hilbert numerator K(t) of R/in(I), in any positive
-weights, comes from the leading terms alone by Bayer and Stillman's
-recursion, and dim R/I is read off K.  The standard monomials are listed,
-once per basis, only when they are asked for, as the multiplication
-matrices M_k (column s holds NF(x_k*s)) are.  Those are built only when a
-normal form in R/I is asked for, from the basis alone: a border monomial
-x_k*s is standard, or the leading term of a reduced generator g
-(NF = lt(g) - g), or x_j*b' for a smaller non-standard b'
-(NF = M_j NF(b'), FGLM's increasing-order rule).  After that every normal
-form in R/I is linear algebra on vectors of length mu.  Those vectors are
-IntVectors, int numerators over one positive int denominator, and
-`Quotient.matrices`, `vector` and `multiples` hand them out as they are.
-One walk makes them all: NF(p*x^s) comes from NF(p*x^(s - e_k)), x_k the
-first variable x^s holds, through M_k, and each value on the way is kept.
-`vector` walks from NF(1) over the memo the matrices seed with the standard
-and border monomials; `multiples(p)` walks from NF(p), so it is the map
-s -> NF(p*x^s), each value built only when it is asked for, and a caller
-that needs few of them (`symplectic.obstruction_theory` skips every
-multiple of a dependent column) builds few.
+A GroebnerBasis is also the description of R/I, as a vector space on its
+standard monomials, filled as it is asked.  Counting lists nothing: the
+Hilbert numerator K(t) of R/in(I), in any positive weights, comes from the
+leading terms alone by Bayer and Stillman's recursion, and `dimension`,
+dim R/I, is read off K.  The standard monomials are listed, once per basis,
+only when they are asked for, as the multiplication matrices M_k (column s
+holds NF(x_k*s)) are.  Those are built only when a normal form in R/I is
+asked for, from the basis alone: a border monomial x_k*s is standard, or
+the leading term of a reduced generator g (NF = lt(g) - g), or x_j*b' for
+a smaller non-standard b' (NF = M_j NF(b'), FGLM's increasing-order rule).
+After that every normal form in R/I is linear algebra on vectors of length
+mu.  Those vectors are IntVectors, int numerators over one positive int
+denominator, and `matrices`, `vector` and `multiples` hand them out as
+they are.  One walk makes them all: NF(p*x^s) comes from NF(p*x^(s - e_k)),
+x_k the first variable x^s holds, through M_k, and each value on the way
+is kept.  `vector` walks from NF(1) over the memo the matrices seed with
+the standard and border monomials; `multiples(p)` walks from NF(p), so it
+is the map s -> NF(p*x^s), each value built only when it is asked for, and
+a caller that needs few of them (`symplectic.obstruction_theory` skips
+every multiple of a dependent column) builds few.
 """
 
 from __future__ import annotations
@@ -108,9 +107,15 @@ def normal_form(p: Poly, basis: Union["GroebnerBasis", Sequence[Poly]]) -> Poly:
     Each step takes the leading term of what is left and divides it by the
     first divisor, in list order, whose leading term divides it; terms no
     leading term divides move to the remainder.  A GroebnerBasis brings its
-    generators' leading terms along.
+    generators' leading terms along.  p and every divisor must live over the
+    same variables, or ValueError.
     """
-    divisors = basis._divisors if isinstance(basis, GroebnerBasis) else _with_leads(basis)
+    if isinstance(basis, GroebnerBasis):
+        same, divisors = basis.vars == p.vars, basis._divisors
+    else:
+        same, divisors = all(g.vars == p.vars for g in basis), _with_leads(basis)
+    if not same:
+        raise ValueError("polynomial lives over different variables")
     work, d = _integral(p.terms)
     r, s = _reduce(work, divisors)
     d *= s
@@ -259,23 +264,40 @@ def _hilbert_numerator(gens: list[Exponents], ws: tuple[int, ...]) -> dict[int, 
     return out
 
 
-class Quotient:
-    """R/I as a Q-vector space on the standard monomials of a Groebner basis.
+@dataclass(frozen=True)
+class GroebnerBasis:
+    """Reduced monic Groebner basis, sorted by ascending leading term, and the
+    quotient R/I it describes, as a Q-vector space on its standard monomials.
 
-    A vector is an IntVector (nums, den): nums is a sparse dict from a
-    standard monomial's position in `monomials` to a nonzero int numerator,
-    den a positive int denominator, and the two share no factor.  Each part
-    is computed the first time it is asked for and kept: `monomials` needs
-    only the leading terms, and the matrices, with the normal forms built on
-    them, are made only when a vector is asked for.  What `matrices`,
-    `vector` and `multiples` hand out is shared: read it, do not change it.
+    The generators' leading terms, and their primitive integer forms, are
+    found once, when the basis is made, and every normal form divides by
+    them; `buchberger` hands over the forms it already has as `_divisors`,
+    which must then be what `_with_leads(gens)` would give.
+
+    A vector of R/I is an IntVector (nums, den): nums is a sparse dict from
+    a standard monomial's position in `monomials` to a nonzero int
+    numerator, den a positive int denominator, and the two share no factor.
+    Each part of R/I is computed the first time it is asked for and kept:
+    `dimension` and `monomials` need only the leading terms, and the
+    matrices, with the normal forms built on them, are made only when a
+    vector is asked for.  What `matrices`, `vector` and `multiples` hand
+    out is shared: read it, do not change it.
     """
 
-    def __init__(self, vars: tuple[str, ...], divisors: list):
-        self.vars = vars
-        self._divisors = divisors  # the basis's ((leading term, coefficient), terms) pairs
-        self._numerators: dict[tuple[int, ...], dict[int, int]] = {}
-        self._memo: dict[Exponents, IntVector] = {}  # NF(x^e) by e, seeded by `matrices`
+    vars: tuple[str, ...]
+    gens: tuple[Poly, ...]
+    _divisors: list | None = field(default=None, kw_only=True, repr=False, compare=False)
+    _numerators: dict[tuple[int, ...], dict[int, int]] = field(
+        init=False, default_factory=dict, repr=False, compare=False)
+    _memo: dict[Exponents, IntVector] = field(  # NF(x^e) by e, seeded by `matrices`
+        init=False, default_factory=dict, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self._divisors is None:
+            object.__setattr__(self, "_divisors", _with_leads(self.gens))
+
+    def __str__(self) -> str:
+        return "{" + ", ".join(str(g) for g in self.gens) + "}"
 
     @cached_property
     def _box(self) -> tuple[int, ...] | None:
@@ -426,46 +448,6 @@ class Quotient:
         return partial(self._walk, {(0,) * len(self.vars): self.vector(p)})
 
 
-@dataclass(frozen=True)
-class GroebnerBasis:
-    """Reduced monic Groebner basis, sorted by ascending leading term.
-
-    The generators' leading terms, and their primitive integer forms, are
-    found once, when the basis is made, and every normal form divides by
-    them.  `quotient()` is the one description of R/I this basis gives,
-    shared by every caller.
-    """
-
-    vars: tuple[str, ...]
-    gens: tuple[Poly, ...]
-    _divisors: list = field(init=False, repr=False, compare=False)
-    _quotient: Quotient = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_divisors", _with_leads(self.gens))
-        object.__setattr__(self, "_quotient", Quotient(self.vars, self._divisors))
-
-    @classmethod
-    def _make(cls, vars: tuple[str, ...], gens: tuple[Poly, ...], divisors: list) -> "GroebnerBasis":
-        """Trusted constructor: `divisors` must be what `_with_leads(gens)` would give."""
-        self = object.__new__(cls)
-        for name, value in (("vars", vars), ("gens", gens), ("_divisors", divisors),
-                            ("_quotient", Quotient(vars, divisors))):
-            object.__setattr__(self, name, value)
-        return self
-
-    def quotient(self) -> Quotient:
-        return self._quotient
-
-    def normal_form(self, p: Poly) -> Poly:
-        if p.vars != self.vars:
-            raise ValueError("polynomial lives over different variables")
-        return normal_form(p, self)
-
-    def __str__(self) -> str:
-        return "{" + ", ".join(str(g) for g in self.gens) + "}"
-
-
 def buchberger(gens: Iterable[Poly]) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal the generators span.
 
@@ -542,16 +524,10 @@ def buchberger(gens: Iterable[Poly]) -> GroebnerBasis:
         lc = r[ge]
         primitive.append(((ge, lc), r))
         reduced.append(Poly._make(vars, {e: _quotient(c, lc) for e, c in r.items()}))
-    return GroebnerBasis._make(vars, tuple(reduced), primitive)
+    return GroebnerBasis(vars, tuple(reduced), _divisors=primitive)
 
 
 def standard_monomials(gb: GroebnerBasis) -> list[Exponents] | None:
     """Monomials not divisible by any leading term, ascending; None if infinitely many."""
-    monos = gb.quotient().monomials
+    monos = gb.monomials
     return None if monos is None else list(monos)
-
-
-def quotient_dimension(arg: Union[GroebnerBasis, Iterable[Poly]]):
-    """dim_Q of R/I as a vector space, or INFINITE; counted, not listed."""
-    gb = arg if isinstance(arg, GroebnerBasis) else buchberger(arg)
-    return gb.quotient().dimension

@@ -13,9 +13,11 @@ tautological section.
 A complex computes three values on first use and keeps them: `ideal`, the
 Groebner basis of its components; `jacobian`, the matrix of their partials;
 and `d_squared`, the answer of `check_d_squared`.  Everything that reads
-them from the same complex shares one computation.  For a potential f, the
-derived critical locus is the complex of df, so its ideal is the Jacobian
-ideal and its Jacobian is the Hessian.
+them from the same complex shares one computation.  The basis is also the
+degree-zero cohomology R/I: the augmentation onto it is
+`normal_form(p, ideal)`, and dim H^0 is `ideal.dimension`.  For a
+potential f, the derived critical locus is the complex of df, so its ideal
+is the Jacobian ideal and its Jacobian is the Hessian.
 """
 
 from __future__ import annotations
@@ -23,10 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Sequence, Union
+from typing import Sequence
 
 from .exterior import Ambient, ExtElt, Section, _contract, contract
-from .groebner import GroebnerBasis, buchberger, quotient_dimension
+from .groebner import GroebnerBasis, buchberger
 from .poly import Poly, gradient
 
 
@@ -114,7 +116,7 @@ def jacobian_ideal(f: Poly) -> GroebnerBasis:
 
 def milnor_number(f: Poly):
     """dim_Q R/(all partials of f), or INFINITE for non-isolated critical loci."""
-    return quotient_dimension(jacobian_ideal(f))
+    return jacobian_ideal(f).dimension
 
 
 class TautologicalKoszul(KoszulComplex):
@@ -199,30 +201,3 @@ def check_d_squared(c: KoszulComplex) -> bool:
     zero = (0,) * m
     return not any(any(_contract(taut, _contract(taut, {(zero, subset): 1})).values())
                    for k in range(m + 1) for subset in combinations(range(m), k))
-
-
-@dataclass(frozen=True)
-class Augmentation:
-    """Projection of a Koszul complex onto its degree-zero cohomology.
-
-    The target is R modulo the section's components; `project` sends a
-    degree-zero element to its canonical normal form there.
-    """
-
-    complex: KoszulComplex
-    basis: GroebnerBasis
-
-    def project(self, p: Union[Poly, ExtElt]) -> Poly:
-        if isinstance(p, ExtElt):
-            if any(s for s in p.subsets() if s):
-                raise ValueError("only degree-zero elements project to the quotient")
-            p = p.scalar_part()
-        return self.basis.normal_form(p)
-
-    def target_dimension(self):
-        """dim_Q of the quotient, or INFINITE."""
-        return quotient_dimension(self.basis)
-
-
-def augmentation(complex: KoszulComplex) -> Augmentation:
-    return Augmentation(complex, complex.ideal)

@@ -193,18 +193,6 @@ def vol_contract(vol: VolumeForm, a: ExtElt) -> ExtElt:
                          for (exps, subset), c in a.terms.items()})
 
 
-def vol_contract_inv(vol: VolumeForm, w: ExtElt) -> ExtElt:
-    """Inverse of vol_contract (the contraction is a bijection on bases)."""
-    if w.ambient != form_ambient(vol.vars):
-        raise ValueError("expected an element of the form ambient")
-    n = len(vol.vars)
-    terms: dict = {}
-    for (exps, subset), c in w.terms.items():
-        src = _complement(subset, n)
-        terms[(exps, src)] = _exact(Fraction(c, _vol_factor(src, n, vol.density)))
-    return ExtElt._make(polyvector_ambient(vol.vars), terms)
-
-
 def de_rham(w: ExtElt) -> ExtElt:
     """Exterior derivative on polynomial differential forms."""
     amb = w.ambient

@@ -15,10 +15,10 @@ computes once.
 On the Milnor algebra A = R/J the Hessian is an A-linear map A^n -> A^n,
 whose kernel and cokernel dimensions are the obstruction numbers h0 and
 h1.  `obstruction_theory` eliminates its columns one at a time through a
-`linalg.Echelon`, reading entry (i, j) of column t*e_j from
-`Quotient.multiples(h_ij)`, which builds NF(h_ij*t) only when it is asked
-for: once the column of t*e_j is dependent, so is that of m*t*e_j for every
-monomial m, and none of those is built or eliminated.
+`linalg.Echelon`, reading entry (i, j) of column t*e_j from the Jacobian
+basis's `multiples(h_ij)` (the basis is R/J), which builds NF(h_ij*t) only
+when it is asked for: once the column of t*e_j is dependent, so is that
+of m*t*e_j for every monomial m, and none of those is built or eliminated.
 """
 
 from __future__ import annotations
@@ -145,14 +145,13 @@ def obstruction_theory(locus: KoszulComplex) -> ObstructionReport:
     if monos is None:
         return ObstructionReport(h, sym, INFINITE)
     mu = len(monos)
-    quotient = gb.quotient()
     # entry (i, j) is multiplication by h[i][j] on the quotient, t -> NF(h[i][j]*t)
     # built as it is asked for; a symmetric Hessian shares (i, j) and (j, i)
     entries = {}
     for i in range(n):
         for j in range(i if sym else 0, n):
             if not h[i][j].is_zero():
-                entries[i, j] = quotient.multiples(h[i][j])
+                entries[i, j] = gb.multiples(h[i][j])
                 if sym:
                     entries[j, i] = entries[i, j]
     by_column = [[(i * mu, entries[i, j]) for i in range(n) if (i, j) in entries]

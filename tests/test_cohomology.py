@@ -411,7 +411,7 @@ def test_closed_form_tables_match_the_slices(monkeypatch, seed):
 def test_a_numerator_that_keeps_the_grade_but_not_the_series_is_refused(monkeypatch, seed):
     # adding t^e (1 - t)^m to K(t) keeps t = 1 a root of multiplicity m, so the
     # grade still gives every rank, but moves the series from weight e on
-    numerator = groebner.Quotient.hilbert_numerator
+    numerator = groebner.GroebnerBasis.hilbert_numerator
     shift = {}
 
     def moved(self, weights):
@@ -420,7 +420,7 @@ def test_a_numerator_that_keeps_the_grade_but_not_the_series_is_refused(monkeypa
             k[d] = k.get(d, 0) + v
         return {d: v for d, v in k.items() if v}
 
-    monkeypatch.setattr(groebner.Quotient, "hilbert_numerator", moved)
+    monkeypatch.setattr(groebner.GroebnerBasis, "hilbert_numerator", moved)
     e = 1 + seed
     for K, ws in _regular_cases(seed):
         shift.clear()

@@ -1,4 +1,4 @@
-"""Koszul complexes: matrices, d^2, base change, augmentation."""
+"""Koszul complexes: matrices, d^2, base change, and the ideal R/I."""
 
 from random import Random
 
@@ -9,7 +9,8 @@ import dcrit.koszul as koszul
 from dcrit.cli import main
 from dcrit.cohomology import hilbert_table
 from dcrit.exterior import ExtElt, contract, wedge
-from dcrit.koszul import (KoszulComplex, augmentation, base_change_compare,
+from dcrit.groebner import INFINITE, normal_form
+from dcrit.koszul import (KoszulComplex, base_change_compare,
                           build_koszul, build_tautological_koszul,
                           check_d_squared)
 from dcrit.parsing import parse_poly, parse_section
@@ -99,20 +100,20 @@ def test_base_change_matches_direct_koszul():
 
 
 def test_augmentation_projects_to_the_critical_quotient():
+    # the augmentation onto H^0 = R/I is the normal form modulo the complex's ideal
     K = build_koszul(VS, list(gradient(P("x^3 + y^3"))))
-    aug = augmentation(K)
-    assert aug.target_dimension() == 4
-    assert aug.project(P("x^2")) == Poly.zero(VS)
-    assert aug.project(P("x*y + 7")) == P("x*y + 7")
-    assert aug.project(P("x^4 + x")) == P("x")
+    assert K.ideal.dimension == 4
+    assert normal_form(P("x^2"), K.ideal) == Poly.zero(VS)
+    assert normal_form(P("x*y + 7"), K.ideal) == P("x*y + 7")
+    assert normal_form(P("x^4 + x"), K.ideal) == P("x")
 
 
 def test_a_complex_with_no_components_augments_onto_the_ring():
     # the zero ideal: R/0 = R, an infinite-dimensional target
-    aug = augmentation(build_koszul(("x",), []))
+    K = build_koszul(("x",), [])
     x = parse_poly("x", ("x",))
-    assert aug.project(x) == x
-    assert aug.target_dimension() == "infinite"
+    assert normal_form(x, K.ideal) == x
+    assert K.ideal.dimension == INFINITE == "infinite"
 
 
 def test_zero_rank_and_empty_base():
