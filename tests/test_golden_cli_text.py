@@ -28,6 +28,10 @@ CORPUS = (
     ("check", "compat", "--vars", "x,y", "--alpha", "y*d_x", "--trials", "5"),
     ("check", "d2", "--vars", "x,y", "--section", "x^2, x*y, y^3"),
     ("lagr", "--vars", "x,y", "--alpha", "2*x*d_x - 2*y*d_y", "--beta", "y*d_x + x*d_y"),
+    ("lagr", "--vars", "x,y,z", "--alpha", "1/2*y*z*d_x + 1/2*x*z*d_y + 1/2*x*y*d_z",
+     "--beta", "x*d_x - 2/3*z*d_z"),
+    ("check", "compat", "--vars", "x,y,z",
+     "--alpha", "1/2*y*z*d_x + 1/2*x*z*d_y + 1/2*x*y*d_z", "--trials", "10"),
 )
 
 
