@@ -4,7 +4,8 @@ The two-term tangent complex of a critical locus is self-dual through the
 Hessian; symmetry of that matrix is exactly what makes the pairing work.
 The critical locus of f is the Koszul complex of df, whose Jacobian is the
 Hessian.  Intersecting the graphs of two closed 1-forms generalizes the
-picture.
+picture: the intersection is the Koszul complex of their difference, a
+derived zero locus with the same pairing.
 Run as: python3 demos/05_shifted_pairings.py
 """
 
@@ -43,17 +44,16 @@ for src in ("x^2 + y^2", "x^3 + y^3", "x^2*y^2"):
 print()
 print("== graph intersections ==")
 f = P("x^3 + y^3")
-li = intersect_graph_lagrangians(exact_form(f), exact_form(Poly.zero(VS)))
+meet = intersect_graph_lagrangians(exact_form(f), exact_form(Poly.zero(VS)))
 print(f"intersecting graph(df) with the zero section for f = {f}:")
-print(f"  section components: "
-      f"{tuple(str(c) for c in li.complex.section.components)}")
-print(f"  pairing symmetric = {li.pairing.symmetric}")
+print(f"  section components: {tuple(str(c) for c in meet.section.components)}")
+print(f"  pairing symmetric = {minus_one_pairing(meet).symmetric}")
 
 alpha = exact_form(P("x^2"))
 beta = exact_form(P("y^2"))
-li2 = intersect_graph_lagrangians(alpha, beta)
+meet = intersect_graph_lagrangians(alpha, beta)
 print(f"graph({form_str(alpha)}) meets graph({form_str(beta)}) along section "
-      f"{tuple(str(c) for c in li2.complex.section.components)}")
+      f"{tuple(str(c) for c in meet.section.components)}")
 
 print()
 print("== closedness is a real precondition ==")

@@ -34,9 +34,9 @@ from .polyvec import (VolumeForm, alpha_of_vector, apply_vector, bv_delta,
                       check_bracket_compat, check_bv, check_gerstenhaber,
                       closedness_witness, de_rham, exact_form, form_str,
                       schouten, vol_contract)
-from .symplectic import (LagrangianIntersection, NotClosedError,
-                         ObstructionReport, PairingReport, intersect_graph_lagrangians,
-                         minus_one_pairing, obstruction_theory, pairing_report)
+from .symplectic import (NotClosedError, ObstructionReport, PairingReport,
+                         intersect_graph_lagrangians, minus_one_pairing,
+                         obstruction_theory)
 from .coalgebra import antipode, coaction, comultiply, counit, tensor_ambient
 from .checks import CheckReport
 from .acceptance import run_all
@@ -60,10 +60,8 @@ __all__ = [
     "check_bracket_compat", "check_bv", "check_gerstenhaber",
     "closedness_witness", "de_rham", "exact_form", "form_str", "schouten",
     "vol_contract",
-    "LagrangianIntersection", "NotClosedError", "ObstructionReport",
-    "PairingReport",
+    "NotClosedError", "ObstructionReport", "PairingReport",
     "intersect_graph_lagrangians", "minus_one_pairing", "obstruction_theory",
-    "pairing_report",
     "antipode", "coaction", "comultiply", "counit", "tensor_ambient",
     "CheckReport", "run_all",
 ]

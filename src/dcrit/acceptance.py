@@ -20,7 +20,8 @@ from .koszul import base_change_compare, build_koszul, build_tautological_koszul
 from .parsing import parse_one_form, parse_poly
 from .poly import Poly, gradient, normalize_weights
 from .polyvec import check_bracket_compat, check_bv, check_gerstenhaber, exact_form
-from .symplectic import NotClosedError, intersect_graph_lagrangians, is_symmetric
+from .symplectic import (NotClosedError, intersect_graph_lagrangians, is_symmetric,
+                         minus_one_pairing)
 from .coalgebra import check_coalgebra
 
 #: quasi-homogeneous corpus used by several criteria: source and variables
@@ -224,12 +225,13 @@ def criterion_hessian_pairing(seed: int = 0) -> CheckReport:
                 return {}, {"trial": k, "f": str(f), "issue": "hessian not symmetric"}
         for src, vs in CORPUS:
             f = parse_poly(src, vs)
-            li = intersect_graph_lagrangians(exact_form(f), exact_form(Poly.zero(vs)))
-            direct = build_koszul(vs, list(gradient(f)), gens=li.complex.ambient.gens)
+            complex = intersect_graph_lagrangians(exact_form(f), exact_form(Poly.zero(vs)))
+            direct = build_koszul(vs, list(gradient(f)))
             for p in direct.degrees:
-                if li.complex.differential_matrix(p) != direct.differential_matrix(p):
+                if complex.differential_matrix(p) != direct.differential_matrix(p):
                     return {}, {"f": src, "degree": p, "issue": "matrices differ"}
-            if not (li.pairing.symmetric and li.pairing.nondegenerate):
+            pairing = minus_one_pairing(complex)
+            if not (pairing.symmetric and pairing.nondegenerate):
                 return {}, {"f": src, "issue": "pairing not symmetric"}
         try:
             intersect_graph_lagrangians(parse_one_form("y*d_x", ("x", "y")),

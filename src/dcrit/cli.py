@@ -240,10 +240,10 @@ def _cmd_lagr(args):
     vars = _parse_vars(args.vars)
     alpha = parse_one_form(args.alpha, vars)
     beta = parse_one_form(args.beta, vars)
-    li = intersect_graph_lagrangians(alpha, beta)
-    matrices = {str(p): _matrix_json(li.complex.differential_matrix(p))
-                for p in sorted(li.complex.degrees, reverse=True) if p < 0}
-    results = {"pairing": li.pairing.to_json(), "complex": matrices}
+    complex = intersect_graph_lagrangians(alpha, beta)
+    matrices = {str(p): _matrix_json(complex.differential_matrix(p))
+                for p in sorted(complex.degrees, reverse=True) if p < 0}
+    results = {"pairing": minus_one_pairing(complex).to_json(), "complex": matrices}
     inputs = {"vars": list(vars), "alpha": form_str(alpha), "beta": form_str(beta)}
     lines = [f"graph intersection of ({inputs['alpha']}) and ({inputs['beta']}) over {_ring(vars)}"]
     for p, mat in matrices.items():

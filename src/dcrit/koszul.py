@@ -100,13 +100,11 @@ class KoszulComplex:
         return f"Koszul complex of {self.section} (rank {self.rank})"
 
 
-def build_koszul(vars: Sequence[str], components: Sequence[Poly], gens: Sequence[str] | None = None) -> KoszulComplex:
-    """Koszul complex of the section with the given polynomial components."""
-    vs = tuple(vars)
+def build_koszul(vars: Sequence[str], components: Sequence[Poly]) -> KoszulComplex:
+    """Koszul complex of the section with the given polynomial components,
+    on generators e1, e2, ...; `KoszulComplex(Section(...))` names them."""
     comps = tuple(components)
-    names = tuple(gens) if gens is not None else default_gens(len(comps))
-    ambient = Ambient(vs, names)
-    return KoszulComplex(Section(ambient, comps))
+    return KoszulComplex(Section(Ambient(tuple(vars), default_gens(len(comps))), comps))
 
 
 def jacobian_ideal(f: Poly) -> GroebnerBasis:

@@ -55,7 +55,8 @@ def _require_polyvector(a: ExtElt | Section) -> None:
 # -- one-forms ----------------------------------------------------------------
 #
 # A 1-form sum a_i d_x_i is the Section of the polyvector ambient whose
-# component i pairs with @x_i, so contraction along it is `contract`.
+# component i pairs with @x_i, so contraction along it is `contract`, and
+# its value on a vector field is read off that contraction.
 
 
 def exact_form(f: Poly) -> Section:
@@ -88,32 +89,21 @@ def form_str(alpha: Section) -> str:
                              for exps, c in p.terms.items()}))
 
 
-def apply_vector(X: ExtElt, f: Poly) -> Poly:
-    """Directional derivative X(f) of a vector field."""
-    _require_polyvector(X)
-    if any(len(s) != 1 for s in X.subsets()):
-        raise ValueError("expected a vector field (pure wedge degree one)")
-    vs = X.ambient.vars
-    out = Poly.zero(vs)
-    for i, v in enumerate(vs):
-        xi = X.coefficient_poly((i,))
-        if not xi.is_zero():
-            out = out + xi * f.diff(v)
-    return out
-
-
 def alpha_of_vector(alpha: Section, X: ExtElt) -> Poly:
-    """Evaluation alpha(X) = sum a_i X^i of a 1-form on a vector field."""
+    """Evaluation alpha(X) = sum a_i X^i of a 1-form on a vector field: since
+    contraction along alpha sends @x_i to -a_i, it is -contract(alpha, X)."""
     _require_polyvector(alpha)
     _require_polyvector(X)
     if X.ambient != alpha.ambient:
         raise ValueError("form and field live over different variables")
-    out = Poly.zero(X.ambient.vars)
-    for i, a in enumerate(alpha.components):
-        xi = X.coefficient_poly((i,))
-        if not xi.is_zero():
-            out = out + a * xi
-    return out
+    if any(len(s) != 1 for s in X.subsets()):
+        raise ValueError("expected a vector field (pure wedge degree one)")
+    return -contract(alpha, X).scalar_part()
+
+
+def apply_vector(X: ExtElt, f: Poly) -> Poly:
+    """Directional derivative X(f) = df(X) of a vector field."""
+    return alpha_of_vector(exact_form(f), X)
 
 
 # -- the bracket ---------------------------------------------------------------

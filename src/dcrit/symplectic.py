@@ -1,16 +1,15 @@
-"""The Hessian of a critical locus, its shifted pairing, and obstruction ranks.
+"""Derived zero loci: the shifted pairing, obstruction ranks, graph Lagrangians.
 
-For f in Q[x_1..x_n], the critical locus carries the two-term complex
-T^0 -> T^1 (both free of rank n) with differential the Hessian of f, so
-the complex is the square matrix itself.  The symmetry of that matrix is
-exactly what makes the degree -1 pairing of the complex with itself well
-defined, and the pairing is perfect levelwise (the duality map is the
-identity on the chosen bases).  Intersections of graph Lagrangians reduce
-to Koszul complexes of differences of closed 1-forms, with the same
-pairing attached to the Jacobian of the difference.  Both kinds of locus
-are Koszul complexes, that of f being the complex of df, and the pairing
-and the obstruction report read the `jacobian` and `ideal` the complex
-computes once.
+A derived zero locus, the Koszul complex of a section s with one component
+per variable, has tangent complex T^0 -> T^1 (both free of rank n) with
+differential the Jacobian of s.  The symmetry of that matrix is exactly
+what makes the degree -1 pairing of the complex with itself well defined,
+and the pairing is perfect levelwise (the duality map is the identity on
+the chosen bases).  Two kinds of locus are built here: the critical locus
+of f, the complex of df, whose Jacobian is the Hessian; and the
+intersection of the graphs of two closed 1-forms, the complex of their
+difference.  `minus_one_pairing` and the obstruction report read the
+`jacobian` and `ideal` the complex computes once.
 
 On the Milnor algebra A = R/J the Hessian is an A-linear map A^n -> A^n,
 whose kernel and cokernel dimensions are the obstruction numbers h0 and
@@ -57,24 +56,6 @@ class PairingReport:
                 "nondegenerate": self.nondegenerate}
 
 
-def pairing_report(matrix) -> PairingReport:
-    """The degree -1 pairing of T^0 -> T^1 with this square matrix as differential.
-
-    Symmetry decides everything: an asymmetric matrix admits no pairing.
-    When the matrix is symmetric the pairing is perfect levelwise, with the
-    identity matrix as duality map on the chosen bases.
-    """
-    m = tuple(tuple(row) for row in matrix)
-    if any(len(row) != len(m) for row in m):
-        raise ValueError("a pairing needs a square matrix")
-    if len({p.vars for row in m for p in row}) > 1:
-        raise ValueError("matrix entry lives over different variables")
-    sym = is_symmetric(m)
-    duality = ("identity on the chosen bases (perfect levelwise)" if sym
-               else "none: differential is not self-adjoint")
-    return PairingReport(m, sym, sym, duality)
-
-
 def _tangent_differential(locus: KoszulComplex) -> tuple[tuple[Poly, ...], ...]:
     """The Jacobian of the locus's section, square: one component per variable."""
     n = len(locus.ambient.vars)
@@ -85,9 +66,14 @@ def _tangent_differential(locus: KoszulComplex) -> tuple[tuple[Poly, ...], ...]:
 
 
 def minus_one_pairing(locus: KoszulComplex) -> PairingReport:
-    """The pairing of a derived zero locus's tangent complex, whose differential
-    is the Jacobian of the section: for the critical locus of f, the Hessian."""
-    return pairing_report(_tangent_differential(locus))
+    """The degree -1 pairing of a derived zero locus's tangent complex, whose
+    differential is the Jacobian of the section (for the critical locus of f,
+    the Hessian): perfect levelwise when it is symmetric, and none otherwise."""
+    m = _tangent_differential(locus)
+    sym = is_symmetric(m)
+    duality = ("identity on the chosen bases (perfect levelwise)" if sym
+               else "none: differential is not self-adjoint")
+    return PairingReport(m, sym, sym, duality)
 
 
 @dataclass(frozen=True)
@@ -188,22 +174,14 @@ class NotClosedError(ValueError):
                          + ", ".join(f"{k}={v}" for k, v in witness.items() if k != "pair"))
 
 
-@dataclass(frozen=True)
-class LagrangianIntersection:
-    """Koszul complex of the difference form, plus its pairing."""
-
-    complex: KoszulComplex
-    pairing: PairingReport
-
-
-def intersect_graph_lagrangians(alpha: Section, beta: Section) -> LagrangianIntersection:
+def intersect_graph_lagrangians(alpha: Section, beta: Section) -> KoszulComplex:
     """Derived intersection of the graphs of two closed 1-forms.
 
     Rejects non-closed input with a NotClosedError naming the offending
-    form and the failing pair of partials.  The complex is the Koszul
-    complex of alpha - beta on polyvector generators; the pairing matrix
-    is the Jacobian of the difference, symmetric because both forms are
-    closed.
+    form and the failing pair of partials.  The intersection is the derived
+    zero locus of alpha - beta: its Koszul complex on polyvector generators,
+    whose `minus_one_pairing` reads the Jacobian of the difference, symmetric
+    because both forms are closed.
     """
     for label, form in (("alpha", alpha), ("beta", beta)):
         w = closedness_witness(form)
@@ -212,5 +190,4 @@ def intersect_graph_lagrangians(alpha: Section, beta: Section) -> LagrangianInte
     if alpha.ambient != beta.ambient:
         raise ValueError("forms live over different variables")
     diff = tuple(a - b for a, b in zip(alpha.components, beta.components))
-    complex = KoszulComplex(Section(alpha.ambient, diff))
-    return LagrangianIntersection(complex, minus_one_pairing(complex))
+    return KoszulComplex(Section(alpha.ambient, diff))

@@ -7,7 +7,7 @@ from random import Random
 import pytest
 
 from dcrit import polyvec
-from dcrit.checks import rand_mixed, rand_poly, var_names
+from dcrit.checks import rand_homogeneous, rand_mixed, rand_poly, var_names
 from dcrit.exterior import Ambient, ExtElt, Section, contract
 from dcrit.parsing import parse_one_form, parse_poly, parse_polyvector
 from dcrit.poly import Poly
@@ -74,6 +74,41 @@ def test_one_form_basics():
     assert alpha_of_vector(alpha, X) == P("2*x^2*y + x^2")
     assert form_str(alpha) == "2*x*y*d_x + x^2*d_y"
     assert form_str(exact_form(Poly.zero(VS))) == "0"
+
+
+def test_evaluation_refuses_a_polyvector_that_is_not_a_vector_field():
+    # the 2-vector term has no value under a 1-form: dropping it would give x*y
+    alpha = parse_one_form("y*d_x", VS)
+    X = V("x*@x + @y + @x/\\@y")
+    for call in (lambda: alpha_of_vector(alpha, X), lambda: apply_vector(X, P("x*y"))):
+        with pytest.raises(ValueError, match="expected a vector field"):
+            call()
+    with pytest.raises(ValueError, match="expected a vector field"):
+        alpha_of_vector(alpha, V("1"))
+
+
+def reference_evaluation(alpha, X):
+    """sum_i a_i X^i, the components of the form against those of the field."""
+    total = Poly.zero(X.ambient.vars)
+    for i, a in enumerate(alpha.components):
+        total = total + a * X.coefficient_poly((i,))
+    return total
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_evaluation_matches_the_componentwise_sum(n):
+    rng = Random(f"evaluation-{n}")
+    vs = var_names(n)
+    amb = polyvector_ambient(vs)
+    fractions = 0
+    for _ in range(40):
+        alpha = Section(amb, tuple(rand_poly(rng, vs, 3) for _ in vs))
+        X = rand_homogeneous(rng, amb, 2, wedge_degree=1)
+        fractions += any(type(c) is Fraction for a in alpha.components for c in a.terms.values())
+        assert alpha_of_vector(alpha, X) == reference_evaluation(alpha, X)
+        f = rand_poly(rng, vs, 3)
+        assert apply_vector(X, f) == reference_evaluation(exact_form(f), X)
+    assert fractions > 0
 
 
 def test_closedness_witness():

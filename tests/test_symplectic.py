@@ -14,14 +14,12 @@ import potentials
 from dcrit.cli import main
 from dcrit.groebner import INFINITE, buchberger, normal_form, standard_monomials
 from dcrit.linalg import Echelon, rank_rows
-from dcrit.koszul import build_koszul
 from dcrit.parsing import parse_one_form, parse_poly
 from dcrit.poly import Poly, gradient
 from dcrit.polyvec import exact_form
-from dcrit.symplectic import (NotClosedError,
-                              intersect_graph_lagrangians, is_symmetric,
-                              minus_one_pairing, obstruction_theory,
-                              pairing_report)
+from dcrit.koszul import KoszulComplex, build_koszul
+from dcrit.symplectic import (NotClosedError, intersect_graph_lagrangians, is_symmetric,
+                              minus_one_pairing, obstruction_theory)
 
 VS = ("x", "y")
 
@@ -48,7 +46,7 @@ def test_a_given_hessian_gives_the_same_reports():
     locus = crit_locus(f)
     assert locus.jacobian == ((P("12*x^2*y"), P("4*x^3 + 3*y^2")),
                               (P("4*x^3 + 3*y^2"), P("6*x*y")))
-    assert minus_one_pairing(locus) == pairing_report(locus.jacobian)
+    assert minus_one_pairing(locus).matrix == locus.jacobian
     assert obstruction_theory(locus).hessian == locus.jacobian
     # one component, or none, over two variables: the Jacobian is not square
     for short in (build_koszul(VS, gradient(f)[:1]), build_koszul(VS, [])):
@@ -75,11 +73,9 @@ def test_crit_takes_the_gradient_once(monkeypatch, capsys):
 def test_tangent_complex_shape():
     # T^0 -> T^1 is given by its one differential, the Hessian, a square matrix
     f = P("x^3 + y^3")
-    h = crit_locus(f).jacobian
-    report = pairing_report(h)
+    report = minus_one_pairing(crit_locus(f))
     assert [len(row) for row in report.matrix] == [2, 2]
-    assert report.matrix == h
-    assert report == minus_one_pairing(crit_locus(f))
+    assert report.matrix == crit_locus(f).jacobian
 
 
 def test_pairing_symmetric_iff_nondegenerate():
@@ -89,8 +85,9 @@ def test_pairing_symmetric_iff_nondegenerate():
     assert report.to_json() == {"hessian": ["6*x", "0", "0", "6*y"],
                                 "symmetric": True, "nondegenerate": True}
 
-    skew = [[P("0"), P("1")], [P("0"), P("0")]]
-    adversarial = pairing_report(skew)
+    # the section (y, 0) has Jacobian [[0, 1], [0, 0]]: no pairing
+    adversarial = minus_one_pairing(build_koszul(VS, [P("y"), P("0")]))
+    assert adversarial.matrix == ((P("0"), P("1")), (P("0"), P("0")))
     assert not adversarial.symmetric and not adversarial.nondegenerate
     assert adversarial.duality_map.startswith("none")
 
@@ -118,19 +115,31 @@ def test_obstruction_non_isolated():
 
 def test_graph_intersection_matches_koszul():
     f = P("x^3 + y^3")
-    li = intersect_graph_lagrangians(exact_form(f), exact_form(P("0")))
-    direct = build_koszul(VS, list(gradient(f)), gens=li.complex.ambient.gens)
+    complex = intersect_graph_lagrangians(exact_form(f), exact_form(P("0")))
+    direct = build_koszul(VS, list(gradient(f)))
     for p in direct.degrees:
-        assert li.complex.differential_matrix(p) == direct.differential_matrix(p)
-    assert li.pairing.symmetric and li.pairing.nondegenerate
+        assert complex.differential_matrix(p) == direct.differential_matrix(p)
+    pairing = minus_one_pairing(complex)
+    assert pairing.symmetric and pairing.nondegenerate
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_graph_intersection_is_the_critical_locus_on_seeded_potentials(seed):
+    # graph(df) meets the zero section in the derived zero locus of df: the
+    # Koszul complex of df, with the critical locus's pairing
+    rng = random.Random(seed)
+    for f in seeded_potentials(seed) + [potentials.brieskorn_pham(rng, rng.choice([1, 2, 3]))]:
+        complex = intersect_graph_lagrangians(exact_form(f), exact_form(Poly.zero(f.vars)))
+        assert isinstance(complex, KoszulComplex)
+        assert minus_one_pairing(complex) == minus_one_pairing(build_koszul(f.vars, gradient(f)))
 
 
 def test_graph_intersection_of_two_forms():
     alpha = exact_form(P("x^2"))
     beta = exact_form(P("y^2"))
-    li = intersect_graph_lagrangians(alpha, beta)
+    complex = intersect_graph_lagrangians(alpha, beta)
     # difference section (2x, -2y) cuts out the origin
-    assert li.complex.section.components == (P("2*x"), P("-2*y"))
+    assert complex.section.components == (P("2*x"), P("-2*y"))
 
 
 def test_non_closed_input_is_rejected_with_witness():
@@ -148,15 +157,6 @@ def test_non_closed_input_is_rejected_with_witness():
 def test_mismatched_variables_are_rejected():
     with pytest.raises(ValueError):
         intersect_graph_lagrangians(exact_form(P("0")), exact_form(parse_poly("0", ("x",))))
-
-
-def test_two_term_complex_validation():
-    with pytest.raises(ValueError):
-        pairing_report([[P("x"), P("y")]])  # 1 x 2 is not square
-    with pytest.raises(ValueError):
-        pairing_report([[P("x"), P("y")], [P("x")]])  # ragged
-    with pytest.raises(ValueError):
-        pairing_report([[P("x"), P("0")], [P("0"), parse_poly("x", ("x",))]])  # foreign entry
 
 
 # -- the obstruction report against per-entry reduction ----------------------
