@@ -160,19 +160,24 @@ def criterion_regular_sequences(seed: int = 0) -> CheckReport:
     return _run("regular_sequences", body)
 
 
+def _over_sizes(check, key: str, sizes, seed: int) -> tuple[dict, dict | None]:
+    """A criterion body that runs an identity suite at each (size, trials) in
+    turn: the first failure with its size under `key`, or else the summed
+    trials and the witnesses (details named *_witness) of the last run."""
+    total = 0
+    for size, trials in sizes:
+        report = check(size, trials=trials, seed=seed)
+        total += report.trials
+        if not report.passed:
+            return {}, {key: size, **(report.counterexample or {})}
+    witnesses = {k: v for k, v in report.details.items() if k.endswith("_witness")}
+    return {"trials": total, **witnesses}, None
+
+
 def criterion_gerstenhaber(seed: int = 0) -> CheckReport:
     """Antisymmetry, Jacobi, Leibniz on 220 random homogeneous triples."""
-
-    def body():
-        total = 0
-        for n, trials in ((1, 20), (2, 100), (3, 100)):
-            report = check_gerstenhaber(n, trials=trials, seed=seed)
-            total += report.trials
-            if not report.passed:
-                return {}, {"n": n, **(report.counterexample or {})}
-        return {"trials": total}, None
-
-    return _run("gerstenhaber", body)
+    sizes = ((1, 20), (2, 100), (3, 100))
+    return _run("gerstenhaber", lambda: _over_sizes(check_gerstenhaber, "n", sizes, seed))
 
 
 def criterion_bracket_compat(seed: int = 0) -> CheckReport:
@@ -196,20 +201,10 @@ def criterion_bracket_compat(seed: int = 0) -> CheckReport:
 
 
 def criterion_bv(seed: int = 0) -> CheckReport:
-    """Square-zero, generating relation, de Rham intertwining, non-derivation."""
-
-    def body():
-        total = 0
-        witness = None
-        for n, trials in ((2, 120), (3, 80)):
-            report = check_bv(n, trials=trials, seed=seed)
-            total += report.trials
-            if not report.passed:
-                return {}, {"n": n, **(report.counterexample or {})}
-            witness = report.details.get("non_derivation_witness")
-        return {"trials": total, "non_derivation_witness": witness}, None
-
-    return _run("bv_divergence", body)
+    """Square-zero, generating relation, de Rham intertwining, anticommutation
+    with d_df, non-derivation."""
+    sizes = ((2, 120), (3, 80))
+    return _run("bv_divergence", lambda: _over_sizes(check_bv, "n", sizes, seed))
 
 
 def criterion_hessian_pairing(seed: int = 0) -> CheckReport:
@@ -246,17 +241,8 @@ def criterion_hessian_pairing(seed: int = 0) -> CheckReport:
 
 def criterion_coalgebra(seed: int = 0) -> CheckReport:
     """Coalgebra axioms and the coaction chain map, ranks 1 through 4."""
-
-    def body():
-        total = 0
-        for m in (1, 2, 3, 4):
-            report = check_coalgebra(m, trials=50, seed=seed)
-            total += report.trials
-            if not report.passed:
-                return {}, {"rank": m, **(report.counterexample or {})}
-        return {"trials": total}, None
-
-    return _run("coalgebra", body)
+    sizes = ((1, 50), (2, 50), (3, 50), (4, 50))
+    return _run("coalgebra", lambda: _over_sizes(check_coalgebra, "rank", sizes, seed))
 
 
 ALL_CRITERIA = (

@@ -1,9 +1,11 @@
 """Shared infrastructure for randomized identity checks.
 
-Every check runs a deterministic RNG from an explicit seed, tries a fixed
-budget of random instances, and reports a CheckReport, as the acceptance
-criteria do.  `counterexample` shrinks a failing instance by greedily deleting
-terms while the failure persists, so counterexamples stay readable.
+Every suite is a stream of random inputs, drawn from a deterministic RNG with
+an explicit seed, and a table of identities; `run_identities`, the one trial
+loop, tries each draw against the table and reports a CheckReport, as the
+acceptance criteria do.  `counterexample` shrinks a failing instance by
+greedily deleting terms while the failure persists, so counterexamples stay
+readable.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .exterior import Ambient, ExtElt, Section
 from .poly import Poly, Scalar
@@ -87,33 +89,31 @@ def rand_poly(rng: Random, vars: Sequence[str], max_deg: int, max_terms: int = 3
     return Poly(vs, terms)
 
 
-def rand_homogeneous(rng: Random, ambient: Ambient, max_deg: int,
-                     wedge_degree: int | None = None, max_terms: int = 3) -> ExtElt:
-    """Random element concentrated in a single wedge degree."""
+def _rand_elt(rng: Random, ambient: Ambient, max_deg: int, max_terms: int,
+              wedge_degree: int | None) -> ExtElt:
+    """Up to max_terms random terms, each of the given wedge degree or, for None,
+    of one drawn per term."""
     m = ambient.rank
-    p = rng.randint(0, m) if wedge_degree is None else wedge_degree
     pool = list(range(m))
     terms: dict = {}
     for _ in range(rng.randint(1, max_terms)):
+        p = rng.randint(0, m) if wedge_degree is None else wedge_degree
         subset = tuple(sorted(rng.sample(pool, p)))
-        exps = rand_exps(rng, len(ambient.vars), max_deg)
-        key = (exps, subset)
+        key = (rand_exps(rng, len(ambient.vars), max_deg), subset)
         terms[key] = terms.get(key, 0) + rand_coeff(rng)
     return ExtElt(ambient, terms)
+
+
+def rand_homogeneous(rng: Random, ambient: Ambient, max_deg: int,
+                     wedge_degree: int | None = None, max_terms: int = 3) -> ExtElt:
+    """Random element concentrated in a single wedge degree."""
+    p = rng.randint(0, ambient.rank) if wedge_degree is None else wedge_degree
+    return _rand_elt(rng, ambient, max_deg, max_terms, p)
 
 
 def rand_mixed(rng: Random, ambient: Ambient, max_deg: int, max_terms: int = 4) -> ExtElt:
     """Random element with no homogeneity constraint."""
-    m = ambient.rank
-    pool = list(range(m))
-    terms: dict = {}
-    for _ in range(rng.randint(1, max_terms)):
-        p = rng.randint(0, m)
-        subset = tuple(sorted(rng.sample(pool, p)))
-        exps = rand_exps(rng, len(ambient.vars), max_deg)
-        key = (exps, subset)
-        terms[key] = terms.get(key, 0) + rand_coeff(rng)
-    return ExtElt(ambient, terms)
+    return _rand_elt(rng, ambient, max_deg, max_terms, None)
 
 
 def rand_section(rng: Random, ambient: Ambient, max_deg: int, zero_chance: float = 0.15) -> Section:
@@ -126,26 +126,53 @@ def rand_section(rng: Random, ambient: Ambient, max_deg: int, zero_chance: float
     return Section(ambient, tuple(comps))
 
 
-def counterexample(identity: str, fails: Callable[..., bool], elts: Sequence[ExtElt],
-                   labels: Sequence[str] = "abc") -> dict:
-    """{"identity": identity, label: input, ...} for a failing identity, each input
-    shrunk by deleting terms while `fails` still holds (a deletion it raises on is
-    skipped)."""
-    current = list(elts)
-    changed = True
-    while changed:
-        changed = False
-        for i, e in enumerate(current):
-            for key in list(e.terms):
+def _one_term_deleted(elts: list) -> Iterator[list]:
+    """Every input list that drops one term of one `ExtElt` input, in order."""
+    for i, e in enumerate(elts):
+        if isinstance(e, ExtElt):
+            for key in e.terms:
                 smaller = ExtElt(e.ambient, {k: c for k, c in e.terms.items() if k != key})
-                trial = current[:i] + [smaller] + current[i + 1:]
-                try:
-                    if fails(*trial):
-                        current = trial
-                        changed = True
-                        break
-                except (ValueError, ZeroDivisionError):
-                    continue
-            if changed:
+                yield elts[:i] + [smaller] + elts[i + 1:]
+
+
+def counterexample(identity: str, fails: Callable, elts: Sequence,
+                   labels: Sequence[str] = "abc") -> dict:
+    """{"identity": identity, label: input, ...} for a failing identity, each
+    `ExtElt` input shrunk by deleting terms while `fails` still holds (a deletion
+    it raises on is skipped) and any other input printed as given; a dict that
+    `fails` returns on the shrunk inputs is appended."""
+    current = list(elts)
+    witness = fails(*current)
+    while True:
+        for trial in _one_term_deleted(current):
+            try:
+                smaller_witness = fails(*trial)
+            except (ValueError, ZeroDivisionError):
+                continue
+            if smaller_witness:
+                current, witness = trial, smaller_witness
                 break
-    return {"identity": identity, **dict(zip(labels, map(str, current)))}
+        else:
+            extra = witness if isinstance(witness, dict) else {}
+            return {"identity": identity, **dict(zip(labels, map(str, current))), **extra}
+
+
+def run_identities(suite: str, trials: int, draws: Iterator[dict],
+                   identities: Sequence[tuple[str, Callable, Sequence[str]]],
+                   details: dict) -> CheckReport:
+    """The trial loop of every identity suite.
+
+    Each of `trials` draws is a dict of inputs keyed by label; every identity
+    `(name, fails, labels)` whose labels the draw holds is tried on those
+    inputs, in table order, and the first that fails ends the run with its
+    shrunk counterexample.
+    """
+    for ran in range(trials):
+        inputs = next(draws)
+        for name, fails, labels in identities:
+            if all(k in inputs for k in labels):
+                elts = [inputs[k] for k in labels]
+                if fails(*elts):
+                    return CheckReport(suite, "fail", ran + 1,
+                                       counterexample(name, fails, elts, labels), details)
+    return CheckReport(suite, "pass", trials, None, details)

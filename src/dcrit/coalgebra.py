@@ -22,7 +22,7 @@ from __future__ import annotations
 from random import Random
 from typing import Sequence
 
-from .checks import CheckReport, _require_trials, counterexample, rand_mixed, rand_section
+from .checks import CheckReport, _require_trials, rand_mixed, rand_section, run_identities
 from .exterior import Ambient, ExtElt, Section, algebra_map, contract, wedge
 from .koszul import KoszulComplex, default_gens
 from .poly import Poly
@@ -70,9 +70,10 @@ def check_coalgebra(rank: int, trials: int = 200, seed: int = 0,
                     vars: Sequence[str] = ("x", "y"), max_deg: int = 2) -> CheckReport:
     """Coassociativity, counit, cocommutativity, antipode, compatibility.
 
-    Runs on random (not necessarily homogeneous) elements, with random
-    sections driving the chain-map probe; sections may have zero or
-    inhomogeneous components, since the coaction does not care.
+    Each trial draws random (not necessarily homogeneous) elements a and b
+    and a random section, the second input of the chain-map identity, along
+    which the coaction is contracted; sections may have zero or inhomogeneous
+    components, since the coaction does not care.
     """
     _require_trials(trials)
     if rank < 0:
@@ -91,53 +92,41 @@ def check_coalgebra(rank: int, trials: int = 200, seed: int = 0,
     collapse = _copy(m, 0) + _copy(m, 0)
     zero_section = (Poly.zero(vs),) * m
     rng = Random(seed)
-    ran = 0
-    for _ in range(trials):
-        ran += 1
-        a = rand_mixed(rng, amb, max_deg)
-        b = rand_mixed(rng, amb, max_deg)
-        section = rand_section(rng, amb, max_deg)
+
+    def coassoc_fails(a):
+        d = comultiply(a)
+        left, right = (algebra_map(d, three, images) for images in coassociativity)
+        return left != right
+
+    def counit_fails(a):
+        d = comultiply(a)
+        return any(algebra_map(d, amb, images) != a for images in counits)
+
+    def cocomm_fails(a):
+        d = comultiply(a)
+        return algebra_map(d, two, flip) != d
+
+    def antipode_fails(a):
+        d = comultiply(a)
+        target = ExtElt.from_poly(amb, counit(a))
+        return any(algebra_map(algebra_map(d, two, images), amb, collapse) != target
+                   for images in antipodes)
+
+    def chain_map_fails(a, section):
         complex = KoszulComplex(section)
         on_first = Section(two, section.components + zero_section)
+        return contract(on_first, coaction(complex, a)) != coaction(complex, contract(section, a))
 
-        def coassoc_fails(a):
-            d = comultiply(a)
-            left, right = (algebra_map(d, three, images) for images in coassociativity)
-            return left != right
+    def algebra_map_fails(a, b):
+        return comultiply(wedge(a, b)) != wedge(comultiply(a), comultiply(b))
 
-        def counit_fails(a):
-            d = comultiply(a)
-            return any(algebra_map(d, amb, images) != a for images in counits)
+    def draws():
+        while True:
+            yield {"a": rand_mixed(rng, amb, max_deg), "b": rand_mixed(rng, amb, max_deg),
+                   "section": rand_section(rng, amb, max_deg)}
 
-        def cocomm_fails(a):
-            d = comultiply(a)
-            return algebra_map(d, two, flip) != d
-
-        def antipode_fails(a):
-            d = comultiply(a)
-            target = ExtElt.from_poly(amb, counit(a))
-            return any(algebra_map(algebra_map(d, two, images), amb, collapse) != target
-                       for images in antipodes)
-
-        def algebra_map_fails(a, b):
-            return comultiply(wedge(a, b)) != wedge(comultiply(a), comultiply(b))
-
-        def chain_map_fails(a):
-            lhs = contract(on_first, coaction(complex, a))
-            rhs = coaction(complex, contract(section, a))
-            return lhs != rhs
-
-        single = [("coassociativity", coassoc_fails), ("counit", counit_fails),
-                  ("cocommutativity", cocomm_fails), ("antipode", antipode_fails),
-                  ("chain_map", chain_map_fails)]
-        for name, fails in single:
-            if fails(a):
-                ce = counterexample(name, fails, [a])
-                if name == "chain_map":
-                    ce["section"] = str(section)
-                return CheckReport("coalgebra", "fail", ran, ce, {"rank": rank})
-        if algebra_map_fails(a, b):
-            return CheckReport("coalgebra", "fail", ran,
-                               counterexample("algebra_map", algebra_map_fails, [a, b]),
-                               {"rank": rank})
-    return CheckReport("coalgebra", "pass", ran, None, {"rank": rank})
+    identities = (("coassociativity", coassoc_fails, ("a",)), ("counit", counit_fails, ("a",)),
+                  ("cocommutativity", cocomm_fails, ("a",)), ("antipode", antipode_fails, ("a",)),
+                  ("chain_map", chain_map_fails, ("a", "section")),
+                  ("algebra_map", algebra_map_fails, ("a", "b")))
+    return run_identities("coalgebra", trials, draws(), identities, {"rank": rank})

@@ -27,11 +27,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from random import Random
 from typing import Sequence
 
-from .checks import (CheckReport, _require_trials, counterexample, rand_homogeneous,
-                     rand_mixed, rand_poly, var_names)
+from .checks import (CheckReport, _require_trials, rand_homogeneous, rand_mixed, rand_poly,
+                     run_identities, var_names)
 from .exterior import Ambient, ExtElt, Section, _odd_parts, contract, merge_sign, wedge
 from .poly import Poly, Scalar, _exact, _shift, exps_add, gradient
 
@@ -229,40 +230,37 @@ def _shifted_sign(a: ExtElt, b: ExtElt) -> int:
     return 1 if e % 2 == 0 else -1
 
 
+def _antisymmetry_fails(a: ExtElt, b: ExtElt) -> bool:
+    return schouten(a, b) != -_shifted_sign(a, b) * schouten(b, a)
+
+
+def _jacobi_fails(a: ExtElt, b: ExtElt, c: ExtElt) -> bool:
+    lhs = schouten(a, schouten(b, c))
+    rhs = schouten(schouten(a, b), c) + _shifted_sign(a, b) * schouten(b, schouten(a, c))
+    return lhs != rhs
+
+
+def _leibniz_fails(a: ExtElt, b: ExtElt, c: ExtElt) -> bool:
+    sign = 1 if ((a.degree() + 1) * b.degree()) % 2 == 0 else -1
+    lhs = schouten(a, wedge(b, c))
+    rhs = wedge(schouten(a, b), c) + sign * wedge(b, schouten(a, c))
+    return lhs != rhs
+
+
 def check_gerstenhaber(n: int, trials: int = 200, seed: int = 0, max_deg: int = 3) -> CheckReport:
     """Antisymmetry, Jacobi, and Leibniz for the odd bracket, randomized."""
     _require_trials(trials)
-    vars = var_names(n)
-    amb = polyvector_ambient(vars)
+    amb = polyvector_ambient(var_names(n))
     rng = Random(seed)
-    ran = 0
-    for _ in range(trials):
-        a = rand_homogeneous(rng, amb, max_deg)
-        b = rand_homogeneous(rng, amb, max_deg)
-        c = rand_homogeneous(rng, amb, max_deg)
-        ran += 1
 
-        def anti_fails(a, b):
-            return schouten(a, b) != -_shifted_sign(a, b) * schouten(b, a)
+    def draws():
+        while True:
+            yield {label: rand_homogeneous(rng, amb, max_deg) for label in "abc"}
 
-        def jacobi_fails(a, b, c):
-            lhs = schouten(a, schouten(b, c))
-            rhs = schouten(schouten(a, b), c) + _shifted_sign(a, b) * schouten(b, schouten(a, c))
-            return lhs != rhs
-
-        def leibniz_fails(a, b, c):
-            sign = 1 if ((a.degree() + 1) * b.degree()) % 2 == 0 else -1
-            lhs = schouten(a, wedge(b, c))
-            rhs = wedge(schouten(a, b), c) + sign * wedge(b, schouten(a, c))
-            return lhs != rhs
-
-        for name, fails, elts in (("antisymmetry", anti_fails, [a, b]),
-                                  ("jacobi", jacobi_fails, [a, b, c]),
-                                  ("leibniz", leibniz_fails, [a, b, c])):
-            if fails(*elts):
-                return CheckReport("gerstenhaber", "fail", ran,
-                                   counterexample(name, fails, elts), {"n": n})
-    return CheckReport("gerstenhaber", "pass", ran, None, {"n": n})
+    identities = (("antisymmetry", _antisymmetry_fails, ("a", "b")),
+                  ("jacobi", _jacobi_fails, ("a", "b", "c")),
+                  ("leibniz", _leibniz_fails, ("a", "b", "c")))
+    return run_identities("gerstenhaber", trials, draws(), identities, {"n": n})
 
 
 def check_bracket_compat(alpha: Section, trials: int = 50, seed: int = 0,
@@ -271,14 +269,14 @@ def check_bracket_compat(alpha: Section, trials: int = 50, seed: int = 0,
 
     Two probe families: the scalar identity
         alpha([X, Y]) = -Y(alpha(X)) + X(alpha(Y))
-    over all coordinate pairs and random vector fields, and the derivation
+    over all coordinate pairs, then random vector fields, and the derivation
     identity
         d_alpha [[a, b]] = [[d_alpha a, b]] + (-1)^(|a|+1) [[a, d_alpha b]]
     on random homogeneous fields, where d_alpha = contract(alpha, -) is
     contraction along the 1-form.  Both hold exactly when alpha is closed;
-    for a non-closed form the coordinate sweep finds a counterexample, and
-    the report carries it with its discrepancy (probe value minus
-    alpha([X, Y])).
+    for a non-closed form the coordinate pairs, the first n(n-1)/2 trials,
+    find a counterexample, and the report carries it with alpha([X, Y]), the
+    probe value and their difference.
     """
     _require_trials(trials)
     _require_polyvector(alpha)
@@ -288,53 +286,46 @@ def check_bracket_compat(alpha: Section, trials: int = 50, seed: int = 0,
     rng = Random(seed)
     details = {"alpha": form_str(alpha), "closed": closedness_witness(alpha) is None}
     n = len(amb.vars)
-    ran = 0
 
-    def scalar_probe(X: ExtElt, Y: ExtElt) -> dict | None:
-        lie = schouten(X, Y)
-        lhs = alpha_of_vector(alpha, lie)
+    def scalar_fails(X: ExtElt, Y: ExtElt) -> dict | None:
+        lhs = alpha_of_vector(alpha, schouten(X, Y))
         rhs = -apply_vector(Y, alpha_of_vector(alpha, X)) + apply_vector(X, alpha_of_vector(alpha, Y))
         if lhs == rhs:
             return None
-        return {"identity": "scalar", "X": str(X), "Y": str(Y),
-                "alpha_of_bracket": str(lhs), "probe_value": str(rhs),
+        return {"alpha_of_bracket": str(lhs), "probe_value": str(rhs),
                 "discrepancy": str(rhs - lhs)}
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            ran += 1
-            ce = scalar_probe(ExtElt.generator(amb, i), ExtElt.generator(amb, j))
-            if ce is not None:
-                return CheckReport("bracket_compat", "fail", ran, ce, details)
-    for _ in range(trials):
-        ran += 1
-        X = rand_homogeneous(rng, amb, max_deg, wedge_degree=1)
-        Y = rand_homogeneous(rng, amb, max_deg, wedge_degree=1)
-        ce = scalar_probe(X, Y)
-        if ce is not None:
-            return CheckReport("bracket_compat", "fail", ran, ce, details)
+    def derivation_fails(a: ExtElt, b: ExtElt) -> bool:
+        sign = 1 if (a.degree() + 1) % 2 == 0 else -1
+        lhs = contract(alpha, schouten(a, b))
+        rhs = schouten(contract(alpha, a), b) + sign * schouten(a, contract(alpha, b))
+        return lhs != rhs
 
-        a = rand_homogeneous(rng, amb, max_deg)
-        b = rand_homogeneous(rng, amb, max_deg)
+    def draws():
+        for i, j in combinations(range(n), 2):
+            yield {"X": ExtElt.generator(amb, i), "Y": ExtElt.generator(amb, j)}
+        while True:
+            yield {"X": rand_homogeneous(rng, amb, max_deg, wedge_degree=1),
+                   "Y": rand_homogeneous(rng, amb, max_deg, wedge_degree=1),
+                   "a": rand_homogeneous(rng, amb, max_deg),
+                   "b": rand_homogeneous(rng, amb, max_deg)}
 
-        def derivation_fails(a, b):
-            sign = 1 if (a.degree() + 1) % 2 == 0 else -1
-            lhs = contract(alpha, schouten(a, b))
-            rhs = schouten(contract(alpha, a), b) + sign * schouten(a, contract(alpha, b))
-            return lhs != rhs
-
-        if derivation_fails(a, b):
-            return CheckReport("bracket_compat", "fail", ran,
-                               counterexample("derivation", derivation_fails, [a, b]), details)
-    return CheckReport("bracket_compat", "pass", ran, None, details)
+    identities = (("scalar", scalar_fails, ("X", "Y")),
+                  ("derivation", derivation_fails, ("a", "b")))
+    return run_identities("bracket_compat", n * (n - 1) // 2 + trials, draws(), identities,
+                          details)
 
 
 def check_bv(n: int, trials: int = 200, seed: int = 0, max_deg: int = 3) -> CheckReport:
-    """The divergence operator: square zero, generating relation, de Rham.
+    """The divergence operator: square zero, generating relation, de Rham, and
+    anticommutation with contraction along exact 1-forms.
 
-    Also records the witness that the operator is not a derivation, the
-    deviation x1 on a = x1*@x1 and b = x1 (fails if it is zero), and whether
-    it anticommutes with contraction along exact 1-forms on the inputs tried.
+    The last, Delta(d_df v) + d_df(Delta v) = 0 for d_df = contract(df, -),
+    is a theorem: d_df is, up to sign, the bracket [[f, -]], Delta is a
+    derivation of the bracket and Delta(f) = 0.  Before any trial the suite
+    checks the normalization Delta(x1*@x1) = 1 and the witness that Delta is
+    not a derivation, the deviation x1 on a = x1*@x1 and b = x1 (fails if it
+    is zero); a passing report records that witness.
     """
     _require_trials(trials)
     if n < 1:
@@ -362,37 +353,32 @@ def check_bv(n: int, trials: int = 200, seed: int = 0, max_deg: int = 3) -> Chec
     if dev.is_zero():
         return CheckReport("bv", "fail", 0, {"identity": "non_derivation", **witness}, details)
 
-    def square_fails(v):
+    def square_fails(v: ExtElt) -> bool:
         return not bv_delta(vol, bv_delta(vol, v)).is_zero()
 
-    def generating_fails(a, b):
+    def generating_fails(a: ExtElt, b: ExtElt) -> bool:
         front = 1 if (1 - a.degree()) % 2 == 0 else -1
         return schouten(a, b) != front * deviation(a, b)
 
-    def intertwine_fails(v):
+    def intertwine_fails(v: ExtElt) -> bool:
         return any(vol_contract(vf, bv_delta(vf, v)) != de_rham(vol_contract(vf, v))
                    for vf in (vol, vol2))
 
-    anticommute = True
-    ran = 0
-    for _ in range(trials):
-        ran += 1
-        v = rand_mixed(rng, amb, max_deg)
-        a = rand_homogeneous(rng, amb, max_deg)
-        b = rand_mixed(rng, amb, max_deg)
-        for name, fails, elts in (("square_zero", square_fails, [v]),
-                                  ("generating_relation", generating_fails, [a, b]),
-                                  ("volume_intertwine", intertwine_fails, [v])):
-            if fails(*elts):
-                labels = "ab" if len(elts) == 2 else ["input"]
-                return CheckReport("bv", "fail", ran, counterexample(name, fails, elts, labels),
-                                   details)
-
-        f = rand_poly(rng, vars, max_deg)
+    def anticommute_fails(v: ExtElt, f: Poly) -> bool:
         alpha = exact_form(f)
-        if bv_delta(vol, contract(alpha, v)) + contract(alpha, bv_delta(vol, v)) != ExtElt.zero(amb):
-            anticommute = False
+        return not (bv_delta(vol, contract(alpha, v)) + contract(alpha, bv_delta(vol, v))).is_zero()
 
-    details["delta_d_alpha_anticommute"] = "holds on all trials" if anticommute else "violated"
-    details["non_derivation_witness"] = witness
-    return CheckReport("bv", "pass", ran, None, details)
+    def draws():
+        while True:
+            yield {"input": rand_mixed(rng, amb, max_deg), "a": rand_homogeneous(rng, amb, max_deg),
+                   "b": rand_mixed(rng, amb, max_deg), "f": rand_poly(rng, vars, max_deg)}
+
+    identities = (("square_zero", square_fails, ("input",)),
+                  ("generating_relation", generating_fails, ("a", "b")),
+                  ("volume_intertwine", intertwine_fails, ("input",)),
+                  ("delta_d_alpha_anticommute", anticommute_fails, ("input", "f")))
+    report = run_identities("bv", trials, draws(), identities, details)
+    if report.passed:
+        report.details.update(delta_d_alpha_anticommute="holds on all trials",
+                              non_derivation_witness=witness)
+    return report

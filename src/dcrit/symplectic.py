@@ -48,8 +48,12 @@ class PairingReport:
 
     matrix: tuple[tuple[Poly, ...], ...]
     symmetric: bool
-    nondegenerate: bool
     duality_map: str
+
+    @property
+    def nondegenerate(self) -> bool:
+        """The pairing is perfect levelwise exactly when the differential is self-adjoint."""
+        return self.symmetric
 
     def to_json(self) -> dict:
         return {"hessian": _flat(self.matrix), "symmetric": self.symmetric,
@@ -73,7 +77,7 @@ def minus_one_pairing(locus: KoszulComplex) -> PairingReport:
     sym = is_symmetric(m)
     duality = ("identity on the chosen bases (perfect levelwise)" if sym
                else "none: differential is not self-adjoint")
-    return PairingReport(m, sym, sym, duality)
+    return PairingReport(m, sym, duality)
 
 
 @dataclass(frozen=True)
@@ -90,8 +94,17 @@ class ObstructionReport:
     symmetric: bool
     quotient_dim: object  # int or INFINITE
     h0: int | None = None
-    h1: int | None = None
-    hessian_invertible: bool | None = None
+
+    @property
+    def h1(self) -> int | None:
+        """The cokernel dimension, equal to h0: the Hessian is an endomorphism of
+        the finite-dimensional space A^n, so dim ker = dim coker."""
+        return self.h0
+
+    @property
+    def hessian_invertible(self) -> bool | None:
+        """Whether the Hessian is invertible on A^n: h0 = 0."""
+        return None if self.h0 is None else self.h0 == 0
 
     def to_json(self) -> dict:
         return {"hessian": _flat(self.hessian), "symmetric": self.symmetric,
@@ -157,10 +170,7 @@ def obstruction_theory(locus: KoszulComplex) -> ObstructionReport:
                     column[offset + r] = c * k
             if not echelon.add(column):
                 dead[j].append(mono)
-    rank = echelon.rank
-    return ObstructionReport(h, sym, mu,
-                             h0=n * mu - rank, h1=n * mu - rank,
-                             hessian_invertible=(rank == n * mu))
+    return ObstructionReport(h, sym, mu, n * mu - echelon.rank)
 
 
 class NotClosedError(ValueError):

@@ -5,11 +5,13 @@ suite, and checks the reported counterexample: its keys, that the shrunk
 inputs still fail, and that deleting any single term from them makes the
 identity hold (or raise).  The identities are restated here so that the
 reported strings, parsed back, are judged independently of the suite.
+One test runs `counterexample` itself on a hand-made identity.
 """
 
 from fractions import Fraction
 
-from dcrit import coalgebra, polyvec
+from dcrit import cli, coalgebra, polyvec
+from dcrit.checks import counterexample
 from dcrit.exterior import Ambient, ExtElt, Section, algebra_map, merge_sign
 from dcrit.koszul import KoszulComplex, default_gens
 from dcrit.parsing import _Parser, parse_poly, parse_polyvector, parse_section
@@ -123,6 +125,73 @@ def test_bracket_compat_shrinks_a_derivation_failure(monkeypatch):
         return d(s(a, b)) != s(d(a), b) + sign * s(a, d(b))
 
     assert_shrunk(derivation_fails, [parse_polyvector(ce[k], vs) for k in "ab"])
+
+
+def test_counterexample_passes_other_inputs_through_and_appends_a_witness():
+    vs = ("x", "y")
+    f = parse_poly("x^2 + y", vs)
+
+    def fails(v, f):
+        # fails while v has an @x term; the witness names the term count
+        return {"terms": len(v.terms)} if any(s == (0,) for s in v.subsets()) else None
+
+    v = parse_polyvector("x*@x + y*@y + @x/\\@y", vs)
+    ce = counterexample("probe", fails, [v, f], ("v", "f"))
+    assert ce == {"identity": "probe", "v": "x*@x", "f": "x^2 + y", "terms": 1}
+
+
+def test_bv_fails_anticommutation_under_a_sign_broken_contraction(monkeypatch, capsys):
+    # with the sign at position 1 of each subset flipped, contraction along df
+    # no longer anticommutes with the divergence on 2-vectors
+    def flipped(s, a):
+        return ExtElt._make(a.ambient, _sign_broken_contract(1)([p.terms for p in s.components],
+                                                                a.terms))
+
+    monkeypatch.setattr(polyvec, "contract", flipped)
+    report = polyvec.check_bv(2, trials=30, seed=0)
+    assert report.status == "fail"
+    ce = report.counterexample
+    assert list(ce) == ["identity", "input", "f"]
+    assert ce["identity"] == "delta_d_alpha_anticommute"
+    assert "delta_d_alpha_anticommute" not in report.details
+    vs = ("x", "y")
+    f = parse_poly(ce["f"], vs)
+    vol = VolumeForm(vs)
+
+    def anticommute_fails(v):
+        alpha = polyvec.exact_form(f)
+        delta = polyvec.bv_delta
+        return not (delta(vol, flipped(alpha, v)) + flipped(alpha, delta(vol, v))).is_zero()
+
+    assert_shrunk(anticommute_fails, [parse_polyvector(ce["input"], vs)])
+    assert cli.main(["check", "bv", "--n", "2", "--trials", "30", "--expect-holds"]) == 1
+    assert "identity = delta_d_alpha_anticommute" in capsys.readouterr().out
+
+
+def test_bracket_compat_shrinks_a_random_scalar_probe_failure(monkeypatch):
+    # a negated bracket vanishes on coordinate fields, so the sweep passes
+    # and a random pair of vector fields finds the failure
+    bracket = polyvec.schouten
+    monkeypatch.setattr(polyvec, "schouten", lambda a, b: -bracket(a, b))
+    vs = ("x", "y")
+    alpha = polyvec.exact_form(parse_poly("x^2*y + y^3", vs))
+    report = polyvec.check_bracket_compat(alpha, trials=20, seed=0)
+    assert report.status == "fail" and report.trials > 1
+    ce = report.counterexample
+    assert list(ce) == ["identity", "X", "Y", "alpha_of_bracket", "probe_value", "discrepancy"]
+    assert ce["identity"] == "scalar"
+    X, Y = (parse_polyvector(ce[k], vs) for k in "XY")
+
+    def sides(X, Y):
+        lhs = polyvec.alpha_of_vector(alpha, -bracket(X, Y))
+        rhs = (-polyvec.apply_vector(Y, polyvec.alpha_of_vector(alpha, X))
+               + polyvec.apply_vector(X, polyvec.alpha_of_vector(alpha, Y)))
+        return lhs, rhs
+
+    lhs, rhs = sides(X, Y)
+    assert [ce[k] for k in ("alpha_of_bracket", "probe_value", "discrepancy")] == [
+        str(lhs), str(rhs), str(rhs - lhs)]
+    assert_shrunk(lambda X, Y: sides(X, Y)[0] != sides(X, Y)[1], [X, Y])
 
 
 def rank_two_ambient():
