@@ -8,7 +8,7 @@ agree exactly.  Run as: python3 demos/03_critical_loci.py
 from fractions import Fraction
 
 from dcrit import (buchberger, build_koszul, gradient, hilbert_table,
-                   is_regular_sequence, milnor_number, parse_poly)
+                   is_regular_sequence, parse_poly)
 
 CORPUS = (
     ("x^2", ("x",)),
@@ -36,7 +36,8 @@ for src, vs in CORPUS:
 
 print()
 print("== a non-isolated counterpoint ==")
-print(f"milnor(x^2*y^2) = {milnor_number(parse_poly('x^2*y^2', ('x', 'y')))}")
+g = parse_poly("x^2*y^2", ("x", "y"))
+print(f"milnor(x^2*y^2) = {buchberger(list(gradient(g))).dimension}")
 
 print()
 print("== slice tables show where the classes live ==")

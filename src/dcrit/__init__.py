@@ -6,7 +6,7 @@ floating point anywhere in the package.  The main entry points:
 - Poly, parse_poly: sparse multivariate polynomials over Q
 - build_koszul, build_tautological_koszul: Koszul complexes of sections
 - hilbert_table, resolution_certificate: weight-slice cohomology
-- buchberger, milnor_number: Groebner oracles; a basis is also its quotient R/I
+- buchberger: the Groebner oracle; a basis is also its quotient R/I
 - schouten, bv_delta, vol_contract: the odd bracket and its generator
 - minus_one_pairing, intersect_graph_lagrangians: shifted pairings
 - comultiply, coaction: the exterior coalgebra acting on Koszul complexes,
@@ -24,8 +24,7 @@ from .parsing import (ParseError, parse_one_form, parse_poly, parse_polyvector,
 from .groebner import INFINITE, GroebnerBasis, buchberger, normal_form, standard_monomials
 from .koszul import (BaseChangeReport, KoszulComplex, TautologicalKoszul,
                      base_change_compare, build_koszul,
-                     build_tautological_koszul, check_d_squared, jacobian_ideal,
-                     milnor_number)
+                     build_tautological_koszul, check_d_squared)
 from .cohomology import (HilbertTable, InhomogeneousSectionError,
                          RegularSequenceReport, ResolutionCertificate,
                          hilbert_table, is_regular_sequence,
@@ -48,8 +47,7 @@ __all__ = [
     "Ambient", "ExtElt", "Section", "algebra_map", "contract", "merge_sign", "wedge",
     "ParseError", "parse_one_form", "parse_poly", "parse_polyvector",
     "parse_section",
-    "INFINITE", "GroebnerBasis", "buchberger", "jacobian_ideal",
-    "milnor_number", "normal_form", "standard_monomials",
+    "INFINITE", "GroebnerBasis", "buchberger", "normal_form", "standard_monomials",
     "BaseChangeReport", "KoszulComplex", "TautologicalKoszul",
     "base_change_compare", "build_koszul",
     "build_tautological_koszul", "check_d_squared",

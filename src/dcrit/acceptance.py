@@ -128,7 +128,7 @@ def criterion_milnor_oracles(seed: int = 0) -> CheckReport:
             locus = build_koszul(vs, gradient(f))
             cutoff = len(vs) * (f.total_degree() - 2) + 2
             slice_total = hilbert_table(locus, ws, cutoff).total(0)
-            quotient = locus.ideal.dimension
+            quotient = len(locus.ideal.monomials)
             closed = _closed_form_milnor(f, ws)
             rows[src] = {"slices": slice_total, "groebner": quotient, "product": closed}
             if not (slice_total == quotient == closed):

@@ -4,31 +4,35 @@ For a quasi-homogeneous section, every differential preserves weighted
 degree once each exterior generator is assigned the weight of its section
 component, so the complex splits into finite slices, with dim H^p_w =
 dim C^p_w - rank d_p - rank d_{p-1}; the dimensions are counted.  The
-Hilbert numerator K(t) of the section's ideal gives ranks by two theorems,
-and only the others are eliminated, exactly, on integer columns.  A section
-is a regular sequence exactly when every rank comes from a theorem, and
-then no slice is listed.  `is_regular_sequence` and `resolution_certificate`
-read the table; `slice_cohomology` is given no theorem, so it lists and
-eliminates every degree: it is the independent route the table is tested
-against (in the tests, and in the `tautological_resolution` criterion of
-`dcrit suite`).
+Hilbert numerator K(t) of the section's ideal gives ranks by three theorems,
+and only the others are eliminated, exactly, on integer columns: K's series
+gives rank d_{-1}; the grade g of I gives the ranks of the g lowest degrees;
+and when g = 1 < m the components share a factor f, found by the heuristic
+gcd and checked by exact division, so every rank is a rank of the cofactor
+s' = s/f in a shifted weight, with K(t) of s' derived from K's.  A section
+is a regular sequence exactly when every rank comes from the first two, and
+then no slice is listed; nor is one for f*s' with s' regular.
+`is_regular_sequence` and `resolution_certificate` read the table;
+`slice_cohomology` is given no theorem, so it lists and eliminates every
+degree: it is the independent route the table is tested against (in the
+tests, and in the `tautological_resolution` criterion of `dcrit suite`).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, repeat
 from math import comb
-from operator import sub
+from operator import mul, sub
 from typing import Mapping, Sequence
 
 from .exterior import _contract
 from .groebner import INFINITE
 from .koszul import KoszulComplex, TautologicalKoszul
 from .linalg import rank_rows
-from .poly import (ANY_DEGREE, INHOMOGENEOUS, Poly, _integral, monomials_of_weight,
-                   normalize_weights)
+from .poly import (ANY_DEGREE, INHOMOGENEOUS, Poly, _common_factor, _exact_division, _integral,
+                   monomials_of_weight, normalize_weights)
 
 
 class InhomogeneousSectionError(ValueError):
@@ -60,12 +64,6 @@ def generator_degrees(c: KoszulComplex, weights) -> tuple[int, ...]:
     return tuple(default if d == ANY_DEGREE else d for d in raw)
 
 
-def _require_d_squared(c: KoszulComplex) -> None:
-    """Refuse a complex whose differential does not square to zero."""
-    if not c.d_squared:
-        raise AssertionError(f"the differential of {c} does not square to zero")
-
-
 def _series(k: Mapping[int, int], ws: Sequence[int], cutoff: int) -> list[int]:
     """Coefficients of K(t) / prod_i (1 - t^w_i) up to t^cutoff."""
     out = [0] * (cutoff + 1)
@@ -79,13 +77,13 @@ def _series(k: Mapping[int, int], ws: Sequence[int], cutoff: int) -> list[int]:
 
 
 def _settle(ranks: dict[int, list[int]], p: int, row: list[int], span: range,
-            grade: int, source: str = "") -> None:
-    """Record `row` as the ranks of d_p, or check it against those the grade gives."""
+            by: str, source: str = "") -> None:
+    """Record `row` as the ranks of d_p, or check it against those `by` gives."""
     given = ranks.setdefault(p, row)
     if given != row:
         i = next(i for i, (a, b) in enumerate(zip(row, given)) if a != b)
         raise AssertionError(f"d_{p} in weight {span[i]} has rank {row[i]}{source}, "
-                             f"but grade {grade} gives {given[i]}")
+                             f"but {by} gives {given[i]}")
 
 
 class _Slices:
@@ -99,22 +97,32 @@ class _Slices:
     as int dicts.  The monomials of each weight are listed once per object,
     and a basis only for a degree whose differential is eliminated, or its
     target; it must have the counted length.  Clearing is exact only when
-    the differential squares to zero, so every caller first reads the
-    complex's `d_squared`.
+    the differential squares to zero, so `of` first reads the complex's
+    `d_squared`.
     """
 
-    def __init__(self, c: KoszulComplex, ws: tuple[int, ...]):
-        self.rank = c.rank
+    def __init__(self, components: list[dict], ws: tuple[int, ...], gd: tuple[int, ...]):
+        self.rank = len(components)
         self.ws = ws
-        self.gd = generator_degrees(c, ws)
-        self.components = [_integral(p.terms)[0] for p in c.section.components]
+        self.gd = gd
+        self.components = components
         self._monomials: dict[int, list] = {}
 
-    def dimensions(self, p: int, top: int) -> list[int]:
-        """dim C^p_w for w = 0, ..., top: the series of R shifted by the
-        weight of each (-p)-element generator subset."""
-        return _series(Counter(sum(self.gd[j] for j in subset)
-                               for subset in combinations(range(self.rank), -p)), self.ws, top)
+    @classmethod
+    def of(cls, c: KoszulComplex, ws: tuple[int, ...]) -> "_Slices":
+        """The slices of c in weights ws; refuses a differential that does not square to zero."""
+        gd = generator_degrees(c, ws)
+        if not c.d_squared:
+            raise AssertionError(f"the differential of {c} does not square to zero")
+        return cls([_integral(p.terms)[0] for p in c.section.components], ws, gd)
+
+    def dimensions(self, top: int, first: int = 0) -> dict[int, list[int]]:
+        """dim C^p_w for every degree p and w = first, ..., top: the series of
+        R shifted by the weight of each (-p)-element generator subset."""
+        return {p: _series(Counter(sum(self.gd[j] for j in subset)
+                                   for subset in combinations(range(self.rank), -p)),
+                           self.ws, top)[first:]
+                for p in range(-self.rank, 1)}
 
     def basis(self, p: int, w: int, dim: int) -> list:
         """Basis of the weight-w part of degree p, whose counted dimension is `dim`."""
@@ -132,19 +140,30 @@ class _Slices:
                                  f"but the count gives {dim}")
         return out
 
-    def cohomology(self, top: int, h0: list[int] | None = None, grade: int = 0,
+    def cohomology(self, top: int, k: Mapping[int, int] | None = None,
                    first: int = 0) -> dict[int, list[int]]:
-        """dim H^p in weights first..top, by degree p: dim - rank(d out) - rank(d in).
+        """dim H^p in weights first..top, by degree p: dim - rank(d out) - rank(d in)."""
+        dims = self.dimensions(top, first)
+        ranks = self.ranks(dims, range(first, top + 1), k)
+        zero = repeat(0)
+        return {p: list(map(sub, map(sub, row, ranks.get(p, zero)), ranks.get(p - 1, zero)))
+                for p, row in dims.items()}
 
-        Two rank facts, when given, stand in for elimination, a whole row
-        over the weights at a time: rank d_{-1} = dim C^0 - h0, with `h0`
-        read off the Hilbert series of R/I, and rank d_p = dim C^p -
-        rank d_{p-1} for p < -m + `grade`, grade I (depth sensitivity,
-        Eisenbud, Thm 17.4: the complex is exact in its `grade` lowest
-        degrees).  The other differentials are eliminated weight by weight,
-        and so is d_{-m+grade-1}, whose pivots clear the next one's rows.  A
-        rank given twice (d_{-1} when grade = m, d_{-m+grade-1} when also
-        eliminated) must agree in every weight, or AssertionError names it.
+    def ranks(self, dims: dict[int, list[int]], span: range,
+              k: Mapping[int, int] | None = None) -> dict[int, list[int]]:
+        """rank d_p in the weights of `span`, for every degree p < 0.
+
+        `dims` holds dim C^p in those weights.  Three theorems, when K(t) is
+        given as `k`, stand in for elimination, a whole row over the weights
+        at a time: rank d_{-1} = dim C^0 - h0, with `h0` read off the
+        Hilbert series of R/I; rank d_p = dim C^p - rank d_{p-1} for
+        p < -m + g, g = grade I (depth sensitivity, Eisenbud, Thm 17.4: the
+        complex is exact in its g lowest degrees); and, when g = 1 < m, the
+        common factor (`_cofactor_ranks`).  The other differentials are
+        eliminated weight by weight, and so is d_{-m+g-1}, whose pivots clear
+        the next one's rows.  A rank given twice (d_{-1}, and d_{-m+g-1}
+        when also eliminated) must agree in every weight, or AssertionError
+        names it.
 
         Ranking runs from the top wedge degree down, and the pivot columns of
         d_p clear the rows of d_{p+1} they index (Chen and Kerber's twist): a
@@ -153,13 +172,20 @@ class _Slices:
         rows, and by descending induction no rank changes.
         """
         m = self.rank
-        span = range(first, top + 1)
-        dims = {p: self.dimensions(p, top)[first:] for p in range(-m, 1)}
+        grade, h0 = 0, None
+        if k is not None:
+            # grade I = n - dim R/I, the multiplicity of t = 1 as a root of K
+            grade = next((j for j in range(m) if sum(v * comb(e, j) for e, v in k.items())), m)
+            h0 = _series(k, self.ws, span.stop - 1)[span.start:]
+            ranks = self._cofactor_ranks(k, span) if grade == 1 < m else None
+            if ranks is not None:
+                _settle(ranks, -1, list(map(sub, dims[0], h0)), span, "the cofactor", " by K(t)")
+                return ranks
         ranks: dict[int, list[int]] = {}
         for p in range(-m, -m + grade):
             ranks[p] = list(map(sub, dims[p], ranks[p - 1])) if p > -m else dims[p]
         if h0 is not None:
-            _settle(ranks, -1, list(map(sub, dims[0], h0)), span, grade, " by K(t)")
+            _settle(ranks, -1, list(map(sub, dims[0], h0)), span, f"grade {grade}", " by K(t)")
         found = {p: [0] * len(span)
                  for p in range(max(-m, -m + grade - 1), 0 if h0 is None else -1)}
         for i, w in enumerate(span if found else ()):
@@ -177,18 +203,50 @@ class _Slices:
                     row[i] = rank_rows(cols, leads)
                 cleared = leads
         for p, row in found.items():
-            _settle(ranks, p, row, span, grade)
-        for p in range(-m, 1):
-            for q in (p, p - 1):
-                if q in ranks:
-                    dims[p] = list(map(sub, dims[p], ranks[q]))
-        return dims
+            _settle(ranks, p, row, span, f"grade {grade}")
+        return ranks
+
+    def _cofactor_ranks(self, k: Mapping[int, int], span: range) -> dict[int, list[int]] | None:
+        """Every rank of d_p, p < 0, from the complex of s' when s = f*s', or
+        None when no nonconstant common factor f is found.
+
+        The differential of f*s' is f times that of s', with each generator
+        f lighter by e, the weight of f, and multiplication by f != 0 is
+        injective on R, so
+
+            rank d_p(f*s') in weight w = rank d_p(s') in weight w + p*e,
+
+        0 when w + p*e < 0.  The candidate f comes from the heuristic gcd
+        (`poly._common_factor`) and is taken only when it divides every
+        component exactly.  The ideal of s' has K_I'(t) = (K_I(t) - 1 +
+        t^e) / t^e, as I = f*I' is I'(-e) as a graded module, so s' needs no
+        Groebner basis; its ranks come from `ranks` again, which recurses
+        when s' still has grade 1.
+        """
+        f = _common_factor(self.components)
+        rest = None if f is None else [_exact_division(p, f) for p in self.components]
+        if rest is None or None in rest:
+            return None
+        e = sum(map(mul, self.ws, next(iter(f))))
+        gd = tuple(d - e for d in self.gd)
+        if not e or min(gd) < 0:  # a zero component lighter than f keeps elimination
+            return None
+        numerator = Counter(k)
+        numerator[0] -= 1
+        numerator[e] += 1
+        if any(d < e for d, v in numerator.items() if v):
+            raise AssertionError(f"K(t) - 1 + t^{e} = {dict(numerator)} is not divisible by t^{e}")
+        cofactor = _Slices(rest, self.ws, gd)
+        top = span.stop - 1 - e
+        rows = cofactor.ranks(cofactor.dimensions(top), range(top + 1),
+                              {d - e: v for d, v in numerator.items() if v})
+        return {p: [rows[p][w + p * e] if w + p * e >= 0 else 0 for w in span]
+                for p in range(-self.rank, 0)}
 
 
 def slice_cohomology(c: KoszulComplex, weights, w: int) -> dict[int, int]:
     """Cohomology dimensions of one weight slice, every degree listed and eliminated."""
-    slices = _Slices(c, normalize_weights(c.ambient.vars, weights))
-    _require_d_squared(c)
+    slices = _Slices.of(c, normalize_weights(c.ambient.vars, weights))
     rows = slices.cohomology(w, first=w) if w >= 0 else {p: [0] for p in range(-c.rank, 1)}
     return {p: row[0] for p, row in rows.items()}
 
@@ -222,21 +280,16 @@ def hilbert_table(c: KoszulComplex, weights, cutoff: int) -> HilbertTable:
     The Hilbert numerator K(t) of the complex's `ideal` gives H^0, the series
     K(t) / prod_i (1 - t^w_i), and the grade g of I, the multiplicity of
     t = 1 as a root of K: the least j with sum_e k_e C(e, j) != 0, capped at
-    m (K = 0 for a unit ideal).  `_Slices.cohomology` takes the ranks they
-    give and eliminates the rest.  A quasi-homogeneous section is a regular
-    sequence exactly when g = m; then no slice is listed or ranked, and the
-    two ranks of d_{-1} must agree in every weight, or AssertionError.
+    m (K = 0 for a unit ideal).  `_Slices.ranks` takes the ranks they give,
+    those of the cofactor when g = 1 < m, and eliminates the rest.  A
+    quasi-homogeneous section is a regular sequence exactly when g = m; then
+    no slice is listed or ranked, and the two ranks of d_{-1} must agree in
+    every weight, or AssertionError.
     """
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
     ws = normalize_weights(c.ambient.vars, weights)
-    slices = _Slices(c, ws)
-    _require_d_squared(c)
-    k = c.ideal.hilbert_numerator(ws)
-    m = c.rank
-    # grade I = n - dim R/I, the multiplicity of t = 1 as a root of K
-    grade = next((j for j in range(m) if sum(v * comb(e, j) for e, v in k.items())), m)
-    columns = slices.cohomology(cutoff, _series(k, ws, cutoff), grade)
+    columns = _Slices.of(c, ws).cohomology(cutoff, c.ideal.hilbert_numerator(ws))
     rows = {p: tuple(row) for p, row in columns.items()}
     qd = c.ideal.dimension
     complete = {p: p == 0 and qd != INFINITE and sum(rows[0]) == qd for p in rows}

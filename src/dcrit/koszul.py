@@ -29,7 +29,7 @@ from typing import Sequence
 
 from .exterior import Ambient, ExtElt, Section, _contract, contract
 from .groebner import GroebnerBasis, buchberger
-from .poly import Poly, gradient
+from .poly import Poly
 
 
 def default_gens(m: int) -> tuple[str, ...]:
@@ -105,16 +105,6 @@ def build_koszul(vars: Sequence[str], components: Sequence[Poly]) -> KoszulCompl
     on generators e1, e2, ...; `KoszulComplex(Section(...))` names them."""
     comps = tuple(components)
     return KoszulComplex(Section(Ambient(tuple(vars), default_gens(len(comps))), comps))
-
-
-def jacobian_ideal(f: Poly) -> GroebnerBasis:
-    """Groebner basis of the partials of f: the ideal of its critical locus."""
-    return build_koszul(f.vars, gradient(f)).ideal
-
-
-def milnor_number(f: Poly):
-    """dim_Q R/(all partials of f), or INFINITE for non-isolated critical loci."""
-    return jacobian_ideal(f).dimension
 
 
 class TautologicalKoszul(KoszulComplex):

@@ -350,6 +350,12 @@ def _counting_ranks(monkeypatch):
     return calls
 
 
+def _no_common_factor(monkeypatch):
+    """Make the factor finder find nothing, so a grade-1 section takes the
+    elimination path instead of its cofactor's ranks."""
+    monkeypatch.setattr(cohomology, "_common_factor", lambda components: None)
+
+
 def _counting_bases(monkeypatch):
     """Record the (degree, weight) of every slice basis listed from here on."""
     listed = []
@@ -470,7 +476,9 @@ def test_sections_outside_the_theorem_are_sliced(vs, srcs):
 @pytest.mark.parametrize("vs, srcs, grade", OUTSIDE_THE_THEOREM)
 def test_the_grade_decides_which_differentials_are_eliminated(monkeypatch, vs, srcs, grade):
     # d_{-1} comes from K and d_p, p < -m + grade - 1, from the grade; d_{-m+grade-1}
-    # is eliminated all the same, to clear the next one's rows and check the grade
+    # is eliminated all the same, to clear the next one's rows and check the grade.
+    # A grade-1 section whose factor is not found takes this path too
+    _no_common_factor(monkeypatch)
     K, ws, cutoff = build_koszul(vs, [P(s, vs) for s in srcs]), (1,) * len(vs), 6
     m, gd = K.rank, generator_degrees(K, ws)
 
@@ -527,7 +535,9 @@ def test_regular_sequence_first_failure_matches_the_slices(monkeypatch, seed):
     (["x", "y", "x + y"], "d_-2 in weight 2 has rank 2, but grade 2 gives 3"),
 ], ids=["grade-1", "grade-2"])
 def test_an_eliminated_rank_the_grade_disagrees_with_is_refused(monkeypatch, srcs, message):
-    # d_-2 is the highest rank the grade gives, and the first one eliminated
+    # d_-2 is the highest rank the grade gives, and the first one eliminated;
+    # the grade-1 section's factor is not found, so it is eliminated too
+    _no_common_factor(monkeypatch)
     K = build_koszul(VS, [P(s) for s in srcs])
     _table_matches_the_slices(K, (1, 1), 4)
     ranks = []
@@ -545,7 +555,9 @@ def test_an_eliminated_rank_the_grade_disagrees_with_is_refused(monkeypatch, src
 @pytest.mark.parametrize("vs, srcs, grade", OUTSIDE_THE_THEOREM)
 def test_only_eliminated_degrees_and_their_targets_are_listed(monkeypatch, vs, srcs, grade):
     # d_-1 comes from K(t), so C^0 is never listed; the lowest eliminated
-    # degree and every target are listed once per weight, in order
+    # degree and every target are listed once per weight, in order (a grade-1
+    # section whose factor is not found too)
+    _no_common_factor(monkeypatch)
     K, ws, cutoff = build_koszul(vs, [P(s, vs) for s in srcs]), (1,) * len(vs), 6
     lowest = max(-K.rank, -K.rank + grade - 1)
     listed = _counting_bases(monkeypatch)
@@ -556,6 +568,8 @@ def test_only_eliminated_degrees_and_their_targets_are_listed(monkeypatch, vs, s
 
 def test_a_dropped_monomial_trips_the_basis_count(monkeypatch):
     # the dimensions are counted; every listed basis must have the counted length
+    # (the factor x is not found, so hilbert_table lists bases as slice_cohomology does)
+    _no_common_factor(monkeypatch)
     K = build_koszul(VS, [P("x*y"), P("x^2")])
     table = _table_matches_the_slices(K, (1, 1), 6)
     assert table.total(-1) > 0
@@ -567,3 +581,106 @@ def test_a_dropped_monomial_trips_the_basis_count(monkeypatch):
     with pytest.raises(AssertionError,
                        match=r"^C\^-2 in weight 4 lists 0 elements, but the count gives 1$"):
         slice_cohomology(K, (1, 1), 4)
+
+
+# (vars, weights, section): sections f*s' with a nonconstant common factor f,
+# whose tables take every negative rank from the complex of s'
+COMMON_FACTORS = [
+    # s' is not regular (grade 2 of 3), so its d_-2 is eliminated inside K(s')
+    (("x", "y", "z"), (1, 1, 1), ["(x + y)*x*y", "(x + y)*x*z", "(x + y)*y*z"]),
+    # weighted: the gcd is f = (x^2 + y)^2, of weight 4, and s' = (x, y - x^2)
+    (VS, (1, 2), ["(x^2 + y)*(x^3 + x*y)", "(x^2 + y)*(y^2 - x^4)"]),
+    (VS, (1, 1), ["(x + 2*y)^2*x^2", "(x + 2*y)^2*y^3"]),            # f = L^2
+    (VS, (1, 1), ["(x - y)*x", "(x - y)*y", "0"]),                    # a zero component
+    (VS, (1, 1), ["1/2*(x + y)*x^2", "2/3*(x + y)*y^2"]),            # Fraction coefficients
+    (("x",), (1,), ["x", "0"]),                                       # s' = (1, 0): R/I' = 0
+    (("x", "y", "z"), (1, 1, 1), ["x*(x + y)^2", "x*(y - z)^2", "x*(z + 2*x)^2"]),
+    # a zero component lighter than f = x^2 would weigh -1 in K(s'): eliminated
+    (VS, (1, 1), ["x^2", "x^2*y", "0"]),
+]
+
+
+@pytest.mark.parametrize("vs, ws, srcs", COMMON_FACTORS)
+def test_common_factor_tables_match_the_slices(vs, ws, srcs):
+    K = build_koszul(vs, [P(s, vs) for s in srcs])
+    table = _table_matches_the_slices(K, ws, 9)
+    assert any(table.total(p) for p in table.rows if p < 0)  # grade 1 < m: H^-1 != 0
+    series = _euler_series(generator_degrees(K, ws), ws, 9)
+    assert [sum((-1) ** p * table.rows[p][w] for p in table.rows) for w in range(10)] == series
+
+
+def _common_factor_cases(seed):
+    """(complex, weights): L^c times powers of independent linear forms, whose
+    cofactor is a regular sequence, as `dcrit zero` meets them."""
+    rng = Random(f"common-factor-{seed}")
+    for n, degrees, c in ((3, (1, 2, 2), 1), (2, (2, 3), 2), (3, (2, 2, 2), 1), (3, (2, 2), 1)):
+        vs = ("x", "y", "z")[:n]
+        xs = [Poly.variable(vs, v) for v in vs]
+        # triangular forms: x_i plus later variables, so they are independent
+        forms = [xs[i] + sum((rng.choice([-2, -1, 1, 2, 3]) * v for v in xs[i + 1:]), Poly.zero(vs))
+                 for i in range(len(degrees))]
+        factor = sum((rng.choice([-3, -1, 1, 2]) * v for v in xs), Poly.zero(vs)) ** c
+        yield build_koszul(vs, [factor * form ** d for form, d in zip(forms, degrees)]), (1,) * n
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_a_regular_cofactor_ranks_and_lists_nothing(monkeypatch, seed):
+    calls = _counting_ranks(monkeypatch)
+    listed = _counting_bases(monkeypatch)
+    for K, ws in _common_factor_cases(seed):
+        cutoff = max(generator_degrees(K, ws)) + 5
+        table = hilbert_table(K, ws, cutoff)
+        assert not calls and not listed, str(K)
+        assert table.total(-1) > 0
+        for w in range(cutoff + 1):
+            assert slice_cohomology(K, ws, w) == {p: table.rows[p][w] for p in table.rows}, \
+                (str(K), w)
+        calls.clear()
+        listed.clear()
+
+
+@pytest.mark.parametrize("candidate", [{(0, 1): 1}, {(1, 0): 2}, {(0, 0): 1}],
+                         ids=["non-divisor", "non-integral-quotient", "constant"])
+def test_a_factor_that_does_not_divide_is_refused(monkeypatch, candidate):
+    # the section (x*y, x^2) has the factor x; a wrong candidate must not be
+    # taken, so the table falls back to elimination and stays right
+    K = build_koszul(VS, [P("x*y"), P("x^2")])
+    expected = _table_matches_the_slices(K, (1, 1), 6)
+    monkeypatch.setattr(cohomology, "_common_factor", lambda components: candidate)
+    calls = _counting_ranks(monkeypatch)
+    assert hilbert_table(K, (1, 1), 6) == expected
+    assert calls
+
+
+def test_a_proper_factor_recurses_to_the_same_table(monkeypatch):
+    # finding L where L^2 is the gcd leaves a cofactor of grade 1, whose own
+    # factor L is found in turn; the cofactor of the cofactor is regular
+    K = build_koszul(VS, [P("(x + 2*y)^2*x^2"), P("(x + 2*y)^2*y^3")])
+    expected = hilbert_table(K, (1, 1), 9)
+    line = dict(P("x + 2*y").terms)
+    found = []
+
+    def proper(components):
+        found.append(1)
+        return line
+
+    monkeypatch.setattr(cohomology, "_common_factor", proper)
+    calls = _counting_ranks(monkeypatch)
+    assert hilbert_table(K, (1, 1), 9) == expected
+    assert len(found) == 2 and not calls
+
+
+def test_a_numerator_the_factor_does_not_divide_is_refused(monkeypatch):
+    # adding (1 - t)^2 to K(t) keeps grade 1 but leaves K - 1 + t with a
+    # constant term, so K(t) is no Hilbert numerator of x*(y, x)
+    numerator = groebner.GroebnerBasis.hilbert_numerator
+
+    def moved(self, weights):
+        k = dict(numerator(self, weights))
+        for d, v in {0: 1, 1: -2, 2: 1}.items():
+            k[d] = k.get(d, 0) + v
+        return {d: v for d, v in k.items() if v}
+
+    monkeypatch.setattr(groebner.GroebnerBasis, "hilbert_numerator", moved)
+    with pytest.raises(AssertionError, match=r"^K\(t\) - 1 \+ t\^1 = .* is not divisible by t\^1$"):
+        hilbert_table(build_koszul(VS, [P("x*y"), P("x^2")]), (1, 1), 6)
