@@ -31,7 +31,7 @@ print()
 print("== base change onto a concrete section ==")
 section = parse_section("x^2, x^3 - x", ("x",))
 report = base_change_compare(taut, list(section))
-print(f"substituting (x^2, x^3 - x) for (xi1, xi2): equal = {report.equal}")
+print(f"substituting (x^2, x^3 - x) for (xi1, xi2): equal = {report.passed}")
 
 print()
 print("== the augmentation onto the critical quotient ==")

@@ -50,8 +50,8 @@ print("degree 0 row reads 1, 2, 1: the classes of 1; x, y; x*y")
 print()
 print("== regular sequences have no negative cohomology ==")
 xy = build_koszul(("x", "y"), list(parse_poly(v, ("x", "y")) for v in ("x", "y")))
-print(f"(x, y) regular up to weight 8: {is_regular_sequence(xy, (1, 1), 8).regular}")
+print(f"(x, y) regular up to weight 8: {is_regular_sequence(xy, (1, 1), 8).passed}")
 x = parse_poly("x", ("x",))
 report = is_regular_sequence(build_koszul(("x",), [x, x]), (1,), 8)
-print(f"(x, x) regular: {report.regular}; first failure (degree, weight) = "
-      f"{report.first_failure}")
+print(f"(x, x) regular: {report.passed}; first failure (degree, weight) = "
+      f"{report.counterexample['first_failure']}")

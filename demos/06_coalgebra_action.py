@@ -9,7 +9,7 @@ Run as: python3 demos/06_coalgebra_action.py
 """
 
 from dcrit import (Ambient, ExtElt, Poly, Section, algebra_map, build_koszul,
-                   check_d_squared, coaction, comultiply, contract, counit, antipode,
+                   check_d_squared, comultiply, contract, counit, antipode,
                    parse_poly, parse_section, tensor_ambient)
 
 VS = ("x", "y")
@@ -39,11 +39,12 @@ section = parse_section("x^2, y", VS)
 K = build_koszul(VS, list(section))
 print(f"complex of (x^2, y): d^2 = 0 is {check_d_squared(K)}")
 a = parse_poly("x", VS) * e1 * e2
-rho = coaction(K, a)
+# the coaction on K is comultiplication itself
+rho = comultiply(a)
 print(f"coaction on {a}:")
 print(f"  {rho}")
 # d (x) id is contraction along the section (s, 0) of the two copies
 on_first = Section(TWO, K.section.components + (Poly.zero(VS),) * 2)
 lhs = contract(on_first, rho)
-rhs = coaction(K, contract(K.section, a))
+rhs = comultiply(contract(K.section, a))
 print(f"chain map: (d x id) after coaction equals coaction after d: {lhs == rhs}")

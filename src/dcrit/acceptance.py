@@ -58,10 +58,10 @@ def criterion_tautological_resolution(seed: int = 0) -> CheckReport:
         for n in range(0, 4):
             for m in range(1, 4):
                 taut = build_tautological_koszul(var_names(n), m)
-                cert = resolution_certificate(taut, 8)
-                if not cert.ok:
-                    return {}, {"n": n, "m": m, **(cert.first_mismatch or {})}
-                table = cert.table
+                table = hilbert_table(taut, (1,) * (n + m), 8)
+                cert = resolution_certificate(taut, table)
+                if not cert.passed:
+                    return {}, {"n": n, "m": m, **cert.counterexample}
                 for w in range(9):
                     sliced = slice_cohomology(taut, table.weights, w)
                     if sliced != {p: table.rows[p][w] for p in table.rows}:
@@ -97,9 +97,9 @@ def criterion_base_change(seed: int = 0) -> CheckReport:
             comps = [Poly.zero(vs) if rng.random() < 0.1 else rand_poly(rng, vs, 3)
                      for _ in range(m)]
             report = base_change_compare(build_tautological_koszul(vs, m), comps)
-            if not report.equal:
+            if not report.passed:
                 return {}, {"trial": k, "n": n, "m": m,
-                            "section": [str(c) for c in comps], **(report.witness or {})}
+                            "section": [str(c) for c in comps], **report.counterexample}
         return {"sections": 100}, None
 
     return _run("base_change", body)
@@ -146,14 +146,13 @@ def criterion_regular_sequences(seed: int = 0) -> CheckReport:
             vs = var_names(n)
             complex = build_koszul(vs, [Poly.variable(vs, v) for v in vs])
             report = is_regular_sequence(complex, (1,) * n, 8)
-            if not report.regular:
-                return {}, {"section": "coordinates", "n": n,
-                            "first_failure": report.first_failure}
+            if not report.passed:
+                return {}, {"section": "coordinates", "n": n, **report.counterexample}
         x = Poly.variable(("x",), "x")
         degenerate = is_regular_sequence(build_koszul(("x",), [x, x]), (1,), 8)
-        if degenerate.regular or degenerate.first_failure != (-1, 1):
-            return {}, {"section": "(x, x)", "regular": degenerate.regular,
-                        "first_failure": degenerate.first_failure}
+        if degenerate.counterexample != {"first_failure": (-1, 1)}:
+            return {}, {"section": "(x, x)", "regular": degenerate.passed,
+                        "first_failure": None, **(degenerate.counterexample or {})}
         return {"regular": "coordinates n=1..3", "witness": {"section": "(x, x)",
                 "first_failure": [-1, 1]}}, None
 
@@ -220,8 +219,11 @@ def criterion_hessian_pairing(seed: int = 0) -> CheckReport:
                 return {}, {"trial": k, "f": str(f), "issue": "hessian not symmetric"}
         for src, vs in CORPUS:
             f = parse_poly(src, vs)
-            complex = intersect_graph_lagrangians(exact_form(f), exact_form(Poly.zero(vs)))
-            direct = build_koszul(vs, list(gradient(f)))
+            # a nonconstant g, so the intersection is that of d(f - g), not of df
+            linear = " + ".join(vs)
+            g = parse_poly(f"({linear})^2 + {linear}", vs)
+            complex = intersect_graph_lagrangians(exact_form(f), exact_form(g))
+            direct = build_koszul(vs, gradient(f - g))
             for p in direct.degrees:
                 if complex.differential_matrix(p) != direct.differential_matrix(p):
                     return {}, {"f": src, "degree": p, "issue": "matrices differ"}

@@ -127,10 +127,10 @@ def _cmd_zero(args):
     complex = build_koszul(vars, list(components))
     d2 = complex.d_squared
     h0 = complex.ideal.dimension
-    checks = [{"name": "d_squared", "status": "pass" if d2 else "fail"}]
-    results: dict = {"checks": checks, "h0_dimension": h0}
+    check = CheckReport("d_squared", "pass" if d2 else "fail", None)
+    results: dict = {"checks": [check.to_json()], "h0_dimension": h0}
     lines = [f"zero locus of ({', '.join(str(c) for c in components)}) over {_ring(vars)}",
-             f"d^2 = 0: {checks[0]['status']}",
+             f"d^2 = 0: {check.status}",
              f"H^0 dimension: {h0}"]
     if d2:
         _slice_table(complex, weights, args, results, lines)
@@ -145,20 +145,14 @@ def _cmd_zero(args):
 def _cmd_fancy(args):
     vars = _parse_vars(args.vars)
     taut = build_tautological_koszul(vars, args.rank)
-    cert = resolution_certificate(taut, args.cutoff)
-    all_vars = taut.ambient.vars
-    table = cert.table
-    status = "pass" if cert.ok else "fail"
-    results = {"checks": [{"name": "resolution_certificate", "status": status}],
-               "hilbert": _hilbert_json(table)}
-    if not cert.ok:
-        results["checks"][0]["counterexample"] = cert.first_mismatch
-    fiber = all_vars[len(vars):]
-    lines = [f"tautological complex over {_ring(vars)}, fiber ({', '.join(fiber)})",
-             f"resolution certificate (cutoff {args.cutoff}): {status}"]
+    table = hilbert_table(taut, (1,) * len(taut.ambient.vars), args.cutoff)
+    cert = resolution_certificate(taut, table)
+    results = {"checks": [cert.to_json()], "hilbert": _hilbert_json(table)}
+    lines = [f"tautological complex over {_ring(vars)}, fiber ({', '.join(taut.fiber_vars)})",
+             f"resolution certificate (cutoff {args.cutoff}): {cert.status}"]
     lines.extend(_hilbert_lines(table))
     inputs = {"vars": list(vars), "rank": args.rank, "cutoff": args.cutoff}
-    return inputs, results, lines, (0 if cert.ok else 1)
+    return inputs, results, lines, (0 if cert.passed else 1)
 
 
 def _cmd_crit(args):

@@ -12,10 +12,12 @@ gcd and checked by exact division, so every rank is a rank of the cofactor
 s' = s/f in a shifted weight, with K(t) of s' derived from K's.  A section
 is a regular sequence exactly when every rank comes from the first two, and
 then no slice is listed; nor is one for f*s' with s' regular.
-`is_regular_sequence` and `resolution_certificate` read the table;
-`slice_cohomology` is given no theorem, so it lists and eliminates every
-degree: it is the independent route the table is tested against (in the
-tests, and in the `tautological_resolution` criterion of `dcrit suite`).
+`is_regular_sequence` computes the table and `resolution_certificate` is
+handed one; each returns a `checks.CheckReport` whose counterexample names
+the first entry that fails.  `slice_cohomology` is given no theorem, so it
+lists and eliminates every degree: it is the independent route the table is
+tested against (in the tests, and in the `tautological_resolution`
+criterion of `dcrit suite`).
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from math import comb
 from operator import mul, sub
 from typing import Mapping, Sequence
 
+from .checks import CheckReport
 from .exterior import _contract
 from .groebner import INFINITE
 from .koszul import KoszulComplex, TautologicalKoszul
@@ -304,66 +307,39 @@ def _first_nonzero_negative(rows: Mapping[int, Sequence[int]]) -> tuple[int, int
     return None if first is None else (first[1], first[0])
 
 
-@dataclass(frozen=True)
-class RegularSequenceReport:
-    """Vanishing of negative Koszul cohomology, certified up to a cutoff."""
-
-    regular: bool
-    cutoff: int
-    first_failure: tuple[int, int] | None = None  # (degree, weight)
-
-    def __bool__(self) -> bool:
-        return self.regular
-
-
-def is_regular_sequence(c: KoszulComplex, weights, cutoff: int) -> RegularSequenceReport:
+def is_regular_sequence(c: KoszulComplex, weights, cutoff: int) -> CheckReport:
     """Check H^p = 0 for all p < 0 in every weight up to the cutoff.
 
-    Read off `hilbert_table`, so a regular section lists no slice.  The
-    first failure is the first nonzero negative entry, weight by weight and
-    then degree by degree; it is definitive.  An all-zero table certifies
-    regularity only up to the cutoff, which the report records.
+    Read off `hilbert_table`, so a regular section lists no slice.  A failure's
+    counterexample is {"first_failure": (degree, weight)}, the first nonzero
+    negative entry, weight by weight and then degree by degree; it is
+    definitive.  A pass certifies regularity only up to the cutoff.
     """
     failure = _first_nonzero_negative(hilbert_table(c, weights, cutoff).rows)
-    return RegularSequenceReport(failure is None, cutoff, failure)
+    if failure is None:
+        return CheckReport("regular_sequence", "pass", None)
+    return CheckReport("regular_sequence", "fail", None, {"first_failure": failure})
 
 
-@dataclass(frozen=True)
-class ResolutionCertificate:
-    """Evidence that a tautological complex resolves its base ring.
+def resolution_certificate(taut: TautologicalKoszul, table: HilbertTable) -> CheckReport:
+    """Evidence, read off the complex's Hilbert table, that a tautological
+    complex resolves its base ring.
 
-    Checks, weight by weight up to the cutoff, that negative-degree
-    cohomology vanishes and that dim H^0 in weight w equals the number of
-    base-ring monomials of weight w.  `table` is the Hilbert table the
-    checks read; the tautological section is a regular sequence, so every
-    rank of that table comes from a theorem, and the base-ring count checks
-    them.  `first_mismatch` is the first H^0 mismatch, else the first
-    nonzero negative entry in `is_regular_sequence`'s order.
+    Checks, weight by weight up to the table's cutoff, that dim H^0 in weight
+    w equals the number of base-ring monomials of weight w, in the base
+    weights `table.weights` opens with, and that negative-degree cohomology
+    vanishes.  The tautological section is a regular sequence, so every rank
+    of the table comes from a theorem, and the base-ring count checks them.
+    The counterexample is the first H^0 mismatch, else the first nonzero
+    negative entry in `is_regular_sequence`'s order.
     """
-
-    ok: bool
-    cutoff: int
-    h0_matches: bool
-    negatives_vanish: bool
-    table: HilbertTable
-    first_mismatch: dict | None = None
-
-
-def resolution_certificate(taut: TautologicalKoszul, cutoff: int,
-                           base_weights: Sequence[int] | None = None) -> ResolutionCertificate:
-    base = taut.base_vars
-    bws = normalize_weights(base, base_weights) if base_weights is not None else (1,) * len(base)
-    # fiber coordinates get weight 1; they are the section, so the slicing
-    # is automatically consistent
-    ws = bws + (1,) * taut.rank
-    table = hilbert_table(taut, ws, cutoff)
-    mismatch = next(({"degree": 0, "weight": w, "expected": e, "got": table.rows[0][w]}
-                     for w in range(cutoff + 1)
-                     if (e := len(monomials_of_weight(bws, w))) != table.rows[0][w]), None)
-    h0_matches = mismatch is None
-    failure = _first_nonzero_negative(table.rows)
-    if failure is not None and mismatch is None:
+    bws = table.weights[:len(taut.base_vars)]
+    rows = table.rows
+    mismatch = next(({"degree": 0, "weight": w, "expected": e, "got": rows[0][w]}
+                     for w in range(table.cutoff + 1)
+                     if (e := len(monomials_of_weight(bws, w))) != rows[0][w]), None)
+    if mismatch is None and (failure := _first_nonzero_negative(rows)):
         p, w = failure
-        mismatch = {"degree": p, "weight": w, "expected": 0, "got": table.rows[p][w]}
-    return ResolutionCertificate(h0_matches and failure is None, cutoff,
-                                 h0_matches, failure is None, table, mismatch)
+        mismatch = {"degree": p, "weight": w, "expected": 0, "got": rows[p][w]}
+    return CheckReport("resolution_certificate", "pass" if mismatch is None else "fail",
+                       None, mismatch)

@@ -7,8 +7,9 @@ same construction applied over the total space Sym(dual), with the fiber
 coordinates themselves as the section, gives the tautological complex;
 substituting a concrete section for the fiber coordinates recovers the
 usual Koszul complex on the nose, and `base_change_compare` checks that
-entrywise.  So d∘d = 0 is decided once, by `check_d_squared`, on the
-tautological section.
+entrywise, in a `checks.CheckReport` whose counterexample is the first
+entry that differs.  So d∘d = 0 is decided once, by `check_d_squared`, on
+the tautological section.
 
 A complex computes three values on first use and keeps them: `ideal`, the
 Groebner basis of its components; `jacobian`, the matrix of their partials;
@@ -22,11 +23,11 @@ is the Jacobian ideal and its Jacobian is the Hessian.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from typing import Sequence
 
+from .checks import CheckReport
 from .exterior import Ambient, ExtElt, Section, _contract, contract
 from .groebner import GroebnerBasis, buchberger
 from .poly import Poly
@@ -141,18 +142,12 @@ def build_tautological_koszul(vars: Sequence[str], rank: int) -> TautologicalKos
     return TautologicalKoszul(vars, rank)
 
 
-@dataclass(frozen=True)
-class BaseChangeReport:
-    equal: bool
-    witness: dict | None = None
-
-
-def base_change_compare(taut: TautologicalKoszul, components: Sequence[Poly]) -> BaseChangeReport:
+def base_change_compare(taut: TautologicalKoszul, components: Sequence[Poly]) -> CheckReport:
     """Compare the specialized tautological complex with the direct one.
 
     components: the section over the base ring.  Checks every matrix entry
-    in every degree; on the first mismatch returns a witness naming the
-    degree, row, column, and both entries.
+    in every degree; the first mismatch fails the "base_change" report with
+    a counterexample naming the degree, row, column, and both entries.
     """
     comps = tuple(components)
     if len(comps) != taut.rank:
@@ -168,11 +163,11 @@ def base_change_compare(taut: TautologicalKoszul, components: Sequence[Poly]) ->
             for j, (fe, de) in enumerate(zip(frow, drow)):
                 specialized = taut.specialize_entry(fe, comps)
                 if specialized != de:
-                    return BaseChangeReport(False, {
+                    return CheckReport("base_change", "fail", None, {
                         "degree": p, "row": i, "col": j,
                         "specialized": str(specialized), "direct": str(de),
                     })
-    return BaseChangeReport(True, None)
+    return CheckReport("base_change", "pass", None)
 
 
 def check_d_squared(c: KoszulComplex) -> bool:

@@ -48,7 +48,6 @@ class PairingReport:
 
     matrix: tuple[tuple[Poly, ...], ...]
     symmetric: bool
-    duality_map: str
 
     @property
     def nondegenerate(self) -> bool:
@@ -74,10 +73,7 @@ def minus_one_pairing(locus: KoszulComplex) -> PairingReport:
     differential is the Jacobian of the section (for the critical locus of f,
     the Hessian): perfect levelwise when it is symmetric, and none otherwise."""
     m = _tangent_differential(locus)
-    sym = is_symmetric(m)
-    duality = ("identity on the chosen bases (perfect levelwise)" if sym
-               else "none: differential is not self-adjoint")
-    return PairingReport(m, sym, duality)
+    return PairingReport(m, is_symmetric(m))
 
 
 @dataclass(frozen=True)

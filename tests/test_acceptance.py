@@ -6,7 +6,9 @@ its own verdict line per criterion.  Budgets are wall-clock upper bounds.
 
 import json
 import time
+from dataclasses import replace
 
+from dcrit import acceptance, cohomology
 from dcrit.acceptance import (criterion_base_change, criterion_bracket_compat,
                               criterion_bv, criterion_coalgebra,
                               criterion_dual_numbers, criterion_gerstenhaber,
@@ -15,9 +17,15 @@ from dcrit.acceptance import (criterion_base_change, criterion_bracket_compat,
                               criterion_regular_sequences,
                               criterion_tautological_resolution)
 from dcrit.acceptance import CORPUS
+from dcrit.checks import var_names
 from dcrit.cli import main
+from dcrit.cohomology import is_regular_sequence, resolution_certificate
+from dcrit.exterior import Section
 from dcrit.groebner import buchberger
-from dcrit.koszul import TautologicalKoszul
+from dcrit.koszul import (TautologicalKoszul, base_change_compare, build_koszul,
+                          build_tautological_koszul)
+from dcrit.parsing import parse_poly
+from dcrit.poly import Poly
 
 SEED = 0
 
@@ -153,3 +161,56 @@ def test_a_failing_criterion_prints_its_counterexample_and_exits_one(monkeypatch
         "    trial", "    n", "    m", "    section", "    degree", "    row", "    col",
         "    specialized", "    direct"]
     assert lines[at + 10].startswith("[PASS]") and lines[-1] == "suite: 9/10 passed"
+
+
+def nonzero_h_minus_one_in_weight_two(monkeypatch):
+    """Break every Hilbert table the criteria read, theirs and `is_regular_sequence`'s:
+    H^-1 = 1 in weight 2, every other entry as it was."""
+    real = cohomology.hilbert_table
+
+    def mutant(c, weights, cutoff):
+        table = real(c, weights, cutoff)
+        return replace(table, rows={**table.rows, -1: (0, 0, 1) + table.rows[-1][3:]})
+
+    monkeypatch.setattr(cohomology, "hilbert_table", mutant)
+    monkeypatch.setattr(acceptance, "hilbert_table", mutant)
+
+
+def test_a_criterion_prints_its_case_then_the_failing_reports_counterexample(monkeypatch):
+    # base change, regular sequences and the resolution certificate each return a
+    # CheckReport; its counterexample is what the criterion prints after the case
+    add_one_to_each_specialized_entry(monkeypatch)
+    ce = criterion_base_change(SEED).counterexample
+    vs = var_names(ce["n"])
+    section = [parse_poly(src, vs) for src in ce["section"]]
+    report = base_change_compare(build_tautological_koszul(vs, ce["m"]), section)
+    assert not report.passed
+    case = {k: ce[k] for k in ("trial", "n", "m", "section")}
+    assert ce == {**case, **report.counterexample}
+
+    nonzero_h_minus_one_in_weight_two(monkeypatch)
+    ce = criterion_regular_sequences(SEED).counterexample
+    assert ce == {"section": "coordinates", "n": 1, "first_failure": (-1, 2)}
+    vs = var_names(1)
+    report = is_regular_sequence(build_koszul(vs, [Poly.variable(vs, "x")]), (1,), 8)
+    assert ce == {"section": "coordinates", "n": 1, **report.counterexample}
+
+    ce = criterion_tautological_resolution(SEED).counterexample
+    taut = build_tautological_koszul((), 1)
+    report = resolution_certificate(taut, acceptance.hilbert_table(taut, (1,), 8))
+    assert ce == {"n": 0, "m": 1, **report.counterexample}
+    assert report.counterexample == {"degree": -1, "weight": 2, "expected": 0, "got": 1}
+
+
+def test_hessian_pairing_catches_a_graph_intersection_of_the_sum(monkeypatch):
+    # the intersection of the graphs of alpha and beta is the zero locus of
+    # alpha - beta; this mutant meets alpha + beta and still rejects a non-closed form
+    real = acceptance.intersect_graph_lagrangians
+
+    def summed(alpha, beta):
+        return real(alpha, Section(beta.ambient, tuple(-c for c in beta.components)))
+
+    monkeypatch.setattr(acceptance, "intersect_graph_lagrangians", summed)
+    result = criterion_hessian_pairing(SEED)
+    assert not result.passed
+    assert result.counterexample == {"f": "x^2", "degree": -1, "issue": "matrices differ"}

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-import dcrit.cohomology
+import dcrit.cli
 import dcrit.groebner
 import dcrit.koszul
 from dcrit import __version__
@@ -220,13 +220,13 @@ def test_fancy_subcommand(capsys):
 
 def test_fancy_reports_a_failing_certificate_and_exits_one(capsys, monkeypatch):
     # a mutant table with H^-1 = 1 in weight 2: the certificate fails there
-    real = dcrit.cohomology.hilbert_table
+    real = dcrit.cli.hilbert_table
 
     def mutant(c, weights, cutoff):
         table = real(c, weights, cutoff)
         return replace(table, rows={**table.rows, -1: (0, 0, 1) + table.rows[-1][3:]})
 
-    monkeypatch.setattr(dcrit.cohomology, "hilbert_table", mutant)
+    monkeypatch.setattr(dcrit.cli, "hilbert_table", mutant)
     code, doc, _ = run_json(capsys, "fancy", "--vars", "x", "--rank", "2",
                             "--cutoff", "5")
     assert code == 1

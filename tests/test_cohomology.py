@@ -88,12 +88,13 @@ def test_inhomogeneous_section_raises():
 def test_regular_sequence_reports():
     K = build_koszul(VS, [P("x"), P("y")])
     report = is_regular_sequence(K, (1, 1), 8)
-    assert report.regular and bool(report) and report.first_failure is None
+    assert report.passed and report.counterexample is None
+    assert report.to_json() == {"name": "regular_sequence", "status": "pass"}
 
     x = parse_poly("x", ("x",))
     degenerate = is_regular_sequence(build_koszul(("x",), [x, x]), (1,), 8)
-    assert not degenerate.regular
-    assert degenerate.first_failure == (-1, 1)
+    assert not degenerate.passed
+    assert degenerate.counterexample == {"first_failure": (-1, 1)}
 
 
 def test_regular_sequence_refuses_a_negative_cutoff():
@@ -103,30 +104,43 @@ def test_regular_sequence_refuses_a_negative_cutoff():
 
 
 def test_resolution_certificate_small():
-    cert = resolution_certificate(build_tautological_koszul(("x",), 2), 6)
-    assert cert.ok and cert.h0_matches and cert.negatives_vanish
-    assert cert.first_mismatch is None
-    assert cert.cutoff == 6
+    taut = build_tautological_koszul(("x",), 2)
+    cert = resolution_certificate(taut, hilbert_table(taut, (1, 1, 1), 6))
+    assert cert.passed and cert.counterexample is None
+    assert cert.to_json() == {"name": "resolution_certificate", "status": "pass"}
 
 
-def test_resolution_certificate_names_a_nonzero_negative_entry(monkeypatch):
-    # a mutant table with H^-1 = 1 in weight 2 and H^0 right
-    real = cohomology.hilbert_table
+def _with_nonzero_h_minus_one(table):
+    """A mutant table with H^-1 = 1 in weight 2 and every other row as it was."""
+    return replace(table, rows={**table.rows, -1: (0, 0, 1) + table.rows[-1][3:]})
 
-    def mutant(c, weights, cutoff):
-        table = real(c, weights, cutoff)
-        return replace(table, rows={**table.rows, -1: (0, 0, 1) + table.rows[-1][3:]})
 
-    monkeypatch.setattr(cohomology, "hilbert_table", mutant)
-    cert = resolution_certificate(build_tautological_koszul(("x",), 2), 6)
-    assert not cert.ok and cert.h0_matches and not cert.negatives_vanish
-    assert cert.first_mismatch == {"degree": -1, "weight": 2, "expected": 0, "got": 1}
+def test_resolution_certificate_names_a_nonzero_negative_entry():
+    taut = build_tautological_koszul(("x",), 2)
+    table = hilbert_table(taut, (1, 1, 1), 6)
+    cert = resolution_certificate(taut, _with_nonzero_h_minus_one(table))
+    assert not cert.passed
+    assert cert.counterexample == {"degree": -1, "weight": 2, "expected": 0, "got": 1}
+
+
+def test_resolution_certificate_names_an_h0_mismatch_first():
+    # an H^0 mismatch, even in a later weight, is named before any negative entry
+    taut = build_tautological_koszul(("x",), 2)
+    table = hilbert_table(taut, (1, 1, 1), 6)
+    negative = _with_nonzero_h_minus_one(table)
+    both = replace(negative, rows={**negative.rows, 0: (1, 1, 1, 2) + table.rows[0][4:]})
+    cert = resolution_certificate(taut, both)
+    assert not cert.passed
+    assert cert.counterexample == {"degree": 0, "weight": 3, "expected": 1, "got": 2}
 
 
 def test_resolution_certificate_weighted_base():
-    cert = resolution_certificate(build_tautological_koszul(VS, 1), 5,
-                                  base_weights=(1, 2))
-    assert cert.ok
+    # H^0 counts the base monomials in the weights the table gives the base
+    # variables, whatever the fiber coordinates weigh
+    taut = build_tautological_koszul(VS, 1)
+    for ws in ((1, 2, 1), (1, 2, 3)):
+        assert resolution_certificate(taut, hilbert_table(taut, ws, 5)).passed
+    assert list(hilbert_table(taut, (1, 2, 1), 5).rows[0]) == [1, 1, 2, 2, 3, 3]
 
 
 def _quasi_homogeneous(rng, vars, weights, d, skip=0):
@@ -207,7 +221,7 @@ def test_fractional_sections_match_cleared_denominators(vs, ws, srcs, scales, de
     assert not any(any(table.rows[p]) for p in table.degrees() if p < 0)
     for w in range(cutoff + 1):
         assert slice_cohomology(K, ws, w) == {p: table.rows[p][w] for p in table.rows}
-    assert is_regular_sequence(K, ws, cutoff).first_failure is None
+    assert is_regular_sequence(K, ws, cutoff).counterexample is None
 
 
 def test_fractional_common_factor_agrees_with_the_table():
@@ -220,8 +234,9 @@ def test_fractional_common_factor_agrees_with_the_table():
     for w in range(7):
         assert slice_cohomology(K, (1, 1), w) == {p: table.rows[p][w] for p in table.rows}
     report = is_regular_sequence(K, (1, 1), 6)
-    assert not report.regular
-    assert report.first_failure == _first_failure(table) == (-1, 1)
+    assert not report.passed
+    assert report.counterexample == {"first_failure": _first_failure(table)}
+    assert _first_failure(table) == (-1, 1)
 
 
 # -- clearing: the slice ranks skip rows the previous pivots prove dependent --
@@ -524,9 +539,8 @@ def test_regular_sequence_first_failure_matches_the_slices(monkeypatch, seed):
             sliced = next(((p, w) for p in range(-K.rank, 0) if dims[p]), None)
             if sliced:
                 break
-        assert report.first_failure == sliced, str(K)
-        assert report.regular is (sliced is None) is regular, str(K)
-        assert report.cutoff == cutoff
+        assert (report.counterexample or {}).get("first_failure") == sliced, str(K)
+        assert report.passed is (sliced is None) is regular, str(K)
         calls.clear()
 
 

@@ -96,7 +96,8 @@ def test_base_change_matches_direct_koszul():
         comps = [Poly.zero(vs) if rng.random() < 0.2 else rand_poly(rng, vs, 3)
                  for _ in range(m)]
         report = base_change_compare(build_tautological_koszul(vs, m), comps)
-        assert report.equal and report.witness is None
+        assert report.passed and report.counterexample is None
+        assert report.to_json() == {"name": "base_change", "status": "pass"}
 
 
 def test_augmentation_projects_to_the_critical_quotient():

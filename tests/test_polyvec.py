@@ -191,7 +191,8 @@ def test_bv_suite_passes():
     report = check_bv(2, trials=60, seed=2)
     assert report.passed, report.counterexample
     assert report.details["non_derivation_witness"] is not None
-    assert report.details["delta_d_alpha_anticommute"] == "holds on all trials"
+    # a pass says every identity held; no detail restates it
+    assert list(report.details) == ["n", "densities", "non_derivation_witness"]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
