@@ -10,13 +10,16 @@ scales each column of the restricted Hessian to integers.
 An `Echelon` takes rows one at a time.  Each is eliminated in place
 against the pivot rows kept so far: when the pivot's leading coefficient
 divides the row's, a multiple of the pivot is subtracted; otherwise the row
-is cross-multiplied and divided by its content.  No rounding or modular
-reduction ever happens.  `add` says whether the row was independent of the
-ones before it, which lets `obstruction_theory` decide, row by row, which
-later rows it need not build at all.  `rank_rows` is a loop over one
-Echelon.  Pivots are chosen at the smallest column index, which keeps
-fill-in low for the banded, very sparse matrices the slice differentials
-produce.
+is first multiplied by |a|/gcd(a, b), a and b the two leading coefficients.
+Every step scales the row by a positive factor, so the row is divided by
+its content only once, when it becomes a pivot, and the kept pivot is the
+primitive positive integer multiple of the row a rational elimination keeps
+there.  No rounding or modular reduction ever happens.  `add` says whether
+the row was independent of the ones before it, which lets
+`obstruction_theory` decide, row by row, which later rows it need not build
+at all.  `rank_rows` is a loop over one Echelon.  Pivots are chosen at the
+smallest column index, which keeps fill-in low for the banded, very sparse
+matrices the slice differentials produce.
 
 The pivot columns, handed out through `leads`, are the leading columns of
 the row space: the columns at which some vector of the span starts.  The
@@ -49,8 +52,9 @@ def _normalize(row: dict[int, int]) -> dict[int, int]:
 class Echelon:
     """Rows in echelon form over Q, grown one row at a time.
 
-    `pivots` maps each pivot column to its kept integer row, whose entry
-    there is the row's leading one; the rank is the number of pivots.
+    `pivots` maps each pivot column to its kept integer row, of content 1,
+    whose entry there is the row's leading one; the rank is the number of
+    pivots.
     """
 
     def __init__(self):
@@ -76,6 +80,8 @@ class Echelon:
             if r:
                 g = gcd(a, b)
                 ma, mb = a // g, b // g
+                if ma < 0:
+                    ma, mb = -ma, -mb
                 for c in row:
                     row[c] *= ma
             for c, v in pivot.items():
@@ -84,8 +90,6 @@ class Echelon:
                     row[c] = v
                 else:
                     del row[c]  # absent entries cannot cancel: mb and v are nonzero
-            if r:
-                row = _normalize(row)
         return False
 
     @property

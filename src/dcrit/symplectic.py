@@ -18,18 +18,28 @@ h1.  `obstruction_theory` eliminates its columns one at a time through a
 basis's `multiples(h_ij)` (the basis is R/J), which builds NF(h_ij*t) only
 when it is asked for: once the column of t*e_j is dependent, so is that
 of m*t*e_j for every monomial m, and none of those is built or eliminated.
+
+The shifted symplectic structure is a self-duality of the tangent complex,
+and for a weighted-homogeneous f with finite Milnor number it has an exact
+algebraic form: A is a graded Gorenstein algebra, whose residue pairing
+makes the Hessian self-adjoint (Eisenbud, Commutative Algebra, ch. 21;
+Milnor and Orlik, Topology 1970).  So the Hessian's rank on weight block a
+equals its rank on the dual block, and only the blocks up to the middle
+are eliminated.  The weights are read off the section (`_grading`); a
+section without them is one self-dual block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
+from math import gcd, lcm
+from operator import mul
 
 from .groebner import INFINITE, _divides, standard_monomials
 from .exterior import Section
 from .koszul import KoszulComplex
 from .linalg import Echelon
-from .poly import Poly
+from .poly import Poly, _shift
 from .polyvec import closedness_witness
 
 
@@ -109,6 +119,48 @@ class ObstructionReport:
                 "hessian_invertible": self.hessian_invertible}
 
 
+def _grading(section: Section) -> tuple[tuple[int, ...], int] | None:
+    """Positive coprime weights w and a degree D with every component s_i of
+    the section weighted-homogeneous of weight D - w_i; None when there are
+    none, or when they are not unique up to scale.
+
+    Each term e of s_i puts the point e + e_i on the hyperplane w.p = D.  The
+    differences from the first point go into an integer echelon until their
+    rank is n - 1, w is their kernel, found by back-substitution with ints
+    alone, and every point is then checked with one integer dot product.  For
+    the gradient of an f with finite Milnor number the weights are unique
+    (Saito, Invent. Math. 1971).
+    """
+    n = len(section.ambient.vars)
+    points = [_shift(e, i, 1) for i, s in enumerate(section.components) for e in s.terms]
+    if not points:
+        return None
+    first = points[0]
+    echelon = Echelon()
+    for p in points[1:]:
+        if echelon.rank == n - 1:
+            break
+        echelon.add({k: a - b for k, (a, b) in enumerate(zip(p, first)) if a != b})
+    if echelon.rank < n - 1:
+        return None
+    w = [int(k not in echelon.pivots) for k in range(n)]  # the one free column is 1
+    for c in sorted(echelon.pivots, reverse=True):
+        row = echelon.pivots[c]
+        rest = -sum(v * w[k] for k, v in row.items() if k != c)
+        g = gcd(rest, row[c])
+        q, r = row[c] // g, rest // g
+        if q < 0:
+            q, r = -q, -r
+        w = [v * q for v in w]
+        w[c] = r
+    g = gcd(*w)
+    w = [v // g for v in w]
+    d = sum(map(mul, w, first))
+    if min(w) <= 0 or any(sum(map(mul, w, p)) != d for p in points):
+        return None
+    return tuple(w), d
+
+
 def obstruction_theory(locus: KoszulComplex) -> ObstructionReport:
     """Restrict the Hessian to the critical quotient and measure exactness.
 
@@ -131,6 +183,22 @@ def obstruction_theory(locus: KoszulComplex) -> ObstructionReport:
     never reduce a row already known to be a syzygy, here over A).  Each
     eliminated column is scaled by the lcm of its entries' denominators,
     which keeps the rank.
+
+    Half of the rest is given by local duality.  Let the Jacobian be
+    symmetric and component i of the section weighted-homogeneous of weight
+    D - w_i for positive weights w (`_grading`).  Column (t, j) lies in
+    block a = wdeg(t) - w_j, and its entries in row block a + D, so a
+    dependency never mixes blocks and H is the sum of its blocks H_a.  With
+    mu finite, A is a graded complete intersection, hence Gorenstein, with
+    socle degree sigma = sum_i (D - 2*w_i) (Eisenbud, Commutative Algebra,
+    ch. 21; Milnor and Orlik, Topology 1970), and the residue pairing
+    <u*e_i, v*e_k> = delta_ik res(u*v) is perfect and pairs block a with
+    block top - a, top = sigma - D.  H is self-adjoint for it because
+    h_ij = h_ji, so rank H_a = rank H_(top - a): only the blocks with
+    2a <= top are eliminated, and each rank below the middle counts twice.
+    The skip rule holds inside each block, since the columns its proof
+    uses lie in the block of (t*x_k, j).  Without a grading every weight is
+    0 and top = 0: one self-dual block, counted once, the same loop.
     """
     h = _tangent_differential(locus)
     n = len(h)
@@ -140,6 +208,8 @@ def obstruction_theory(locus: KoszulComplex) -> ObstructionReport:
     if monos is None:
         return ObstructionReport(h, sym, INFINITE)
     mu = len(monos)
+    ws, d = (_grading(locus.section) if sym else None) or ((0,) * n, 0)
+    top = sum(d - 2 * w for w in ws) - d
     # entry (i, j) is multiplication by h[i][j] on the quotient, t -> NF(h[i][j]*t)
     # built as it is asked for; a symmetric Hessian shares (i, j) and (j, i)
     entries = {}
@@ -152,10 +222,13 @@ def obstruction_theory(locus: KoszulComplex) -> ObstructionReport:
     by_column = [[(i * mu, entries[i, j]) for i in range(n) if (i, j) in entries]
                  for j in range(n)]
     echelon = Echelon()
+    rank = 0
     dead: list[list] = [[] for _ in range(n)]  # per j, the minimal dependent t
     for mono in monos:
+        deg = sum(map(mul, ws, mono))
         for j in range(n):
-            if any(_divides(d, mono) for d in dead[j]):
+            twice = 2 * (deg - ws[j])  # twice the block of (mono, j)
+            if twice > top or any(_divides(t, mono) for t in dead[j]):
                 continue
             parts = [(offset, entry(mono)) for offset, entry in by_column[j]]
             scale = lcm(*(den for _, (_, den) in parts))
@@ -164,9 +237,11 @@ def obstruction_theory(locus: KoszulComplex) -> ObstructionReport:
                 k = scale // den
                 for r, c in nums.items():
                     column[offset + r] = c * k
-            if not echelon.add(column):
+            if echelon.add(column):
+                rank += 1 if twice == top else 2
+            else:
                 dead[j].append(mono)
-    return ObstructionReport(h, sym, mu, n * mu - echelon.rank)
+    return ObstructionReport(h, sym, mu, n * mu - rank)
 
 
 class NotClosedError(ValueError):

@@ -1,6 +1,7 @@
 """Exact sparse rank, checked against a plain Fraction Gaussian elimination."""
 
 from fractions import Fraction
+from math import gcd
 from random import Random
 
 import pytest
@@ -31,6 +32,25 @@ def reference_pivots(rows) -> list[int]:
 
 def reference_rank(rows) -> int:
     return len(reference_pivots(rows))
+
+
+def reference_kept(rows) -> dict[int, dict[int, Fraction]]:
+    """Per lead column, the Fraction row an Echelon keeps there: each row minus
+    (its lead / the pivot's lead) times the pivot at that lead, until no pivot
+    has its lead.  A pivot's scale does not change the result."""
+    kept: dict[int, dict[int, Fraction]] = {}
+    for raw in rows:
+        row = {c: Fraction(v) for c, v in raw.items() if v}
+        while row and min(row) in kept:
+            pivot = kept[min(row)]
+            k = row[min(row)] / pivot[min(row)]
+            for c, v in pivot.items():
+                row[c] = row.get(c, 0) - k * v
+                if not row[c]:
+                    del row[c]
+        if row:
+            kept[min(row)] = row
+    return kept
 
 
 def entry(rng: Random, kind: str):
@@ -103,6 +123,13 @@ def test_echelon_says_which_rows_are_independent(kind, seed):
     assert added == [b > a for a, b in zip(ranks, ranks[1:])]
     assert echelon.rank == ranks[-1] == rank_rows(rows)
     assert sorted(echelon.pivots) == reference_pivots(rows)
+    # every step scales the row by a positive factor, so the kept pivot is the
+    # primitive positive integer multiple of the rational row, however it got there
+    for lead, want in reference_kept(rows).items():
+        got = echelon.pivots[lead]
+        assert all(type(v) is int for v in got.values()) and gcd(*got.values()) == 1
+        k = got[lead] / want[lead]
+        assert k > 0 and got == {c: k * v for c, v in want.items()}
 
 
 def test_leads_of_degenerate_and_echelon_matrices():

@@ -2,8 +2,10 @@
 
 import json
 import random
+from collections import defaultdict
 from fractions import Fraction
-from operator import le
+from math import lcm
+from operator import le, mul
 
 import pytest
 
@@ -159,21 +161,30 @@ def test_mismatched_variables_are_rejected():
 
 # -- the obstruction report against per-entry reduction ----------------------
 
-def reference_rows(f, gb):
+def locus_of(src, vars=VS):
+    """The complex of a section given as comma-separated components, or the
+    critical locus of a potential given as one polynomial."""
+    if "," in src:
+        return build_koszul(vars, [P(c, vars) for c in src.split(",")])
+    return crit_locus(P(src, vars))
+
+
+def reference_rows(locus, gb):
     """The block rows obstruction_theory built before the quotient's matrices:
     h[i][j]*m reduced by division for every entry and every standard monomial."""
-    h = crit_locus(f).jacobian
+    h = locus.jacobian
+    vars = locus.ambient.vars
     monos = standard_monomials(gb)
     if monos is None:
         return None
-    mu, n = len(monos), len(f.vars)
+    mu, n = len(monos), len(vars)
     index = {m: k for k, m in enumerate(monos)}
     rows = [dict() for _ in range(n * mu)]
     for j in range(n):
         for col_m, mono in enumerate(monos):
             col = j * mu + col_m
             for i in range(n):
-                reduced = normal_form(h[i][j] * Poly.monomial(f.vars, mono), gb)
+                reduced = normal_form(h[i][j] * Poly.monomial(vars, mono), gb)
                 for exps, c in reduced.terms.items():
                     row = rows[i * mu + index[exps]]
                     row[col] = row.get(col, 0) + c
@@ -202,31 +213,59 @@ def positive_multiple(got, want):
     return k > 0 and k.denominator == 1 and got == {r: k * v for r, v in want.items()}
 
 
-def skipped_outside_span(eliminated, columns):
-    """The (t, j) of each skipped column that is not in the span of the columns before it.
+def skipped_outside_span(eliminated, columns, blocks=None, top=0):
+    """The (t, j) of each skipped column that is not in the span of the columns
+    of its block before it, and whose block is not above the middle.
 
-    The eliminated rows are matched, in order, to reference columns, each
-    row a positive integer multiple of its column; the columns no row is
-    matched to are the skipped ones.  A row that matches no later column
-    fails outright.  If the list is empty, the eliminated rows span what
-    all the columns span.
+    `blocks` maps (t, j) to its block a, every block 0 when it is None, and
+    a block lies above the middle when 2a > top.  The eliminated rows are
+    matched, in order, to reference columns, each row a positive integer
+    multiple of its column; the columns no row is matched to are the skipped
+    ones.  A row that matches no later column, or a column above the middle,
+    fails outright.  If the list is empty, the eliminated rows span what all
+    the columns at or below the middle span.
     """
+    block = (lambda key: 0) if blocks is None else blocks.__getitem__
     matched, p = set(), 0
     for row in eliminated:
         while p < len(columns) and not positive_multiple(row, columns[p][1]):
             p += 1
         assert p < len(columns), f"the eliminated row {row} is no reference column"
+        assert 2 * block(columns[p][0]) <= top, f"{columns[p][0]} lies above the middle"
         matched.add(p)
         p += 1
-    echelon = Echelon()
+    echelons = defaultdict(Echelon)
     return [key for p, (key, col) in enumerate(columns)
-            if echelon.add(col) and p not in matched]
+            if echelons[block(key)].add(col) and p not in matched and 2 * block(key) <= top]
 
 
-def assert_obstruction_matches_reference(f, monkeypatch):
+def column_blocks(locus, monos):
+    """({(t, j): block a}, top) for the columns of the restricted Jacobian, t
+    indexing monos, with top = sigma - D; None when the Jacobian is not
+    symmetric or the section has no weights.
+
+    sigma is read off the quotient, as the largest weight of a standard
+    monomial: the degree of the socle of the graded Gorenstein algebra R/J.
+    """
+    weights = dcrit.symplectic._grading(locus.section)
+    if not is_symmetric(locus.jacobian) or weights is None or not monos:
+        return None
+    ws, d = weights
+    for i, s in enumerate(locus.section.components):
+        assert s.weighted_degree(ws) == d - ws[i]
+    wdeg = [sum(map(mul, ws, m)) for m in monos]
+    blocks = {(t, j): wdeg[t] - ws[j] for t in range(len(monos)) for j in range(len(ws))}
+    return blocks, max(wdeg) - d
+
+
+def assert_obstruction_matches_reference(locus, monkeypatch):
     """obstruction_theory's report against n*mu - rank of the reference rows;
-    returns the report and the number of columns it eliminated."""
-    gb = buchberger(list(gradient(f)) or [Poly.zero(f.vars)])  # the reference's own basis
+    returns the report and the number of columns it eliminated.  `locus` is a
+    complex, or a potential whose critical locus is taken."""
+    if isinstance(locus, Poly):
+        locus = crit_locus(locus)
+    vars = locus.ambient.vars
+    gb = buchberger(list(locus.section.components) or [Poly.zero(vars)])  # the reference's own basis
     made = []
 
     class Recording(Echelon):
@@ -240,19 +279,23 @@ def assert_obstruction_matches_reference(f, monkeypatch):
             return super().add(row)
 
     monkeypatch.setattr(dcrit.symplectic, "Echelon", Recording)
-    report = obstruction_theory(crit_locus(f))
-    expected = reference_rows(f, gb)
-    assert report.hessian == crit_locus(f).jacobian
+    report = obstruction_theory(locus)
+    expected = reference_rows(locus, gb)
+    assert report.hessian == locus.jacobian
     if expected is None:
         assert made == []
         assert (report.quotient_dim, report.h0, report.h1, report.hessian_invertible) == (
             INFINITE, None, None, None)
         return report, 0
-    mu, n = len(standard_monomials(gb)), len(f.vars)
-    assert len(made) == 1 and len(expected) == n * mu
-    eliminated = made[0].rows
+    monos, n = standard_monomials(gb), len(vars)
+    mu = len(monos)
+    # a symmetric Jacobian's grading is looked for with one echelon of its own,
+    # made first; every column goes into one more
+    assert len(made) == 1 + (report.symmetric and n > 0) and len(expected) == n * mu
+    eliminated = made[-1].rows
     assert all(type(v) is int for row in eliminated for v in row.values())
-    assert skipped_outside_span(eliminated, reference_columns(expected, n, mu)) == []
+    blocks, top = column_blocks(locus, monos) or (None, 0)
+    assert skipped_outside_span(eliminated, reference_columns(expected, n, mu), blocks, top) == []
     rank = rank_rows(expected)
     assert (report.quotient_dim, report.h0, report.h1, report.hessian_invertible) == (
         mu, n * mu - rank, n * mu - rank, rank == n * mu)
@@ -273,15 +316,24 @@ def test_obstruction_matches_per_entry_reduction_on_seeded_potentials(seed, monk
         assert_obstruction_matches_reference(f, monkeypatch)
 
 
-@pytest.mark.parametrize("src, vars", [
+XYZ = ("x", "y", "z")
+NON_DIAGONAL = [
     ("x^2*y + y^4", VS),                       # D5, weights (3, 2)
     ("x^3 + x*y^3", VS),                       # E7, weights (3, 2)
-    ("x^2*y + y^3 + z^2", ("x", "y", "z")),    # D4
+    ("x^2*y + y^3 + z^2", XYZ),                # D4
+    ("x^3*y + y^3*z + z^3*x", XYZ),            # Klein's quartic: mu = 27, h0 = 44
+    ("x^4 + y^4 + z^4 + x^2*y*z", XYZ),        # homogeneous, not a sum of powers
+]
+
+
+@pytest.mark.parametrize("src, vars", NON_DIAGONAL[:3] + [
     ("x^4 + x^2*y^2 + y^5 + x*y", VS),         # not quasi-homogeneous
     ("x^3 - 3*x + y^2", VS),                   # two critical points
+] + NON_DIAGONAL[3:] + [
+    ("y^2, x^3", VS),                          # weights (1, 2), not symmetric: mu = 6, h0 = 7
 ])
 def test_obstruction_matches_per_entry_reduction_on_fixed_potentials(src, vars, monkeypatch):
-    assert_obstruction_matches_reference(P(src, vars), monkeypatch)
+    assert_obstruction_matches_reference(locus_of(src, vars), monkeypatch)
 
 
 def test_obstruction_edge_cases_match_per_entry_reduction(monkeypatch, capsys):
@@ -296,40 +348,60 @@ def test_obstruction_edge_cases_match_per_entry_reduction(monkeypatch, capsys):
     assert doc["obstruction"] == report.to_json()
 
 
-@pytest.mark.parametrize("src, eliminated", [("x^3 + y^4 + z^5", 29), ("x^2 + y^5 + z^3", 16)])
+@pytest.mark.parametrize("src, eliminated", [("x^3 + y^4 + z^5", 16), ("x^2 + y^5 + z^3", 7)])
 def test_each_power_above_two_costs_one_dependent_column(src, eliminated, monkeypatch):
     # on A = (x) Q[x_i]/(x_i^(a_i - 1)) column (t, i) is a_i(a_i - 1) x_i^(a_i - 2) t e_i:
     # it vanishes exactly when x_i divides t and a_i >= 3, so the first dependent
-    # column of variable i is (x_i, i), and every later multiple of x_i is skipped
-    f = P(src, ("x", "y", "z"))
+    # column of variable i is (x_i, i), and every later multiple of x_i is skipped.
+    # Only blocks at or below the middle are eliminated: those of the nonzero
+    # columns, and (x_i, i) in block 0 when 0 <= top.  For x^2 + y^5 + z^3,
+    # top = 28 - 30 = -2, so no dependent column is eliminated at all
+    f = P(src, XYZ)
     report, count = assert_obstruction_matches_reference(f, monkeypatch)
-    rank = 3 * report.quotient_dim - report.h0
-    assert count == rank + sum(1 for e in f.terms if max(e) >= 3) == eliminated
+    exps = [max(e) for e in sorted(f.terms, reverse=True)]  # a_i, in variable order
+    locus = crit_locus(f)
+    monos = standard_monomials(locus.ideal)
+    blocks, top = column_blocks(locus, monos)
+    nonzero = sum(1 for (t, i), a in blocks.items()
+                  if 2 * a <= top and (exps[i] == 2 or monos[t][i] == 0))
+    first_zero = sum(1 for a in exps if a >= 3) if top >= 0 else 0
+    assert count == nonzero + first_zero == eliminated
 
 
 def test_each_eliminated_column_costs_at_most_one_product(monkeypatch):
     # columns are taken t ascending, so the value of t*x_k's entry comes from that
     # of t, kept by the walk: once the M_k are built, a column costs at most one
-    # matrix-vector product.  On x^300 + y^300, mu = 299^2 = 89,401 and
-    # h0 = mu * sum_i (a_i - 2)/(a_i - 1) = 178,204
+    # matrix-vector product.  A column skipped above the middle never sits
+    # below an eliminated one: (t*x_k, j) lies in a block at least that of (t, j).
+    # On x^300 + y^300, mu = 299^2 = 89,401 and h0 = mu * sum_i (a_i - 2)/(a_i - 1)
+    # = 178,204; with weights (1, 1), D = 300 and top = 596 - 300, column (t, j)
+    # is eliminated when deg t <= 149 and x_j does not divide t, or t = x_j:
+    # 2 * 150 + 2 columns of 2 * mu
     locus = crit_locus(P("x^300 + y^300"))
     locus.ideal.matrices
-    counts = {"apply": 0, "add": 0}
-    real_apply, real_add = dcrit.groebner._apply, Echelon.add
+    applied, made = [], []
+    real_apply = dcrit.groebner._apply
 
     def apply(columns, v):
-        counts["apply"] += 1
+        applied.append(1)
         return real_apply(columns, v)
 
-    def add(self, row):
-        counts["add"] += 1
-        return real_add(self, row)
+    class Counting(Echelon):
+        def __init__(self):
+            super().__init__()
+            self.adds = 0
+            made.append(self)
+
+        def add(self, row):
+            self.adds += 1
+            return super().add(row)
 
     monkeypatch.setattr(dcrit.groebner, "_apply", apply)
-    monkeypatch.setattr(Echelon, "add", add)
+    monkeypatch.setattr(dcrit.symplectic, "Echelon", Counting)
     report = obstruction_theory(locus)
     assert (report.quotient_dim, report.h0) == (89401, 178204)
-    assert 0 < counts["apply"] <= counts["add"]
+    # the last echelon takes the columns; the one before it, the grading
+    assert 0 < len(applied) <= made[-1].adds == 302
 
 
 # -- the obstruction numbers against closed forms -----------------------------
@@ -414,7 +486,7 @@ def shared_list_eliminations(columns, monos):
 def shared_list_report(f):
     """(h0 under the wrong skip rule, the true h0, whether the span check fails it)."""
     gb = buchberger(list(gradient(f)))
-    rows, monos = reference_rows(f, gb), standard_monomials(gb)
+    rows, monos = reference_rows(crit_locus(f), gb), standard_monomials(gb)
     columns = reference_columns(rows, len(f.vars), len(monos))
     eliminated = shared_list_eliminations(columns, monos)
     return (len(columns) - rank_rows(eliminated), len(columns) - rank_rows(rows),
@@ -463,11 +535,15 @@ def duality_data(f):
     return gb.vector(det), times_x, socle_dimension(gb)
 
 
+def duality_potentials(seed):
+    rng = random.Random(seed)
+    return [potentials.brieskorn_pham(rng, rng.choice([1, 2, 3])),
+            potentials.power_sum(rng, rng.choice([2, 3]), rng.choice([3, 4]))]
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_hessian_determinant_spans_the_socle(seed):
-    rng = random.Random(seed)
-    for f in (potentials.brieskorn_pham(rng, rng.choice([1, 2, 3])),
-              potentials.power_sum(rng, rng.choice([2, 3]), rng.choice([3, 4]))):
+    for f in duality_potentials(seed):
         det, times_x, socle = duality_data(f)
         assert det != ({}, 1)                     # nonzero in R/J
         assert times_x == [({}, 1)] * len(f.vars)  # x_k * det Hess lies in J
@@ -480,3 +556,64 @@ def test_socle_oracle_fails_away_from_the_origin():
     det, times_x, socle = duality_data(P("x^3 - 3*x", ("x",)))
     assert det != ({}, 1) and times_x != [({}, 1)]
     assert socle == 0
+
+
+# -- local duality: the Hessian's rank on block a equals that on top - a ------
+
+@pytest.mark.parametrize("seed", range(6))
+def test_the_grading_of_seeded_potentials(seed):
+    # Brieskorn-Pham takes lcm/a_i and degree lcm, a sum of d-th powers of linear
+    # forms all ones and degree d; a lower-degree term leaves no grading
+    rng = random.Random(seed)
+    pham = potentials.brieskorn_pham(rng, rng.choice([1, 2, 3]))
+    exps = [max(e) for e in sorted(pham.terms, reverse=True)]
+    degree = lcm(*exps)
+    assert dcrit.symplectic._grading(crit_locus(pham).section) == (
+        tuple(degree // a for a in exps), degree)
+    n, d = rng.choice([1, 2, 3]), rng.choice([3, 4])
+    powers = potentials.power_sum(rng, n, d)
+    assert dcrit.symplectic._grading(crit_locus(powers).section) == ((1,) * n, d)
+    lower = potentials.power_sum(rng, rng.choice([2, 3]), d, lower=True)
+    assert dcrit.symplectic._grading(crit_locus(lower).section) is None
+
+
+@pytest.mark.parametrize("src, vars, grading", [
+    ("x^2*y + y^4", VS, ((3, 2), 8)),
+    ("x^3 + x*y^3", VS, ((3, 2), 9)),
+    ("x^3*y + y^3*z + z^3*x", XYZ, ((1, 1, 1), 4)),
+    ("y^2, x^3", VS, ((1, 2), 5)),
+    ("3", (), None),                  # no variables
+    ("x^3 - 3*x", ("x",), None),      # one variable, inhomogeneous
+    ("x*y", VS, None),                # every w with w_x + w_y = D: not unique
+    ("x*y^2, y", VS, None),           # the only normal has w_x = 0
+    ("x^2, x^4", VS, None),           # the only normal is (1, -1)
+])
+def test_the_grading_of_fixed_sections(src, vars, grading):
+    assert dcrit.symplectic._grading(locus_of(src, vars).section) == grading
+
+
+def block_ranks(f):
+    """(rank of the restricted Hessian on each block, top), every block eliminated."""
+    locus = crit_locus(f)
+    gb = locus.ideal
+    monos = standard_monomials(gb)
+    n = len(f.vars)
+    (ws, d), (blocks, top) = dcrit.symplectic._grading(locus.section), column_blocks(locus, monos)
+    # sigma of the graded Gorenstein algebra R/J, read off the quotient above, is sum_i (D - 2 w_i)
+    assert top == sum(d - 2 * w for w in ws) - d
+    by_block = defaultdict(list)
+    for key, col in reference_columns(reference_rows(locus, gb), n, len(monos)):
+        # every entry of a column in block a lies in row block a + D
+        assert {sum(map(mul, ws, monos[r % len(monos)])) + ws[r // len(monos)] for r in col} <= {
+            blocks[key] + d}
+        by_block[blocks[key]].append(col)
+    return {a: rank_rows(cols) for a, cols in by_block.items()}, top
+
+
+@pytest.mark.parametrize("f", [f for seed in range(6) for f in duality_potentials(seed)]
+                         + [P(src, vars) for src, vars in NON_DIAGONAL], ids=str)
+def test_each_block_rank_equals_its_duals(f):
+    ranks, top = block_ranks(f)
+    assert all(ranks.get(top - a, 0) == r for a, r in ranks.items())
+    report = obstruction_theory(crit_locus(f))
+    assert report.h0 == len(f.vars) * report.quotient_dim - sum(ranks.values())
