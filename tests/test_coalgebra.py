@@ -230,6 +230,9 @@ def test_identity_suite_all_ranks():
     for m in (0, 1, 2, 3, 4):
         report = check_coalgebra(m, trials=25 if m < 4 else 8, seed=3)
         assert report.passed, (m, report.counterexample)
+    # the axioms are decided on 1 and the generators, so with no trial at all
+    report = check_coalgebra(64, trials=0)
+    assert report.passed and report.trials == 0
 
 
 # -- the suite catches a broken sign rule or a broken comultiplication --
@@ -257,3 +260,8 @@ def test_a_broken_second_copy_fails_coassociativity(monkeypatch, second):
         report = check_coalgebra(m, trials=20, seed=0)
         assert report.status == "fail"
         assert report.counterexample["identity"] == "coassociativity", m
+    # the axioms are decided on 1 and the generators, before and without any trial
+    for m in (8, 32):
+        report = check_coalgebra(m, trials=0, seed=0)
+        assert report.status == "fail" and report.trials == 0, m
+        assert report.counterexample == {"identity": "coassociativity", "a": "e1"}, m

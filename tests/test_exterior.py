@@ -156,19 +156,26 @@ def test_two_maps_composed_are_the_map_of_the_composed_images():
     composed = [tuple((u, s * r) for t, s in image for u, r in g[t]) for image in f]
     rng = Random(13)
     for _ in range(20):
-        a = rand_mixed(rng, AMB, 2)
+        a, b = rand_mixed(rng, AMB, 2), rand_mixed(rng, AMB, 2)
         once = algebra_map(a, AMB, composed)
         assert algebra_map(algebra_map(a, four, f), AMB, g) == once
         assert algebra_map(a * a, AMB, composed) == once * once
+        # multiplicative on independent inputs, so fixed by 1 and the generators
+        for target, table in ((four, f), (AMB, composed)):
+            assert algebra_map(a * b, target, table) == (
+                algebra_map(a, target, table) * algebra_map(b, target, table))
 
 
 def test_a_generator_sent_to_nothing_removes_every_term_that_holds_it():
     rng = Random(14)
     images = [((0, 1),), (), ((2, 1),)]
+    signed = [((2, -1),), (), ((2, 1), (0, 1))]
     for _ in range(20):
-        a = rand_mixed(rng, AMB, 2)
+        a, b = rand_mixed(rng, AMB, 2), rand_mixed(rng, AMB, 2)
         kept = ExtElt(AMB, {k: c for k, c in a.terms.items() if 1 not in k[1]})
         assert algebra_map(a, AMB, images) == kept
+        for table in (images, signed):
+            assert algebra_map(a * b, AMB, table) == algebra_map(a, AMB, table) * algebra_map(b, AMB, table)
 
 
 def test_algebra_map_signs_follow_the_wedge():
