@@ -28,7 +28,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .checks import CheckReport
-from .exterior import Ambient, ExtElt, Section, _contract, contract
+from .exterior import Ambient, Section, _contract
 from .groebner import GroebnerBasis, buchberger
 from .poly import Poly
 
@@ -59,24 +59,19 @@ class KoszulComplex:
             return []
         return list(combinations(range(self.rank), -p))
 
-    def differential(self, a: ExtElt) -> ExtElt:
-        return contract(self.section, a)
-
     def differential_matrix(self, p: int) -> list[list[Poly]]:
-        """Matrix of d: degree p to degree p+1; rows target basis, columns source."""
+        """Matrix of d from degree p to p+1 (rows target, columns source), read off `_contract`."""
         if p not in self.degrees:
             raise ValueError(f"no differential out of degree {p}")
         source = self.basis(p)
-        target = self.basis(p + 1)
-        index = {s: i for i, s in enumerate(target)}
-        zero = Poly.zero(self.ambient.vars)
-        matrix = [[zero for _ in source] for _ in target]
-        nvars = len(self.ambient.vars)
+        index = {s: i for i, s in enumerate(self.basis(p + 1))}
+        vs = self.ambient.vars
+        components = [c.terms for c in self.section.components]
+        entries = [[{} for _ in source] for _ in index]
         for j, subset in enumerate(source):
-            image = self.differential(ExtElt.monomial(self.ambient, (0,) * nvars, subset))
-            for t in image.subsets():
-                matrix[index[t]][j] = image.coefficient_poly(t)
-        return matrix
+            for (exps, t), c in _contract(components, {((0,) * len(vs), subset): 1}).items():
+                entries[index[t]][j][exps] = c
+        return [[Poly._make(vs, terms) for terms in row] for row in entries]
 
     @cached_property
     def ideal(self) -> GroebnerBasis:

@@ -3,9 +3,10 @@
 Rows are dicts from column index to coefficient.  A row of Python ints is
 taken as it is; any other row is cleared to integers first by `poly._integral`,
 the package's one rule for clearing denominators, and divided by its content.
-Both callers in the package hand in int rows: the slice differentials of
-`cohomology.hilbert_table`, and `symplectic.obstruction_theory`, which
-scales each column of the restricted Hessian to integers.
+All three callers in the package hand in int rows: the slice differentials
+of `cohomology.hilbert_table`, the exponent differences of `symplectic._grading`,
+and `symplectic.obstruction_theory`, which scales each column of the
+restricted Hessian to integers.
 
 An `Echelon` takes rows one at a time.  Each is eliminated in place
 against the pivot rows kept so far: when the pivot's leading coefficient

@@ -8,9 +8,10 @@ One grammar drives all four readers:
     primary := rational | name | '(' expr ')'
     rational:= nat ('/' nat)?
 
-Names resolve to ring variables, and (depending on the reader) to basis
-generators: '@x' for the vector field dual to x, 'd_x' for its differential.
-Errors carry the character position of the offending token.  Parentheses
+Numbers and ring variables are read as `Poly`; only the basis generators,
+'@x' for the vector field dual to x and 'd_x' for its differential, are
+`ExtElt`, which lifts a polynomial where the two meet.  Errors carry the
+character position of the offending token in the whole input.  Parentheses
 nest at most MAX_NESTING deep, so that deep input is refused as a syntax
 error instead of exhausting the interpreter's stack.
 """
@@ -29,7 +30,7 @@ _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+)
   | (?P<number>\d+)
-  | (?P<gen>@[A-Za-z_][A-Za-z_0-9]*)
+  | (?P<generator>@[A-Za-z_][A-Za-z_0-9]*)
   | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
   | (?P<wedge>/\\)
   | (?P<op>[-+*/^()])
@@ -47,6 +48,7 @@ class ParseError(ValueError):
 
     def __init__(self, message: str, pos: int, src: str):
         super().__init__(f"{message} at position {pos}: {src!r}")
+        self.message = message
         self.pos = pos
         self.src = src
 
@@ -67,10 +69,10 @@ def _tokenize(src: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
-    """Recursive-descent reader producing ExtElt values over an ambient.
+    """Recursive-descent reader over an ambient: a Poly in its variables, or
+    an ExtElt once a generator enters.
 
-    Plain polynomials are parsed over the degree-zero part; generator
-    tokens are only legal when `gens` maps them to basis indices.
+    Generator tokens are only legal when `gens` maps them to basis indices.
     """
 
     def __init__(self, src: str, ambient: Ambient, gens: dict[str, int]):
@@ -80,7 +82,7 @@ class _Parser:
         self.tokens = _tokenize(src)
         self.i = 0
         self.depth = 0
-        self.summands: list[tuple[int, ExtElt]] = []  # (position, value) of each top-level term
+        self.summands: list[tuple[int, Poly | ExtElt]] = []  # (position, value) of each top-level term
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.i]
@@ -96,14 +98,14 @@ class _Parser:
             raise ParseError(f"expected {kind}, found {tok[1] or 'end of input'!r}", tok[2], self.src)
         return tok
 
-    def parse(self) -> ExtElt:
+    def parse(self) -> Poly | ExtElt:
         value = self.expr()
         tok = self.peek()
         if tok[0] != "end":
             raise ParseError(f"unexpected {tok[1]!r}", tok[2], self.src)
         return value
 
-    def expr(self) -> ExtElt:
+    def expr(self) -> Poly | ExtElt:
         negate = False
         if self.peek()[:2] == ("op", "-"):
             self.advance()
@@ -117,7 +119,7 @@ class _Parser:
             value = value + rhs if op == "+" else value - rhs
         return value
 
-    def summand(self) -> ExtElt:
+    def summand(self) -> Poly | ExtElt:
         """One term of an expr; outside all parentheses it is kept with its position."""
         pos = self.peek()[2]
         value = self.term()
@@ -125,14 +127,14 @@ class _Parser:
             self.summands.append((pos, value))
         return value
 
-    def term(self) -> ExtElt:
+    def term(self) -> Poly | ExtElt:
         value = self.factor()
         while self.peek()[0] == "wedge" or self.peek()[:2] == ("op", "*"):
             self.advance()
             value = value * self.factor()
         return value
 
-    def factor(self) -> ExtElt:
+    def factor(self) -> Poly | ExtElt:
         value = self.primary()
         while self.peek()[:2] == ("op", "^"):
             self.advance()
@@ -140,28 +142,23 @@ class _Parser:
             value = value ** int(tok[1])
         return value
 
-    def primary(self) -> ExtElt:
+    def primary(self) -> Poly | ExtElt:
         kind, text, pos = self.advance()
         if kind == "number":
-            num = int(text)
+            c = int(text)
             if self.peek()[:2] == ("op", "/"):
                 self.advance()
                 dtok = self.expect("number")
-                den = int(dtok[1])
-                if den == 0:
+                if int(dtok[1]) == 0:
                     raise ParseError("zero denominator", dtok[2], self.src)
-                return ExtElt.from_poly(self.ambient, Poly.constant(self.ambient.vars, Fraction(num, den)))
-            return ExtElt.from_poly(self.ambient, Poly.constant(self.ambient.vars, num))
-        if kind == "gen":
-            if text not in self.gens:
-                raise ParseError(f"unknown generator {text!r}", pos, self.src)
-            return ExtElt.generator(self.ambient, self.gens[text])
-        if kind == "name":
+                c = Fraction(c, int(dtok[1]))
+            return Poly.constant(self.ambient.vars, c)
+        if kind in ("generator", "name"):
             if text in self.gens:
                 return ExtElt.generator(self.ambient, self.gens[text])
-            if text in self.ambient.vars:
-                return ExtElt.from_poly(self.ambient, Poly.variable(self.ambient.vars, text))
-            raise ParseError(f"unknown name {text!r}", pos, self.src)
+            if kind == "name" and text in self.ambient.vars:
+                return Poly.variable(self.ambient.vars, text)
+            raise ParseError(f"unknown {kind} {text!r}", pos, self.src)
         if (kind, text) == ("op", "("):
             if self.depth == MAX_NESTING:
                 raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", pos, self.src)
@@ -177,15 +174,19 @@ class _Parser:
 
 def parse_poly(src: str, vars: Sequence[str]) -> Poly:
     """Parse a polynomial over the given variables."""
-    ambient = Ambient(tuple(vars), ())
-    elt = _Parser(src, ambient, {}).parse()
-    return elt.scalar_part()
+    return _Parser(src, Ambient(tuple(vars), ()), {}).parse()
 
 
 def parse_section(src: str, vars: Sequence[str]) -> tuple[Poly, ...]:
-    """Parse a comma-separated list of polynomials."""
-    parts = src.split(",")
-    return tuple(parse_poly(part, vars) for part in parts)
+    """Parse a comma-separated list of polynomials; errors point into the whole input."""
+    polys, start = [], 0
+    for part in src.split(","):
+        try:
+            polys.append(parse_poly(part, vars))
+        except ParseError as e:
+            raise ParseError(e.message, start + e.pos, src) from None
+        start += len(part) + 1
+    return tuple(polys)
 
 
 def _is_one_form(elt: ExtElt) -> bool:
@@ -207,11 +208,12 @@ def parse_one_form(src: str, vars: Sequence[str]) -> Section:
             raise ValueError(f"variable {name!r} has the name of a 1-form generator")
     gens = {g: j for j, g in enumerate(ambient.gens)}
     parser = _Parser(src, ambient, gens)
-    elt = parser.parse()
+    zero = ExtElt.zero(ambient)  # lifts a generator-free value, such as "0"
+    elt = zero + parser.parse()
     if not _is_one_form(elt):
         # terms that cancel in the sum are fine, so the sum is checked first;
         # the error points at the first summand that has a bad term
-        pos = next(pos for pos, value in parser.summands if not _is_one_form(value))
+        pos = next(pos for pos, value in parser.summands if not _is_one_form(zero + value))
         raise ParseError("expected a 1-form (every term needs exactly one d_ factor)", pos, src)
     return Section(polyvector_ambient(vs),
                    tuple(elt.coefficient_poly((i,)) for i in range(len(vs))))
@@ -222,4 +224,4 @@ def parse_polyvector(src: str, vars: Sequence[str]) -> ExtElt:
     vs = tuple(vars)
     ambient = polyvector_ambient(vs)
     gens = {g: j for j, g in enumerate(ambient.gens)}
-    return _Parser(src, ambient, gens).parse()
+    return ExtElt.zero(ambient) + _Parser(src, ambient, gens).parse()

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from math import gcd, lcm
 from operator import mul
 
-from .groebner import INFINITE, _divides, standard_monomials
+from .groebner import INFINITE, _divides
 from .exterior import Section
 from .koszul import KoszulComplex
 from .linalg import Echelon
@@ -204,7 +204,7 @@ def obstruction_theory(locus: KoszulComplex) -> ObstructionReport:
     n = len(h)
     sym = is_symmetric(h)
     gb = locus.ideal
-    monos = standard_monomials(gb)
+    monos = gb.monomials
     if monos is None:
         return ObstructionReport(h, sym, INFINITE)
     mu = len(monos)

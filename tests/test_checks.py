@@ -22,7 +22,7 @@ from test_cohomology import _sign_broken_contract
 
 
 def parse_elt(src, ambient):
-    return _Parser(src, ambient, {g: j for j, g in enumerate(ambient.gens)}).parse()
+    return ExtElt.zero(ambient) + _Parser(src, ambient, {g: j for j, g in enumerate(ambient.gens)}).parse()
 
 
 def one_term_deleted(elts):

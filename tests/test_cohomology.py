@@ -14,7 +14,7 @@ import dcrit.koszul as koszul
 from dcrit.cohomology import (InhomogeneousSectionError, generator_degrees,
                               hilbert_table, is_regular_sequence,
                               resolution_certificate, slice_cohomology)
-from dcrit.exterior import ExtElt
+from dcrit.exterior import ExtElt, contract
 from dcrit.koszul import build_koszul, build_tautological_koszul
 from dcrit.linalg import rank_rows
 from dcrit.parsing import parse_poly
@@ -251,7 +251,7 @@ def _reference_dims(K, ws, w):
     for p in range(-m, 0):
         index = {key: i for i, key in enumerate(bases[p + 1])}
         ranks[p] = rank_rows([{index[k]: c for k, c in
-                               K.differential(ExtElt.monomial(K.ambient, *key)).terms.items()}
+                               contract(K.section, ExtElt.monomial(K.ambient, *key)).terms.items()}
                               for key in bases[p]])
     dims = {p: len(b) - ranks.get(p, 0) - ranks.get(p - 1, 0) for p, b in bases.items()}
     assert min(dims.values()) >= 0, dims  # the uncleared ranks obey d∘d = 0 too

@@ -6,7 +6,7 @@ from random import Random
 
 import pytest
 
-from dcrit.checks import rand_mixed, rand_section
+from dcrit.checks import rand_mixed, rand_poly, rand_section
 from dcrit.exterior import Ambient, ExtElt, Section, algebra_map, contract, merge_sign, wedge
 from dcrit.parsing import parse_poly
 from dcrit.poly import Poly
@@ -137,6 +137,20 @@ def test_wedge_helper_matches_mul():
     a = rand_mixed(rng, AMB, 2)
     b = rand_mixed(rng, AMB, 2)
     assert wedge(a, b) == a * b
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_a_poly_operand_is_lifted_to_wedge_degree_zero(seed):
+    # the parser meets a generator this way: Poly on either side of + - *
+    rng = Random(seed)
+    p = rand_poly(rng, VS, 2, 4) * Fraction(3, 2)  # Fractions, some of them integral
+    e = rand_mixed(rng, AMB, 2)
+    lift = ExtElt.from_poly(AMB, p)
+    for got, want in [(p + e, lift + e), (p - e, lift - e), (e - p, e - lift),
+                      (p * e, lift * e), (e * p, e * lift)]:
+        assert isinstance(got, ExtElt)
+        assert got == want
+        assert {k: type(c) for k, c in got.terms.items()} == {k: type(c) for k, c in want.terms.items()}
 
 
 # -- algebra maps: an R-algebra map is given by the images of the generators --

@@ -1,5 +1,6 @@
 """Koszul complexes: matrices, d^2, base change, and the ideal R/I."""
 
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -8,7 +9,7 @@ from dcrit.checks import rand_poly, var_names
 import dcrit.koszul as koszul
 from dcrit.cli import main
 from dcrit.cohomology import hilbert_table
-from dcrit.exterior import ExtElt, contract, wedge
+from dcrit.exterior import Ambient, ExtElt, Section, contract, wedge
 from dcrit.groebner import INFINITE, normal_form
 from dcrit.koszul import (KoszulComplex, base_change_compare,
                           build_koszul, build_tautological_koszul,
@@ -115,6 +116,26 @@ def test_a_complex_with_no_components_augments_onto_the_ring():
     x = parse_poly("x", ("x",))
     assert normal_form(x, K.ideal) == x
     assert K.ideal.dimension == INFINITE == "infinite"
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_differential_matrix_is_the_contraction_of_each_unit_monomial(seed):
+    rng = Random(seed)
+    m = rng.randint(2, 4)
+    comps = [Poly.zero(VS), rand_poly(rng, VS, 2, 3) * Fraction(2, 3)]
+    comps += [rand_poly(rng, VS, 2, 3) for _ in range(m - 2)]
+    rng.shuffle(comps)
+    K = KoszulComplex(Section(Ambient(VS, koszul.default_gens(m)), tuple(comps)))
+    for p in K.degrees:
+        matrix, target = K.differential_matrix(p), K.basis(p + 1)
+        assert len(matrix) == len(target)
+        for j, subset in enumerate(K.basis(p)):
+            image = contract(K.section, ExtElt.monomial(K.ambient, (0, 0), subset))
+            for i, t in enumerate(target):
+                want = image.coefficient_poly(t)
+                assert matrix[i][j] == want, (p, i, j)
+                assert {e: type(c) for e, c in matrix[i][j].terms.items()} == \
+                    {e: type(c) for e, c in want.terms.items()}
 
 
 def test_zero_rank_and_empty_base():

@@ -1,14 +1,20 @@
 """Grammar coverage and error positions for the expression parsers."""
 
+from random import Random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcrit.exterior import ExtElt, Section
-from dcrit.parsing import (MAX_NESTING, ParseError, parse_one_form, parse_poly,
+import dcrit.exterior as exterior
+from dcrit.checks import rand_poly
+from dcrit.exterior import Ambient, ExtElt, Section
+from dcrit.parsing import (MAX_NESTING, ParseError, _Parser, parse_one_form, parse_poly,
                            parse_polyvector, parse_section)
 from dcrit.poly import Poly
 from dcrit.polyvec import form_str, polyvector_ambient
+
+from potentials import corpus
 
 VS = ("x", "y")
 
@@ -63,6 +69,15 @@ def test_parse_section():
         parse_section("x^2, ", VS)
 
 
+@pytest.mark.parametrize("src, pos", [("x^2, y, z*", 10), ("x, y^", 5), ("x^2, ", 5)])
+def test_section_error_points_into_the_whole_input(src, pos):
+    # each part is parsed alone, but the error names the whole input
+    with pytest.raises(ParseError) as e:
+        parse_section(src, ("x", "y", "z"))
+    assert (e.value.pos, e.value.src) == (pos, src)
+    assert str(e.value).endswith(f"at position {pos}: {src!r}")
+
+
 def test_parse_one_form():
     alpha = parse_one_form("x*d_x + 2*y*d_y", VS)
     assert alpha == Section(polyvector_ambient(VS), (parse_poly("x", VS), parse_poly("2*y", VS)))
@@ -98,6 +113,16 @@ def test_one_form_variable_may_not_shadow_a_generator():
     with pytest.raises(ValueError, match="'d_x'"):
         parse_one_form("d_x*d_x", ("x", "d_x"))
     assert form_str(parse_one_form("dx*d_x", ("x", "dx"))) == "dx*d_x"
+
+
+def test_generator_free_input_is_lifted():
+    assert parse_one_form("0", VS) == Section(polyvector_ambient(VS), (Poly.zero(VS),) * 2)
+    x = parse_polyvector("x", VS)
+    assert isinstance(x, ExtElt)
+    assert x == ExtElt.from_poly(polyvector_ambient(VS), parse_poly("x", VS))
+    with pytest.raises(ParseError) as e:
+        parse_one_form("0 + x", VS)
+    assert e.value.pos == 4
 
 
 def test_parse_polyvector():
@@ -144,3 +169,61 @@ def test_polyvector_str_parse_round_trip(a):
 @given(st.sampled_from((2, 3)).flatmap(one_forms))
 def test_one_form_str_parse_round_trip(alpha):
     assert parse_one_form(form_str(alpha), alpha.ambient.vars) == alpha
+
+
+# -- a polynomial is built as a polynomial --------------------------------------
+
+class _LiftedParser(_Parser):
+    """Every number and variable lifted to wedge degree 0, so that all
+    arithmetic is exterior: the construction the Poly leaves replace."""
+
+    def primary(self):
+        value = super().primary()
+        return ExtElt.from_poly(self.ambient, value) if isinstance(value, Poly) else value
+
+
+def lifted_parse(src, vars):
+    return _LiftedParser(src, Ambient(tuple(vars), ()), {}).parse().scalar_part()
+
+
+def random_expr(rng, vars, depth=3):
+    """Integers, fractions and variables under sums, signs, products and powers."""
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice([str(rng.randint(0, 4)), f"{rng.randint(0, 6)}/{rng.randint(1, 4)}", *vars])
+    a, b = random_expr(rng, vars, depth - 1), random_expr(rng, vars, depth - 1)
+    return rng.choice([f"({a}) + ({b})", f"({a}) - ({b})", f"({a})*({b})",
+                       f"({a})^{rng.randint(0, 3)}", f"-({a})"])
+
+
+def typed(p):
+    return {e: (c, type(c)) for e, c in p.terms.items()}
+
+
+def test_polynomials_and_sections_make_no_exterior_product(monkeypatch):
+    calls = []
+    wedge = exterior.wedge
+    monkeypatch.setattr(exterior, "wedge", lambda a, b: calls.append(1) or wedge(a, b))
+    monkeypatch.setattr(ExtElt, "scalar_part", None)  # the parsed Poly is returned as it is
+    assert str(parse_poly("(x + 2/3*y)^3*(x - y) - x*y", VS)) == \
+        "x^4 + x^3*y - 2/3*x^2*y^2 - 28/27*x*y^3 - 8/27*y^4 - x*y"
+    parse_section("x^2*y, (x - y)^2, 3/2*x*y, 0", VS)
+    assert calls == []
+    parse_one_form("x*d_x", VS)  # a generator still meets a polynomial by a wedge
+    assert calls
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_parse_poly_matches_the_all_exterior_construction(seed):
+    rng = Random(seed)
+    vars = ("x", "y", "z")
+    sources = [str(f) for f, _ in corpus(seed)]
+    sources += [random_expr(rng, vars) for _ in range(12)]
+    sources += [", ".join(str(rand_poly(rng, vars, 3, 4)) for _ in range(rng.randint(1, 4)))
+                for _ in range(4)]
+    for src in sources:
+        parts = src.split(",")
+        got = parse_section(src, vars)
+        assert len(got) == len(parts)
+        for part, p in zip(parts, got):
+            assert typed(p) == typed(lifted_parse(part, vars)), part
+            assert typed(parse_poly(part, vars)) == typed(p)
