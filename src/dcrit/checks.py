@@ -3,7 +3,10 @@
 Every suite is a stream of random inputs, drawn from a deterministic RNG with
 an explicit seed, and a table of identities; `run_identities`, the one trial
 loop, tries each draw against the table and reports a CheckReport, as the
-acceptance criteria do.  `counterexample` shrinks a failing instance by
+acceptance criteria do.  A drawn element's keys are valid by construction,
+so it is built once, through the trusted constructor `_make`, from its
+coefficients made exact (`_exact`): the element the public constructor
+would give.  `counterexample` shrinks a failing instance by
 greedily deleting terms while the failure persists, so counterexamples stay
 readable.
 """
@@ -16,7 +19,7 @@ from random import Random
 from typing import Callable, Iterator, Sequence
 
 from .exterior import Ambient, ExtElt, Section
-from .poly import Poly, Scalar
+from .poly import Poly, Scalar, _exact
 
 
 @dataclass
@@ -86,7 +89,7 @@ def rand_poly(rng: Random, vars: Sequence[str], max_deg: int, max_terms: int = 3
     for _ in range(rng.randint(1, max_terms)):
         exps = rand_exps(rng, len(vs), max_deg)
         terms[exps] = terms.get(exps, 0) + rand_coeff(rng)
-    return Poly(vs, terms)
+    return Poly._make(vs, {exps: _exact(c) for exps, c in terms.items()})
 
 
 def _rand_elt(rng: Random, ambient: Ambient, max_deg: int, max_terms: int,
@@ -101,7 +104,7 @@ def _rand_elt(rng: Random, ambient: Ambient, max_deg: int, max_terms: int,
         subset = tuple(sorted(rng.sample(pool, p)))
         key = (rand_exps(rng, len(ambient.vars), max_deg), subset)
         terms[key] = terms.get(key, 0) + rand_coeff(rng)
-    return ExtElt(ambient, terms)
+    return ExtElt._make(ambient, {key: _exact(c) for key, c in terms.items()})
 
 
 def rand_homogeneous(rng: Random, ambient: Ambient, max_deg: int,

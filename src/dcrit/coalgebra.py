@@ -35,11 +35,18 @@ from .exterior import Ambient, ExtElt, Section, algebra_map, contract, wedge
 from .koszul import default_gens
 from .poly import Poly
 
+_TENSOR_AMBIENTS: dict[tuple[Ambient, int], Ambient] = {}
+
 
 def tensor_ambient(ambient: Ambient, k: int) -> Ambient:
     """k copies of the generators over the same ring; copy i (from 0) names each
-    generator with i primes, so k = 1 gives the ambient itself."""
-    return Ambient(ambient.vars, tuple(g + "'" * i for i in range(k) for g in ambient.gens))
+    generator with i primes, so k = 1 gives the ambient itself.  One shared
+    Ambient per (ambient, k)."""
+    amb = _TENSOR_AMBIENTS.get((ambient, k))
+    if amb is None:
+        amb = _TENSOR_AMBIENTS[ambient, k] = Ambient(
+            ambient.vars, tuple(g + "'" * i for i in range(k) for g in ambient.gens))
+    return amb
 
 
 def _copy(m: int, i: int, sign: int = 1) -> list:

@@ -3,7 +3,9 @@
 Elements live in R otimes Lambda(e_1, ..., e_m) for R = Q[vars]: sparse maps
 from (exponent vector, strictly increasing generator subset) to nonzero
 rational coefficients, stored as `Poly` stores them: ints for integral
-input, Fractions otherwise.  The generator in slot j of a wedge monomial is
+input, Fractions otherwise.  The wedge, contraction and algebra maps run on
+ints, as `Poly`'s product does, so an integral coefficient they return is an
+int.  The generator in slot j of a wedge monomial is
 e_{j}; a subset is a tuple of 0-based generator indices.  Wedge degree p
 sits in cohomological degree -p, so contraction along a section raises
 cohomological degree by one.
@@ -27,9 +29,10 @@ Sign conventions (the single source of truth for every complex built here):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from typing import Mapping, Sequence
 
-from .poly import (_SCALARS, Exponents, Poly, Scalar, _descending_key, _power, _Terms,
+from .poly import (_SCALARS, Exponents, Poly, Scalar, _descending_key, _integral, _power, _Terms,
                    exps_add, monomial_str)
 
 TermKey = tuple[Exponents, tuple[int, ...]]
@@ -151,13 +154,6 @@ class ExtElt(_Terms):
     def subsets(self) -> set[tuple[int, ...]]:
         return {s for (_, s) in self.terms}
 
-    def homogeneous_components(self) -> dict[int, "ExtElt"]:
-        """Split by cohomological degree (wedge degree p lives in degree -p)."""
-        buckets: dict[int, dict[TermKey, Scalar]] = {}
-        for (exps, subset), c in self.terms.items():
-            buckets.setdefault(-len(subset), {})[(exps, subset)] = c
-        return {d: ExtElt._make(self.ambient, t) for d, t in buckets.items()}
-
     def degree(self) -> int:
         """Cohomological degree; zero elements report 0, mixed ones raise."""
         sizes = {len(s) for (_, s) in self.terms}
@@ -202,15 +198,17 @@ class Section:
 def wedge(a: ExtElt, b: ExtElt) -> ExtElt:
     """Graded-commutative product."""
     a._check(b)
-    terms: dict[TermKey, Scalar] = {}
-    for (e1, s1), c1 in a.terms.items():
-        for (e2, s2), c2 in b.terms.items():
+    at, da = _integral(a.terms)
+    bt, db = _integral(b.terms)
+    terms: dict[TermKey, int] = {}
+    for (e1, s1), c1 in at.items():
+        for (e2, s2), c2 in bt.items():
             sign, merged = merge_sign(s1, s2)
             if sign == 0:
                 continue
             key = (exps_add(e1, e2), merged)
             terms[key] = terms.get(key, 0) + sign * c1 * c2
-    return ExtElt._make(a.ambient, terms)
+    return ExtElt._make(a.ambient, terms, da * db)
 
 
 def algebra_map(a: ExtElt, target: Ambient,
@@ -220,7 +218,8 @@ def algebra_map(a: ExtElt, target: Ambient,
 
     A generator sent to () kills every term that holds it.  Each subset's
     product of images is expanded once per call with `merge_sign`; its signs
-    stay ints, each multiplying a coefficient once.
+    stay ints, each multiplying a coefficient of a, cleared of its
+    denominators, once.
     """
     if target.vars != a.ambient.vars:
         raise ValueError("target lives over different variables")
@@ -230,8 +229,9 @@ def algebra_map(a: ExtElt, target: Ambient,
         raise ValueError(f"an image leaves the {target.rank} generators of the target")
     singles = [[((t,), s) for t, s in image] for image in images]
     products: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
-    terms: dict[TermKey, Scalar] = {}
-    for (exps, subset), c in a.terms.items():
+    at, d = _integral(a.terms)
+    terms: dict[TermKey, int] = {}
+    for (exps, subset), c in at.items():
         product = products.get(subset)
         if product is None:
             product = {(): 1}
@@ -248,7 +248,7 @@ def algebra_map(a: ExtElt, target: Ambient,
             if sign:
                 key = (exps, sub)
                 terms[key] = terms[key] + sign * c if key in terms else sign * c
-    return ExtElt._make(target, terms)
+    return ExtElt._make(target, terms, d)
 
 
 def _odd_parts(subset: tuple[int, ...]) -> list[tuple[int, int, tuple[int, ...]]]:
@@ -281,7 +281,13 @@ def contract(s: Section, a: ExtElt) -> ExtElt:
     On a wedge monomial e_{j_1} ^ ... ^ e_{j_p} the value is
     sum_k (-1)^k s_{j_k} e_{j_1} ^ ... omit k ... ^ e_{j_p}, k from 1.
     Squares to zero; a graded derivation up to the sign of the left factor.
+    The components are brought to one common denominator and a's
+    denominators are cleared, so `_contract` runs on ints.
     """
-    if s.ambient != a.ambient:
+    if s.ambient is not a.ambient and s.ambient != a.ambient:
         raise ValueError("section and element live in different ambients")
-    return ExtElt._make(a.ambient, _contract([p.terms for p in s.components], a.terms))
+    cleared = [_integral(p.terms) for p in s.components]
+    ds = lcm(*[d for _, d in cleared])
+    components = [t if d == ds else {e: c * (ds // d) for e, c in t.items()} for t, d in cleared]
+    terms, da = _integral(a.terms)
+    return ExtElt._make(a.ambient, _contract(components, terms), ds * da)

@@ -70,7 +70,7 @@ from math import comb, gcd, lcm
 from operator import add, le, mul, sub
 from typing import Iterable, Union
 
-from .poly import (Exponents, Poly, _descending_key, _integral, _primitive, _quotient, _shift,
+from .poly import (Exponents, Poly, _descending_key, _integral, _primitive, _shift,
                    degrevlex_key)
 
 #: Returned where a quotient ring has no finite vector-space dimension.
@@ -117,9 +117,8 @@ def normal_form(p: Poly, basis: Union["GroebnerBasis", Sequence[Poly]]) -> Poly:
     if not same:
         raise ValueError("polynomial lives over different variables")
     work, d = _integral(p.terms)
-    r, s = _reduce(work, divisors)
-    d *= s
-    return Poly._make(p.vars, {e: _quotient(c, d) for e, c in r.items()})
+    r, s = _reduce(dict(work), divisors)  # _integral may hand back p.terms itself
+    return Poly._make(p.vars, r, d * s)
 
 
 def _reduce(work: dict[Exponents, int], divisors: list) -> tuple[dict[Exponents, int], int]:
@@ -523,7 +522,7 @@ def buchberger(gens: Iterable[Poly]) -> GroebnerBasis:
         r = _primitive(r, ge)
         lc = r[ge]
         primitive.append(((ge, lc), r))
-        reduced.append(Poly._make(vars, {e: _quotient(c, lc) for e, c in r.items()}))
+        reduced.append(Poly._make(vars, dict(r), lc))
     return GroebnerBasis(vars, tuple(reduced), _divisors=primitive)
 
 

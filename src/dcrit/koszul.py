@@ -28,7 +28,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .checks import CheckReport
-from .exterior import Ambient, Section, _contract
+from .exterior import Ambient, ExtElt, Section, _contract, contract
 from .groebner import GroebnerBasis, buchberger
 from .poly import Poly
 
@@ -60,16 +60,17 @@ class KoszulComplex:
         return list(combinations(range(self.rank), -p))
 
     def differential_matrix(self, p: int) -> list[list[Poly]]:
-        """Matrix of d from degree p to p+1 (rows target, columns source), read off `_contract`."""
+        """Matrix of d from degree p to p+1 (rows target, columns source): column j is
+        `contract` of the j-th unit monomial, its coefficients as `contract` gives them."""
         if p not in self.degrees:
             raise ValueError(f"no differential out of degree {p}")
         source = self.basis(p)
         index = {s: i for i, s in enumerate(self.basis(p + 1))}
         vs = self.ambient.vars
-        components = [c.terms for c in self.section.components]
         entries = [[{} for _ in source] for _ in index]
         for j, subset in enumerate(source):
-            for (exps, t), c in _contract(components, {((0,) * len(vs), subset): 1}).items():
+            column = contract(self.section, ExtElt.monomial(self.ambient, (0,) * len(vs), subset))
+            for (exps, t), c in column.terms.items():
                 entries[index[t]][j][exps] = c
         return [[Poly._make(vs, terms) for terms in row] for row in entries]
 

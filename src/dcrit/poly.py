@@ -3,9 +3,11 @@
 A polynomial is a sparse map from exponent vectors to nonzero rational
 coefficients, canonical by construction: two polynomials are equal exactly
 when their variable tuples and term maps are equal.  The constructors store
-an integral coefficient as an `int` and any other as a `Fraction`, so
-arithmetic on integral input stays on ints; an integral `Fraction` that
-mixed arithmetic leaves behind compares, hashes and prints as its `int`.
+an integral coefficient as an `int` and any other as a `Fraction`.  A
+product clears each operand's denominators once (`_integral`), multiplies
+on ints and divides each coefficient once at the end, so an integral
+coefficient it returns is an `int`; an integral `Fraction` that adding
+rationals leaves behind compares, hashes and prints as its `int`.
 No floating point is used anywhere.  The monomial order for printing and
 leading-term extraction is degree-reverse-lexicographic with respect to the
 declared variable order.
@@ -57,7 +59,8 @@ def _exact(c) -> Scalar:
     """c as an int when it is integral, else as a Fraction."""
     if type(c) is int:
         return c
-    c = Fraction(c)
+    if type(c) is not Fraction:
+        c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
 
 
@@ -67,11 +70,18 @@ def _quotient(n: int, d: int) -> Scalar:
     return Fraction(n, d) if r else q
 
 
-def _integral(terms: Mapping) -> tuple[dict, int]:
-    """(d*terms as an int term map, d), for the least positive d that clears the denominators."""
-    d = 1
+def _integral(terms: Mapping) -> tuple[Mapping, int]:
+    """(d*terms as an int term map, d), for the least positive d that clears the denominators.
+
+    When every coefficient is already an int, d is 1 and the map is `terms`
+    itself, not a copy: the caller must not mutate it.
+    """
     for c in terms.values():
-        d = lcm(d, c.denominator)
+        if type(c) is not int:
+            break
+    else:
+        return terms, 1
+    d = lcm(*[c.denominator for c in terms.values()])
     return {e: c.numerator * (d // c.denominator) for e, c in terms.items()}, d
 
 
@@ -211,8 +221,11 @@ class _Terms:
     and `_sort_key`/`_factors` for printing.
     Instances must not be mutated after construction; every operation
     returns a fresh element, so values can be shared freely.  The public
-    constructor and scalar multiplication store an integral coefficient as
-    an int (see `_exact`); `_make` keeps what the arithmetic gave.
+    constructor stores an integral coefficient as an int (see `_exact`).
+    The products, brackets and maps clear each operand's denominators once
+    (`_integral`), accumulate on ints and hand `_make` the int map with its
+    denominator, so an integral coefficient they return is an int; addition
+    and scaling keep what the arithmetic gave.
     """
 
     __slots__ = ("_ring", "terms")
@@ -228,12 +241,25 @@ class _Terms:
         object.__setattr__(self, "terms", clean)
 
     @classmethod
-    def _make(cls, ring, terms: dict):
-        """Trusted constructor for results of valid elements: keys are not
-        re-checked and values not re-wrapped; zero coefficients are dropped."""
+    def _make(cls, ring, terms: dict, d: int = 1):
+        """Trusted constructor for results of valid elements: the element whose
+        coefficient at k is terms[k] / d.
+
+        Keys are not re-checked.  The dict becomes the element's: the caller
+        hands in a fresh dict it owns and does not touch it again.  Zero
+        coefficients are dropped from it in place.  With d = 1 the values are
+        kept as given; a d > 1 comes with int values, each divided once
+        (`_quotient`), so an integral quotient is an int.
+        """
+        if d != 1:
+            for k, c in terms.items():
+                terms[k] = _quotient(c, d)
+        if 0 in terms.values():
+            for k in [k for k, c in terms.items() if not c]:
+                del terms[k]
         self = object.__new__(cls)
         object.__setattr__(self, "_ring", ring)
-        object.__setattr__(self, "terms", {k: c for k, c in terms.items() if c})
+        object.__setattr__(self, "terms", terms)
         return self
 
     @classmethod
@@ -251,7 +277,7 @@ class _Terms:
         return NotImplemented
 
     def _check(self, other) -> None:
-        if self._ring != other._ring:
+        if self._ring is not other._ring and self._ring != other._ring:
             raise ValueError(f"mixed rings {self._ring} vs {other._ring}")
 
     def __add__(self, other):
@@ -299,7 +325,7 @@ class _Terms:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self._ring == other._ring and self.terms == other.terms
+        return (self._ring is other._ring or self._ring == other._ring) and self.terms == other.terms
 
     __hash__ = None  # mutable-looking API; not intended as a dict key
 
@@ -377,12 +403,14 @@ class Poly(_Terms):
 
     def _product(self, other: "Poly") -> "Poly":
         self._check(other)
-        terms: dict[Exponents, Scalar] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+        a, da = _integral(self.terms)
+        b, db = _integral(other.terms)
+        terms: dict[Exponents, int] = {}
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
                 e = exps_add(e1, e2)
                 terms[e] = terms.get(e, 0) + c1 * c2
-        return Poly._make(self.vars, terms)
+        return Poly._make(self.vars, terms, da * db)
 
     def __pow__(self, n: int) -> "Poly":
         return _power(self, n, Poly.one(self.vars))

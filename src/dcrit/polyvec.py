@@ -20,7 +20,9 @@ Closed formulas used here, for a of pure wedge degree p (extended linearly):
 
 where od_i is the left odd derivative along @x_i and d_i differentiates the
 polynomial coefficients along x_i.  Both are evaluated term by term (term
-pair by term pair for the bracket), building no intermediate element.
+pair by term pair for the bracket), building no intermediate element, on
+the operands' coefficients cleared of their denominators (`poly._integral`);
+each output coefficient is divided once at the end.
 """
 
 from __future__ import annotations
@@ -34,12 +36,18 @@ from typing import Sequence
 from .checks import (CheckReport, _require_trials, rand_homogeneous, rand_mixed, rand_poly,
                      run_identities, var_names)
 from .exterior import Ambient, ExtElt, Section, _odd_parts, contract, merge_sign, wedge
-from .poly import Poly, Scalar, _exact, _shift, exps_add, gradient
+from .poly import Poly, Scalar, _exact, _integral, _shift, exps_add, gradient
+
+_POLYVECTOR_AMBIENTS: dict[tuple[str, ...], Ambient] = {}
 
 
 def polyvector_ambient(vars: Sequence[str]) -> Ambient:
+    """One odd generator @x per variable x; one shared Ambient per variable tuple."""
     vs = tuple(vars)
-    return Ambient(vs, tuple("@" + v for v in vs))
+    amb = _POLYVECTOR_AMBIENTS.get(vs)
+    if amb is None:
+        amb = _POLYVECTOR_AMBIENTS[vs] = Ambient(vs, tuple("@" + v for v in vs))
+    return amb
 
 
 def form_ambient(vars: Sequence[str]) -> Ambient:
@@ -49,7 +57,8 @@ def form_ambient(vars: Sequence[str]) -> Ambient:
 
 def _require_polyvector(a: ExtElt | Section) -> None:
     amb = a.ambient
-    if amb.gens != tuple("@" + v for v in amb.vars):
+    if (amb is not _POLYVECTOR_AMBIENTS.get(amb.vars)
+            and amb.gens != tuple("@" + v for v in amb.vars)):
         raise ValueError("expected an element of the polyvector ambient")
 
 
@@ -118,11 +127,13 @@ def schouten(a: ExtElt, b: ExtElt) -> ExtElt:
     term, each i with @x_i in b's term and x_i in a's a d_i(a) ^ od_i(b) term.
     """
     _require_polyvector(a)
-    if a.ambient != b.ambient:
+    if a.ambient is not b.ambient and a.ambient != b.ambient:
         raise ValueError("mixed ambients")
-    bterms = [(eb, sb, cb, _odd_parts(sb)) for (eb, sb), cb in b.terms.items()]
+    at, da = _integral(a.terms)
+    bt, db = _integral(b.terms)
+    bterms = [(eb, sb, cb, _odd_parts(sb)) for (eb, sb), cb in bt.items()]
     terms: dict = {}
-    for (ea, sa), ca in a.terms.items():
+    for (ea, sa), ca in at.items():
         front = 1 if len(sa) % 2 else -1  # (-1)^(p+1) on wedge degree p
         aparts = _odd_parts(sa)
         for eb, sb, cb, bparts in bterms:
@@ -142,7 +153,7 @@ def schouten(a: ExtElt, b: ExtElt) -> ExtElt:
                     if s:
                         key = (_shift(e, i, -1), merged)
                         terms[key] = terms.get(key, 0) - sign * s * k * c
-    return ExtElt._make(a.ambient, terms)
+    return ExtElt._make(a.ambient, terms, da * db)
 
 
 # -- volume forms, contraction, de Rham, divergence ----------------------------
@@ -211,14 +222,15 @@ def bv_delta(vol: VolumeForm, a: ExtElt) -> ExtElt:
     _require_polyvector(a)
     if a.ambient.vars != vol.vars:
         raise ValueError("volume form lives over different variables")
+    at, d = _integral(a.terms)
     terms: dict = {}
-    for (exps, subset), c in a.terms.items():
+    for (exps, subset), c in at.items():
         for i, sign, rest in _odd_parts(subset):
             k = exps[i]
             if k:
                 key = (_shift(exps, i, -1), rest)
                 terms[key] = terms.get(key, 0) + sign * k * c
-    return ExtElt._make(a.ambient, terms)
+    return ExtElt._make(a.ambient, terms, d)
 
 
 # -- randomized identity suites -------------------------------------------------

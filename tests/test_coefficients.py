@@ -9,9 +9,10 @@ from random import Random
 
 import pytest
 
-from dcrit.checks import rand_mixed, rand_poly
+from dcrit.checks import rand_homogeneous, rand_mixed, rand_poly, rand_section
 from dcrit.coalgebra import antipode, comultiply
-from dcrit.exterior import ExtElt, Section, contract, wedge
+from dcrit.exterior import ExtElt, Section, contract, merge_sign, wedge
+from dcrit.groebner import buchberger, normal_form
 from dcrit.parsing import parse_one_form, parse_poly, parse_polyvector
 from dcrit.poly import Poly
 from dcrit.polyvec import (VolumeForm, bv_delta, de_rham,
@@ -102,3 +103,212 @@ def test_no_float_in_volume_forms():
         assert float not in types(w, de_rham(w), bv_delta(vol, a))
     w = vol_contract(vol, int_elements(7)[0])
     assert types(w) == {int} and types(de_rham(w)) <= {int}
+
+
+# -- the integer kernels against plain Fraction arithmetic ------------------
+#
+# Each reference is the kernel's loop with every coefficient a Fraction, as
+# the kernels ran before they cleared denominators; they share only
+# `merge_sign`, the sign rule, with the code under test.
+
+
+def shift(exps, i):
+    return exps[:i] + (exps[i] - 1,) + exps[i + 1:]
+
+
+def add(e1, e2):
+    return tuple(x + y for x, y in zip(e1, e2))
+
+
+def nonzero(terms):
+    return {k: c for k, c in terms.items() if c}
+
+
+def reference_poly_product(f, g):
+    terms = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            e = add(e1, e2)
+            terms[e] = terms.get(e, 0) + Fraction(c1) * Fraction(c2)
+    return nonzero(terms)
+
+
+def reference_wedge(a, b):
+    terms = {}
+    for (e1, s1), c1 in a.terms.items():
+        for (e2, s2), c2 in b.terms.items():
+            sign, merged = merge_sign(s1, s2)
+            if sign:
+                key = (add(e1, e2), merged)
+                terms[key] = terms.get(key, 0) + sign * Fraction(c1) * Fraction(c2)
+    return nonzero(terms)
+
+
+def odd_parts(subset):
+    return [(i, -1 if k % 2 else 1, subset[:k] + subset[k + 1:]) for k, i in enumerate(subset)]
+
+
+def reference_schouten(a, b):
+    terms = {}
+    for (ea, sa), ca in a.terms.items():
+        front = 1 if len(sa) % 2 else -1
+        for (eb, sb), cb in b.terms.items():
+            c = Fraction(ca) * Fraction(cb)
+            e = add(ea, eb)
+            for i, sign, rest in odd_parts(sa):
+                s, merged = merge_sign(rest, sb)
+                if eb[i] and s:
+                    key = (shift(e, i), merged)
+                    terms[key] = terms.get(key, 0) + front * sign * s * eb[i] * c
+            for i, sign, rest in odd_parts(sb):
+                s, merged = merge_sign(sa, rest)
+                if ea[i] and s:
+                    key = (shift(e, i), merged)
+                    terms[key] = terms.get(key, 0) - sign * s * ea[i] * c
+    return nonzero(terms)
+
+
+def reference_comultiply(a):
+    """Each e_j sent to e_j + e_j' (index j + m), the images multiplied out in order."""
+    m = a.ambient.rank
+    terms = {}
+    for (exps, subset), c in a.terms.items():
+        product = {(): Fraction(c)}
+        for j in subset:
+            step = {}
+            for sub, v in product.items():
+                for t in (j, j + m):
+                    sign, merged = merge_sign(sub, (t,))
+                    if sign:
+                        step[merged] = step.get(merged, 0) + sign * v
+            product = step
+        for sub, v in product.items():
+            terms[(exps, sub)] = terms.get((exps, sub), 0) + v
+    return nonzero(terms)
+
+
+def reference_contract(section, a):
+    terms = {}
+    for (exps, subset), c in a.terms.items():
+        for j, sign, omitted in odd_parts(subset):
+            for sexps, sc in section.components[j].terms.items():
+                key = (add(exps, sexps), omitted)
+                terms[key] = terms.get(key, 0) - sign * Fraction(c) * Fraction(sc)
+    return nonzero(terms)
+
+
+def reference_bv_delta(a):
+    terms = {}
+    for (exps, subset), c in a.terms.items():
+        for i, sign, rest in odd_parts(subset):
+            if exps[i]:
+                key = (shift(exps, i), rest)
+                terms[key] = terms.get(key, 0) + sign * exps[i] * Fraction(c)
+    return nonzero(terms)
+
+
+def exact(e):
+    """True when every coefficient of e is an int exactly when it is integral."""
+    return all(type(c) is (int if Fraction(c).denominator == 1 else Fraction)
+               for c in e.terms.values())
+
+
+def rational_inputs(seed, count=12):
+    """Draws with a Fraction coefficient one time in five, and the same draws
+    times 3/2, which leaves integral Fractions such as Fraction(3, 1) behind."""
+    rng = Random(seed)
+    out = []
+    for k in range(count):
+        a = rand_mixed(rng, AMB, 3)
+        out.append(Fraction(3, 2) * a if k % 2 else a)
+    return out
+
+
+def rational_section(rng):
+    s = rand_section(rng, AMB, 2)
+    return Section(AMB, tuple(Fraction(2, 3) * p if j % 2 else p
+                              for j, p in enumerate(s.components)))
+
+
+KERNELS = {
+    "wedge": (wedge, reference_wedge),
+    "schouten": (schouten, reference_schouten),
+    "comultiply": (lambda a, b: comultiply(a), lambda a, b: reference_comultiply(a)),
+    "bv_delta": (lambda a, b: bv_delta(VolumeForm(VS), a), lambda a, b: reference_bv_delta(a)),
+}
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("name", KERNELS)
+def test_exterior_kernels_equal_fraction_arithmetic_term_by_term(name, seed):
+    kernel, reference = KERNELS[name]
+    es = rational_inputs(seed)
+    assert any(type(c) is Fraction for e in es for c in e.terms.values())
+    for a, b in zip(es, es[1:]):
+        result = kernel(a, b)
+        assert result.terms == reference(a, b)
+        assert exact(result), (name, str(a), str(b))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_contract_equals_fraction_arithmetic_term_by_term(seed):
+    rng = Random(100 + seed)
+    for a in rational_inputs(seed):
+        section = rational_section(rng)
+        result = contract(section, a)
+        assert result.terms == reference_contract(section, a)
+        assert exact(result), (str(section), str(a))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_poly_product_equals_fraction_arithmetic_term_by_term(seed):
+    rng = Random(200 + seed)
+    for k in range(12):
+        f, g = rand_poly(rng, VS, 3, 4), rand_poly(rng, VS, 3, 4)
+        if k % 2:
+            f = Fraction(5, 2) * f
+        result = f * g
+        assert result.terms == reference_poly_product(f, g)
+        assert exact(result), (str(f), str(g))
+
+
+def test_an_integral_product_of_fractions_is_an_int():
+    zero = (0, 0, 0)
+    half, two = ExtElt.monomial(AMB, zero, (0,), Fraction(1, 2)), ExtElt.monomial(AMB, zero, (1,), 2)
+    assert wedge(half, two).terms == {(zero, (0, 1)): 1}
+    assert type(wedge(half, two).terms[(zero, (0, 1))]) is int
+    f = Poly.constant(VS, Fraction(2, 3))
+    assert (f * Poly.constant(VS, Fraction(3, 2))).terms == {zero: 1}
+    assert type((f * Poly.constant(VS, Fraction(3, 2))).terms[zero]) is int
+    assert type(comultiply(2 * half).terms[(zero, (0,))]) is int
+    form = Section(AMB, (Poly.constant(VS, Fraction(1, 3)),) + (Poly.zero(VS),) * 2)
+    assert contract(form, 3 * ExtElt.generator(AMB, 0)).terms == {(zero, ()): -1}
+    assert type(contract(form, 3 * ExtElt.generator(AMB, 0)).terms[(zero, ())]) is int
+
+
+# -- drawn elements and the no-copy clearing rule ---------------------------
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_drawn_element_is_what_the_public_constructor_gives(seed):
+    rng = Random(seed)
+    for _ in range(30):
+        for drawn in (rand_mixed(rng, AMB, 3), rand_homogeneous(rng, AMB, 2)):
+            built = ExtElt(AMB, drawn.terms)
+            assert drawn == built
+            assert [(k, type(c)) for k, c in drawn.terms.items()] == \
+                [(k, type(c)) for k, c in built.terms.items()]
+        drawn = rand_poly(rng, VS, 3, 5)
+        built = Poly(VS, drawn.terms)
+        assert [(k, c, type(c)) for k, c in drawn.terms.items()] == \
+            [(k, c, type(c)) for k, c in built.terms.items()]
+
+
+def test_normal_form_leaves_its_input_alone():
+    basis = buchberger([parse_poly("x^2 - y", VS), parse_poly("y^2 - 2*z", VS)])
+    for src in ("x^3*y + 3*x^2 - y^2 + 1", "1/2*x^3 + 2/3*y^2 + z", "x^4*y^2"):
+        p = parse_poly(src, VS)
+        before = [(e, c, type(c)) for e, c in p.terms.items()]
+        r = normal_form(p, basis)
+        assert [(e, c, type(c)) for e, c in p.terms.items()] == before
+        assert r != p and r == normal_form(parse_poly(src, VS), basis)

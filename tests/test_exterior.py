@@ -19,6 +19,14 @@ def gen(i):
     return ExtElt.generator(AMB, i)
 
 
+def homogeneous_components(a):
+    """a split by cohomological degree (wedge degree p lives in degree -p)."""
+    buckets = {}
+    for (exps, subset), c in a.terms.items():
+        buckets.setdefault(-len(subset), {})[(exps, subset)] = c
+    return {d: ExtElt(a.ambient, t) for d, t in buckets.items()}
+
+
 def test_merge_sign():
     assert merge_sign((0,), (1,)) == (1, (0, 1))
     assert merge_sign((1,), (0,)) == (-1, (0, 1))
@@ -51,8 +59,8 @@ def test_graded_commutativity():
     for _ in range(40):
         a = rand_mixed(rng, AMB, 2)
         b = rand_mixed(rng, AMB, 2)
-        for p, ap in a.homogeneous_components().items():
-            for q, bq in b.homogeneous_components().items():
+        for p, ap in homogeneous_components(a).items():
+            for q, bq in homogeneous_components(b).items():
                 sign = -1 if (p * q) % 2 else 1
                 assert ap * bq == sign * (bq * ap)
 
@@ -91,7 +99,7 @@ def test_contraction_is_an_odd_derivation():
         s = rand_section(rng, AMB, 2)
         a = rand_mixed(rng, AMB, 2)
         b = rand_mixed(rng, AMB, 2)
-        for p, ap in a.homogeneous_components().items():
+        for p, ap in homogeneous_components(a).items():
             sign = -1 if p % 2 else 1
             lhs = contract(s, ap * b)
             rhs = contract(s, ap) * b + sign * (ap * contract(s, b))
@@ -108,7 +116,7 @@ def test_contraction_squares_to_zero():
 
 def test_homogeneous_components_and_degree():
     a = gen(0) * gen(1) + gen(2) + ExtElt.one(AMB)
-    comps = a.homogeneous_components()
+    comps = homogeneous_components(a)
     assert sorted(comps) == [-2, -1, 0]
     assert comps[-2] == gen(0) * gen(1)
     with pytest.raises(ValueError):  # a is not homogeneous
