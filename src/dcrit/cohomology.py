@@ -7,11 +7,11 @@ dim C^p_w - rank d_p - rank d_{p-1}; the dimensions are counted.  The
 Hilbert numerator K(t) of the section's ideal gives ranks by three theorems,
 and only the others are eliminated, exactly, on integer columns: K's series
 gives rank d_{-1}; the grade g of I gives the ranks of the g lowest degrees;
-and when g = 1 < m the components share a factor f, found by the heuristic
-gcd and checked by exact division, so every rank is a rank of the cofactor
-s' = s/f in a shifted weight, with K(t) of s' derived from K's.  A section
-is a regular sequence exactly when every rank comes from the first two, and
-then no slice is listed; nor is one for f*s' with s' regular.
+and when g = 1 < m the components share a factor f of weight e = -K'(1), so
+K(t) of the cofactor s' = s/f follows from K's, and when s' is regular every
+rank is a rank of its complex in a shifted weight.  A section is a regular
+sequence exactly when every rank comes from the first two, and then no slice
+is listed; nor is one for f*s' with s' regular.
 `is_regular_sequence` computes the table and `resolution_certificate` is
 handed one; each returns a `checks.CheckReport` whose counterexample names
 the first entry that fails.  `slice_cohomology` is given no theorem, so it
@@ -26,7 +26,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, combinations, repeat
 from math import comb
-from operator import mul, sub
+from operator import sub
 from typing import Mapping, Sequence
 
 from .checks import CheckReport
@@ -34,8 +34,7 @@ from .exterior import _contract
 from .groebner import INFINITE
 from .koszul import KoszulComplex, TautologicalKoszul
 from .linalg import rank_rows
-from .poly import (ANY_DEGREE, INHOMOGENEOUS, Poly, _common_factor, _exact_division, _integral,
-                   monomials_of_weight, normalize_weights)
+from .poly import ANY_DEGREE, INHOMOGENEOUS, Poly, _integral, monomials_of_weight, normalize_weights
 
 
 class InhomogeneousSectionError(ValueError):
@@ -79,6 +78,11 @@ def _series(k: Mapping[int, int], ws: Sequence[int], cutoff: int) -> list[int]:
     return out
 
 
+def _grade(k: Mapping[int, int], m: int) -> int:
+    """grade I = n - dim R/I, the multiplicity of t = 1 as a root of K(t), capped at m."""
+    return next((j for j in range(m) if sum(v * comb(e, j) for e, v in k.items())), m)
+
+
 def _settle(ranks: dict[int, list[int]], p: int, row: list[int], span: range,
             by: str, source: str = "") -> None:
     """Record `row` as the ranks of d_p, or check it against those `by` gives."""
@@ -104,8 +108,8 @@ class _Slices:
     `d_squared`.
     """
 
-    def __init__(self, components: list[dict], ws: tuple[int, ...], gd: tuple[int, ...]):
-        self.rank = len(components)
+    def __init__(self, components: Sequence[dict], ws: tuple[int, ...], gd: tuple[int, ...]):
+        self.rank = len(gd)
         self.ws = ws
         self.gd = gd
         self.components = components
@@ -161,12 +165,12 @@ class _Slices:
         at a time: rank d_{-1} = dim C^0 - h0, with `h0` read off the
         Hilbert series of R/I; rank d_p = dim C^p - rank d_{p-1} for
         p < -m + g, g = grade I (depth sensitivity, Eisenbud, Thm 17.4: the
-        complex is exact in its g lowest degrees); and, when g = 1 < m, the
-        common factor (`_cofactor_ranks`).  The other differentials are
-        eliminated weight by weight, and so is d_{-m+g-1}, whose pivots clear
-        the next one's rows.  A rank given twice (d_{-1}, and d_{-m+g-1}
-        when also eliminated) must agree in every weight, or AssertionError
-        names it.
+        complex is exact in its g lowest degrees); and, when g = 1 < m and
+        the cofactor is regular, the common factor (`_cofactor_ranks`).  The
+        other differentials are eliminated weight by weight, and so is
+        d_{-m+g-1}, whose pivots clear the next one's rows.  A rank given
+        twice (d_{-1}, and d_{-m+g-1} when also eliminated) must agree in
+        every weight, or AssertionError names it.
 
         Ranking runs from the top wedge degree down, and the pivot columns of
         d_p clear the rows of d_{p+1} they index (Chen and Kerber's twist): a
@@ -177,8 +181,7 @@ class _Slices:
         m = self.rank
         grade, h0 = 0, None
         if k is not None:
-            # grade I = n - dim R/I, the multiplicity of t = 1 as a root of K
-            grade = next((j for j in range(m) if sum(v * comb(e, j) for e, v in k.items())), m)
+            grade = _grade(k, m)
             h0 = _series(k, self.ws, span.stop - 1)[span.start:]
             ranks = self._cofactor_ranks(k, span) if grade == 1 < m else None
             if ranks is not None:
@@ -210,8 +213,8 @@ class _Slices:
         return ranks
 
     def _cofactor_ranks(self, k: Mapping[int, int], span: range) -> dict[int, list[int]] | None:
-        """Every rank of d_p, p < 0, from the complex of s' when s = f*s', or
-        None when no nonconstant common factor f is found.
+        """Every rank of d_p, p < 0, from the complex of s' when s = f*s' and
+        s' is a regular sequence, else None.
 
         The differential of f*s' is f times that of s', with each generator
         f lighter by e, the weight of f, and multiplication by f != 0 is
@@ -219,30 +222,30 @@ class _Slices:
 
             rank d_p(f*s') in weight w = rank d_p(s') in weight w + p*e,
 
-        0 when w + p*e < 0.  The candidate f comes from the heuristic gcd
-        (`poly._common_factor`) and is taken only when it divides every
-        component exactly.  The ideal of s' has K_I'(t) = (K_I(t) - 1 +
-        t^e) / t^e, as I = f*I' is I'(-e) as a graded module, so s' needs no
-        Groebner basis; its ranks come from `ranks` again, which recurses
-        when s' still has grade 1.
+        0 when w + p*e < 0.  f, the gcd of the components, is never computed:
+        R is a UFD, so its height-one primes are principal and I' has grade
+        at least 2.  As I = f*I' is I'(-e), K_I = 1 - t^e + t^e K_I' with
+        (1 - t)^2 dividing K_I', so e = -K_I'(1) and K_I' = (K_I - 1 + t^e) /
+        t^e.  When K_I' has grade m, s' is regular: every rank of its
+        complex comes from a theorem, and it lists no slice.
         """
-        f = _common_factor(self.components)
-        rest = None if f is None else [_exact_division(p, f) for p in self.components]
-        if rest is None or None in rest:
-            return None
-        e = sum(map(mul, self.ws, next(iter(f))))
+        e = -sum(d * v for d, v in k.items())
+        if e <= 0:
+            raise AssertionError(f"K(t) = {dict(k)} gives the common factor weight {e}")
         gd = tuple(d - e for d in self.gd)
-        if not e or min(gd) < 0:  # a zero component lighter than f keeps elimination
+        if min(gd) < 0:  # a zero component lighter than f keeps elimination
             return None
         numerator = Counter(k)
         numerator[0] -= 1
         numerator[e] += 1
         if any(d < e for d, v in numerator.items() if v):
             raise AssertionError(f"K(t) - 1 + t^{e} = {dict(numerator)} is not divisible by t^{e}")
-        cofactor = _Slices(rest, self.ws, gd)
+        shifted = {d - e: v for d, v in numerator.items() if v}
+        if _grade(shifted, self.rank) < self.rank:
+            return None
+        cofactor = _Slices((), self.ws, gd)
         top = span.stop - 1 - e
-        rows = cofactor.ranks(cofactor.dimensions(top), range(top + 1),
-                              {d - e: v for d, v in numerator.items() if v})
+        rows = cofactor.ranks(cofactor.dimensions(top), range(top + 1), shifted)
         return {p: [rows[p][w + p * e] if w + p * e >= 0 else 0 for w in span]
                 for p in range(-self.rank, 0)}
 
@@ -284,7 +287,7 @@ def hilbert_table(c: KoszulComplex, weights, cutoff: int) -> HilbertTable:
     K(t) / prod_i (1 - t^w_i), and the grade g of I, the multiplicity of
     t = 1 as a root of K: the least j with sum_e k_e C(e, j) != 0, capped at
     m (K = 0 for a unit ideal).  `_Slices.ranks` takes the ranks they give,
-    those of the cofactor when g = 1 < m, and eliminates the rest.  A
+    those of a regular cofactor when g = 1 < m, and eliminates the rest.  A
     quasi-homogeneous section is a regular sequence exactly when g = m; then
     no slice is listed or ranked, and the two ranks of d_{-1} must agree in
     every weight, or AssertionError.

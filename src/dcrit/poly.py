@@ -4,10 +4,10 @@ A polynomial is a sparse map from exponent vectors to nonzero rational
 coefficients, canonical by construction: two polynomials are equal exactly
 when their variable tuples and term maps are equal.  The constructors store
 an integral coefficient as an `int` and any other as a `Fraction`.  A
-product clears each operand's denominators once (`_integral`), multiplies
-on ints and divides each coefficient once at the end, so an integral
-coefficient it returns is an `int`; an integral `Fraction` that adding
-rationals leaves behind compares, hashes and prints as its `int`.
+product, a scaling and a derivative clear each operand's denominators once
+(`_integral`), compute on ints and divide each coefficient once at the end,
+and a sum turns an integral `Fraction` into its `int`, so an integral
+coefficient any of them returns is an `int`.
 No floating point is used anywhere.  The monomial order for printing and
 leading-term extraction is degree-reverse-lexicographic with respect to the
 declared variable order.
@@ -18,7 +18,7 @@ algebra, whose elements on copies of the generators are the coalgebra tensors.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 from operator import add
 from typing import Mapping, Sequence, Union
 
@@ -98,119 +98,6 @@ def _shift(exps: Exponents, k: int, d: int) -> Exponents:
     return exps[:k] + (exps[k] + d,) + exps[k + 1:]
 
 
-def _exact_division(a: dict[Exponents, int], f: dict[Exponents, int]) -> dict[Exponents, int] | None:
-    """a / f for int term maps, f nonzero, when f divides a with an int quotient, else None.
-
-    Division by the one-element basis [f] in lex order: the leading term of
-    each remainder must be a multiple of f's, with an int coefficient, of
-    total degree at most deg a - deg f, as every term of a true quotient is.
-    The leading terms fall in lex order and their degrees are bounded, so
-    the loop ends.
-    """
-    lead = max(f)
-    lc = f[lead]
-    room = max(map(sum, a), default=0) - max(map(sum, f))
-    terms = list(f.items())
-    r, q = dict(a), {}
-    while r:
-        e = max(r)
-        d = tuple(x - y for x, y in zip(e, lead))
-        c, rem = divmod(r[e], lc)
-        if rem or min(d, default=0) < 0 or sum(d) > room:
-            return None
-        q[d] = c
-        for fe, fc in terms:
-            key = tuple(map(add, fe, d))
-            v = r.get(key, 0) - c * fc
-            if v:
-                r[key] = v
-            else:
-                del r[key]
-    return q
-
-
-def _evaluate(a: dict[Exponents, int], i: int, xi: int) -> dict[Exponents, int]:
-    """a with variable i set to the integer xi, its exponent kept as 0."""
-    out: dict[Exponents, int] = {}
-    for exps, c in a.items():
-        key = exps[:i] + (0,) + exps[i + 1:]
-        out[key] = out.get(key, 0) + c * xi ** exps[i]
-    return {e: c for e, c in out.items() if c}
-
-
-def _interpolate(g: dict[Exponents, int], i: int, xi: int) -> dict[Exponents, int]:
-    """The term map whose value at x_i = xi is g, read off the symmetric
-    xi-adic digits of each coefficient: digit k is the coefficient of x_i^k."""
-    out: dict[Exponents, int] = {}
-    half = xi // 2
-    for exps, c in g.items():
-        k = 0
-        while c:
-            r = c % xi
-            if r > half:
-                r -= xi
-            if r:
-                out[_shift(exps, i, k)] = r
-            c = (c - r) // xi
-            k += 1
-    return out
-
-
-def _heuristic_gcd(a: dict[Exponents, int], b: dict[Exponents, int]) -> dict[Exponents, int] | None:
-    """gcd(a, b) of two nonzero int term maps, up to sign, or None when the heuristic gives up.
-
-    The heuristic GCD of Char, Geddes and Gonnet (1989): set the first
-    variable either map holds to an integer xi, take the gcd of the two
-    images (by recursion, down to integers), and read a candidate off its
-    symmetric xi-adic digits.  The candidate's primitive part is the gcd once
-    it divides both maps; else xi grows, six times at most.  The first xi
-    is 2 min(|a|, |b|) + 29, with |.| the largest absolute coefficient,
-    capped at 99 times its square root for large coefficients.
-    """
-    i = next((k for k in range(len(next(iter(a)))) if any(e[k] for e in a) or any(e[k] for e in b)),
-             None)
-    if i is None:
-        return {next(iter(a)): gcd(*a.values(), *b.values())}
-    content = gcd(*a.values(), *b.values())
-    if content > 1:
-        a = {e: c // content for e, c in a.items()}
-        b = {e: c // content for e, c in b.items()}
-    na, nb = max(map(abs, a.values())), max(map(abs, b.values()))
-    bound = 2 * min(na, nb) + 29
-    xi = max(min(bound, 99 * isqrt(bound)),
-             2 * min(na // abs(a[max(a)]), nb // abs(b[max(b)])) + 4)
-    for _ in range(6):
-        ea, eb = _evaluate(a, i, xi), _evaluate(b, i, xi)
-        g = _heuristic_gcd(ea, eb) if ea and eb else None
-        if g is not None:
-            h = _interpolate(g, i, xi)
-            h = _primitive(h, max(h))
-            if _exact_division(a, h) is not None and _exact_division(b, h) is not None:
-                return {e: content * c for e, c in h.items()}
-        xi = xi * 73794 * isqrt(isqrt(xi)) // 27011
-    return None
-
-
-def _common_factor(maps: Sequence[dict[Exponents, int]]) -> dict[Exponents, int] | None:
-    """The primitive gcd of int term maps when it is not constant, else None.
-
-    Zero maps are skipped; None also when every map is zero or the heuristic
-    gives up on some pair.
-    """
-    nonzero = [t for t in maps if t]
-    if not nonzero:
-        return None
-    g = nonzero[0]
-    for t in nonzero[1:]:
-        if _exact_division(t, g) is None:  # else gcd(g, t) is g
-            g = _heuristic_gcd(g, t)
-            if g is None:
-                return None
-    if not any(any(e) for e in g):
-        return None
-    return _primitive(g, max(g))
-
-
 class _Terms:
     """Immutable sparse map from monomial keys to nonzero rationals, over a ring tag.
 
@@ -222,10 +109,10 @@ class _Terms:
     Instances must not be mutated after construction; every operation
     returns a fresh element, so values can be shared freely.  The public
     constructor stores an integral coefficient as an int (see `_exact`).
-    The products, brackets and maps clear each operand's denominators once
-    (`_integral`), accumulate on ints and hand `_make` the int map with its
-    denominator, so an integral coefficient they return is an int; addition
-    and scaling keep what the arithmetic gave.
+    The products, brackets, maps and scaling clear each operand's
+    denominators once (`_integral`), accumulate on ints and hand `_make` the
+    int map with its denominator, so an integral coefficient they return is
+    an int; addition turns an integral sum of Fractions into its int.
     """
 
     __slots__ = ("_ring", "terms")
@@ -287,7 +174,8 @@ class _Terms:
         self._check(other)
         terms = dict(self.terms)
         for key, c in other.terms.items():
-            terms[key] = terms.get(key, 0) + c
+            c += terms.get(key, 0)
+            terms[key] = c if type(c) is int or c.denominator != 1 else c.numerator
         return self._make(self._ring, terms)
 
     __radd__ = __add__
@@ -307,7 +195,10 @@ class _Terms:
     def __mul__(self, other):
         if isinstance(other, _SCALARS):
             c = _exact(other)
-            return self._make(self._ring, {k: c * v for k, v in self.terms.items()})
+            terms, d = _integral(self.terms)
+            if type(c) is Fraction:
+                c, d = c.numerator, c.denominator * d
+            return self._make(self._ring, {k: c * v for k, v in terms.items()}, d)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -435,8 +326,9 @@ class Poly(_Terms):
         if var not in self.vars:
             raise UnknownVariableError(f"unknown variable {var!r}")
         i = self.vars.index(var)
+        terms, d = _integral(self.terms)
         return Poly._make(self.vars, {_shift(exps, i, -1): c * exps[i]
-                                      for exps, c in self.terms.items() if exps[i]})
+                                      for exps, c in terms.items() if exps[i]}, d)
 
     def weighted_degree(self, weights):
         """Weight of a quasi-homogeneous polynomial.

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from random import Random
 from typing import Sequence
@@ -38,27 +39,26 @@ from .checks import (CheckReport, _require_trials, rand_homogeneous, rand_mixed,
 from .exterior import Ambient, ExtElt, Section, _odd_parts, contract, merge_sign, wedge
 from .poly import Poly, Scalar, _exact, _integral, _shift, exps_add, gradient
 
-_POLYVECTOR_AMBIENTS: dict[tuple[str, ...], Ambient] = {}
+
+@cache
+def _ambient(prefix: str, vars: tuple[str, ...]) -> Ambient:
+    """The one Ambient over vars whose generator of each variable x is prefix + x."""
+    return Ambient(vars, tuple(prefix + v for v in vars))
 
 
 def polyvector_ambient(vars: Sequence[str]) -> Ambient:
     """One odd generator @x per variable x; one shared Ambient per variable tuple."""
-    vs = tuple(vars)
-    amb = _POLYVECTOR_AMBIENTS.get(vs)
-    if amb is None:
-        amb = _POLYVECTOR_AMBIENTS[vs] = Ambient(vs, tuple("@" + v for v in vs))
-    return amb
+    return _ambient("@", tuple(vars))
 
 
 def form_ambient(vars: Sequence[str]) -> Ambient:
-    vs = tuple(vars)
-    return Ambient(vs, tuple("d_" + v for v in vs))
+    """One generator d_x per variable x; one shared Ambient per variable tuple."""
+    return _ambient("d_", tuple(vars))
 
 
 def _require_polyvector(a: ExtElt | Section) -> None:
     amb = a.ambient
-    if (amb is not _POLYVECTOR_AMBIENTS.get(amb.vars)
-            and amb.gens != tuple("@" + v for v in amb.vars)):
+    if amb is not _ambient("@", amb.vars) and amb.gens != tuple("@" + v for v in amb.vars):
         raise ValueError("expected an element of the polyvector ambient")
 
 
@@ -177,11 +177,12 @@ def _complement(subset: tuple[int, ...], n: int) -> tuple[int, ...]:
     return tuple(i for i in range(n) if i not in inside)
 
 
-def _vol_factor(subset: tuple[int, ...], n: int, density: Scalar) -> Scalar:
+def _vol_factor(subset: tuple[int, ...], rest: tuple[int, ...]) -> int:
+    """The sign of @x_subset into dx_1 ^ ... ^ dx_n, whose image is dx_rest."""
     p = len(subset)
     tau = 1 if (p * (p - 1) // 2) % 2 == 0 else -1
-    sign, _ = merge_sign(subset, _complement(subset, n))
-    return tau * sign * density
+    sign, _ = merge_sign(subset, rest)
+    return tau * sign
 
 
 def vol_contract(vol: VolumeForm, a: ExtElt) -> ExtElt:
@@ -190,9 +191,11 @@ def vol_contract(vol: VolumeForm, a: ExtElt) -> ExtElt:
     if a.ambient.vars != vol.vars:
         raise ValueError("volume form lives over different variables")
     n = len(vol.vars)
-    return ExtElt._make(form_ambient(vol.vars),
-                        {(exps, _complement(subset, n)): c * _vol_factor(subset, n, vol.density)
-                         for (exps, subset), c in a.terms.items()})
+    terms: dict = {}
+    for (exps, subset), c in a.terms.items():
+        rest = _complement(subset, n)
+        terms[(exps, rest)] = c * _vol_factor(subset, rest)
+    return ExtElt._make(form_ambient(vol.vars), terms) * vol.density
 
 
 def de_rham(w: ExtElt) -> ExtElt:
@@ -201,8 +204,9 @@ def de_rham(w: ExtElt) -> ExtElt:
     if amb != form_ambient(amb.vars):
         raise ValueError("expected an element of the form ambient")
     n = len(amb.vars)
+    wt, d = _integral(w.terms)
     terms: dict = {}
-    for (exps, subset), c in w.terms.items():
+    for (exps, subset), c in wt.items():
         for i in range(n):
             k = exps[i]
             if k == 0 or i in subset:
@@ -210,7 +214,7 @@ def de_rham(w: ExtElt) -> ExtElt:
             sign, merged = merge_sign((i,), subset)
             key = (_shift(exps, i, -1), merged)
             terms[key] = terms.get(key, 0) + c * k * sign
-    return ExtElt._make(amb, terms)
+    return ExtElt._make(amb, terms, d)
 
 
 def bv_delta(vol: VolumeForm, a: ExtElt) -> ExtElt:

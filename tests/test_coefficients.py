@@ -15,7 +15,7 @@ from dcrit.exterior import ExtElt, Section, contract, merge_sign, wedge
 from dcrit.groebner import buchberger, normal_form
 from dcrit.parsing import parse_one_form, parse_poly, parse_polyvector
 from dcrit.poly import Poly
-from dcrit.polyvec import (VolumeForm, bv_delta, de_rham,
+from dcrit.polyvec import (VolumeForm, bv_delta, de_rham, form_ambient,
                            polyvector_ambient, schouten, vol_contract)
 
 VS = ("x", "y", "z")
@@ -284,6 +284,26 @@ def test_an_integral_product_of_fractions_is_an_int():
     form = Section(AMB, (Poly.constant(VS, Fraction(1, 3)),) + (Poly.zero(VS),) * 2)
     assert contract(form, 3 * ExtElt.generator(AMB, 0)).terms == {(zero, ()): -1}
     assert type(contract(form, 3 * ExtElt.generator(AMB, 0)).terms[(zero, ())]) is int
+
+
+# (operation, its int term map): each on Fraction coefficients with an integral result
+INTEGRAL_RESULTS = {
+    "add": (lambda: parse_poly("1/2*x", VS) + parse_poly("1/2*x", VS), {(1, 0, 0): 1}),
+    "scale": (lambda: Fraction(2, 3) * Poly.constant(VS, 3), {(0, 0, 0): 2}),
+    "diff": (lambda: parse_poly("1/2*x^2", VS).diff("x"), {(1, 0, 0): 1}),
+    "vol_contract": (lambda: vol_contract(VolumeForm(VS, 2), parse_polyvector("1/2*x^2*@x", VS)),
+                     {((2, 0, 0), (1, 2)): 1}),
+    "de_rham": (lambda: de_rham(ExtElt.monomial(form_ambient(VS), (2, 0, 0), (1,), Fraction(1, 2))),
+                {((1, 0, 0), (0, 1)): 1}),
+}
+
+
+@pytest.mark.parametrize("name", INTEGRAL_RESULTS)
+def test_an_integral_result_of_fractions_is_an_int(name):
+    build, expected = INTEGRAL_RESULTS[name]
+    result = build()
+    assert result.terms == expected
+    assert types(result) == {int}
 
 
 # -- drawn elements and the no-copy clearing rule ---------------------------

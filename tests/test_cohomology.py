@@ -366,9 +366,9 @@ def _counting_ranks(monkeypatch):
 
 
 def _no_common_factor(monkeypatch):
-    """Make the factor finder find nothing, so a grade-1 section takes the
+    """Make the cofactor path decline, so a grade-1 section takes the
     elimination path instead of its cofactor's ranks."""
-    monkeypatch.setattr(cohomology, "_common_factor", lambda components: None)
+    monkeypatch.setattr(cohomology._Slices, "_cofactor_ranks", lambda self, k, span: None)
 
 
 def _counting_bases(monkeypatch):
@@ -598,9 +598,9 @@ def test_a_dropped_monomial_trips_the_basis_count(monkeypatch):
 
 
 # (vars, weights, section): sections f*s' with a nonconstant common factor f,
-# whose tables take every negative rank from the complex of s'
+# whose tables take every negative rank from the complex of s' when s' is regular
 COMMON_FACTORS = [
-    # s' is not regular (grade 2 of 3), so its d_-2 is eliminated inside K(s')
+    # s' is not regular (grade 2 of 3), so K(s) itself is eliminated
     (("x", "y", "z"), (1, 1, 1), ["(x + y)*x*y", "(x + y)*x*z", "(x + y)*y*z"]),
     # weighted: the gcd is f = (x^2 + y)^2, of weight 4, and s' = (x, y - x^2)
     (VS, (1, 2), ["(x^2 + y)*(x^3 + x*y)", "(x^2 + y)*(y^2 - x^4)"]),
@@ -653,35 +653,81 @@ def test_a_regular_cofactor_ranks_and_lists_nothing(monkeypatch, seed):
         listed.clear()
 
 
-@pytest.mark.parametrize("candidate", [{(0, 1): 1}, {(1, 0): 2}, {(0, 0): 1}],
-                         ids=["non-divisor", "non-integral-quotient", "constant"])
-def test_a_factor_that_does_not_divide_is_refused(monkeypatch, candidate):
-    # the section (x*y, x^2) has the factor x; a wrong candidate must not be
-    # taken, so the table falls back to elimination and stays right
-    K = build_koszul(VS, [P("x*y"), P("x^2")])
-    expected = _table_matches_the_slices(K, (1, 1), 6)
-    monkeypatch.setattr(cohomology, "_common_factor", lambda components: candidate)
+def _grade_one_cases(seed):
+    """(vars, weights, components) of seeded sections f*s' of grade 1 < m: a
+    linear and a non-linear f, the weighted (x^2 + y)^2 of weight 4, f = L^2,
+    Fraction coefficients, and zero components, one lighter than f."""
+    rng = Random(f"grade-one-{seed}")
+
+    def linear(vars):
+        return sum((rng.choice([-2, -1, 1, 2, 3]) * Poly.variable(vars, v) for v in vars),
+                   Poly.zero(vars))
+
+    def times(f, vars, ws, degrees):
+        return [f * _quasi_homogeneous(rng, vars, ws, d) for d in degrees]
+
+    xyz = ("x", "y", "z")
+    yield xyz, (1, 1, 1), times(linear(xyz), xyz, (1, 1, 1), (1, 2, 2))
+    yield VS, (1, 2), times(_quasi_homogeneous(rng, VS, (1, 2), 2), VS, (1, 2), (3, 4))
+    yield VS, (1, 2), times(P("(x^2 + y)^2"), VS, (1, 2), (2, 3))
+    yield VS, (1, 1), times(linear(VS) ** 2, VS, (1, 1), (2, 3))
+    f = _fractional(rng, _quasi_homogeneous(rng, xyz, (2, 1, 3), 3))
+    yield xyz, (2, 1, 3), [Fraction(rng.choice([-5, 2, 7]), 3) * p
+                           for p in times(f, xyz, (2, 1, 3), (2, 3))]
+    yield xyz, (1, 1, 1), times(linear(xyz), xyz, (1, 1, 1), (2, 2)) + [Poly.zero(xyz)]
+    yield VS, (1, 1), [Poly.zero(VS)] + times(linear(VS) ** 2, VS, (1, 1), (1, 2))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_the_weight_of_the_common_factor_is_minus_k_prime_at_one(seed):
+    sympy = pytest.importorskip("sympy")
+    for vs, ws, comps in _grade_one_cases(seed):
+        K = build_koszul(vs, comps)
+        k = K.ideal.hilbert_numerator(ws)
+        assert cohomology._grade(k, K.rank) == 1 < K.rank, str(K)
+        symbols = sympy.symbols(vs)
+        g = sympy.gcd_list([sympy.sympify(str(p).replace("^", "**")) for p in comps])
+        weight = {sum(a * w for a, w in zip(mono, ws)) for mono in sympy.Poly(g, *symbols).monoms()}
+        assert weight == {-sum(d * v for d, v in k.items())}, (str(K), g)
+        _table_matches_the_slices(K, ws, 8)
+
+
+@pytest.mark.parametrize("vs, srcs", [
+    (("x", "y", "z"), ["(x + y)*x*y", "(x + y)*x*z", "(x + y)*y*z"]),  # s' of grade 2 of 3
+    (VS, ["(x - y)*x", "(x - y)*y", "0"]),                               # s' = (x, y, 0)
+    (VS, ["x^2", "x^2*y", "0"]),                                         # 0 lighter than f = x^2
+], ids=["grade-2-of-3", "zero-component", "zero-lighter-than-f"])
+def test_a_cofactor_that_is_not_regular_is_eliminated(monkeypatch, vs, srcs):
+    # the cofactor path ranks nothing, so a ranked slice means the theorem declined
+    K, ws = build_koszul(vs, [P(s, vs) for s in srcs]), (1,) * len(vs)
     calls = _counting_ranks(monkeypatch)
-    assert hilbert_table(K, (1, 1), 6) == expected
-    assert calls
+    table = hilbert_table(K, ws, 8)
+    assert calls and table.total(-1) > 0
+    assert _table_matches_the_slices(K, ws, 8) == table
 
 
-def test_a_proper_factor_recurses_to_the_same_table(monkeypatch):
-    # finding L where L^2 is the gcd leaves a cofactor of grade 1, whose own
-    # factor L is found in turn; the cofactor of the cofactor is regular
-    K = build_koszul(VS, [P("(x + 2*y)^2*x^2"), P("(x + 2*y)^2*y^3")])
-    expected = hilbert_table(K, (1, 1), 9)
-    line = dict(P("x + 2*y").terms)
-    found = []
+@pytest.mark.parametrize("shift, message", [
+    ({1: 1, 2: -1}, r"^K\(t\) - 1 \+ t\^2 = .* is not divisible by t\^2$"),
+    ({3: 1, 4: -1}, r"^d_-1 in weight 0 has rank 2 by K\(t\), but grade 2 gives 1$"),
+    ({2: -1, 3: 1}, r"^d_-1 in weight 2 has rank 3 by K\(t\), but grade 2 gives 2$"),
+    ({1: -2, 2: 2}, r"^K\(t\) = .* gives the common factor weight -1$"),
+], ids=["t-t^2", "t^3-t^4", "t^3-t^2", "2t^2-2t"])
+def test_a_numerator_moved_off_the_common_factor_is_refused(monkeypatch, shift, message):
+    # K(t) of x*(y, x) is 1 - 2t^2 + t^3, so e = -K'(1) = 1.  Each move keeps
+    # K(1) = 0 but changes K'(1): to -2, so K - 1 + t^2 keeps a t term; to -2
+    # with K_I' = -(1 - t)^2, whose series the grade of I' contradicts; to 0,
+    # so I has grade 2; and to 1, a factor of negative weight
+    numerator = groebner.GroebnerBasis.hilbert_numerator
 
-    def proper(components):
-        found.append(1)
-        return line
+    def moved(self, weights):
+        k = dict(numerator(self, weights))
+        for d, v in shift.items():
+            k[d] = k.get(d, 0) + v
+        return {d: v for d, v in k.items() if v}
 
-    monkeypatch.setattr(cohomology, "_common_factor", proper)
-    calls = _counting_ranks(monkeypatch)
-    assert hilbert_table(K, (1, 1), 9) == expected
-    assert len(found) == 2 and not calls
+    monkeypatch.setattr(groebner.GroebnerBasis, "hilbert_numerator", moved)
+    with pytest.raises(AssertionError, match=message):
+        hilbert_table(build_koszul(VS, [P("x*y"), P("x^2")]), (1, 1), 6)
 
 
 def test_a_numerator_the_factor_does_not_divide_is_refused(monkeypatch):

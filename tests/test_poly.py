@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dcrit.parsing import parse_poly
-from dcrit.poly import (ANY_DEGREE, INHOMOGENEOUS, Poly, UnknownVariableError,
-                        _common_factor, _exact_division, _heuristic_gcd, degrevlex_key,
+from dcrit.poly import (ANY_DEGREE, INHOMOGENEOUS, Poly, UnknownVariableError, degrevlex_key,
                         gradient, monomials_of_weight, normalize_weights)
 
 VS = ("x", "y")
@@ -141,52 +140,3 @@ def test_str_parse_round_trip(f):
 @given(polys, polys)
 def test_diff_is_a_derivation(f, g):
     assert (f * g).diff("x") == f.diff("x") * g + f * g.diff("x")
-
-
-def _ints(p):
-    """The term map of a Poly with int coefficients."""
-    return dict(p.terms)
-
-
-def test_exact_division_gives_the_quotient_or_none():
-    f = _ints(P("x + 2*y"))
-    assert _exact_division(_ints(P("(x + 2*y)*(x^2 - y)")), f) == _ints(P("x^2 - y"))
-    assert _exact_division({}, f) == {}
-    # a remainder, a leading term f's does not divide, and a quotient that is not integral
-    assert _exact_division(_ints(P("x^2 + y")), f) is None
-    assert _exact_division(_ints(P("y^3")), f) is None
-    assert _exact_division(_ints(P("x*y + 2*y^2")), _ints(P("2*x + 4*y"))) is None
-
-
-def test_common_factor_is_primitive_and_nonconstant():
-    f = _ints(P("2*x - 3*y"))
-    a, b = _ints(P("(2*x - 3*y)^2*x")), _ints(P("-6*(2*x - 3*y)*y^2"))
-    assert _common_factor([a, {}, b]) == f
-    assert _common_factor([_ints(P("-4*x^2*y"))]) == _ints(P("x^2*y"))
-    # coprime, constant or all zero: no factor
-    assert _common_factor([_ints(P("x^2 + y")), _ints(P("x*y"))]) is None
-    assert _common_factor([_ints(P("2")), _ints(P("4*x"))]) is None
-    assert _common_factor([{}, {}]) is None
-
-
-small_ints = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
-                             st.integers(-9, 9).filter(bool), min_size=1, max_size=4)
-
-
-@settings(max_examples=60, deadline=None)
-@given(small_ints, small_ints, small_ints)
-def test_heuristic_gcd_matches_sympy(f, a, b):
-    sympy = pytest.importorskip("sympy")
-    x, y = sympy.symbols("x y")
-
-    def expr(t):
-        return sum(c * x ** e[0] * y ** e[1] for e, c in t.items())
-
-    A, B = (_ints(Poly(VS, f) * Poly(VS, t)) for t in (a, b))
-    g = _heuristic_gcd(A, B)
-    if g is None:  # the heuristic may give up, never answer wrongly
-        return
-    assert _exact_division(A, g) is not None and _exact_division(B, g) is not None
-    expected = sympy.Poly(sympy.gcd(expr(A), expr(B)), x, y).as_dict()
-    assert g in ({e: int(c) for e, c in expected.items()},
-                 {e: -int(c) for e, c in expected.items()})

@@ -219,6 +219,13 @@ def test_a_zero_deviation_on_the_witness_fails(monkeypatch):
                                      "deviation": "0"}
 
 
+def test_one_ambient_per_variable_tuple():
+    forms = form_ambient(VS)
+    assert forms is form_ambient(list(VS)) is vol_contract(VolumeForm(VS), V("1")).ambient
+    assert polyvector_ambient(VS) is polyvector_ambient(list(VS))
+    assert form_ambient(VS).gens == ("d_x", "d_y") and polyvector_ambient(VS).gens == ("@x", "@y")
+
+
 def test_volume_contraction_frozen_values():
     vol = VolumeForm(VS, Fraction(1))
     d_x, d_y = (ExtElt.generator(form_ambient(VS), i) for i in range(2))
