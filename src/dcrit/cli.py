@@ -34,8 +34,8 @@ from .checks import CheckReport
 from .coalgebra import check_coalgebra
 from .cohomology import InhomogeneousSectionError, hilbert_table, resolution_certificate
 from .koszul import build_koszul, build_tautological_koszul, check_d_squared
-from .parsing import ParseError, parse_one_form, parse_poly, parse_section
-from .poly import UnknownVariableError, gradient, normalize_weights
+from .parsing import parse_one_form, parse_poly, parse_section
+from .poly import gradient, normalize_weights
 from .polyvec import check_bracket_compat, check_bv, check_gerstenhaber, form_str
 from .symplectic import intersect_graph_lagrangians, minus_one_pairing, obstruction_theory
 
@@ -212,7 +212,7 @@ def _cmd_check(args):
         inputs["vars"] = list(vars)
         inputs["alpha"] = form_str(alpha)
         report = check_bracket_compat(alpha, trials=args.trials, seed=args.seed, **max_deg)
-    elif args.which == "d2":
+    else:  # d2, the last of argparse's choices
         if args.vars is None or args.section is None:
             raise ValueError("check d2 needs --vars and --section")
         vars = _parse_vars(args.vars)
@@ -221,8 +221,6 @@ def _cmd_check(args):
         inputs["section"] = [str(c) for c in components]
         ok = check_d_squared(build_koszul(vars, list(components)))
         report = CheckReport("d_squared", "pass" if ok else "fail", 1)
-    else:  # argparse choices make this unreachable
-        raise ValueError(f"unknown check: {args.which}")
     entry = report.to_json()
     results = {"checks": [entry], "holds": report.passed}
     lines = _check_lines(entry)
@@ -376,7 +374,13 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         inputs, results, lines, code = globals()[f"_cmd_{args.command}"](args)
-    except (ParseError, UnknownVariableError, ValueError) as e:
+        if args.json:
+            doc = {"command": args.command, "inputs": inputs, "results": results,
+                   "version": __version__}
+            if not args.no_timing:
+                doc["timing"] = {"seconds": round(time.perf_counter() - start, 3)}
+            lines = [json.dumps(doc, indent=2)]
+    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:
@@ -385,15 +389,8 @@ def main(argv=None) -> int:
         if args.json:
             print(json.dumps({"command": args.command, "error": error}, indent=2))
         return 3
-    if args.json:
-        doc = {"command": args.command, "inputs": inputs, "results": results,
-               "version": __version__}
-        if not args.no_timing:
-            doc["timing"] = {"seconds": round(time.perf_counter() - start, 3)}
-        print(json.dumps(doc, indent=2, default=str))
-    else:
-        for line in lines:
-            print(line)
+    for line in lines:
+        print(line)
     return code
 
 

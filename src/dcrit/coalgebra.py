@@ -27,6 +27,7 @@ that the decision rests on or that generators cannot show.
 
 from __future__ import annotations
 
+from functools import cache
 from random import Random
 from typing import Sequence
 
@@ -35,18 +36,13 @@ from .exterior import Ambient, ExtElt, Section, algebra_map, contract, wedge
 from .koszul import default_gens
 from .poly import Poly
 
-_TENSOR_AMBIENTS: dict[tuple[Ambient, int], Ambient] = {}
 
-
+@cache
 def tensor_ambient(ambient: Ambient, k: int) -> Ambient:
     """k copies of the generators over the same ring; copy i (from 0) names each
     generator with i primes, so k = 1 gives the ambient itself.  One shared
     Ambient per (ambient, k)."""
-    amb = _TENSOR_AMBIENTS.get((ambient, k))
-    if amb is None:
-        amb = _TENSOR_AMBIENTS[ambient, k] = Ambient(
-            ambient.vars, tuple(g + "'" * i for i in range(k) for g in ambient.gens))
-    return amb
+    return Ambient(ambient.vars, tuple(g + "'" * i for i in range(k) for g in ambient.gens))
 
 
 def _copy(m: int, i: int, sign: int = 1) -> list:

@@ -4,14 +4,18 @@ For a quasi-homogeneous section, every differential preserves weighted
 degree once each exterior generator is assigned the weight of its section
 component, so the complex splits into finite slices, with dim H^p_w =
 dim C^p_w - rank d_p - rank d_{p-1}; the dimensions are counted.  The
-Hilbert numerator K(t) of the section's ideal gives ranks by three theorems,
+Hilbert numerator K(t) of the section's ideal gives ranks by two theorems,
 and only the others are eliminated, exactly, on integer columns: K's series
-gives rank d_{-1}; the grade g of I gives the ranks of the g lowest degrees;
-and when g = 1 < m the components share a factor f of weight e = -K'(1), so
-K(t) of the cofactor s' = s/f follows from K's, and when s' is regular every
-rank is a rank of its complex in a shifted weight.  A section is a regular
-sequence exactly when every rank comes from the first two, and then no slice
-is listed; nor is one for f*s' with s' regular.
+gives rank d_{-1}, and one recurrence gives the ranks of the g lowest degrees,
+
+    rank d_p(w) = dim C^p_w - rank d_{p-1}(w + e),
+
+with g the grade of I and e = 0 (depth sensitivity).  When the grade is
+1 < m, the components share a factor f of weight e = -K'(1), and g is the
+grade of the cofactor s' = s/f, read off K(t) too: K(f*s') is K(s') with
+every generator e heavier and differential f*d'.  A section is a regular
+sequence exactly when g = m with e = 0, and then no slice is listed; nor is
+one for f*s' with s' regular.
 `is_regular_sequence` computes the table and `resolution_certificate` is
 handed one; each returns a `checks.CheckReport` whose counterexample names
 the first entry that fails.  `slice_cohomology` is given no theorem, so it
@@ -160,17 +164,27 @@ class _Slices:
               k: Mapping[int, int] | None = None) -> dict[int, list[int]]:
         """rank d_p in the weights of `span`, for every degree p < 0.
 
-        `dims` holds dim C^p in those weights.  Three theorems, when K(t) is
+        `dims` holds dim C^p in those weights.  Two theorems, when K(t) is
         given as `k`, stand in for elimination, a whole row over the weights
         at a time: rank d_{-1} = dim C^0 - h0, with `h0` read off the
-        Hilbert series of R/I; rank d_p = dim C^p - rank d_{p-1} for
-        p < -m + g, g = grade I (depth sensitivity, Eisenbud, Thm 17.4: the
-        complex is exact in its g lowest degrees); and, when g = 1 < m and
-        the cofactor is regular, the common factor (`_cofactor_ranks`).  The
-        other differentials are eliminated weight by weight, and so is
-        d_{-m+g-1}, whose pivots clear the next one's rows.  A rank given
-        twice (d_{-1}, and d_{-m+g-1} when also eliminated) must agree in
-        every weight, or AssertionError names it.
+        Hilbert series of R/I; and
+
+            rank d_p(w) = dim C^p_w - rank d_{p-1}(w + e)   for p < -m + g,
+
+        where (g, e) is (grade I, 0), or, for a section of grade 1 < m, the
+        grade of the cofactor s' = s/f and the weight of f (`_common_factor`).
+        With e = 0 this is depth sensitivity (Eisenbud, Thm 17.4: K(s) is
+        exact in its g lowest degrees).  Otherwise the differential of f*s'
+        is f times that of s', each generator e heavier, and multiplication
+        by f != 0 is injective on R, so rank d_p in weight w is rank d'_p in
+        weight w + p*e; a (-p)-element generator subset weighs p*e less in
+        K(s'), so dim C^p_w = dim C'^p_{w+pe}; and K(s') is exact in its g
+        lowest degrees.  The recurrence reads weights up to the top one plus
+        (m - 1)*e, so the dimensions are counted that far and the rows cut
+        back.  The other differentials are eliminated weight by weight, and
+        so is d_{-m+g-1}, whose pivots clear the next one's rows.  A rank
+        given twice (d_{-1}, and d_{-m+g-1} when also eliminated) must agree
+        in every weight, or AssertionError names it.
 
         Ranking runs from the top wedge degree down, and the pivot columns of
         d_p clear the rows of d_{p+1} they index (Chen and Kerber's twist): a
@@ -179,19 +193,20 @@ class _Slices:
         rows, and by descending induction no rank changes.
         """
         m = self.rank
-        grade, h0 = 0, None
+        grade, e, h0 = 0, 0, None
         if k is not None:
             grade = _grade(k, m)
+            if grade == 1 < m:
+                e, grade = _common_factor(k, m)
             h0 = _series(k, self.ws, span.stop - 1)[span.start:]
-            ranks = self._cofactor_ranks(k, span) if grade == 1 < m else None
-            if ranks is not None:
-                _settle(ranks, -1, list(map(sub, dims[0], h0)), span, "the cofactor", " by K(t)")
-                return ranks
+        counted = self.dimensions(span.stop - 1 + (m - 1) * e, span.start) if e else dims
         ranks: dict[int, list[int]] = {}
         for p in range(-m, -m + grade):
-            ranks[p] = list(map(sub, dims[p], ranks[p - 1])) if p > -m else dims[p]
+            ranks[p] = list(map(sub, counted[p], ranks[p - 1][e:])) if p > -m else counted[p]
+        ranks = {p: row[:len(span)] for p, row in ranks.items()}
+        by = "the common factor" if e else f"grade {grade}"
         if h0 is not None:
-            _settle(ranks, -1, list(map(sub, dims[0], h0)), span, f"grade {grade}", " by K(t)")
+            _settle(ranks, -1, list(map(sub, dims[0], h0)), span, by, " by K(t)")
         found = {p: [0] * len(span)
                  for p in range(max(-m, -m + grade - 1), 0 if h0 is None else -1)}
         for i, w in enumerate(span if found else ()):
@@ -209,45 +224,32 @@ class _Slices:
                     row[i] = rank_rows(cols, leads)
                 cleared = leads
         for p, row in found.items():
-            _settle(ranks, p, row, span, f"grade {grade}")
+            _settle(ranks, p, row, span, by)
         return ranks
 
-    def _cofactor_ranks(self, k: Mapping[int, int], span: range) -> dict[int, list[int]] | None:
-        """Every rank of d_p, p < 0, from the complex of s' when s = f*s' and
-        s' is a regular sequence, else None.
 
-        The differential of f*s' is f times that of s', with each generator
-        f lighter by e, the weight of f, and multiplication by f != 0 is
-        injective on R, so
+def _common_factor(k: Mapping[int, int], m: int) -> tuple[int, int]:
+    """(e, g) for a section s = f*s' of grade 1 < m with Hilbert numerator k:
+    the weight e of f and the grade g of I' = (s'), read off K(t) alone.
 
-            rank d_p(f*s') in weight w = rank d_p(s') in weight w + p*e,
-
-        0 when w + p*e < 0.  f, the gcd of the components, is never computed:
-        R is a UFD, so its height-one primes are principal and I' has grade
-        at least 2.  As I = f*I' is I'(-e), K_I = 1 - t^e + t^e K_I' with
-        (1 - t)^2 dividing K_I', so e = -K_I'(1) and K_I' = (K_I - 1 + t^e) /
-        t^e.  When K_I' has grade m, s' is regular: every rank of its
-        complex comes from a theorem, and it lists no slice.
-        """
-        e = -sum(d * v for d, v in k.items())
-        if e <= 0:
-            raise AssertionError(f"K(t) = {dict(k)} gives the common factor weight {e}")
-        gd = tuple(d - e for d in self.gd)
-        if min(gd) < 0:  # a zero component lighter than f keeps elimination
-            return None
-        numerator = Counter(k)
-        numerator[0] -= 1
-        numerator[e] += 1
-        if any(d < e for d, v in numerator.items() if v):
-            raise AssertionError(f"K(t) - 1 + t^{e} = {dict(numerator)} is not divisible by t^{e}")
-        shifted = {d - e: v for d, v in numerator.items() if v}
-        if _grade(shifted, self.rank) < self.rank:
-            return None
-        cofactor = _Slices((), self.ws, gd)
-        top = span.stop - 1 - e
-        rows = cofactor.ranks(cofactor.dimensions(top), range(top + 1), shifted)
-        return {p: [rows[p][w + p * e] if w + p * e >= 0 else 0 for w in span]
-                for p in range(-self.rank, 0)}
+    f, the gcd of the components, is never computed: R is a UFD, so its
+    height-one primes are principal and I' has grade at least 2.  As
+    I = f*I' is I'(-e), K_I = 1 - t^e + t^e K_I' with (1 - t)^2 dividing
+    K_I', so e is minus the derivative of K_I at t = 1, and
+    K_I' = (K_I - 1 + t^e) / t^e.  A K(t) that gives e <= 0, or a
+    K_I - 1 + t^e that t^e does not divide, is no Hilbert numerator of
+    such a section, and AssertionError says so.
+    """
+    e = -sum(d * v for d, v in k.items())
+    if e <= 0:
+        raise AssertionError(f"K(t) = {dict(k)} gives the common factor weight {e}")
+    numerator = Counter(k)
+    numerator[0] -= 1
+    numerator[e] += 1
+    terms = dict(sorted((d, v) for d, v in numerator.items() if v))
+    if any(d < e for d in terms):
+        raise AssertionError(f"K(t) - 1 + t^{e} = {terms} is not divisible by t^{e}")
+    return e, _grade({d - e: v for d, v in terms.items()}, m)
 
 
 def slice_cohomology(c: KoszulComplex, weights, w: int) -> dict[int, int]:
@@ -287,10 +289,11 @@ def hilbert_table(c: KoszulComplex, weights, cutoff: int) -> HilbertTable:
     K(t) / prod_i (1 - t^w_i), and the grade g of I, the multiplicity of
     t = 1 as a root of K: the least j with sum_e k_e C(e, j) != 0, capped at
     m (K = 0 for a unit ideal).  `_Slices.ranks` takes the ranks they give,
-    those of a regular cofactor when g = 1 < m, and eliminates the rest.  A
-    quasi-homogeneous section is a regular sequence exactly when g = m; then
-    no slice is listed or ranked, and the two ranks of d_{-1} must agree in
-    every weight, or AssertionError.
+    or those the common factor and its cofactor's grade give when
+    g = 1 < m, and eliminates the rest.  A quasi-homogeneous section is a
+    regular sequence exactly when g = m; then no slice is listed or ranked,
+    and the two ranks of d_{-1} must agree in every weight, or
+    AssertionError.
     """
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")

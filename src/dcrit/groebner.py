@@ -361,12 +361,10 @@ class GroebnerBasis:
 
     @cached_property
     def index(self) -> dict[Exponents, int]:
-        return {m: k for k, m in enumerate(self._finite_monomials())}
-
-    def _finite_monomials(self) -> tuple[Exponents, ...]:
+        """Position of each standard monomial; ValueError when there are infinitely many."""
         if self.monomials is None:
             raise ValueError("the quotient is infinite-dimensional: no finite basis")
-        return self.monomials
+        return {m: k for k, m in enumerate(self.monomials)}
 
     @cached_property
     def matrices(self) -> tuple[tuple[IntVector, ...], ...]:
@@ -378,7 +376,8 @@ class GroebnerBasis:
         monomial b' below it that is not standard either, and then
         NF = M_j NF(b') uses only columns filled before it.
         """
-        monos, index = self._finite_monomials(), self.index
+        index = self.index
+        monos = self.monomials
         n = len(self.vars)
         tails = {ge: (gc, terms) for (ge, gc), terms in self._divisors}
         border: dict[Exponents, list[tuple[int, int]]] = {}
@@ -432,7 +431,7 @@ class GroebnerBasis:
         """NF(p) in R/I as a vector."""
         if p.vars != self.vars:
             raise ValueError("polynomial lives over different variables")
-        self._finite_monomials()  # raises on an infinite-dimensional quotient, even for p = 0
+        self.index  # raises on an infinite-dimensional quotient, even for p = 0
         work, d = _integral(p.terms)
         return _combine([(c, self._walk(self._memo, e)) for e, c in work.items()], d)
 

@@ -202,6 +202,17 @@ def test_a_criterion_prints_its_case_then_the_failing_reports_counterexample(mon
     assert report.counterexample == {"degree": -1, "weight": 2, "expected": 0, "got": 1}
 
 
+def test_a_criterion_whose_body_raises_fails_and_names_the_exception(monkeypatch):
+    # a crash is a failed criterion with the error in its details, not an aborted suite
+    def exploding(c, weights, cutoff):
+        raise RuntimeError("table exploded")
+
+    monkeypatch.setattr(acceptance, "hilbert_table", exploding)
+    result = criterion_dual_numbers(SEED)
+    assert (result.name, result.status, result.counterexample) == ("dual_numbers", "fail", None)
+    assert result.details == {"error": "RuntimeError: table exploded"}
+
+
 def test_hessian_pairing_catches_a_graph_intersection_of_the_sum(monkeypatch):
     # the intersection of the graphs of alpha and beta is the zero locus of
     # alpha - beta; this mutant meets alpha + beta and still rejects a non-closed form

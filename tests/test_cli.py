@@ -384,6 +384,30 @@ def test_check_missing_argument(capsys):
     assert "alpha" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("zero", "--vars", "x,2y", "--section", "x"), "invalid variable name: '2y'"),
+    (("zero", "--vars", "x,x", "--section", "x"), "duplicate variable names in 'x,x'"),
+    (("zero", "--vars", "x,y", "--section", "x", "--weights", "1,a"),
+     "weights must be integers, got '1,a'"),
+    (("check", "d2", "--vars", "x,y"), "check d2 needs --vars and --section"),
+    (("zero", "--vars", "x", "--section", "x $ 1"), "unexpected character '$'"),
+], ids=["variable-name", "duplicate-variables", "weights", "d2-without-section", "character"])
+def test_each_input_error_exits_two_on_stderr_alone(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err
+
+
+def test_a_report_value_that_is_not_json_is_an_internal_error(capsys, monkeypatch):
+    # --json prints no value as a string: the report is refused, not reworded
+    monkeypatch.setattr("dcrit.cli._cmd_crit", lambda args: ({}, {"odd": object()}, ["odd"], 0))
+    code, out, err = run(capsys, "crit", "--vars", "x", "-f", "x^2", "--json")
+    assert code == 3
+    assert err.startswith("internal error: TypeError: ")
+    assert json.loads(out)["error"].startswith("TypeError: ")
+    assert run(capsys, "crit", "--vars", "x", "-f", "x^2") == (0, "odd\n", "")
+
+
 def test_lagr_subcommand(capsys):
     code, doc, _ = run_json(capsys, "lagr", "--vars", "x,y", "--alpha",
                             "x*d_x")

@@ -366,9 +366,9 @@ def _counting_ranks(monkeypatch):
 
 
 def _no_common_factor(monkeypatch):
-    """Make the cofactor path decline, so a grade-1 section takes the
-    elimination path instead of its cofactor's ranks."""
-    monkeypatch.setattr(cohomology._Slices, "_cofactor_ranks", lambda self, k, span: None)
+    """Make the common factor weigh nothing and its cofactor have grade 1, so
+    a grade-1 section takes the grade's path instead of its cofactor's."""
+    monkeypatch.setattr(cohomology, "_common_factor", lambda k, m: (0, 1))
 
 
 def _counting_bases(monkeypatch):
@@ -488,6 +488,18 @@ def test_sections_outside_the_theorem_are_sliced(vs, srcs):
     assert [sum((-1) ** p * table.rows[p][w] for p in table.rows) for w in range(7)] == series
 
 
+def _ranked_slices(K, ws, cutoff, degrees):
+    """(p, w) for each p in `degrees` and w <= cutoff where C^p_w and C^{p+1}_w
+    are both nonzero: the slices of d_p that elimination ranks, counted by listing."""
+    m, gd = K.rank, generator_degrees(K, ws)
+
+    def dim(p, w):
+        return sum(len(monomials_of_weight(ws, w - sum(gd[j] for j in S)))
+                   for S in combinations(range(m), -p) if sum(gd[j] for j in S) <= w)
+
+    return [(p, w) for w in range(cutoff + 1) for p in degrees if dim(p, w) and dim(p + 1, w)]
+
+
 @pytest.mark.parametrize("vs, srcs, grade", OUTSIDE_THE_THEOREM)
 def test_the_grade_decides_which_differentials_are_eliminated(monkeypatch, vs, srcs, grade):
     # d_{-1} comes from K and d_p, p < -m + grade - 1, from the grade; d_{-m+grade-1}
@@ -495,14 +507,8 @@ def test_the_grade_decides_which_differentials_are_eliminated(monkeypatch, vs, s
     # A grade-1 section whose factor is not found takes this path too
     _no_common_factor(monkeypatch)
     K, ws, cutoff = build_koszul(vs, [P(s, vs) for s in srcs]), (1,) * len(vs), 6
-    m, gd = K.rank, generator_degrees(K, ws)
-
-    def dim(p, w):
-        return sum(len(monomials_of_weight(ws, w - sum(gd[j] for j in S)))
-                   for S in combinations(range(m), -p) if sum(gd[j] for j in S) <= w)
-
-    eliminated = [(p, w) for w in range(cutoff + 1) for p in range(max(-m, -m + grade - 1), -1)
-                  if dim(p, w) and dim(p + 1, w)]
+    m = K.rank
+    eliminated = _ranked_slices(K, ws, cutoff, range(max(-m, -m + grade - 1), -1))
     calls = _counting_ranks(monkeypatch)
     table = hilbert_table(K, ws, cutoff)
     assert len(calls) == len(eliminated), eliminated
@@ -598,9 +604,9 @@ def test_a_dropped_monomial_trips_the_basis_count(monkeypatch):
 
 
 # (vars, weights, section): sections f*s' with a nonconstant common factor f,
-# whose tables take every negative rank from the complex of s' when s' is regular
+# whose tables take the ranks of the g' lowest degrees from s' of grade g'
 COMMON_FACTORS = [
-    # s' is not regular (grade 2 of 3), so K(s) itself is eliminated
+    # s' is not regular (grade 2 of 3): its grade gives d_-3, and d_-2 is eliminated
     (("x", "y", "z"), (1, 1, 1), ["(x + y)*x*y", "(x + y)*x*z", "(x + y)*y*z"]),
     # weighted: the gcd is f = (x^2 + y)^2, of weight 4, and s' = (x, y - x^2)
     (VS, (1, 2), ["(x^2 + y)*(x^3 + x*y)", "(x^2 + y)*(y^2 - x^4)"]),
@@ -609,7 +615,7 @@ COMMON_FACTORS = [
     (VS, (1, 1), ["1/2*(x + y)*x^2", "2/3*(x + y)*y^2"]),            # Fraction coefficients
     (("x",), (1,), ["x", "0"]),                                       # s' = (1, 0): R/I' = 0
     (("x", "y", "z"), (1, 1, 1), ["x*(x + y)^2", "x*(y - z)^2", "x*(z + 2*x)^2"]),
-    # a zero component lighter than f = x^2 would weigh -1 in K(s'): eliminated
+    # a zero component lighter than f = x^2 would weigh -1 in K(s')
     (VS, (1, 1), ["x^2", "x^2*y", "0"]),
 ]
 
@@ -692,30 +698,74 @@ def test_the_weight_of_the_common_factor_is_minus_k_prime_at_one(seed):
         _table_matches_the_slices(K, ws, 8)
 
 
-@pytest.mark.parametrize("vs, srcs", [
-    (("x", "y", "z"), ["(x + y)*x*y", "(x + y)*x*z", "(x + y)*y*z"]),  # s' of grade 2 of 3
-    (VS, ["(x - y)*x", "(x - y)*y", "0"]),                               # s' = (x, y, 0)
-    (VS, ["x^2", "x^2*y", "0"]),                                         # 0 lighter than f = x^2
+@pytest.mark.parametrize("vs, srcs, ranked", [
+    (("x", "y", "z"), ["(x + y)*x*y", "(x + y)*x*z", "(x + y)*y*z"], True),  # s' of grade 2 of 3
+    (VS, ["(x - y)*x", "(x - y)*y", "0"], True),                               # s' = (x, y, 0)
+    (VS, ["x^2", "x^2*y", "0"], False),               # s' = (1, y, 0) generates R: grade m
 ], ids=["grade-2-of-3", "zero-component", "zero-lighter-than-f"])
-def test_a_cofactor_that_is_not_regular_is_eliminated(monkeypatch, vs, srcs):
-    # the cofactor path ranks nothing, so a ranked slice means the theorem declined
+def test_a_cofactor_that_is_not_regular_is_eliminated(monkeypatch, vs, srcs, ranked):
+    # the recurrence gives the cofactor's exact degrees, d_-1 comes from K(t), and
+    # only the degrees between are eliminated: none when s' generates R, although
+    # the zero component would weigh less than 0 in K(s')
     K, ws = build_koszul(vs, [P(s, vs) for s in srcs]), (1,) * len(vs)
     calls = _counting_ranks(monkeypatch)
     table = hilbert_table(K, ws, 8)
-    assert calls and table.total(-1) > 0
+    assert bool(calls) is ranked and table.total(-1) > 0
     assert _table_matches_the_slices(K, ws, 8) == table
 
 
+def _cofactors_that_are_not_regular(seed):
+    """(complex, weights, g') of seeded sections f*s', f linear or a square,
+    whose cofactor s' has grade g' < m: s' cuts out lines or a point, with
+    repeated linear factors or zero components."""
+    rng = Random(f"not-regular-{seed}")
+    # (n, power of f, g', s' from independent linear forms a, b, c and zero)
+    shapes = [
+        (3, 1, 2, lambda a, b, c, o: [a * b, a * c, b * c]),          # three lines
+        (3, 2, 2, lambda a, b, c, o: [a ** 2 * b, a ** 2 * c, b * c]),
+        (2, 1, 2, lambda a, b, c, o: [a, b, o]),
+        (3, 2, 2, lambda a, b, c, o: [a ** 2, b, o]),
+        (2, 2, 2, lambda a, b, c, o: [o, a ** 2, b ** 3]),
+        (3, 1, 2, lambda a, b, c, o: [a, b, c * a, c ** 2 * b]),       # m = 4
+        (3, 1, 2, lambda a, b, c, o: [a * b, a * c, b * c, o]),
+        (3, 2, 3, lambda a, b, c, o: [a, b ** 2, c, o]),               # the origin, m = 4
+    ]
+    for n, power, grade, cofactor in shapes:
+        vs = ("x", "y", "z")[:n]
+        xs = [Poly.variable(vs, v) for v in vs]
+        # triangular forms: x_i plus later variables, so they are independent
+        forms = [xs[i] + sum((rng.choice([-2, -1, 1, 2, 3]) * v for v in xs[i + 1:]), Poly.zero(vs))
+                 for i in range(n)] + [None] * (3 - n)
+        f = sum((rng.choice([-3, -1, 1, 2]) * v for v in xs), Poly.zero(vs)) ** power
+        yield build_koszul(vs, [f * p for p in cofactor(*forms, Poly.zero(vs))]), (1,) * n, grade
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_a_cofactor_of_lower_grade_gives_its_exact_degrees(monkeypatch, seed):
+    # the recurrence ranks the g' lowest degrees of K(f*s'), d_-1 comes from K(t),
+    # and only d_{-m+g'-1}, ..., d_-2 are eliminated, once per slice pair
+    calls = _counting_ranks(monkeypatch)
+    for K, ws, grade in _cofactors_that_are_not_regular(seed):
+        m, cutoff = K.rank, max(generator_degrees(K, ws)) + 4
+        eliminated = _ranked_slices(K, ws, cutoff, range(-m + grade - 1, -1))
+        calls.clear()
+        table = hilbert_table(K, ws, cutoff)
+        assert len(calls) == len(eliminated) > 0, str(K)
+        assert table.total(-1) > 0
+        _table_matches_the_slices(K, ws, cutoff)
+
+
 @pytest.mark.parametrize("shift, message", [
-    ({1: 1, 2: -1}, r"^K\(t\) - 1 \+ t\^2 = .* is not divisible by t\^2$"),
-    ({3: 1, 4: -1}, r"^d_-1 in weight 0 has rank 2 by K\(t\), but grade 2 gives 1$"),
+    # the nonzero terms, in degree order
+    ({1: 1, 2: -1}, r"^K\(t\) - 1 \+ t\^2 = \{1: 1, 2: -2, 3: 1\} is not divisible by t\^2$"),
+    ({3: 1, 4: -1}, r"^d_-1 in weight 2 has rank 2 by K\(t\), but the common factor gives 1$"),
     ({2: -1, 3: 1}, r"^d_-1 in weight 2 has rank 3 by K\(t\), but grade 2 gives 2$"),
     ({1: -2, 2: 2}, r"^K\(t\) = .* gives the common factor weight -1$"),
 ], ids=["t-t^2", "t^3-t^4", "t^3-t^2", "2t^2-2t"])
 def test_a_numerator_moved_off_the_common_factor_is_refused(monkeypatch, shift, message):
     # K(t) of x*(y, x) is 1 - 2t^2 + t^3, so e = -K'(1) = 1.  Each move keeps
     # K(1) = 0 but changes K'(1): to -2, so K - 1 + t^2 keeps a t term; to -2
-    # with K_I' = -(1 - t)^2, whose series the grade of I' contradicts; to 0,
+    # with K_I' = -(1 - t)^2 of grade 2, whose ranks K's series contradicts; to 0,
     # so I has grade 2; and to 1, a factor of negative weight
     numerator = groebner.GroebnerBasis.hilbert_numerator
 
