@@ -129,7 +129,8 @@ def _cmd_zero(args):
     h0 = complex.ideal.dimension
     check = CheckReport("d_squared", "pass" if d2 else "fail", None)
     results: dict = {"checks": [check.to_json()], "h0_dimension": h0}
-    lines = [f"zero locus of ({', '.join(str(c) for c in components)}) over {_ring(vars)}",
+    section = [str(c) for c in components]
+    lines = [f"zero locus of ({', '.join(section)}) over {_ring(vars)}",
              f"d^2 = 0: {check.status}",
              f"H^0 dimension: {h0}"]
     if d2:
@@ -137,7 +138,7 @@ def _cmd_zero(args):
     else:  # the check reports it; a table would need d∘d = 0
         results["hilbert"] = None
         lines.append("slice table unavailable: the differential does not square to zero")
-    inputs = {"vars": list(vars), "section": [str(c) for c in components],
+    inputs = {"vars": list(vars), "section": section,
               "weights": list(weights), "cutoff": args.cutoff}
     return inputs, results, lines, (0 if d2 else 1)
 
@@ -161,7 +162,8 @@ def _cmd_crit(args):
     weights = _parse_weights(args.weights, vars) if args.weights else (1,) * len(vars)
     want_all = not (args.milnor or args.pairing or args.obstruction or args.hilbert)
     results: dict = {}
-    lines = [f"f = {f} over {_ring(vars)}"]
+    text = str(f)
+    lines = [f"f = {text} over {_ring(vars)}"]
     # the derived critical locus: every part reads its one Jacobian ideal and
     # Hessian, each computed when a part first asks for it
     locus = build_koszul(vars, gradient(f))
@@ -169,18 +171,19 @@ def _cmd_crit(args):
         mu = locus.ideal.dimension
         results["milnor"] = mu
         lines.append(f"milnor = {mu}")
+    # the obstruction report holds the pairing, so the Hessian is formatted once
+    report = obstruction_theory(locus) if args.obstruction or want_all else None
     if args.pairing or want_all:
-        results["pairing"] = minus_one_pairing(locus).to_json()
+        results["pairing"] = (report.pairing if report else minus_one_pairing(locus)).to_json()
         lines.append(_pairing_line(results["pairing"]))
-    if args.obstruction or want_all:
-        report = obstruction_theory(locus)
+    if report:
         results["obstruction"] = report.to_json()
         lines.append(f"obstruction: quotient_dim = {report.quotient_dim}, "
                      f"h0 = {report.h0}, h1 = {report.h1}, "
                      f"hessian_invertible = {str(report.hessian_invertible).lower()}")
     if args.hilbert or want_all:
         _slice_table(locus, weights, args, results, lines)
-    inputs = {"vars": list(vars), "f": str(f), "weights": list(weights),
+    inputs = {"vars": list(vars), "f": text, "weights": list(weights),
               "cutoff": args.cutoff}
     return inputs, results, lines, 0
 

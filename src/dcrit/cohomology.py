@@ -154,20 +154,19 @@ class _Slices:
     def cohomology(self, top: int, k: Mapping[int, int] | None = None,
                    first: int = 0) -> dict[int, list[int]]:
         """dim H^p in weights first..top, by degree p: dim - rank(d out) - rank(d in)."""
-        dims = self.dimensions(top, first)
-        ranks = self.ranks(dims, range(first, top + 1), k)
+        dims, ranks = self.ranks(range(first, top + 1), k)
         zero = repeat(0)
         return {p: list(map(sub, map(sub, row, ranks.get(p, zero)), ranks.get(p - 1, zero)))
                 for p, row in dims.items()}
 
-    def ranks(self, dims: dict[int, list[int]], span: range,
-              k: Mapping[int, int] | None = None) -> dict[int, list[int]]:
-        """rank d_p in the weights of `span`, for every degree p < 0.
+    def ranks(self, span: range, k: Mapping[int, int] | None = None
+              ) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
+        """(dim C^p for every degree p, rank d_p for every p < 0), each a row
+        over the weights of `span`.
 
-        `dims` holds dim C^p in those weights.  Two theorems, when K(t) is
-        given as `k`, stand in for elimination, a whole row over the weights
-        at a time: rank d_{-1} = dim C^0 - h0, with `h0` read off the
-        Hilbert series of R/I; and
+        Two theorems, when K(t) is given as `k`, stand in for elimination, a
+        whole row over the weights at a time: rank d_{-1} = dim C^0 - h0,
+        with `h0` read off the Hilbert series of R/I; and
 
             rank d_p(w) = dim C^p_w - rank d_{p-1}(w + e)   for p < -m + g,
 
@@ -180,11 +179,11 @@ class _Slices:
         weight w + p*e; a (-p)-element generator subset weighs p*e less in
         K(s'), so dim C^p_w = dim C'^p_{w+pe}; and K(s') is exact in its g
         lowest degrees.  The recurrence reads weights up to the top one plus
-        (m - 1)*e, so the dimensions are counted that far and the rows cut
-        back.  The other differentials are eliminated weight by weight, and
-        so is d_{-m+g-1}, whose pivots clear the next one's rows.  A rank
-        given twice (d_{-1}, and d_{-m+g-1} when also eliminated) must agree
-        in every weight, or AssertionError names it.
+        (m - 1)*e, so the dimensions are counted that far, once, and the
+        rows cut back.  The other differentials are eliminated weight by
+        weight, and so is d_{-m+g-1}, whose pivots clear the next one's
+        rows.  A rank given twice (d_{-1}, and d_{-m+g-1} when also
+        eliminated) must agree in every weight, or AssertionError names it.
 
         Ranking runs from the top wedge degree down, and the pivot columns of
         d_p clear the rows of d_{p+1} they index (Chen and Kerber's twist): a
@@ -199,10 +198,11 @@ class _Slices:
             if grade == 1 < m:
                 e, grade = _common_factor(k, m)
             h0 = _series(k, self.ws, span.stop - 1)[span.start:]
-        counted = self.dimensions(span.stop - 1 + (m - 1) * e, span.start) if e else dims
+        counted = self.dimensions(span.stop - 1 + (m - 1) * e, span.start)
         ranks: dict[int, list[int]] = {}
         for p in range(-m, -m + grade):
             ranks[p] = list(map(sub, counted[p], ranks[p - 1][e:])) if p > -m else counted[p]
+        dims = {p: row[:len(span)] for p, row in counted.items()}
         ranks = {p: row[:len(span)] for p, row in ranks.items()}
         by = "the common factor" if e else f"grade {grade}"
         if h0 is not None:
@@ -225,7 +225,7 @@ class _Slices:
                 cleared = leads
         for p, row in found.items():
             _settle(ranks, p, row, span, by)
-        return ranks
+        return dims, ranks
 
 
 def _common_factor(k: Mapping[int, int], m: int) -> tuple[int, int]:

@@ -28,14 +28,20 @@ divides, one per equal lcm, and then drops the coprime ones, whose
 S-polynomials reduce to zero.  The B-criterion drops an old pair (i, j)
 when lt(h) divides its lcm m and neither lcm(lt_i, lt_h) nor lcm(lt_j, lt_h)
 is m.  The generators lt(h) divides leave the active set; their pairs already
-queued stay.  Pairs wait in a heap keyed by the degrevlex key of their lcm,
-computed once per pair, and each S-polynomial is built straight into the
-integer dict it is reduced in.  Division reduces that dict in place and
-finds each leading term through a heap; one private reducer serves
-`normal_form` and `buchberger`, which grows its (leading term, terms)
-divisor list alongside the basis.  A basis is worth computing once per
-ideal, so a `KoszulComplex` computes the basis of its components once, as
-its `ideal`, and every caller that needs one reads it there.
+queued stay.  Pairs wait in a heap by lcm; each S-polynomial is built
+straight into the int dict that the one reducer, which `normal_form`
+shares, reduces in place, finding each leading term through a heap.  A
+`KoszulComplex` computes the basis of its components once, as its `ideal`,
+and every caller that needs one reads it there.
+
+Monomials are packed (Monagan and Pearce, J. Symb. Comp. 2011): e_i fills
+field i, W bits under a zero guard bit, of an int E, and a monomial of
+degree d is the key E - d*2^(n(W+1)).  A product is then +, a quotient -,
+a smaller key a larger monomial in degrevlex, and g divides e exactly when
+no field of e - g borrows, (e - g) & guard == 0.  Degrevlex is degree-
+compatible, so no term of a reduction is heavier than its pair's lcm: W
+holds twice the input degrees, and every key is repacked wider before an
+lcm that would not fit.  The GroebnerBasis keeps exponent vectors.
 
 A GroebnerBasis is also the description of R/I, as a vector space on its
 standard monomials, filled as it is asked.  Counting lists nothing: the
@@ -61,17 +67,16 @@ every multiple of a dependent column) builds few.
 
 from __future__ import annotations
 
-import heapq
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
+from heapq import heapify, heappop, heappush
 from itertools import chain, count, product
 from math import comb, gcd, lcm
-from operator import add, le, mul, sub
+from operator import le, mul
 from typing import Iterable, Union
 
-from .poly import (Exponents, Poly, _descending_key, _integral, _primitive, _shift,
-                   degrevlex_key)
+from .poly import Exponents, Poly, _integral, _primitive, _shift, degrevlex_key
 
 #: Returned where a quotient ring has no finite vector-space dimension.
 INFINITE = "infinite"
@@ -81,22 +86,53 @@ def _divides(a: Exponents, b: Exponents) -> bool:
     return all(map(le, a, b))
 
 
-def _exps_sub(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(map(sub, a, b))
+@cache  # one per (n, width): it holds only constants
+class _Packing:
+    """Monomials in n variables as int keys, `width` bits an exponent (see the module docstring)."""
+
+    def __init__(self, n: int, width: int):
+        self.width, self.top = width, n * (width + 1)
+        self.shifts = range(0, self.top, width + 1)
+        self.guard = sum(1 << (s + width) for s in self.shifts)
+        self.units = [(1 << s) - (1 << self.top) for s in self.shifts]  # the keys of the variables
+
+    def pack(self, exps: Exponents) -> int:
+        return sum(map(mul, exps, self.units))
+
+    def unpack(self, key: int) -> Exponents:
+        field = (1 << self.width) - 1
+        return tuple([key >> s & field for s in self.shifts])
+
+    def lcm(self, a: int, b: int) -> int:
+        """The key of lcm(a, b), for a and b of degree below 2^width."""
+        mask = (1 << self.top) - 1
+        a, b = a & mask, b & mask
+        d = (a | self.guard) - b  # field i holds 2^W + a_i - b_i, its guard bit set where a_i >= b_i
+        up = d & self.guard
+        e = b + (d & (up - (up >> self.width)))  # max(a_i, b_i) in field i
+        # the degree is below 2^(W+1) - 1, and casting out 2^(W+1) - 1 sums the fields
+        return e - (e % ((2 << self.width) - 1) << self.top)
 
 
-def _exps_lcm(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(max(x, y) for x, y in zip(a, b))
+def _packing(n: int, degree: int) -> _Packing:
+    """The packing for terms up to this degree, with room for lcms of twice it."""
+    return _Packing(n, (2 * degree).bit_length())
 
 
-def _with_leads(basis: Sequence[Poly]) -> list:
-    """((leading term, its coefficient), term map) of each nonzero divisor, in list
-    order, as primitive integer polynomials."""
+def _map_monomials(divisors: list, f: Callable) -> list:
+    """A divisor list of `_with_leads`' form with each monomial passed through f."""
+    return [((f(ge), gc), {f(e): c for e, c in terms.items()}) for (ge, gc), terms in divisors]
+
+
+def _with_leads(basis: Sequence[Poly], ring: _Packing) -> list:
+    """((leading key, its coefficient), term map) of each nonzero divisor, in list
+    order, as primitive integer polynomials on the ring's keys."""
     out = []
     for g in basis:
         if g.terms:
-            e = g.leading()[0]
-            terms = _primitive(_integral(g.terms)[0], e)
+            terms = {ring.pack(e): c for e, c in _integral(g.terms)[0].items()}
+            e = min(terms)  # the least key is the leading term
+            terms = _primitive(terms, e)
             out.append(((e, terms[e]), terms))
     return out
 
@@ -106,41 +142,45 @@ def normal_form(p: Poly, basis: Union["GroebnerBasis", Sequence[Poly]]) -> Poly:
 
     Each step takes the leading term of what is left and divides it by the
     first divisor, in list order, whose leading term divides it; terms no
-    leading term divides move to the remainder.  A GroebnerBasis brings its
-    generators' leading terms along.  p and every divisor must live over the
-    same variables, or ValueError.
+    leading term divides move to the remainder.  A GroebnerBasis divides by
+    its generators.  p and every divisor must live over the same variables,
+    or ValueError.
     """
     if isinstance(basis, GroebnerBasis):
-        same, divisors = basis.vars == p.vars, basis._divisors
+        same, basis = basis.vars == p.vars, basis.gens
     else:
-        same, divisors = all(g.vars == p.vars for g in basis), _with_leads(basis)
+        same = all(g.vars == p.vars for g in basis)
     if not same:
         raise ValueError("polynomial lives over different variables")
+    # no term of the division is of higher degree than p or a leading term
+    ring = _packing(len(p.vars), max(map(Poly.total_degree, [p, *basis])))
     work, d = _integral(p.terms)
-    r, s = _reduce(dict(work), divisors)  # _integral may hand back p.terms itself
-    return Poly._make(p.vars, r, d * s)
+    r, s = _reduce({ring.pack(e): c for e, c in work.items()}, _with_leads(basis, ring), ring.guard)
+    return Poly._make(p.vars, {ring.unpack(e): c for e, c in r.items()}, d * s)
 
 
-def _reduce(work: dict[Exponents, int], divisors: list) -> tuple[dict[Exponents, int], int]:
-    """Fraction-free division of an int term map by a list `_with_leads` makes.
+def _reduce(work: dict[int, int], divisors: list, guard: int) -> tuple[dict[int, int], int]:
+    """Fraction-free division of an int term map by a divisor list, both on the
+    keys of one `_Packing`, whose guard mask is `guard`.
 
     Returns (r, s) for a positive int s: r is s times the remainder that
     rational division of `work` leaves, with its terms in descending order.
-    The work is done in place on `work`, with a heap of monomials to find
-    the leading term.  A term moved to the remainder is not scaled again;
-    it keeps the scale it had then, and is brought up to the final one once.
+    The work is done in place on `work`, with a heap of keys to find the
+    leading term.  A term moved to the remainder is not scaled again; it
+    keeps the scale it had then, and is brought up to the final one once.
     """
-    heap = [(_descending_key(e), e) for e in work]
-    heapq.heapify(heap)
+    heap = list(work)
+    heapify(heap)
     scale = 1
-    remainder: dict[Exponents, tuple[int, int]] = {}  # term -> (coefficient, scale then)
+    remainder: dict[int, tuple[int, int]] = {}  # term -> (coefficient, scale then)
     while heap:
-        exps = heapq.heappop(heap)[1]
-        c = work.get(exps)
+        key = heappop(heap)
+        c = work.get(key)
         if c is None:
             continue  # cancelled since it was pushed, or a duplicate entry
         for (ge, gc), gterms in divisors:
-            if _divides(ge, exps):
+            q = key - ge
+            if not q & guard:
                 g = gcd(c, gc)
                 if g != gc:
                     s = gc // g
@@ -148,27 +188,26 @@ def _reduce(work: dict[Exponents, int], divisors: list) -> tuple[dict[Exponents,
                     for e in work:
                         work[e] *= s
                 m = c // g
-                q = _exps_sub(exps, ge)
                 for e, gcoef in gterms.items():
-                    e = tuple(map(add, q, e))
+                    e += q
                     old = work.get(e)
                     if old is None:
                         work[e] = -m * gcoef
-                        heapq.heappush(heap, (_descending_key(e), e))
+                        heappush(heap, e)
                     else:
                         new = old - m * gcoef
                         if new:
                             work[e] = new
                         else:
-                            del work[e]  # the divisor's leading term cancels exps here
+                            del work[e]  # the divisor's leading term cancels key here
                 break
         else:
-            remainder[exps] = (work.pop(exps), scale)
+            remainder[key] = (work.pop(key), scale)
     return {e: c * (scale // s) for e, (c, s) in remainder.items()}, scale
 
 
-def _s_poly(f, g, lcm_exps: Exponents) -> dict[Exponents, int]:
-    """The S-polynomial of two divisors, as a fresh int term map.
+def _s_poly(f, g, lcm_key: int) -> dict[int, int]:
+    """The S-polynomial of two packed divisors, as a fresh int term map.
 
     With d = gcd(fc, gc) it is (gc/d)*x^(l - fe)*f - (fc/d)*x^(l - ge)*g,
     a positive multiple of the rational S-polynomial.
@@ -177,10 +216,10 @@ def _s_poly(f, g, lcm_exps: Exponents) -> dict[Exponents, int]:
     (ge, gc), gterms = g
     d = gcd(fc, gc)
     a, b = gc // d, fc // d
-    qf, qg = _exps_sub(lcm_exps, fe), _exps_sub(lcm_exps, ge)
-    work = {tuple(map(add, qf, e)): a * c for e, c in fterms.items()}
+    qf, qg = lcm_key - fe, lcm_key - ge
+    work = {qf + e: a * c for e, c in fterms.items()}
     for e, c in gterms.items():
-        e = tuple(map(add, qg, e))
+        e += qg
         v = work.get(e, 0) - b * c
         if v:
             work[e] = v
@@ -269,9 +308,9 @@ class GroebnerBasis:
     quotient R/I it describes, as a Q-vector space on its standard monomials.
 
     The generators' leading terms, and their primitive integer forms, are
-    found once, when the basis is made, and every normal form divides by
-    them; `buchberger` hands over the forms it already has as `_divisors`,
-    which must then be what `_with_leads(gens)` would give.
+    found once, when the basis is made, and the quotient reads them there;
+    `buchberger` hands over the forms it already has as `_divisors`, on
+    exponent vectors, which must then be what the constructor would find.
 
     A vector of R/I is an IntVector (nums, den): nums is a sparse dict from
     a standard monomial's position in `monomials` to a nonzero int
@@ -293,7 +332,9 @@ class GroebnerBasis:
 
     def __post_init__(self):
         if self._divisors is None:
-            object.__setattr__(self, "_divisors", _with_leads(self.gens))
+            ring = _packing(len(self.vars), max(map(Poly.total_degree, self.gens), default=0))
+            object.__setattr__(self, "_divisors",
+                               _map_monomials(_with_leads(self.gens, ring), ring.unpack))
 
     def __str__(self) -> str:
         return "{" + ", ".join(str(g) for g in self.gens) + "}"
@@ -409,7 +450,7 @@ class GroebnerBasis:
             if smaller in memo and smaller not in index:
                 return _apply(columns[j], memo[smaller])
         # only a basis that is not reduced gets here: one reduction
-        r, s = _reduce({b: 1}, self._divisors)
+        r, s = _integral(normal_form(Poly.monomial(self.vars, b), self).terms)
         return _vector({index[e]: c for e, c in r.items()}, s)
 
     def _walk(self, memo: dict[Exponents, IntVector], exps: Exponents) -> IntVector:
@@ -460,8 +501,9 @@ def buchberger(gens: Iterable[Poly]) -> GroebnerBasis:
     for g in gens:
         if g.vars != vars:
             raise ValueError("generators live over different variables")
-    divisors: list = []  # the basis, as primitive integer polynomials
-    leads: list[Exponents] = []
+    ring = _packing(len(vars), max(map(Poly.total_degree, gens)))
+    divisors: list = []  # the basis, as primitive integer polynomials on ring's keys
+    leads: list[int] = []
     active: list[int] = []  # the generators whose leading term no later one divides
     pairs: list[tuple] = []
     # pairs come off the heap smallest lcm first, which keeps intermediate
@@ -472,56 +514,63 @@ def buchberger(gens: Iterable[Poly]) -> GroebnerBasis:
         """Add a divisor with the pairs it needs, and drop the old pairs it makes redundant."""
         (he, _), _ = divisor
         h = len(leads)
-        new = [(_exps_lcm(leads[g], he), g) for g in active]
+        new = [(ring.lcm(leads[g], he), g) for g in active]
         # chain criterion: a new pair goes when another new pair's lcm divides
         # its lcm, and one of each equal lcm stays; a coprime pair counts here
         # and goes only after, since its S-polynomial reduces to zero
         chosen: list[tuple] = []
         for k, (m, g) in enumerate(new):
-            if m == tuple(map(add, leads[g], he)):
+            if m == leads[g] + he:
                 chosen.append((m, None))
-            elif not any(_divides(q, m) for q, _ in chain(new[k + 1:], chosen)):
+            elif not any((m - q) & ring.guard == 0 for q, _ in chain(new[k + 1:], chosen)):
                 chosen.append((m, g))
         # B-criterion: an old pair (i, j) goes when lt(h) divides its lcm m
         # and neither lcm(lt_i, lt_h) nor lcm(lt_j, lt_h) is m
-        old = [p for p in pairs if not (_divides(he, p[4]) and _exps_lcm(leads[p[2]], he) != p[4]
-                                        and _exps_lcm(leads[p[3]], he) != p[4])]
+        old = [p for p in pairs if (-p[0] - he) & ring.guard or ring.lcm(leads[p[2]], he) == -p[0]
+               or ring.lcm(leads[p[3]], he) == -p[0]]
         if len(old) < len(pairs):
             pairs[:] = old
-            heapq.heapify(pairs)
+            heapify(pairs)
         for m, g in chosen:
             if g is not None:
-                heapq.heappush(pairs, (degrevlex_key(m), next(order), g, h, m))
-        active[:] = [g for g in active if not _divides(he, leads[g])] + [h]
+                heappush(pairs, (-m, next(order), g, h))
+        active[:] = [g for g in active if (leads[g] - he) & ring.guard] + [h]
         divisors.append(divisor)
         leads.append(he)
 
-    for divisor in _with_leads(gens):
+    for divisor in _with_leads(gens, ring):
         update(divisor)
     while pairs:
-        _, _, i, j, m = heapq.heappop(pairs)
-        r, _ = _reduce(_s_poly(divisors[i], divisors[j], m), divisors)
+        degree = -(-pairs[0][0] >> ring.top)
+        if degree >> ring.width:  # the next S-polynomial's terms would not fit: repack wider
+            narrow, ring = ring, _packing(len(vars), degree)
+            move = lambda k: ring.pack(narrow.unpack(k))
+            divisors[:] = _map_monomials(divisors, move)
+            leads[:] = [ge for (ge, _), _ in divisors]
+            pairs[:] = [(-move(-p[0]), *p[1:]) for p in pairs]  # packing keeps the order
+        key, _, i, j = heappop(pairs)
+        r, _ = _reduce(_s_poly(divisors[i], divisors[j], -key), divisors, ring.guard)
         if r:
             re = next(iter(r))  # the remainder comes out in descending order
             r = _primitive(r, re)
             update(((re, r[re]), r))
     # minimalize: drop any generator whose leading term another one divides
     minimal: list[int] = []
-    for k in sorted(range(len(leads)), key=lambda k: degrevlex_key(leads[k])):
-        if not any(_divides(leads[m], leads[k]) for m in minimal):
+    for k in sorted(range(len(leads)), key=leads.__getitem__, reverse=True):
+        if all((leads[k] - leads[m]) & ring.guard for m in minimal):
             minimal.append(k)
     # interreduce: fully reduce each generator against the others; no other
     # leading term divides its own, so it stays first and the order by
     # leading term stays.  The basis keeps the primitive forms as its
-    # divisors, and each generator is made monic.
+    # divisors, each generator is made monic, and both go back to exponents.
     kept = [divisors[k] for k in minimal]
     reduced, primitive = [], []
     for pos, ((ge, _), terms) in enumerate(kept):
-        r, _ = _reduce(dict(terms), kept[:pos] + kept[pos + 1:])
-        r = _primitive(r, ge)
-        lc = r[ge]
-        primitive.append(((ge, lc), r))
-        reduced.append(Poly._make(vars, dict(r), lc))
+        r, _ = _reduce(dict(terms), kept[:pos] + kept[pos + 1:], ring.guard)
+        r = {ring.unpack(e): c for e, c in _primitive(r, ge).items()}
+        ge = next(iter(r))
+        primitive.append(((ge, r[ge]), r))
+        reduced.append(Poly._make(vars, dict(r), r[ge]))
     return GroebnerBasis(vars, tuple(reduced), _divisors=primitive)
 
 

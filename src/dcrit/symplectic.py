@@ -32,6 +32,7 @@ section without them is one self-dual block.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd, lcm
 from operator import mul
 
@@ -48,10 +49,6 @@ def is_symmetric(m) -> bool:
     return [list(row) for row in m] == [list(col) for col in zip(*m)]
 
 
-def _flat(matrix) -> list[str]:
-    return [str(p) for row in matrix for p in row]
-
-
 @dataclass(frozen=True)
 class PairingReport:
     """The degree -1 pairing data attached to a two-term complex."""
@@ -64,8 +61,13 @@ class PairingReport:
         """The pairing is perfect levelwise exactly when the differential is self-adjoint."""
         return self.symmetric
 
+    @cached_property
+    def _entries(self) -> list[str]:
+        """The matrix as text, row by row, formatted once for every report that prints it."""
+        return [str(p) for row in self.matrix for p in row]
+
     def to_json(self) -> dict:
-        return {"hessian": _flat(self.matrix), "symmetric": self.symmetric,
+        return {"hessian": self._entries, "symmetric": self.symmetric,
                 "nondegenerate": self.nondegenerate}
 
 
@@ -90,16 +92,24 @@ def minus_one_pairing(locus: KoszulComplex) -> PairingReport:
 class ObstructionReport:
     """The tangent complex restricted to the critical locus.
 
+    pairing is the locus's `minus_one_pairing`, which holds the Hessian.
     quotient_dim is dim_Q of R modulo the partials (INFINITE when the
     critical locus is not isolated, in which case the restricted ranks are
     not computed and the remaining fields are None).  h0 and h1 are the
     kernel and cokernel dimensions of the Hessian acting on the quotient.
     """
 
-    hessian: tuple[tuple[Poly, ...], ...]
-    symmetric: bool
+    pairing: PairingReport
     quotient_dim: object  # int or INFINITE
     h0: int | None = None
+
+    @property
+    def hessian(self) -> tuple[tuple[Poly, ...], ...]:
+        return self.pairing.matrix
+
+    @property
+    def symmetric(self) -> bool:
+        return self.pairing.symmetric
 
     @property
     def h1(self) -> int | None:
@@ -113,7 +123,7 @@ class ObstructionReport:
         return None if self.h0 is None else self.h0 == 0
 
     def to_json(self) -> dict:
-        return {"hessian": _flat(self.hessian), "symmetric": self.symmetric,
+        return {"hessian": self.pairing._entries, "symmetric": self.symmetric,
                 "quotient_dim": self.quotient_dim,
                 "h0": self.h0, "h1": self.h1,
                 "hessian_invertible": self.hessian_invertible}
@@ -200,13 +210,13 @@ def obstruction_theory(locus: KoszulComplex) -> ObstructionReport:
     uses lie in the block of (t*x_k, j).  Without a grading every weight is
     0 and top = 0: one self-dual block, counted once, the same loop.
     """
-    h = _tangent_differential(locus)
+    pairing = minus_one_pairing(locus)
+    h, sym = pairing.matrix, pairing.symmetric
     n = len(h)
-    sym = is_symmetric(h)
     gb = locus.ideal
     monos = gb.monomials
     if monos is None:
-        return ObstructionReport(h, sym, INFINITE)
+        return ObstructionReport(pairing, INFINITE)
     mu = len(monos)
     ws, d = (_grading(locus.section) if sym else None) or ((0,) * n, 0)
     top = sum(d - 2 * w for w in ws) - d
@@ -241,7 +251,7 @@ def obstruction_theory(locus: KoszulComplex) -> ObstructionReport:
                 rank += 1 if twice == top else 2
             else:
                 dead[j].append(mono)
-    return ObstructionReport(h, sym, mu, n * mu - rank)
+    return ObstructionReport(pairing, mu, n * mu - rank)
 
 
 class NotClosedError(ValueError):

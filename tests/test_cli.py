@@ -190,6 +190,20 @@ def test_crit_computes_one_basis_and_one_jacobian(capsys, monkeypatch, vars, f):
     assert len(partials) == n + n * n
 
 
+@pytest.mark.parametrize("json_flag", [("--json",), ()], ids=["json", "text"])
+@pytest.mark.parametrize("argv, formatted", [
+    (("crit", "--vars", "x,y,z", "-f", "x^3 + y^3 + z^3 + x*y*z", "--cutoff", "6"), 1 + 9),
+    (("zero", "--vars", "x,y", "--section", "x^2, x*y, y^3"), 3),
+], ids=["crit", "zero"])
+def test_each_polynomial_is_formatted_once_per_report(capsys, monkeypatch, json_flag, argv, formatted):
+    # crit prints f and the Hessian, which the pairing and the obstruction
+    # both report; zero prints each section component, on its line and as input
+    calls = count_calls(monkeypatch, "__str__", Poly)
+    code, _, _ = run(capsys, *argv, *json_flag, "--no-timing")
+    assert code == 0
+    assert len(calls) == formatted
+
+
 @pytest.mark.parametrize("argv, runs", [
     (("zero", "--vars", "x,y", "--section", "x^2, x*y, y^3"), 1),
     (("zero", "--vars", "x,y", "--section", "x^2 + y^2, x*y"), 1),

@@ -714,6 +714,28 @@ def test_a_cofactor_that_is_not_regular_is_eliminated(monkeypatch, vs, srcs, ran
     assert _table_matches_the_slices(K, ws, 8) == table
 
 
+@pytest.mark.parametrize("vs, srcs, longer", [
+    (("x", "y", "z"), ["x*(x+y)^2", "x*(y-z)^2", "x*(z+2*x)^2"], True),  # e = 1, m = 3
+    (VS, ["x^2", "y^3"], False),                                         # regular: e = 0
+], ids=["common-factor", "regular"])
+def test_a_table_counts_its_dimensions_once(monkeypatch, vs, srcs, longer):
+    # the recurrence of a common factor of weight e reads (m - 1)*e weights past
+    # the cutoff: the one count reaches that far, and the rows are cut back
+    counted = []
+    dimensions = cohomology._Slices.dimensions
+
+    def counting(self, top, first=0):
+        counted.append(top)
+        return dimensions(self, top, first)
+
+    monkeypatch.setattr(cohomology._Slices, "dimensions", counting)
+    K, ws = build_koszul(vs, [P(s, vs) for s in srcs]), (1,) * len(vs)
+    table = hilbert_table(K, ws, 10)
+    assert counted == [10 + 2 * longer]
+    assert all(len(row) == 11 for row in table.rows.values())
+    assert _table_matches_the_slices(K, ws, 10) == table
+
+
 def _cofactors_that_are_not_regular(seed):
     """(complex, weights, g') of seeded sections f*s', f linear or a square,
     whose cofactor s' has grade g' < m: s' cuts out lines or a point, with

@@ -404,7 +404,7 @@ def test_buchberger_pairs_each_divisor_with_its_leading_term_once(monkeypatch):
     import dcrit.groebner as groebner
     calls = []
     with_leads = groebner._with_leads
-    monkeypatch.setattr(groebner, "_with_leads", lambda b: calls.append(b) or with_leads(b))
+    monkeypatch.setattr(groebner, "_with_leads", lambda b, ring: calls.append(b) or with_leads(b, ring))
     gb = buchberger([P("x^3 - 2*x*y"), P("x^2*y - 2*y^2 + x")])
     assert gb.gens == (P("y^2 - 1/2*x"), P("x*y"), P("x^2"))
     assert len(calls) == 1
@@ -420,10 +420,9 @@ def seeded_basis(seed):
 
 @pytest.mark.parametrize("seed", range(12))
 def test_buchberger_hands_the_divisors_the_constructor_would_find(seed):
-    from dcrit.groebner import _with_leads
     gb = seeded_basis(seed)
     public = GroebnerBasis(gb.vars, gb.gens)
-    assert gb._divisors == public._divisors == _with_leads(gb.gens)
+    assert gb._divisors == public._divisors
     # same term order too, so every later reduction walks the same dicts
     assert [list(t) for _, t in gb._divisors] == [list(t) for _, t in public._divisors]
 
@@ -719,8 +718,10 @@ def test_dimension_is_counted_not_listed(monkeypatch, capsys):
         raise AssertionError("standard monomials listed for a count")
 
     monkeypatch.setattr(groebner, "product", refuse)
+    # the last exponent packs into fields wider than 64 bits
     for src, vars, mu in (("x^2000 + y^2000", "x,y", 1999 ** 2), ("x^100000000", "x", 99999999),
-                          ("x^3 + y^3 + z^3 + x*y*z", "x,y,z", 8)):
+                          ("x^3 + y^3 + z^3 + x*y*z", "x,y,z", 8),
+                          ("x^99999999999999999999 + y^3", "x,y", 199999999999999999996)):
         assert main(["crit", "--vars", vars, "-f", src, "--milnor", "--json", "--no-timing"]) == 0
         assert json.loads(capsys.readouterr().out)["results"]["milnor"] == mu
     assert main(["zero", "--vars", "x,y", "--section", "x^3, y^4", "--json", "--no-timing"]) == 0
@@ -732,14 +733,17 @@ def test_dimension_is_counted_not_listed(monkeypatch, capsys):
 def all_pairs_buchberger(gens):
     """Reference basis: every pair of generators, skipping only coprime leading
     terms, on the module's S-polynomial and reducer, then minimalized and
-    interreduced; the reduced basis is canonical, so it must equal buchberger's."""
+    interreduced; the reduced basis is canonical, so it must equal buchberger's.
+    Monomials are packed 12 bits an exponent, which every lcm must fit."""
     vars = gens[0].vars
-    divisors = groebner._with_leads(gens)
-    leads = [ge for (ge, _), _ in divisors]
+    ring = groebner._Packing(len(vars), 12)
+    divisors = groebner._with_leads(gens, ring)
+    leads = [ring.unpack(ge) for (ge, _), _ in divisors]
     order = count(0, -1)
 
     def pair(i, j):
         m = tuple(map(max, leads[i], leads[j]))
+        assert sum(m) < 1 << ring.width
         return degrevlex_key(m), next(order), i, j, m
 
     pairs = [pair(i, j) for i in range(len(leads)) for j in range(i + 1, len(leads))]
@@ -748,12 +752,13 @@ def all_pairs_buchberger(gens):
         _, _, i, j, m = heapq.heappop(pairs)
         if m == tuple(map(add, leads[i], leads[j])):
             continue
-        r, _ = groebner._reduce(groebner._s_poly(divisors[i], divisors[j], m), divisors)
+        r, _ = groebner._reduce(groebner._s_poly(divisors[i], divisors[j], ring.pack(m)), divisors,
+                                ring.guard)
         if r:
             re = next(iter(r))
             r = groebner._primitive(r, re)
             divisors.append(((re, r[re]), r))
-            leads.append(re)
+            leads.append(ring.unpack(re))
             for k in range(len(leads) - 1):
                 heapq.heappush(pairs, pair(k, len(leads) - 1))
     minimal = []
@@ -763,8 +768,8 @@ def all_pairs_buchberger(gens):
     kept = [divisors[k] for k in minimal]
     basis = []
     for pos, ((ge, _), terms) in enumerate(kept):
-        r, _ = groebner._reduce(dict(terms), kept[:pos] + kept[pos + 1:])
-        basis.append(Poly(vars, {e: Fraction(c, r[ge]) for e, c in r.items()}))
+        r, _ = groebner._reduce(dict(terms), kept[:pos] + kept[pos + 1:], ring.guard)
+        basis.append(Poly(vars, {ring.unpack(e): Fraction(c, r[ge]) for e, c in r.items()}))
     return basis
 
 
@@ -800,6 +805,23 @@ def test_pair_criteria_keep_the_all_pairs_basis_on_edge_inputs(srcs, vars):
     assert list(buchberger(gens).gens) == all_pairs_buchberger(gens)
 
 
+@pytest.mark.parametrize("gens", [katsura(4), cyclic(5)], ids=["katsura-4", "cyclic-5"])
+def test_a_pair_whose_lcm_does_not_fit_repacks_the_basis_wider(monkeypatch, gens):
+    # the narrowest width holds the input's degrees and nothing more, so the
+    # first S-polynomial of higher degree must widen every field first
+    widths = []
+
+    def narrowest(n, degree):
+        widths.append(degree.bit_length())
+        return groebner._Packing(n, widths[-1])
+
+    monkeypatch.setattr(groebner, "_packing", narrowest)
+    basis = buchberger(gens)
+    assert len(widths) > 1 and widths == sorted(widths)
+    assert max(sum(g.leading()[0]) for g in basis.gens) >= 1 << widths[0]
+    assert list(basis.gens) == all_pairs_buchberger(gens)
+
+
 def count_s_pair_reductions(monkeypatch, build, gens):
     """(S-pairs reduced, how many came back zero) by one basis computation.
 
@@ -809,9 +831,9 @@ def count_s_pair_reductions(monkeypatch, build, gens):
     calls = zeros = 0
     reduce = groebner._reduce
 
-    def counting(work, divisors):
+    def counting(*args):
         nonlocal calls, zeros
-        r = reduce(work, divisors)
+        r = reduce(*args)
         calls += 1
         zeros += not r[0]
         return r
