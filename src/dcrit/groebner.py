@@ -41,7 +41,8 @@ a smaller key a larger monomial in degrevlex, and g divides e exactly when
 no field of e - g borrows, (e - g) & guard == 0.  Degrevlex is degree-
 compatible, so no term of a reduction is heavier than its pair's lcm: W
 holds twice the input degrees, and every key is repacked wider before an
-lcm that would not fit.  The GroebnerBasis keeps exponent vectors.
+lcm that would not fit.  A GroebnerBasis is its monic generators alone,
+on exponent vectors.
 
 A GroebnerBasis is also the description of R/I, as a vector space on its
 standard monomials, filled as it is asked.  Counting lists nothing: the
@@ -62,7 +63,9 @@ is kept.  `vector` walks from NF(1) over the memo the matrices seed with
 the standard and border monomials; `multiples(p)` walks from NF(p), so it
 is the map s -> NF(p*x^s), each value built only when it is asked for, and
 a caller that needs few of them (`symplectic.obstruction_theory` skips
-every multiple of a dependent column) builds few.
+every multiple of a dependent column) builds few.  All of it is read off
+the generators: their leading terms, one list found once, and each one's
+primitive integer form, its tail, only when the matrices are built.
 """
 
 from __future__ import annotations
@@ -76,7 +79,7 @@ from math import comb, gcd, lcm
 from operator import le, mul
 from typing import Iterable, Union
 
-from .poly import Exponents, Poly, _integral, _primitive, _shift, degrevlex_key
+from .poly import Exponents, Poly, _integral, _primitive, _shift, degrevlex_key, normalize_weights
 
 #: Returned where a quotient ring has no finite vector-space dimension.
 INFINITE = "infinite"
@@ -117,11 +120,6 @@ class _Packing:
 def _packing(n: int, degree: int) -> _Packing:
     """The packing for terms up to this degree, with room for lcms of twice it."""
     return _Packing(n, (2 * degree).bit_length())
-
-
-def _map_monomials(divisors: list, f: Callable) -> list:
-    """A divisor list of `_with_leads`' form with each monomial passed through f."""
-    return [((f(ge), gc), {f(e): c for e, c in terms.items()}) for (ge, gc), terms in divisors]
 
 
 def _with_leads(basis: Sequence[Poly], ring: _Packing) -> list:
@@ -307,10 +305,10 @@ class GroebnerBasis:
     """Reduced monic Groebner basis, sorted by ascending leading term, and the
     quotient R/I it describes, as a Q-vector space on its standard monomials.
 
-    The generators' leading terms, and their primitive integer forms, are
-    found once, when the basis is made, and the quotient reads them there;
-    `buchberger` hands over the forms it already has as `_divisors`, on
-    exponent vectors, which must then be what the constructor would find.
+    The basis is its generators, checked to live over `vars`.  The quotient
+    reads their leading terms from one list, found the first time it is
+    asked for, and each generator's primitive integer form (its tail) only
+    when `matrices` is built.
 
     A vector of R/I is an IntVector (nums, den): nums is a sparse dict from
     a standard monomial's position in `monomials` to a nonzero int
@@ -324,20 +322,28 @@ class GroebnerBasis:
 
     vars: tuple[str, ...]
     gens: tuple[Poly, ...]
-    _divisors: list | None = field(default=None, kw_only=True, repr=False, compare=False)
     _numerators: dict[tuple[int, ...], dict[int, int]] = field(
         init=False, default_factory=dict, repr=False, compare=False)
     _memo: dict[Exponents, IntVector] = field(  # NF(x^e) by e, seeded by `matrices`
         init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        if self._divisors is None:
-            ring = _packing(len(self.vars), max(map(Poly.total_degree, self.gens), default=0))
-            object.__setattr__(self, "_divisors",
-                               _map_monomials(_with_leads(self.gens, ring), ring.unpack))
+        if any(g.vars != self.vars for g in self.gens):
+            raise ValueError("generators live over different variables")
 
     def __str__(self) -> str:
         return "{" + ", ".join(str(g) for g in self.gens) + "}"
+
+    @cached_property
+    def _leads(self) -> list[Exponents]:
+        """The leading term of each nonzero generator, in list order."""
+        return [g.leading()[0] for g in self.gens if g]
+
+    @cached_property
+    def _tails(self) -> dict[Exponents, dict[Exponents, int]]:
+        """Each nonzero generator as a primitive int term map, by its leading term."""
+        return {ge: _primitive(_integral(g.terms)[0], ge)
+                for ge, g in zip(self._leads, filter(None, self.gens))}
 
     @cached_property
     def _box(self) -> tuple[int, ...] | None:
@@ -346,10 +352,9 @@ class GroebnerBasis:
 
         The constant of the unit ideal is a pure power of every variable.
         """
-        leads = [ge for (ge, _), _ in self._divisors]
         caps = []
         for i in range(len(self.vars)):
-            powers = [e[i] for e in leads if not any(e[:i]) and not any(e[i + 1:])]
+            powers = [e[i] for e in self._leads if not any(e[:i]) and not any(e[i + 1:])]
             if not powers:
                 return None
             caps.append(min(powers))
@@ -359,15 +364,15 @@ class GroebnerBasis:
         """K(t), as {exponent: nonzero coefficient}, with
         sum_w dim (R/in(I))_w t^w = K(t) / prod_i (1 - t^w_i) in the given
         positive weights; from the leading terms alone, kept per weights.
+        Weights other than one positive int per variable are a ValueError.
 
         When I is weighted-homogeneous in the same weights, so is its reduced
         basis, and R/I has the same Hilbert function as R/in(I).
         """
-        ws = tuple(weights)
+        ws = normalize_weights(self.vars, weights)
         k = self._numerators.get(ws)
         if k is None:
-            leads = [ge for (ge, _), _ in self._divisors]
-            k = self._numerators[ws] = _hilbert_numerator(leads, ws)
+            k = self._numerators[ws] = _hilbert_numerator(self._leads, ws)
         return k
 
     @cached_property
@@ -395,9 +400,8 @@ class GroebnerBasis:
         box = self._box
         if box is None:
             return None
-        leads = [ge for (ge, _), _ in self._divisors]
         out = [exps for exps in product(*map(range, box))
-               if not any(_divides(le, exps) for le in leads)]
+               if not any(_divides(le, exps) for le in self._leads)]
         return tuple(sorted(out, key=degrevlex_key))
 
     @cached_property
@@ -420,7 +424,6 @@ class GroebnerBasis:
         index = self.index
         monos = self.monomials
         n = len(self.vars)
-        tails = {ge: (gc, terms) for (ge, gc), terms in self._divisors}
         border: dict[Exponents, list[tuple[int, int]]] = {}
         for col, s in enumerate(monos):
             for k in range(n):
@@ -429,7 +432,7 @@ class GroebnerBasis:
         columns: list[list] = [[None] * len(monos) for _ in range(n)]
         memo = self._memo
         for b in sorted(border, key=degrevlex_key):
-            memo[b] = v = self._border_vector(b, tails, memo, columns)
+            memo[b] = v = self._border_vector(b, memo, columns)
             for k, col in border[b]:
                 columns[k][col] = v
         memo.update({m: ({k: 1}, 1) for m, k in index.items()})
@@ -437,14 +440,13 @@ class GroebnerBasis:
             memo[(0,) * n] = ({}, 1)  # the unit ideal: every normal form is zero
         return tuple(tuple(c) for c in columns)
 
-    def _border_vector(self, b, tails, memo, columns) -> IntVector:
+    def _border_vector(self, b, memo, columns) -> IntVector:
         index = self.index
         if b in index:
             return {index[b]: 1}, 1
-        lead = tails.get(b)
-        if lead is not None and all(e in index for e in lead[1] if e != b):
-            gc, terms = lead
-            return _vector({index[e]: -c for e, c in terms.items() if e != b}, gc)
+        terms = self._tails.get(b)
+        if terms is not None and all(e in index for e in terms if e != b):
+            return _vector({index[e]: -c for e, c in terms.items() if e != b}, terms[b])
         for j, a in enumerate(b):
             smaller = _shift(b, j, -1) if a else None
             if smaller in memo and smaller not in index:
@@ -545,7 +547,8 @@ def buchberger(gens: Iterable[Poly]) -> GroebnerBasis:
         if degree >> ring.width:  # the next S-polynomial's terms would not fit: repack wider
             narrow, ring = ring, _packing(len(vars), degree)
             move = lambda k: ring.pack(narrow.unpack(k))
-            divisors[:] = _map_monomials(divisors, move)
+            divisors[:] = [((move(ge), gc), {move(e): c for e, c in terms.items()})
+                           for (ge, gc), terms in divisors]
             leads[:] = [ge for (ge, _), _ in divisors]
             pairs[:] = [(-move(-p[0]), *p[1:]) for p in pairs]  # packing keeps the order
         key, _, i, j = heappop(pairs)
@@ -560,18 +563,15 @@ def buchberger(gens: Iterable[Poly]) -> GroebnerBasis:
         if all((leads[k] - leads[m]) & ring.guard for m in minimal):
             minimal.append(k)
     # interreduce: fully reduce each generator against the others; no other
-    # leading term divides its own, so it stays first and the order by
-    # leading term stays.  The basis keeps the primitive forms as its
-    # divisors, each generator is made monic, and both go back to exponents.
+    # leading term divides its own, so it stays first, with a positive
+    # coefficient, and the order by leading term stays.  Each generator is
+    # made monic and goes back to exponents.
     kept = [divisors[k] for k in minimal]
-    reduced, primitive = [], []
+    reduced = []
     for pos, ((ge, _), terms) in enumerate(kept):
         r, _ = _reduce(dict(terms), kept[:pos] + kept[pos + 1:], ring.guard)
-        r = {ring.unpack(e): c for e, c in _primitive(r, ge).items()}
-        ge = next(iter(r))
-        primitive.append(((ge, r[ge]), r))
-        reduced.append(Poly._make(vars, dict(r), r[ge]))
-    return GroebnerBasis(vars, tuple(reduced), _divisors=primitive)
+        reduced.append(Poly._make(vars, {ring.unpack(e): c for e, c in r.items()}, r[ge]))
+    return GroebnerBasis(vars, tuple(reduced))
 
 
 def standard_monomials(gb: GroebnerBasis) -> list[Exponents] | None:

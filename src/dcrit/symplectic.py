@@ -71,20 +71,16 @@ class PairingReport:
                 "nondegenerate": self.nondegenerate}
 
 
-def _tangent_differential(locus: KoszulComplex) -> tuple[tuple[Poly, ...], ...]:
-    """The Jacobian of the locus's section, square: one component per variable."""
+def minus_one_pairing(locus: KoszulComplex) -> PairingReport:
+    """The degree -1 pairing of a derived zero locus's tangent complex, whose
+    differential is the Jacobian of the section (for the critical locus of f,
+    the Hessian): perfect levelwise when it is symmetric, and none otherwise.
+    The Jacobian must be square: one section component per variable."""
     n = len(locus.ambient.vars)
     if locus.rank != n:
         raise ValueError(f"the tangent complex needs one section component per variable, "
                          f"got {locus.rank} for {n}")
-    return locus.jacobian
-
-
-def minus_one_pairing(locus: KoszulComplex) -> PairingReport:
-    """The degree -1 pairing of a derived zero locus's tangent complex, whose
-    differential is the Jacobian of the section (for the critical locus of f,
-    the Hessian): perfect levelwise when it is symmetric, and none otherwise."""
-    m = _tangent_differential(locus)
+    m = locus.jacobian
     return PairingReport(m, is_symmetric(m))
 
 

@@ -74,6 +74,16 @@ def test_normal_form_refuses_other_variables():
             normal_form(x, basis)
 
 
+def test_basis_refuses_generators_over_other_variables():
+    # read over x, y only, x^2 and y^3 in x, y, z would give a quotient of dimension 6
+    xyz = ("x", "y", "z")
+    with pytest.raises(ValueError, match="different variables"):
+        GroebnerBasis(VS, (P("x^2", xyz), P("y^3", xyz)))
+    with pytest.raises(ValueError, match="different variables"):
+        GroebnerBasis(VS, (P("x^2"), P("y^3", xyz)))
+    assert GroebnerBasis(VS, (P("x^2"), P("y^3"))).dimension == 6
+
+
 def test_buchberger_empty_and_zero_input():
     with pytest.raises(ValueError):
         buchberger([])  # variables cannot be inferred
@@ -400,7 +410,7 @@ def test_basis_finds_its_leading_terms_once(monkeypatch):
 def test_buchberger_pairs_each_divisor_with_its_leading_term_once(monkeypatch):
     # the divisor list grows alongside the basis: one pairing of the input,
     # none per reduction, and none when the GroebnerBasis is made, which
-    # takes the interreduced primitive forms as they are
+    # reads its leading terms and tails off its generators only when asked
     import dcrit.groebner as groebner
     calls = []
     with_leads = groebner._with_leads
@@ -419,12 +429,25 @@ def seeded_basis(seed):
 
 
 @pytest.mark.parametrize("seed", range(12))
-def test_buchberger_hands_the_divisors_the_constructor_would_find(seed):
+def test_each_tail_is_the_primitive_form_the_reducer_divides_by(seed):
+    # the quotient reads each generator's tail off gens alone: a primitive int
+    # term map with a positive leading coefficient, the form _with_leads packs
+    # for the reducer, term order included, and for a monic generator simply
+    # its cleared denominators
     gb = seeded_basis(seed)
-    public = GroebnerBasis(gb.vars, gb.gens)
-    assert gb._divisors == public._divisors
-    # same term order too, so every later reduction walks the same dicts
-    assert [list(t) for _, t in gb._divisors] == [list(t) for _, t in public._divisors]
+    loose = loose_basis(gb, random.Random(seed))
+    loose = GroebnerBasis(gb.vars, (Poly.zero(gb.vars),) + loose.gens)  # a zero generator too
+    for basis in (gb, loose):
+        ring = groebner._packing(len(basis.vars), max(map(Poly.total_degree, basis.gens)))
+        packed = [(ring.unpack(ge), [(ring.unpack(e), c) for e, c in terms.items()])
+                  for (ge, _), terms in groebner._with_leads(basis.gens, ring)]
+        tails = basis._tails
+        assert [(ge, list(t.items())) for ge, t in tails.items()] == packed
+        assert list(tails) == basis._leads == [g.leading()[0] for g in basis.gens if g]
+        for ge, t in tails.items():
+            assert t[ge] > 0 and gcd(*t.values()) == 1
+    for g in gb.gens:
+        assert g.leading()[1] == 1 and gb._tails[g.leading()[0]] == groebner._integral(g.terms)[0]
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -688,6 +711,14 @@ def test_hilbert_numerator_of_degenerate_ideals():
     assert q.hilbert_numerator((1, 1)) == {0: 1, 2: -2, 4: 1}
     assert series(q.hilbert_numerator((1, 1)), (1, 1), 6) == [1, 2, 1, 0, 0, 0, 0]
     assert q.dimension == 4
+
+
+def test_hilbert_numerator_refuses_bad_weights():
+    q = buchberger([P("x^2"), P("y^3")])
+    for ws in ((1,), (1, 2, 3), (0, 1), (-1, 2)):
+        with pytest.raises(ValueError, match="weights"):
+            q.hilbert_numerator(ws)
+    assert q.hilbert_numerator({"y": 2, "x": 1}) == q.hilbert_numerator((1, 2)) == {0: 1, 2: -1, 6: -1, 8: 1}
 
 
 def test_complete_intersections_have_the_product_numerator():

@@ -8,13 +8,17 @@ the standard library or from dcrit itself: the runtime is stdlib-only.
 int coefficients it gives a float, so exact quotients go through `Fraction`.
 Every layer the benchmark harness times or counts by name (`TIMED` and
 `CALLED` in bench/run.py) must still be a public function of its module:
-the harness reads a missing one as zero instead of failing.
+the harness reads a missing one as zero instead of failing.  No module-level
+function or class is dead: each is referenced outside its own body somewhere
+in the package, exported in `dcrit.__all__`, or such a layer; only the CLI's
+`_cmd_*` handlers, which `main` looks up by name, are exempt.
 """
 
 import ast
 import importlib
 import inspect
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -36,12 +40,15 @@ def imports(tree):
             yield node.module or "", node.level, names
 
 
-def used_names(tree):
-    """Names read anywhere in the module, string annotations included."""
-    used = set()
+def used_names(tree, attributes=False):
+    """A Counter of the names read anywhere in the tree, string annotations
+    included, and of the attribute names read when `attributes` is set."""
+    used = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            used.add(node.id)
+            used[node.id] += 1
+        elif attributes and isinstance(node, ast.Attribute):
+            used[node.attr] += 1
         note = getattr(node, "annotation", None) or getattr(node, "returns", None)
         if isinstance(note, ast.Constant) and isinstance(note.value, str):
             used.update(n.id for n in ast.walk(ast.parse(note.value, mode="eval"))
@@ -101,3 +108,15 @@ def test_every_benchmark_layer_is_a_public_function(name):
     mod = importlib.import_module(f"dcrit.{module}")
     fn = getattr(mod, attr, None)
     assert inspect.isfunction(fn) and fn.__module__ == mod.__name__
+
+
+def test_every_module_level_definition_is_used():
+    trees = {path.stem: ast.parse(path.read_text()) for path in MODULES}
+    everywhere = sum((used_names(tree, attributes=True) for tree in trees.values()), Counter())
+    kept = set(importlib.import_module("dcrit").__all__) | set(traced_layers())
+    dead = [f"{stem}.{node.name}" for stem, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not kept & {node.name, f"{stem}.{node.name}"}
+            and not (stem == "cli" and node.name.startswith("_cmd_"))
+            and everywhere[node.name] == used_names(node, attributes=True)[node.name]]
+    assert dead == []
