@@ -3,12 +3,10 @@
 Every suite is a stream of random inputs, drawn from a deterministic RNG with
 an explicit seed, and a table of identities; `run_identities`, the one trial
 loop, tries each draw against the table and reports a CheckReport, as the
-acceptance criteria do.  A drawn element's keys are valid by construction,
-so it is built once, through the trusted constructor `_make`, from its
-coefficients made exact (`_exact`): the element the public constructor
-would give.  `counterexample` shrinks a failing instance by
-greedily deleting terms while the failure persists, so counterexamples stay
-readable.
+acceptance criteria do.  A drawn element is built once, by the public
+constructor, from its summed int and Fraction coefficients.
+`counterexample` shrinks a failing instance by greedily deleting terms while
+the failure persists, so counterexamples stay readable.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ from random import Random
 from typing import Callable, Iterator, Sequence
 
 from .exterior import Ambient, ExtElt, Section
-from .poly import Poly, Scalar, _exact
+from .poly import Poly, Scalar
 
 
 @dataclass
@@ -89,7 +87,7 @@ def rand_poly(rng: Random, vars: Sequence[str], max_deg: int, max_terms: int = 3
     for _ in range(rng.randint(1, max_terms)):
         exps = rand_exps(rng, len(vs), max_deg)
         terms[exps] = terms.get(exps, 0) + rand_coeff(rng)
-    return Poly._make(vs, {exps: _exact(c) for exps, c in terms.items()})
+    return Poly(vs, terms)
 
 
 def _rand_elt(rng: Random, ambient: Ambient, max_deg: int, max_terms: int,
@@ -104,7 +102,7 @@ def _rand_elt(rng: Random, ambient: Ambient, max_deg: int, max_terms: int,
         subset = tuple(sorted(rng.sample(pool, p)))
         key = (rand_exps(rng, len(ambient.vars), max_deg), subset)
         terms[key] = terms.get(key, 0) + rand_coeff(rng)
-    return ExtElt._make(ambient, {key: _exact(c) for key, c in terms.items()})
+    return ExtElt(ambient, terms)
 
 
 def rand_homogeneous(rng: Random, ambient: Ambient, max_deg: int,
@@ -133,8 +131,9 @@ def _one_term_deleted(elts: list) -> Iterator[list]:
     """Every input list that drops one term of one `ExtElt` input, in order."""
     for i, e in enumerate(elts):
         if isinstance(e, ExtElt):
-            for key in e.terms:
-                smaller = ExtElt(e.ambient, {k: c for k, c in e.terms.items() if k != key})
+            for key in e._num:
+                smaller = ExtElt._make(e.ambient, {k: c for k, c in e._num.items() if k != key},
+                                       e._den)
                 yield elts[:i] + [smaller] + elts[i + 1:]
 
 

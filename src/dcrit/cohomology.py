@@ -29,16 +29,15 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, combinations, repeat
-from math import comb
 from operator import sub
 from typing import Mapping, Sequence
 
 from .checks import CheckReport
 from .exterior import _contract
-from .groebner import INFINITE
+from .groebner import INFINITE, _taylor_at_one
 from .koszul import KoszulComplex, TautologicalKoszul
 from .linalg import rank_rows
-from .poly import ANY_DEGREE, INHOMOGENEOUS, Poly, _integral, monomials_of_weight, normalize_weights
+from .poly import ANY_DEGREE, INHOMOGENEOUS, Poly, monomials_of_weight, normalize_weights
 
 
 class InhomogeneousSectionError(ValueError):
@@ -84,7 +83,7 @@ def _series(k: Mapping[int, int], ws: Sequence[int], cutoff: int) -> list[int]:
 
 def _grade(k: Mapping[int, int], m: int) -> int:
     """grade I = n - dim R/I, the multiplicity of t = 1 as a root of K(t), capped at m."""
-    return next((j for j in range(m) if sum(v * comb(e, j) for e, v in k.items())), m)
+    return next((j for j in range(m) if _taylor_at_one(k, j)), m)
 
 
 def _settle(ranks: dict[int, list[int]], p: int, row: list[int], span: range,
@@ -100,8 +99,8 @@ def _settle(ranks: dict[int, list[int]], p: int, row: list[int], span: range,
 class _Slices:
     """The weight slices of one Koszul complex, computed over the integers.
 
-    Each section component j is multiplied by the least positive integer
-    lambda_j that clears its denominators (`_integral`).  That conjugates
+    Each section component j is taken as its int numerators, that is,
+    multiplied by its positive denominator lambda_j.  That conjugates
     every slice differential by the diagonal map e_S -> prod_{j in S}
     lambda_j * e_S, which changes no rank and no pivot column, so the
     clearing below stays exact; the slice columns come out of `_contract`
@@ -125,7 +124,7 @@ class _Slices:
         gd = generator_degrees(c, ws)
         if not c.d_squared:
             raise AssertionError(f"the differential of {c} does not square to zero")
-        return cls([_integral(p.terms)[0] for p in c.section.components], ws, gd)
+        return cls([p._num for p in c.section.components], ws, gd)
 
     def dimensions(self, top: int, first: int = 0) -> dict[int, list[int]]:
         """dim C^p_w for every degree p and w = first, ..., top: the series of
@@ -240,7 +239,7 @@ def _common_factor(k: Mapping[int, int], m: int) -> tuple[int, int]:
     K_I - 1 + t^e that t^e does not divide, is no Hilbert numerator of
     such a section, and AssertionError says so.
     """
-    e = -sum(d * v for d, v in k.items())
+    e = -_taylor_at_one(k, 1)
     if e <= 0:
         raise AssertionError(f"K(t) = {dict(k)} gives the common factor weight {e}")
     numerator = Counter(k)

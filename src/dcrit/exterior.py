@@ -2,13 +2,12 @@
 
 Elements live in R otimes Lambda(e_1, ..., e_m) for R = Q[vars]: sparse maps
 from (exponent vector, strictly increasing generator subset) to nonzero
-rational coefficients, stored as `Poly` stores them: ints for integral
-input, Fractions otherwise.  The wedge, contraction and algebra maps run on
-ints, as `Poly`'s product does, so an integral coefficient they return is an
-int.  The generator in slot j of a wedge monomial is
-e_{j}; a subset is a tuple of 0-based generator indices.  Wedge degree p
-sits in cohomological degree -p, so contraction along a section raises
-cohomological degree by one.
+rational coefficients, stored as `Poly` stores them: int numerators over one
+positive denominator, in lowest terms.  The wedge, contraction and algebra
+maps run on the numerators, as `Poly`'s product does.  The generator in slot
+j of a wedge monomial is e_{j}; a subset is a tuple of 0-based generator
+indices.  Wedge degree p sits in cohomological degree -p, so contraction
+along a section raises cohomological degree by one.
 
 Sign conventions (the single source of truth for every complex built here):
 
@@ -32,8 +31,8 @@ from dataclasses import dataclass
 from math import lcm
 from typing import Mapping, Sequence
 
-from .poly import (_SCALARS, Exponents, Poly, Scalar, _descending_key, _integral, _power, _Terms,
-                   exps_add, monomial_str)
+from .poly import (_SCALARS, Exponents, Poly, Scalar, _descending_key, _power, _Terms, exps_add,
+                   monomial_str)
 
 TermKey = tuple[Exponents, tuple[int, ...]]
 
@@ -122,8 +121,8 @@ class ExtElt(_Terms):
         """p * e_{subset} for a polynomial coefficient p."""
         if p.vars != ambient.vars:
             raise ValueError("polynomial lives over different variables")
-        sub = tuple(subset)
-        return cls(ambient, {(exps, sub): c for exps, c in p.terms.items()})
+        sub = cls._valid_key(ambient, ((0,) * len(ambient.vars), subset))[1]
+        return cls._make(ambient, {(exps, sub): c for exps, c in p._num.items()}, p._den)
 
     # -- ring operations -----------------------------------------------------
 
@@ -149,14 +148,14 @@ class ExtElt(_Terms):
     def coefficient_poly(self, subset: Sequence[int]) -> Poly:
         sub = tuple(subset)
         return Poly._make(self.ambient.vars,
-                          {exps: c for (exps, s), c in self.terms.items() if s == sub})
+                          {exps: c for (exps, s), c in self._num.items() if s == sub}, self._den)
 
     def subsets(self) -> set[tuple[int, ...]]:
-        return {s for (_, s) in self.terms}
+        return {s for (_, s) in self._num}
 
     def degree(self) -> int:
         """Cohomological degree; zero elements report 0, mixed ones raise."""
-        sizes = {len(s) for (_, s) in self.terms}
+        sizes = {len(s) for (_, s) in self._num}
         if not sizes:
             return 0
         if len(sizes) > 1:
@@ -198,17 +197,16 @@ class Section:
 def wedge(a: ExtElt, b: ExtElt) -> ExtElt:
     """Graded-commutative product."""
     a._check(b)
-    at, da = _integral(a.terms)
-    bt, db = _integral(b.terms)
+    bt = b._num
     terms: dict[TermKey, int] = {}
-    for (e1, s1), c1 in at.items():
+    for (e1, s1), c1 in a._num.items():
         for (e2, s2), c2 in bt.items():
             sign, merged = merge_sign(s1, s2)
             if sign == 0:
                 continue
             key = (exps_add(e1, e2), merged)
             terms[key] = terms.get(key, 0) + sign * c1 * c2
-    return ExtElt._make(a.ambient, terms, da * db)
+    return ExtElt._make(a.ambient, terms, a._den * b._den)
 
 
 def algebra_map(a: ExtElt, target: Ambient,
@@ -218,8 +216,7 @@ def algebra_map(a: ExtElt, target: Ambient,
 
     A generator sent to () kills every term that holds it.  Each subset's
     product of images is expanded once per call with `merge_sign`; its signs
-    stay ints, each multiplying a coefficient of a, cleared of its
-    denominators, once.
+    stay ints, each multiplying a numerator of a once.
     """
     if target.vars != a.ambient.vars:
         raise ValueError("target lives over different variables")
@@ -229,9 +226,8 @@ def algebra_map(a: ExtElt, target: Ambient,
         raise ValueError(f"an image leaves the {target.rank} generators of the target")
     singles = [[((t,), s) for t, s in image] for image in images]
     products: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
-    at, d = _integral(a.terms)
     terms: dict[TermKey, int] = {}
-    for (exps, subset), c in at.items():
+    for (exps, subset), c in a._num.items():
         product = products.get(subset)
         if product is None:
             product = {(): 1}
@@ -248,7 +244,7 @@ def algebra_map(a: ExtElt, target: Ambient,
             if sign:
                 key = (exps, sub)
                 terms[key] = terms[key] + sign * c if key in terms else sign * c
-    return ExtElt._make(target, terms, d)
+    return ExtElt._make(target, terms, a._den)
 
 
 def _odd_parts(subset: tuple[int, ...]) -> list[tuple[int, int, tuple[int, ...]]]:
@@ -257,15 +253,22 @@ def _odd_parts(subset: tuple[int, ...]) -> list[tuple[int, int, tuple[int, ...]]
     return [(i, -1 if k % 2 else 1, subset[:k] + subset[k + 1:]) for k, i in enumerate(subset)]
 
 
-def _contract(components: Sequence[Mapping[Exponents, Scalar]],
-              terms: Mapping[TermKey, Scalar]) -> dict[TermKey, Scalar]:
+def _common_denominator(polys: Sequence[Poly]) -> tuple[list[dict[Exponents, int]], int]:
+    """(numerator maps, d): each polynomial times the lcm d of their denominators."""
+    d = lcm(*[p._den for p in polys])
+    return [p._num if p._den == d else {e: c * (d // p._den) for e, c in p._num.items()}
+            for p in polys], d
+
+
+def _contract(components: Sequence[Mapping[Exponents, int]],
+              terms: Mapping[TermKey, int]) -> dict[TermKey, int]:
     """The contraction sign rule, written once.
 
-    `components` are the section components' term maps and `terms` an
-    exterior element's.  The result is the accumulated term dict, zeros
-    included; it holds ints when every coefficient given is an int.
+    `components` are the section components' numerator maps and `terms` an
+    exterior element's.  The result is the accumulated int term dict, zeros
+    included.
     """
-    out: dict[TermKey, Scalar] = {}
+    out: dict[TermKey, int] = {}
     for (exps, subset), c in terms.items():
         for j, sign, omitted in _odd_parts(subset):
             signed = -sign * c
@@ -281,13 +284,10 @@ def contract(s: Section, a: ExtElt) -> ExtElt:
     On a wedge monomial e_{j_1} ^ ... ^ e_{j_p} the value is
     sum_k (-1)^k s_{j_k} e_{j_1} ^ ... omit k ... ^ e_{j_p}, k from 1.
     Squares to zero; a graded derivation up to the sign of the left factor.
-    The components are brought to one common denominator and a's
-    denominators are cleared, so `_contract` runs on ints.
+    The components are brought to one common denominator, so `_contract`
+    runs on numerators.
     """
     if s.ambient is not a.ambient and s.ambient != a.ambient:
         raise ValueError("section and element live in different ambients")
-    cleared = [_integral(p.terms) for p in s.components]
-    ds = lcm(*[d for _, d in cleared])
-    components = [t if d == ds else {e: c * (ds // d) for e, c in t.items()} for t, d in cleared]
-    terms, da = _integral(a.terms)
-    return ExtElt._make(a.ambient, _contract(components, terms), ds * da)
+    components, ds = _common_denominator(s.components)
+    return ExtElt._make(a.ambient, _contract(components, a._num), ds * a._den)

@@ -13,10 +13,9 @@ fraction-free: to cancel a term c by a divisor whose leading coefficient is
 gc, the work is scaled by gc/gcd(c, gc) and (c/gcd(c, gc))*x^q*g is
 subtracted, and the content comes off once, at the end.  Scaling by a
 positive integer changes neither the ideal nor any leading term, so the
-basis is the one rational arithmetic gives; it is made monic, with a
-Fraction for each coefficient the leading one does not divide, only when
-the GroebnerBasis is built, and a rational remainder is made only when
-`normal_form` returns one.
+basis is the one rational arithmetic gives; it is made monic, over its
+leading coefficient as the one denominator, only when the GroebnerBasis is
+built, and a remainder over its scale only when `normal_form` returns one.
 
 Critical pairs are kept by Gebauer and Moller's update (Installation of
 Buchberger's algorithm, J. Symb. Comp. 1988; the UPDATE procedure of Becker
@@ -56,14 +55,15 @@ the leading term of a reduced generator g (NF = lt(g) - g), or x_j*b' for
 a smaller non-standard b' (NF = M_j NF(b'), FGLM's increasing-order rule).
 After that every normal form in R/I is linear algebra on vectors of length
 mu.  Those vectors are IntVectors, int numerators over one positive int
-denominator, and `matrices`, `vector` and `multiples` hand them out as
-they are.  One walk makes them all: NF(p*x^s) comes from NF(p*x^(s - e_k)),
-x_k the first variable x^s holds, through M_k, and each value on the way
-is kept.  `vector` walks from NF(1) over the memo the matrices seed with
-the standard and border monomials; `multiples(p)` walks from NF(p), so it
-is the map s -> NF(p*x^s), each value built only when it is asked for, and
-a caller that needs few of them (`symplectic.obstruction_theory` skips
-every multiple of a dependent column) builds few.  All of it is read off
+denominator in lowest terms, the form of every Poly (`poly._lowest`), and
+`matrices`, `vector` and `multiples` hand them out as they are.  One walk
+makes them all: NF(p*x^s) comes from NF(p*x^(s - e_k)), x_k the first
+variable x^s holds, through M_k, and each value on the way is kept.
+`vector` walks from NF(1) over the memo the matrices seed with the standard
+and border monomials; `multiples(p)` walks from NF(p), so it is the map
+s -> NF(p*x^s), each value built only when it is asked for, and a caller
+that needs few of them (`symplectic.obstruction_theory` skips every
+multiple of a dependent column) builds few.  All of it is read off
 the generators: their leading terms, one list found once, and each one's
 primitive integer form, its tail, only when the matrices are built.
 """
@@ -79,7 +79,7 @@ from math import comb, gcd, lcm
 from operator import le, mul
 from typing import Iterable, Union
 
-from .poly import Exponents, Poly, _integral, _primitive, _shift, degrevlex_key, normalize_weights
+from .poly import Exponents, Poly, _lowest, _primitive, _shift, degrevlex_key, normalize_weights
 
 #: Returned where a quotient ring has no finite vector-space dimension.
 INFINITE = "infinite"
@@ -127,8 +127,8 @@ def _with_leads(basis: Sequence[Poly], ring: _Packing) -> list:
     order, as primitive integer polynomials on the ring's keys."""
     out = []
     for g in basis:
-        if g.terms:
-            terms = {ring.pack(e): c for e, c in _integral(g.terms)[0].items()}
+        if g:
+            terms = {ring.pack(e): c for e, c in g._num.items()}
             e = min(terms)  # the least key is the leading term
             terms = _primitive(terms, e)
             out.append(((e, terms[e]), terms))
@@ -152,9 +152,9 @@ def normal_form(p: Poly, basis: Union["GroebnerBasis", Sequence[Poly]]) -> Poly:
         raise ValueError("polynomial lives over different variables")
     # no term of the division is of higher degree than p or a leading term
     ring = _packing(len(p.vars), max(map(Poly.total_degree, [p, *basis])))
-    work, d = _integral(p.terms)
-    r, s = _reduce({ring.pack(e): c for e, c in work.items()}, _with_leads(basis, ring), ring.guard)
-    return Poly._make(p.vars, {ring.unpack(e): c for e, c in r.items()}, d * s)
+    work = {ring.pack(e): c for e, c in p._num.items()}
+    r, s = _reduce(work, _with_leads(basis, ring), ring.guard)
+    return Poly._make(p.vars, {ring.unpack(e): c for e, c in r.items()}, p._den * s)
 
 
 def _reduce(work: dict[int, int], divisors: list, guard: int) -> tuple[dict[int, int], int]:
@@ -229,21 +229,15 @@ def _s_poly(f, g, lcm_key: int) -> dict[int, int]:
 IntVector = tuple  # (standard-monomial index -> nonzero int numerator, positive int denominator)
 
 
-def _vector(nums: dict[int, int], den: int) -> IntVector:
-    """nums/den in lowest terms: the numerators and the denominator share no factor."""
-    g = gcd(den, *nums.values())
-    return (nums, den) if g == 1 else ({r: a // g for r, a in nums.items()}, den // g)
-
-
 def _combine(parts: list, den: int = 1) -> IntVector:
-    """The sum of c*v over the (int c, IntVector v) parts, divided by den."""
+    """The sum of c*v over the (int c, IntVector v) parts, divided by den, in lowest terms."""
     common = lcm(*(v[1] for _, v in parts))
     out: dict[int, int] = {}
     for c, (nums, d) in parts:
         c *= common // d
         for r, a in nums.items():
             out[r] = out.get(r, 0) + c * a
-    return _vector({r: a for r, a in out.items() if a}, den * common)
+    return _lowest({r: a for r, a in out.items() if a}, den * common)
 
 
 def _apply(columns: Sequence[IntVector], v: IntVector) -> IntVector:
@@ -262,6 +256,11 @@ def ci_numerator(degrees: Iterable[int]) -> dict[int, int]:
             times[e + d] = times.get(e + d, 0) - c
         out = {e: c for e, c in times.items() if c}
     return out
+
+
+def _taylor_at_one(k: dict[int, int], j: int) -> int:
+    """sum_e k_e C(e, j), the coefficient of (t - 1)^j in K(t) = sum_e k_e t^e."""
+    return sum(c * comb(e, j) for e, c in k.items())
 
 
 def _hilbert_numerator(gens: list[Exponents], ws: tuple[int, ...]) -> dict[int, int]:
@@ -342,7 +341,7 @@ class GroebnerBasis:
     @cached_property
     def _tails(self) -> dict[Exponents, dict[Exponents, int]]:
         """Each nonzero generator as a primitive int term map, by its leading term."""
-        return {ge: _primitive(_integral(g.terms)[0], ge)
+        return {ge: _primitive(g._num, ge)
                 for ge, g in zip(self._leads, filter(None, self.gens))}
 
     @cached_property
@@ -387,7 +386,7 @@ class GroebnerBasis:
             return INFINITE
         n = len(self.vars)
         k = self.hilbert_numerator((1,) * n)
-        return (-1) ** n * sum(c * comb(e, n) for e, c in k.items())
+        return (-1) ** n * _taylor_at_one(k, n)
 
     @cached_property
     def monomials(self) -> tuple[Exponents, ...] | None:
@@ -446,14 +445,15 @@ class GroebnerBasis:
             return {index[b]: 1}, 1
         terms = self._tails.get(b)
         if terms is not None and all(e in index for e in terms if e != b):
-            return _vector({index[e]: -c for e, c in terms.items() if e != b}, terms[b])
+            # a tail has content 1, so this is in lowest terms
+            return {index[e]: -c for e, c in terms.items() if e != b}, terms[b]
         for j, a in enumerate(b):
             smaller = _shift(b, j, -1) if a else None
             if smaller in memo and smaller not in index:
                 return _apply(columns[j], memo[smaller])
         # only a basis that is not reduced gets here: one reduction
-        r, s = _integral(normal_form(Poly.monomial(self.vars, b), self).terms)
-        return _vector({index[e]: c for e, c in r.items()}, s)
+        r = normal_form(Poly.monomial(self.vars, b), self)
+        return {index[e]: c for e, c in r._num.items()}, r._den
 
     def _walk(self, memo: dict[Exponents, IntVector], exps: Exponents) -> IntVector:
         """NF(q*x^exps), for the q whose values s -> NF(q*x^s) `memo` holds in part
@@ -475,8 +475,7 @@ class GroebnerBasis:
         if p.vars != self.vars:
             raise ValueError("polynomial lives over different variables")
         self.index  # raises on an infinite-dimensional quotient, even for p = 0
-        work, d = _integral(p.terms)
-        return _combine([(c, self._walk(self._memo, e)) for e, c in work.items()], d)
+        return _combine([(c, self._walk(self._memo, e)) for e, c in p._num.items()], p._den)
 
     def multiples(self, p: Poly) -> Callable[[Exponents], IntVector]:
         """Multiplication by p on R/I: the map s -> NF(p*x^s), keyed by exponent

@@ -70,9 +70,11 @@ class KoszulComplex:
         entries = [[{} for _ in source] for _ in index]
         for j, subset in enumerate(source):
             column = contract(self.section, ExtElt.monomial(self.ambient, (0,) * len(vs), subset))
-            for (exps, t), c in column.terms.items():
+            for (exps, t), c in column._num.items():
                 entries[index[t]][j][exps] = c
-        return [[Poly._make(vs, terms) for terms in row] for row in entries]
+            for row in entries:
+                row[j] = Poly._make(vs, row[j], column._den)
+        return entries
 
     @cached_property
     def ideal(self) -> GroebnerBasis:

@@ -1,8 +1,8 @@
 """Exact rank of sparse matrices over Q.
 
 Rows are dicts from column index to coefficient.  A row of Python ints is
-taken as it is; any other row is cleared to integers first by `poly._integral`,
-the package's one rule for clearing denominators, and divided by its content.
+taken as it is; any other row is multiplied by the lcm of its denominators
+and divided by its content.
 All three callers in the package hand in int rows: the slice differentials
 of `cohomology.hilbert_table`, the exponent differences of `symplectic._grading`,
 and `symplectic.obstruction_theory`, which scales each column of the
@@ -30,17 +30,16 @@ slice tables use them to clear rows of the next differential.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Mapping
-
-from .poly import _integral
 
 
 def _integer_row(row: Mapping[int, int | Fraction]) -> dict[int, int]:
     """A fresh integer row with the same span; the caller's row is not touched."""
     if all(type(v) is int for v in row.values()):
         return {c: v for c, v in row.items() if v}
-    return _normalize(_integral({c: v for c, v in row.items() if v})[0])
+    d = lcm(*[v.denominator for v in row.values()])
+    return _normalize({c: v.numerator * (d // v.denominator) for c, v in row.items() if v})
 
 
 def _normalize(row: dict[int, int]) -> dict[int, int]:

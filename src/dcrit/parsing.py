@@ -190,7 +190,7 @@ def parse_section(src: str, vars: Sequence[str]) -> tuple[Poly, ...]:
 
 
 def _is_one_form(elt: ExtElt) -> bool:
-    return all(len(subset) == 1 for _, subset in elt.terms)
+    return all(len(subset) == 1 for _, subset in elt._num)
 
 
 def parse_one_form(src: str, vars: Sequence[str]) -> Section:

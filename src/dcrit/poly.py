@@ -1,13 +1,13 @@
 """Exact multivariate polynomial arithmetic over the rationals.
 
 A polynomial is a sparse map from exponent vectors to nonzero rational
-coefficients, canonical by construction: two polynomials are equal exactly
-when their variable tuples and term maps are equal.  The constructors store
-an integral coefficient as an `int` and any other as a `Fraction`.  A
-product, a scaling and a derivative clear each operand's denominators once
-(`_integral`), compute on ints and divide each coefficient once at the end,
-and a sum turns an integral `Fraction` into its `int`, so an integral
-coefficient any of them returns is an `int`.
+coefficients, stored as int numerators over one positive int denominator in
+lowest terms (as FLINT's fmpq_poly is), so it is canonical by construction:
+two polynomials are equal exactly when their variable tuples, numerators and
+denominators are equal.  The constructors take ints and Fractions, and
+nothing else.  A sum, a product, a scaling and a derivative compute on the
+numerators and reduce the result once (`_lowest`); `terms` reads the
+coefficients back, an integral one as an `int` and any other as a `Fraction`.
 No floating point is used anywhere.  The monomial order for printing and
 leading-term extraction is degree-reverse-lexicographic with respect to the
 declared variable order.
@@ -56,12 +56,12 @@ def exps_add(a: Exponents, b: Exponents) -> Exponents:
 
 
 def _exact(c) -> Scalar:
-    """c as an int when it is integral, else as a Fraction."""
+    """c, an int or a Fraction, as an int when it is integral; TypeError for any other type."""
     if type(c) is int:
         return c
-    if type(c) is not Fraction:
-        c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
+    if not isinstance(c, _SCALARS):
+        raise TypeError(f"coefficient {c!r} is not an int or a Fraction")
+    return int(c) if c.denominator == 1 else c
 
 
 def _quotient(n: int, d: int) -> Scalar:
@@ -70,19 +70,14 @@ def _quotient(n: int, d: int) -> Scalar:
     return Fraction(n, d) if r else q
 
 
-def _integral(terms: Mapping) -> tuple[Mapping, int]:
-    """(d*terms as an int term map, d), for the least positive d that clears the denominators.
-
-    When every coefficient is already an int, d is 1 and the map is `terms`
-    itself, not a copy: the caller must not mutate it.
-    """
-    for c in terms.values():
-        if type(c) is not int:
-            break
-    else:
-        return terms, 1
-    d = lcm(*[c.denominator for c in terms.values()])
-    return {e: c.numerator * (d // c.denominator) for e, c in terms.items()}, d
+def _lowest(num: dict, den: int) -> tuple[dict, int]:
+    """num/den in lowest terms, for nonzero int numerators over a positive int
+    denominator: divided by gcd(den, *num), so the two share no factor."""
+    if den != 1:
+        g = gcd(den, *num.values())
+        if g != 1:
+            return {k: c // g for k, c in num.items()}, den // g
+    return num, den
 
 
 def _primitive(terms: dict[Exponents, int], lead: Exponents) -> dict[Exponents, int]:
@@ -106,48 +101,57 @@ class _Terms:
     Subclasses supply `_valid_key` (the public constructor's key check),
     `_coerce` (the operands they accept besides their own type), `_product`,
     and `_sort_key`/`_factors` for printing.
+    An element is int numerators `_num` over one positive int denominator
+    `_den`, in lowest terms (`_lowest`), so equal elements have equal
+    numerators and denominators.  Every kernel reads the two directly and
+    hands `_make` a fresh int map with its denominator.  `terms` is the
+    rational view, an int wherever a coefficient is integral.
     Instances must not be mutated after construction; every operation
-    returns a fresh element, so values can be shared freely.  The public
-    constructor stores an integral coefficient as an int (see `_exact`).
-    The products, brackets, maps and scaling clear each operand's
-    denominators once (`_integral`), accumulate on ints and hand `_make` the
-    int map with its denominator, so an integral coefficient they return is
-    an int; addition turns an integral sum of Fractions into its int.
+    returns a fresh element, so values can be shared freely.
     """
 
-    __slots__ = ("_ring", "terms")
+    __slots__ = ("_ring", "_num", "_den")
 
     def __init__(self, ring, terms: Mapping):
         clean = {}
+        den = 1
         for key, c in terms.items():
             key = self._valid_key(ring, key)
             c = _exact(c)
             if c:
                 clean[key] = c
+                if type(c) is not int:
+                    den = lcm(den, c.denominator)
+        if den != 1:  # over the lcm of the denominators the numerators are in lowest terms
+            clean = {k: c.numerator * (den // c.denominator) for k, c in clean.items()}
         object.__setattr__(self, "_ring", ring)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "_num", clean)
+        object.__setattr__(self, "_den", den)
 
     @classmethod
-    def _make(cls, ring, terms: dict, d: int = 1):
+    def _make(cls, ring, num: dict, den: int = 1):
         """Trusted constructor for results of valid elements: the element whose
-        coefficient at k is terms[k] / d.
+        coefficient at k is num[k] / den, for int numerators and a positive int den.
 
-        Keys are not re-checked.  The dict becomes the element's: the caller
-        hands in a fresh dict it owns and does not touch it again.  Zero
-        coefficients are dropped from it in place.  With d = 1 the values are
-        kept as given; a d > 1 comes with int values, each divided once
-        (`_quotient`), so an integral quotient is an int.
+        Keys are not re-checked.  The dict may become the element's: the
+        caller hands in a fresh dict it owns and does not touch it again.
         """
-        if d != 1:
-            for k, c in terms.items():
-                terms[k] = _quotient(c, d)
-        if 0 in terms.values():
-            for k in [k for k, c in terms.items() if not c]:
-                del terms[k]
+        if 0 in num.values():
+            num = {k: c for k, c in num.items() if c}
+        num, den = _lowest(num, den)
         self = object.__new__(cls)
         object.__setattr__(self, "_ring", ring)
-        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "_num", num)
+        object.__setattr__(self, "_den", den)
         return self
+
+    @property
+    def terms(self) -> Mapping:
+        """The coefficient map, an int where a coefficient is integral and a
+        Fraction elsewhere; with denominator 1 it is the numerator map itself."""
+        if self._den == 1:
+            return self._num
+        return {k: _quotient(c, self._den) for k, c in self._num.items()}
 
     @classmethod
     def zero(cls, ring):
@@ -172,16 +176,18 @@ class _Terms:
         if other is None:
             return NotImplemented
         self._check(other)
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            c += terms.get(key, 0)
-            terms[key] = c if type(c) is int or c.denominator != 1 else c.numerator
-        return self._make(self._ring, terms)
+        da, db = self._den, other._den
+        den = da if da == db else lcm(da, db)
+        num = dict(self._num) if den == da else {k: c * (den // da) for k, c in self._num.items()}
+        sb = den // db
+        for key, c in other._num.items():
+            num[key] = num.get(key, 0) + c * sb
+        return self._make(self._ring, num, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._make(self._ring, {k: -c for k, c in self.terms.items()})
+        return self._make(self._ring, {k: -c for k, c in self._num.items()}, self._den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -194,11 +200,9 @@ class _Terms:
 
     def __mul__(self, other):
         if isinstance(other, _SCALARS):
-            c = _exact(other)
-            terms, d = _integral(self.terms)
-            if type(c) is Fraction:
-                c, d = c.numerator, c.denominator * d
-            return self._make(self._ring, {k: c * v for k, v in terms.items()}, d)
+            c = other.numerator
+            return self._make(self._ring, {k: c * v for k, v in self._num.items()},
+                              self._den * other.denominator)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -216,23 +220,25 @@ class _Terms:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return (self._ring is other._ring or self._ring == other._ring) and self.terms == other.terms
+        return ((self._ring is other._ring or self._ring == other._ring)
+                and self._den == other._den and self._num == other._num)
 
     __hash__ = None  # mutable-looking API; not intended as a dict key
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._num)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     def __str__(self) -> str:
         """Signed terms, largest first: `c*f1*f2 - f3 + ...`, with a unit coefficient omitted."""
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
         out = ""
-        for key in sorted(self.terms, key=self._sort_key):
-            c = self.terms[key]
+        for key in sorted(terms, key=self._sort_key):
+            c = terms[key]
             factors = self._factors(key)
             if abs(c) != 1 or not factors:
                 factors = [str(abs(c))] + factors
@@ -294,14 +300,13 @@ class Poly(_Terms):
 
     def _product(self, other: "Poly") -> "Poly":
         self._check(other)
-        a, da = _integral(self.terms)
-        b, db = _integral(other.terms)
+        b = other._num
         terms: dict[Exponents, int] = {}
-        for e1, c1 in a.items():
+        for e1, c1 in self._num.items():
             for e2, c2 in b.items():
                 e = exps_add(e1, e2)
                 terms[e] = terms.get(e, 0) + c1 * c2
-        return Poly._make(self.vars, terms, da * db)
+        return Poly._make(self.vars, terms, self._den * other._den)
 
     def __pow__(self, n: int) -> "Poly":
         return _power(self, n, Poly.one(self.vars))
@@ -310,25 +315,24 @@ class Poly(_Terms):
 
     def total_degree(self) -> int:
         """Max total degree of a term; -1 for the zero polynomial."""
-        if not self.terms:
+        if not self._num:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(sum(e) for e in self._num)
 
     def leading(self) -> tuple[Exponents, Scalar]:
         """Leading (exponents, coefficient) under degrevlex; error on zero."""
-        if not self.terms:
+        if not self._num:
             raise ValueError("zero polynomial has no leading term")
-        e = max(self.terms, key=degrevlex_key)
-        return e, self.terms[e]
+        e = min(self._num, key=_descending_key)
+        return e, _quotient(self._num[e], self._den)
 
     def diff(self, var: str) -> "Poly":
         """Formal partial derivative with respect to one variable."""
         if var not in self.vars:
             raise UnknownVariableError(f"unknown variable {var!r}")
         i = self.vars.index(var)
-        terms, d = _integral(self.terms)
         return Poly._make(self.vars, {_shift(exps, i, -1): c * exps[i]
-                                      for exps, c in terms.items() if exps[i]}, d)
+                                      for exps, c in self._num.items() if exps[i]}, self._den)
 
     def weighted_degree(self, weights):
         """Weight of a quasi-homogeneous polynomial.
@@ -338,9 +342,9 @@ class Poly(_Terms):
         degree, or ANY_DEGREE for zero, or INHOMOGENEOUS if terms disagree.
         """
         ws = normalize_weights(self.vars, weights)
-        if not self.terms:
+        if not self._num:
             return ANY_DEGREE
-        degs = {sum(w * e for w, e in zip(ws, exps)) for exps in self.terms}
+        degs = {sum(w * e for w, e in zip(ws, exps)) for exps in self._num}
         if len(degs) == 1:
             return degs.pop()
         return INHOMOGENEOUS

@@ -21,8 +21,8 @@ Closed formulas used here, for a of pure wedge degree p (extended linearly):
 where od_i is the left odd derivative along @x_i and d_i differentiates the
 polynomial coefficients along x_i.  Both are evaluated term by term (term
 pair by term pair for the bracket), building no intermediate element, on
-the operands' coefficients cleared of their denominators (`poly._integral`);
-each output coefficient is divided once at the end.
+the operands' int numerators; the result is reduced once at the end, over
+the product of their denominators.
 """
 
 from __future__ import annotations
@@ -36,8 +36,9 @@ from typing import Sequence
 
 from .checks import (CheckReport, _require_trials, rand_homogeneous, rand_mixed, rand_poly,
                      run_identities, var_names)
-from .exterior import Ambient, ExtElt, Section, _odd_parts, contract, merge_sign, wedge
-from .poly import Poly, Scalar, _exact, _integral, _shift, exps_add, gradient
+from .exterior import (Ambient, ExtElt, Section, _common_denominator, _odd_parts, contract,
+                       merge_sign, wedge)
+from .poly import Poly, Scalar, _exact, _shift, exps_add, gradient
 
 
 @cache
@@ -94,9 +95,10 @@ def closedness_witness(alpha: Section) -> dict | None:
 def form_str(alpha: Section) -> str:
     """The 1-form alpha written with d_ generators, as parse_one_form reads it."""
     _require_polyvector(alpha)
+    components, d = _common_denominator(alpha.components)
     return str(ExtElt._make(form_ambient(alpha.ambient.vars),
-                            {(exps, (i,)): c for i, p in enumerate(alpha.components)
-                             for exps, c in p.terms.items()}))
+                            {(exps, (i,)): c for i, p in enumerate(components)
+                             for exps, c in p.items()}, d))
 
 
 def alpha_of_vector(alpha: Section, X: ExtElt) -> Poly:
@@ -129,11 +131,9 @@ def schouten(a: ExtElt, b: ExtElt) -> ExtElt:
     _require_polyvector(a)
     if a.ambient is not b.ambient and a.ambient != b.ambient:
         raise ValueError("mixed ambients")
-    at, da = _integral(a.terms)
-    bt, db = _integral(b.terms)
-    bterms = [(eb, sb, cb, _odd_parts(sb)) for (eb, sb), cb in bt.items()]
+    bterms = [(eb, sb, cb, _odd_parts(sb)) for (eb, sb), cb in b._num.items()]
     terms: dict = {}
-    for (ea, sa), ca in at.items():
+    for (ea, sa), ca in a._num.items():
         front = 1 if len(sa) % 2 else -1  # (-1)^(p+1) on wedge degree p
         aparts = _odd_parts(sa)
         for eb, sb, cb, bparts in bterms:
@@ -153,7 +153,7 @@ def schouten(a: ExtElt, b: ExtElt) -> ExtElt:
                     if s:
                         key = (_shift(e, i, -1), merged)
                         terms[key] = terms.get(key, 0) - sign * s * k * c
-    return ExtElt._make(a.ambient, terms, da * db)
+    return ExtElt._make(a.ambient, terms, a._den * b._den)
 
 
 # -- volume forms, contraction, de Rham, divergence ----------------------------
@@ -192,10 +192,10 @@ def vol_contract(vol: VolumeForm, a: ExtElt) -> ExtElt:
         raise ValueError("volume form lives over different variables")
     n = len(vol.vars)
     terms: dict = {}
-    for (exps, subset), c in a.terms.items():
+    for (exps, subset), c in a._num.items():
         rest = _complement(subset, n)
-        terms[(exps, rest)] = c * _vol_factor(subset, rest)
-    return ExtElt._make(form_ambient(vol.vars), terms) * vol.density
+        terms[(exps, rest)] = vol.density.numerator * c * _vol_factor(subset, rest)
+    return ExtElt._make(form_ambient(vol.vars), terms, a._den * vol.density.denominator)
 
 
 def de_rham(w: ExtElt) -> ExtElt:
@@ -204,9 +204,8 @@ def de_rham(w: ExtElt) -> ExtElt:
     if amb != form_ambient(amb.vars):
         raise ValueError("expected an element of the form ambient")
     n = len(amb.vars)
-    wt, d = _integral(w.terms)
     terms: dict = {}
-    for (exps, subset), c in wt.items():
+    for (exps, subset), c in w._num.items():
         for i in range(n):
             k = exps[i]
             if k == 0 or i in subset:
@@ -214,7 +213,7 @@ def de_rham(w: ExtElt) -> ExtElt:
             sign, merged = merge_sign((i,), subset)
             key = (_shift(exps, i, -1), merged)
             terms[key] = terms.get(key, 0) + c * k * sign
-    return ExtElt._make(amb, terms, d)
+    return ExtElt._make(amb, terms, w._den)
 
 
 def bv_delta(vol: VolumeForm, a: ExtElt) -> ExtElt:
@@ -226,15 +225,14 @@ def bv_delta(vol: VolumeForm, a: ExtElt) -> ExtElt:
     _require_polyvector(a)
     if a.ambient.vars != vol.vars:
         raise ValueError("volume form lives over different variables")
-    at, d = _integral(a.terms)
     terms: dict = {}
-    for (exps, subset), c in at.items():
+    for (exps, subset), c in a._num.items():
         for i, sign, rest in _odd_parts(subset):
             k = exps[i]
             if k:
                 key = (_shift(exps, i, -1), rest)
                 terms[key] = terms.get(key, 0) + sign * k * c
-    return ExtElt._make(a.ambient, terms, d)
+    return ExtElt._make(a.ambient, terms, a._den)
 
 
 # -- randomized identity suites -------------------------------------------------

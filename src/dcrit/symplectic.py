@@ -138,7 +138,7 @@ def _grading(section: Section) -> tuple[tuple[int, ...], int] | None:
     (Saito, Invent. Math. 1971).
     """
     n = len(section.ambient.vars)
-    points = [_shift(e, i, 1) for i, s in enumerate(section.components) for e in s.terms]
+    points = [_shift(e, i, 1) for i, s in enumerate(section.components) for e in s._num]
     if not points:
         return None
     first = points[0]

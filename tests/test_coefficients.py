@@ -5,13 +5,14 @@ holds an integral value, so the two forms of one element are interchangeable.
 """
 
 from fractions import Fraction
+from math import gcd
 from random import Random
 
 import pytest
 
 from dcrit.checks import rand_homogeneous, rand_mixed, rand_poly, rand_section
-from dcrit.coalgebra import antipode, comultiply
-from dcrit.exterior import ExtElt, Section, contract, merge_sign, wedge
+from dcrit.coalgebra import antipode, comultiply, tensor_ambient
+from dcrit.exterior import ExtElt, Section, algebra_map, contract, merge_sign, wedge
 from dcrit.groebner import buchberger, normal_form
 from dcrit.parsing import parse_one_form, parse_poly, parse_polyvector
 from dcrit.poly import Poly
@@ -87,8 +88,11 @@ def test_non_integral_input_gives_fractions():
 def test_int_and_fraction_forms_are_one_element(seed):
     rng = Random(seed)
     for e in (rand_mixed(rng, AMB, 3), rand_poly(rng, VS, 3), comultiply(rand_mixed(rng, AMB, 2))):
-        as_fractions = type(e)._make(e._ring, {k: Fraction(c) for k, c in e.terms.items()})
-        assert types(as_fractions) == {Fraction}
+        given = {k: Fraction(c) for k, c in e.terms.items()}
+        assert {type(c) for c in given.values()} == {Fraction}
+        as_fractions = type(e)(e._ring, given)
+        assert [(k, type(c)) for k, c in as_fractions.terms.items()] == \
+            [(k, type(c)) for k, c in e.terms.items()]
         assert as_fractions == e and e == as_fractions
         assert str(as_fractions) == str(e) and repr(as_fractions) == repr(e)
         assert all(hash(as_fractions.terms[k]) == hash(c) for k, c in e.terms.items())
@@ -332,3 +336,94 @@ def test_normal_form_leaves_its_input_alone():
         r = normal_form(p, basis)
         assert [(e, c, type(c)) for e, c in p.terms.items()] == before
         assert r != p and r == normal_form(parse_poly(src, VS), basis)
+
+
+# -- one coefficient form ------------------------------------------------------
+#
+# Every element is int numerators `_num` over one positive int denominator
+# `_den`, in lowest terms, and equality compares the two; `terms` is the
+# rational view of them.
+
+
+@pytest.mark.parametrize("bad", [0.1, 1.0, 0.0, "1/3", "2", None, 1j])
+def test_constructors_take_only_ints_and_fractions(bad):
+    for build in (lambda: Poly(VS, {(1, 0, 0): bad}), lambda: Poly.constant(VS, bad),
+                  lambda: Poly.monomial(VS, (0, 1, 0), bad),
+                  lambda: ExtElt(AMB, {((0, 0, 0), (0,)): bad}),
+                  lambda: ExtElt.monomial(AMB, (1, 0, 0), (1, 2), bad),
+                  lambda: VolumeForm(VS, bad)):
+        with pytest.raises(TypeError):
+            build()
+    f, a = Poly.variable(VS, "x"), ExtElt.generator(AMB, 0)
+    for operation in (lambda: f * bad, lambda: bad * f, lambda: f + bad, lambda: f - bad,
+                      lambda: a * bad, lambda: a + bad):
+        with pytest.raises(TypeError):
+            operation()
+
+
+def assert_lowest_terms(e):
+    assert type(e._den) is int and e._den > 0
+    assert all(type(c) is int and c for c in e._num.values())
+    assert gcd(e._den, *e._num.values()) == 1
+
+
+def reference_sum(a, b, sign=1):
+    return nonzero({k: Fraction(a.terms.get(k, 0)) + sign * Fraction(b.terms.get(k, 0))
+                    for k in [*a.terms, *b.terms]})
+
+
+def reference_scale(s, a):
+    return nonzero({k: s * Fraction(c) for k, c in a.terms.items()})
+
+
+def reference_diff(f, i):
+    return {shift(e, i): e[i] * Fraction(c) for e, c in f.terms.items() if e[i]}
+
+
+def reference_antipode(a):
+    return {k: (-1) ** len(k[1]) * Fraction(c) for k, c in a.terms.items()}
+
+
+SPLIT = [[(j, 1), (j + AMB.rank, 1)] for j in range(AMB.rank)]  # comultiplication's images
+NEGATE = [[(j, -1)] for j in range(AMB.rank)]  # the antipode's
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_every_result_is_in_lowest_terms_and_equals_fraction_arithmetic(seed):
+    rng = Random(300 + seed)
+    es = rational_inputs(seed)
+    assert any(e._den > 1 for e in es) and any(e._den == 1 for e in es)
+    for e in es:
+        assert_lowest_terms(e)
+    vol, third = VolumeForm(VS), Fraction(-4, 9)
+    for a, b in zip(es, es[1:]):
+        section = rational_section(rng)
+        results = {
+            "sum": (a + b, reference_sum(a, b)), "difference": (a - b, reference_sum(a, b, -1)),
+            "scaling": (third * a, reference_scale(third, a)),
+            "integral scaling": (a * 6, reference_scale(6, a)),
+            "product": (a * b, reference_wedge(a, b)),
+            "wedge": (wedge(a, b), reference_wedge(a, b)),
+            "contract": (contract(section, a), reference_contract(section, a)),
+            "schouten": (schouten(a, b), reference_schouten(a, b)),
+            "bv_delta": (bv_delta(vol, a), reference_bv_delta(a)),
+            "algebra_map": (algebra_map(a, tensor_ambient(AMB, 2), SPLIT), reference_comultiply(a)),
+            "signed algebra_map": (algebra_map(a, AMB, NEGATE), reference_antipode(a)),
+        }
+        for name, (result, expected) in results.items():
+            assert_lowest_terms(result)
+            assert result.terms == expected, (name, str(a), str(b))
+            assert exact(result), name
+    for k in range(12):
+        f, g = rand_poly(rng, VS, 3, 4), rand_poly(rng, VS, 3, 4)
+        if k % 2:
+            f = Fraction(5, 2) * f
+        results = {"sum": (f + g, reference_sum(f, g)),
+                   "difference": (f - g, reference_sum(f, g, -1)),
+                   "scaling": (f * third, reference_scale(third, f)),
+                   "product": (f * g, reference_poly_product(f, g)),
+                   **{f"diff {v}": (f.diff(v), reference_diff(f, i)) for i, v in enumerate(VS)}}
+        for name, (result, expected) in results.items():
+            assert_lowest_terms(result)
+            assert result.terms == expected, (name, str(f), str(g))
+            assert exact(result), name

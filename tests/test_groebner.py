@@ -157,7 +157,7 @@ def reference_division(p, basis):
             ge, gc = g.leading()
             if all(a <= b for a, b in zip(ge, exps)):
                 q = tuple(b - a for a, b in zip(ge, exps))
-                work = work - Poly.monomial(p.vars, q, c / gc) * g
+                work = work - Poly.monomial(p.vars, q, Fraction(c) / gc) * g
                 break
         else:
             mono = Poly.monomial(p.vars, exps, c)
@@ -353,8 +353,8 @@ def katsura(n):
 def s_polynomial(f, g):
     (fe, fc), (ge, gc) = f.leading(), g.leading()
     m = tuple(max(a, b) for a, b in zip(fe, ge))
-    return (Poly.monomial(f.vars, tuple(a - b for a, b in zip(m, fe)), 1 / fc) * f
-            - Poly.monomial(g.vars, tuple(a - b for a, b in zip(m, ge)), 1 / gc) * g)
+    return (Poly.monomial(f.vars, tuple(a - b for a, b in zip(m, fe)), 1 / Fraction(fc)) * f
+            - Poly.monomial(g.vars, tuple(a - b for a, b in zip(m, ge)), 1 / Fraction(gc)) * g)
 
 
 def test_cyclic_4_certificate():
@@ -433,7 +433,7 @@ def test_each_tail_is_the_primitive_form_the_reducer_divides_by(seed):
     # the quotient reads each generator's tail off gens alone: a primitive int
     # term map with a positive leading coefficient, the form _with_leads packs
     # for the reducer, term order included, and for a monic generator simply
-    # its cleared denominators
+    # its int numerators
     gb = seeded_basis(seed)
     loose = loose_basis(gb, random.Random(seed))
     loose = GroebnerBasis(gb.vars, (Poly.zero(gb.vars),) + loose.gens)  # a zero generator too
@@ -447,7 +447,7 @@ def test_each_tail_is_the_primitive_form_the_reducer_divides_by(seed):
         for ge, t in tails.items():
             assert t[ge] > 0 and gcd(*t.values()) == 1
     for g in gb.gens:
-        assert g.leading()[1] == 1 and gb._tails[g.leading()[0]] == groebner._integral(g.terms)[0]
+        assert g.leading()[1] == 1 and gb._tails[g.leading()[0]] == g._num
 
 
 @pytest.mark.parametrize("seed", range(12))

@@ -11,7 +11,10 @@ Every layer the benchmark harness times or counts by name (`TIMED` and
 the harness reads a missing one as zero instead of failing.  No module-level
 function or class is dead: each is referenced outside its own body somewhere
 in the package, exported in `dcrit.__all__`, or such a layer; only the CLI's
-`_cmd_*` handlers, which `main` looks up by name, are exempt.
+`_cmd_*` handlers, which `main` looks up by name, are exempt.  Only
+poly.py reads the `terms` view of an element: it builds a fresh dict of
+Fractions whenever the denominator is not 1, so every other module reads
+the numerators `_num` and the denominator `_den`.
 """
 
 import ast
@@ -120,3 +123,10 @@ def test_every_module_level_definition_is_used():
             and not (stem == "cli" and node.name.startswith("_cmd_"))
             and everywhere[node.name] == used_names(node, attributes=True)[node.name]]
     assert dead == []
+
+
+def test_only_poly_reads_the_terms_view():
+    readers = [f"{path.name}:{node.lineno}" for path in MODULES if path.name != "poly.py"
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Attribute) and node.attr == "terms"]
+    assert readers == []
