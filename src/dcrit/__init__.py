@@ -19,8 +19,8 @@ floating point anywhere in the package.  The main entry points:
 
 __version__ = "0.1.0"
 
-from .poly import (ANY_DEGREE, INHOMOGENEOUS, Poly, UnknownVariableError,
-                   degrevlex_key, gradient, monomials_of_weight, normalize_weights)
+from .poly import (ANY_DEGREE, INHOMOGENEOUS, Poly, UnknownVariableError, gradient,
+                   monomials_of_weight, normalize_weights)
 from .exterior import Ambient, ExtElt, Section, algebra_map, contract, merge_sign, wedge
 from .parsing import (ParseError, parse_one_form, parse_poly, parse_polyvector,
                       parse_section)
@@ -42,8 +42,8 @@ from .acceptance import run_all
 
 __all__ = [
     "__version__",
-    "ANY_DEGREE", "INHOMOGENEOUS", "Poly", "UnknownVariableError",
-    "degrevlex_key", "gradient", "monomials_of_weight", "normalize_weights",
+    "ANY_DEGREE", "INHOMOGENEOUS", "Poly", "UnknownVariableError", "gradient",
+    "monomials_of_weight", "normalize_weights",
     "Ambient", "ExtElt", "Section", "algebra_map", "contract", "merge_sign", "wedge",
     "ParseError", "parse_one_form", "parse_poly", "parse_polyvector",
     "parse_section",

@@ -106,21 +106,22 @@ def _rand_elt(rng: Random, ambient: Ambient, max_deg: int, max_terms: int,
 
 
 def rand_homogeneous(rng: Random, ambient: Ambient, max_deg: int,
-                     wedge_degree: int | None = None, max_terms: int = 3) -> ExtElt:
-    """Random element concentrated in a single wedge degree."""
+                     wedge_degree: int | None = None) -> ExtElt:
+    """Random element of up to 3 terms, concentrated in a single wedge degree."""
     p = rng.randint(0, ambient.rank) if wedge_degree is None else wedge_degree
-    return _rand_elt(rng, ambient, max_deg, max_terms, p)
+    return _rand_elt(rng, ambient, max_deg, 3, p)
 
 
-def rand_mixed(rng: Random, ambient: Ambient, max_deg: int, max_terms: int = 4) -> ExtElt:
-    """Random element with no homogeneity constraint."""
-    return _rand_elt(rng, ambient, max_deg, max_terms, None)
+def rand_mixed(rng: Random, ambient: Ambient, max_deg: int) -> ExtElt:
+    """Random element of up to 4 terms, with no homogeneity constraint."""
+    return _rand_elt(rng, ambient, max_deg, 4, None)
 
 
-def rand_section(rng: Random, ambient: Ambient, max_deg: int, zero_chance: float = 0.15) -> Section:
+def rand_section(rng: Random, ambient: Ambient, max_deg: int) -> Section:
+    """Random section, each component zero with chance 0.15."""
     comps = []
     for _ in range(ambient.rank):
-        if rng.random() < zero_chance:
+        if rng.random() < 0.15:
             comps.append(Poly.zero(ambient.vars))
         else:
             comps.append(rand_poly(rng, ambient.vars, max_deg))
@@ -138,7 +139,7 @@ def _one_term_deleted(elts: list) -> Iterator[list]:
 
 
 def counterexample(identity: str, fails: Callable, elts: Sequence,
-                   labels: Sequence[str] = "abc") -> dict:
+                   labels: Sequence[str]) -> dict:
     """{"identity": identity, label: input, ...} for a failing identity, each
     `ExtElt` input shrunk by deleting terms while `fails` still holds (a deletion
     it raises on is skipped) and any other input printed as given; a dict that

@@ -77,9 +77,9 @@ from heapq import heapify, heappop, heappush
 from itertools import chain, count, product
 from math import comb, gcd, lcm
 from operator import le, mul
-from typing import Iterable, Union
+from typing import Iterable
 
-from .poly import Exponents, Poly, _lowest, _primitive, _shift, degrevlex_key, normalize_weights
+from .poly import Exponents, Poly, _descending_key, _lowest, _primitive, _shift, normalize_weights
 
 #: Returned where a quotient ring has no finite vector-space dimension.
 INFINITE = "infinite"
@@ -135,25 +135,22 @@ def _with_leads(basis: Sequence[Poly], ring: _Packing) -> list:
     return out
 
 
-def normal_form(p: Poly, basis: Union["GroebnerBasis", Sequence[Poly]]) -> Poly:
-    """Remainder of full multivariate division of p by the basis.
+def normal_form(p: Poly, basis: "GroebnerBasis") -> Poly:
+    """Remainder of full multivariate division of p by the basis's generators.
 
     Each step takes the leading term of what is left and divides it by the
-    first divisor, in list order, whose leading term divides it; terms no
-    leading term divides move to the remainder.  A GroebnerBasis divides by
-    its generators.  p and every divisor must live over the same variables,
-    or ValueError.
+    first generator, in order, whose leading term divides it; terms no
+    leading term divides move to the remainder.  Any list of divisors is a
+    `GroebnerBasis(vars, tuple(divisors))`, which keeps their order.  p must
+    live over the basis's variables, or ValueError.
     """
-    if isinstance(basis, GroebnerBasis):
-        same, basis = basis.vars == p.vars, basis.gens
-    else:
-        same = all(g.vars == p.vars for g in basis)
-    if not same:
+    if basis.vars != p.vars:
         raise ValueError("polynomial lives over different variables")
+    gens = basis.gens
     # no term of the division is of higher degree than p or a leading term
-    ring = _packing(len(p.vars), max(map(Poly.total_degree, [p, *basis])))
+    ring = _packing(len(p.vars), max(map(Poly.total_degree, [p, *gens])))
     work = {ring.pack(e): c for e, c in p._num.items()}
-    r, s = _reduce(work, _with_leads(basis, ring), ring.guard)
+    r, s = _reduce(work, _with_leads(gens, ring), ring.guard)
     return Poly._make(p.vars, {ring.unpack(e): c for e, c in r.items()}, p._den * s)
 
 
@@ -401,7 +398,7 @@ class GroebnerBasis:
             return None
         out = [exps for exps in product(*map(range, box))
                if not any(_divides(le, exps) for le in self._leads)]
-        return tuple(sorted(out, key=degrevlex_key))
+        return tuple(sorted(out, key=_descending_key, reverse=True))
 
     @cached_property
     def index(self) -> dict[Exponents, int]:
@@ -430,7 +427,7 @@ class GroebnerBasis:
                 border.setdefault(b, []).append((k, col))
         columns: list[list] = [[None] * len(monos) for _ in range(n)]
         memo = self._memo
-        for b in sorted(border, key=degrevlex_key):
+        for b in sorted(border, key=_descending_key, reverse=True):
             memo[b] = v = self._border_vector(b, memo, columns)
             for k, col in border[b]:
                 columns[k][col] = v

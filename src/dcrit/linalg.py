@@ -1,8 +1,7 @@
 """Exact rank of sparse matrices over Q.
 
 Rows are dicts from column index to coefficient.  A row of Python ints is
-taken as it is; any other row is multiplied by the lcm of its denominators
-and divided by its content.
+taken as it is; any other row is multiplied by the lcm of its denominators.
 All three callers in the package hand in int rows: the slice differentials
 of `cohomology.hilbert_table`, the exponent differences of `symplectic._grading`,
 and `symplectic.obstruction_theory`, which scales each column of the
@@ -11,11 +10,12 @@ restricted Hessian to integers.
 An `Echelon` takes rows one at a time.  Each is eliminated in place
 against the pivot rows kept so far: when the pivot's leading coefficient
 divides the row's, a multiple of the pivot is subtracted; otherwise the row
-is first multiplied by |a|/gcd(a, b), a and b the two leading coefficients.
-Every step scales the row by a positive factor, so the row is divided by
-its content only once, when it becomes a pivot, and the kept pivot is the
-primitive positive integer multiple of the row a rational elimination keeps
-there.  No rounding or modular reduction ever happens.  `add` says whether
+is first multiplied by a/gcd(a, b), a and b the two leading coefficients.
+The kept pivot is `poly._primitive` of the row (content 1, positive at its
+lead), so a is positive and every step scales the row by a positive factor:
+the row is divided by its content only once, when it becomes a pivot, and
+the pivot is a multiple of the row a rational elimination keeps there.
+No rounding or modular reduction ever happens.  `add` says whether
 the row was independent of the ones before it, which lets
 `obstruction_theory` decide, row by row, which later rows it need not build
 at all.  `rank_rows` is a loop over one Echelon.  Pivots are chosen at the
@@ -33,28 +33,23 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping
 
+from .poly import _primitive
+
 
 def _integer_row(row: Mapping[int, int | Fraction]) -> dict[int, int]:
     """A fresh integer row with the same span; the caller's row is not touched."""
     if all(type(v) is int for v in row.values()):
         return {c: v for c, v in row.items() if v}
     d = lcm(*[v.denominator for v in row.values()])
-    return _normalize({c: v.numerator * (d // v.denominator) for c, v in row.items() if v})
-
-
-def _normalize(row: dict[int, int]) -> dict[int, int]:
-    g = gcd(*row.values())
-    if g > 1:
-        row = {c: v // g for c, v in row.items()}
-    return row
+    return {c: v.numerator * (d // v.denominator) for c, v in row.items() if v}
 
 
 class Echelon:
     """Rows in echelon form over Q, grown one row at a time.
 
-    `pivots` maps each pivot column to its kept integer row, of content 1,
-    whose entry there is the row's leading one; the rank is the number of
-    pivots.
+    `pivots` maps each pivot column to its kept integer row, `poly._primitive`
+    of the eliminated row (content 1, positive at its lead), whose entry
+    there is the row's leading one; the rank is the number of pivots.
     """
 
     def __init__(self):
@@ -72,7 +67,7 @@ class Echelon:
             lead = min(row)
             pivot = pivots.get(lead)
             if pivot is None:
-                pivots[lead] = _normalize(row)
+                pivots[lead] = _primitive(row, lead)
                 return True
             a = pivot[lead]
             b = row[lead]
@@ -80,8 +75,6 @@ class Echelon:
             if r:
                 g = gcd(a, b)
                 ma, mb = a // g, b // g
-                if ma < 0:
-                    ma, mb = -ma, -mb
                 for c in row:
                     row[c] *= ma
             for c, v in pivot.items():

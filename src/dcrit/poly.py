@@ -36,18 +36,14 @@ class UnknownVariableError(ValueError):
     pass
 
 
-def degrevlex_key(exps: Exponents) -> tuple:
-    """Sort key for exponent vectors: larger key = larger monomial.
-
-    Degrevlex compares total degree first; ties go to the vector whose
-    rightmost nonzero entry of the difference is negative, which is the
-    same as comparing the reversed negated tuple lexicographically.
-    """
-    return (sum(exps), tuple(-e for e in reversed(exps)))
-
-
 def _descending_key(exps: Exponents) -> tuple:
-    """degrevlex_key negated: ascending order under it lists the largest monomial first."""
+    """The one degrevlex sort key: ascending order under it lists the largest
+    monomial first, and `reverse=True` the smallest.
+
+    Degrevlex compares total degree first; on a tie the vector whose last
+    differing exponent is smaller is the larger monomial.  No two distinct
+    exponent vectors have equal keys.
+    """
     return (-sum(exps), exps[::-1])
 
 
@@ -376,9 +372,9 @@ class Poly(_Terms):
         result = Poly.zero(target)
         for exps, c in self.terms.items():
             part = Poly.constant(target, c)
-            for i, k in enumerate(exps):
-                for _ in range(k):
-                    part = part * imgs[i]
+            for img, k in zip(imgs, exps):
+                if k:
+                    part = part * img ** k
             result = result + part
         return result
 
@@ -440,7 +436,7 @@ def gradient(f: Poly) -> tuple[Poly, ...]:
 
 
 def monomials_of_weight(weights: Sequence[int], w: int) -> list[Exponents]:
-    """All exponent vectors of the given weighted degree, degrevlex-sorted.
+    """All exponent vectors of the given weighted degree, ascending in degrevlex.
 
     Weights must be positive, so each slice is finite.  With no variables
     the answer is [()] at weight 0 and empty otherwise.
@@ -465,4 +461,4 @@ def monomials_of_weight(weights: Sequence[int], w: int) -> list[Exponents]:
 
     if w >= 0:
         rec(0, w, ())
-    return sorted(out, key=degrevlex_key)
+    return sorted(out, key=_descending_key, reverse=True)

@@ -154,9 +154,7 @@ def _grading(section: Section) -> tuple[tuple[int, ...], int] | None:
         row = echelon.pivots[c]
         rest = -sum(v * w[k] for k, v in row.items() if k != c)
         g = gcd(rest, row[c])
-        q, r = row[c] // g, rest // g
-        if q < 0:
-            q, r = -q, -r
+        q, r = row[c] // g, rest // g  # q > 0: a pivot is positive at its lead
         w = [v * q for v in w]
         w[c] = r
     g = gcd(*w)

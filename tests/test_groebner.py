@@ -18,7 +18,7 @@ from dcrit.groebner import (INFINITE, GroebnerBasis, buchberger, ci_numerator,
                             normal_form, standard_monomials)
 from dcrit.koszul import build_koszul
 from dcrit.parsing import parse_poly
-from dcrit.poly import Poly, degrevlex_key, gradient, monomials_of_weight
+from dcrit.poly import Poly, gradient, monomials_of_weight
 from dcrit.symplectic import obstruction_theory
 
 VS = ("x", "y")
@@ -26,6 +26,11 @@ VS = ("x", "y")
 
 def P(src, vars=VS):
     return parse_poly(src, vars)
+
+
+def degrevlex_key(exps):
+    """Sort key for exponent vectors: larger key = larger monomial in degrevlex."""
+    return (sum(exps), tuple(-e for e in reversed(exps)))
 
 
 def jacobian_ideal(f):
@@ -59,19 +64,22 @@ def test_membership_and_normal_form():
 
 def test_normal_form_module_function():
     x2 = P("x^2")
-    assert normal_form(P("x^3 + y"), [x2]) == P("y")
+    assert normal_form(P("x^3 + y"), GroebnerBasis(VS, (x2,))) == P("y")
 
 
 def test_normal_form_refuses_other_variables():
     # exponent tuples of different lengths would divide wrongly, and the
     # remainder would be wrong without an error
     p, x = P("x^2*y"), P("x", ("x",))
-    for basis in ([x], buchberger([x])):
+    for basis in (GroebnerBasis(x.vars, (x,)), buchberger([x])):
         with pytest.raises(ValueError, match="different variables"):
             normal_form(p, basis)
-    for basis in ([P("x"), x], [P("x")], buchberger([P("x")])):
+    for basis in (GroebnerBasis(VS, (P("x"),)), buchberger([P("x")])):
         with pytest.raises(ValueError, match="different variables"):
             normal_form(x, basis)
+    # a divisor list over mixed variables is refused when its basis is built
+    with pytest.raises(ValueError, match="different variables"):
+        GroebnerBasis(x.vars, (P("x"), x))
 
 
 def test_basis_refuses_generators_over_other_variables():
@@ -194,8 +202,8 @@ def test_normal_form_matches_reference_division_on_arbitrary_divisors():
                     for _ in range(rng.randint(1, 4))]
         divisors.insert(rng.randint(0, len(divisors)), Poly.zero(vars))
         p = random_poly(rng, vars, 6, rng.randint(1, 8))
-        assert normal_form(p, divisors) == reference_division(p, divisors)
-        assert normal_form(p, divisors[::-1]) == reference_division(p, divisors[::-1])
+        for order in (divisors, divisors[::-1]):
+            assert normal_form(p, GroebnerBasis(vars, tuple(order))) == reference_division(p, order)
 
 
 def _to_sympy(p, gens, sympy):
@@ -277,7 +285,7 @@ def test_integer_path_matches_sympy(seed):
     for _ in range(4):
         p = random_poly(rng, gb.vars, 5, 6) * Fraction(rng.choice(PRIMES), rng.choice(PRIMES))
         assert normal_form(p, gb) == reference_division(p, gb.gens)
-        assert normal_form(p, gens) == reference_division(p, gens)
+        assert normal_form(p, GroebnerBasis(gb.vars, tuple(gens))) == reference_division(p, gens)
 
 
 def loose_basis(gb, rng):
@@ -399,7 +407,7 @@ def test_basis_finds_its_leading_terms_once(monkeypatch):
     gb = buchberger([P("x^3 - 2*x*y"), P("x^2*y - 2*y^2 + x")])
     assert gb == GroebnerBasis(gb.vars, gb.gens)  # the cached leads do not take part
     polys = [P("x^5*y + 3*x*y^4 - y"), P("x^2*y^2"), P("7")]
-    expected = [normal_form(p, list(gb.gens)) for p in polys]
+    expected = [normal_form(p, GroebnerBasis(gb.vars, gb.gens)) for p in polys]
     calls = []
     leading = Poly.leading
     monkeypatch.setattr(Poly, "leading", lambda self: calls.append(self) or leading(self))

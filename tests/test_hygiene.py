@@ -4,8 +4,10 @@ Every name a module under src/dcrit imports must be used in that module
 (`__init__.py` re-exports, so it is exempt), and every import must come from
 the standard library or from dcrit itself: the runtime is stdlib-only.
 `dcrit.__all__` names exactly what `__init__.py` imports, plus
-`__version__`, and each name resolves.  No module divides with `/`: on two
-int coefficients it gives a float, so exact quotients go through `Fraction`.
+`__version__`, and each name resolves; the names are also spelled out in
+PUBLIC_API, so adding or removing one shows in the diff of this file.  No
+module divides with `/`: on two int coefficients it gives a float, so exact
+quotients go through `Fraction`.
 Every layer the benchmark harness times or counts by name (`TIMED` and
 `CALLED` in bench/run.py) must still be a public function of its module:
 the harness reads a missing one as zero instead of failing.  No module-level
@@ -83,6 +85,27 @@ def test_no_true_division(path):
     divisions = [node.lineno for node in ast.walk(tree)
                  if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)]
     assert divisions == []
+
+
+PUBLIC_API = [
+    "ANY_DEGREE", "Ambient", "CheckReport", "ExtElt", "GroebnerBasis", "HilbertTable",
+    "INFINITE", "INHOMOGENEOUS", "InhomogeneousSectionError", "KoszulComplex",
+    "NotClosedError", "ObstructionReport", "PairingReport", "ParseError", "Poly", "Section",
+    "TautologicalKoszul", "UnknownVariableError", "VolumeForm", "__version__", "algebra_map",
+    "alpha_of_vector", "antipode", "apply_vector", "base_change_compare", "buchberger",
+    "build_koszul", "build_tautological_koszul", "bv_delta", "check_bracket_compat",
+    "check_bv", "check_d_squared", "check_gerstenhaber", "closedness_witness", "comultiply",
+    "contract", "counit", "de_rham", "exact_form", "form_str", "gradient", "hilbert_table",
+    "intersect_graph_lagrangians", "is_regular_sequence", "merge_sign", "minus_one_pairing",
+    "monomials_of_weight", "normal_form", "normalize_weights", "obstruction_theory",
+    "parse_one_form", "parse_poly", "parse_polyvector", "parse_section",
+    "resolution_certificate", "run_all", "schouten", "slice_cohomology",
+    "standard_monomials", "tensor_ambient", "vol_contract", "wedge",
+]
+
+
+def test_all_is_the_declared_public_api():
+    assert sorted(importlib.import_module("dcrit").__all__) == PUBLIC_API
 
 
 def test_all_is_exactly_what_init_imports():

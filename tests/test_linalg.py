@@ -123,13 +123,14 @@ def test_echelon_says_which_rows_are_independent(kind, seed):
     assert added == [b > a for a, b in zip(ranks, ranks[1:])]
     assert echelon.rank == ranks[-1] == rank_rows(rows)
     assert sorted(echelon.pivots) == reference_pivots(rows)
-    # every step scales the row by a positive factor, so the kept pivot is the
-    # primitive positive integer multiple of the rational row, however it got there
+    # the kept pivot is the rational row's primitive integer multiple, content 1
+    # and positive at its lead, however it got there
     for lead, want in reference_kept(rows).items():
         got = echelon.pivots[lead]
         assert all(type(v) is int for v in got.values()) and gcd(*got.values()) == 1
+        assert got[lead] > 0
         k = got[lead] / want[lead]
-        assert k > 0 and got == {c: k * v for c, v in want.items()}
+        assert got == {c: k * v for c, v in want.items()}
 
 
 def test_leads_of_degenerate_and_echelon_matrices():

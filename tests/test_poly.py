@@ -1,13 +1,15 @@
 """Polynomial arithmetic, ordering, and string round trips."""
 
 from fractions import Fraction
+from functools import cmp_to_key
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dcrit.parsing import parse_poly
-from dcrit.poly import (ANY_DEGREE, INHOMOGENEOUS, Poly, UnknownVariableError, degrevlex_key,
+from dcrit.poly import (ANY_DEGREE, INHOMOGENEOUS, Poly, UnknownVariableError, _descending_key,
                         gradient, monomials_of_weight, normalize_weights)
 
 VS = ("x", "y")
@@ -64,10 +66,26 @@ def test_gradient():
     assert gx == P("3*x^2") and gy == P("3*y^2")
 
 
+def degrevlex_compare(a, b) -> int:
+    """-1, 0 or 1 as x^a is smaller than, equal to or larger than x^b in degrevlex,
+    from the definition: degree first; on a tie, the vector whose last differing
+    exponent is smaller is the larger monomial."""
+    if sum(a) != sum(b):
+        return -1 if sum(a) < sum(b) else 1
+    for x, y in zip(reversed(a), reversed(b)):
+        if x != y:
+            return -1 if x > y else 1
+    return 0
+
+
 def test_degrevlex_order():
-    # ties in total degree break toward the smaller last exponent
-    assert degrevlex_key((2, 0)) > degrevlex_key((1, 1)) > degrevlex_key((0, 2))
-    assert degrevlex_key((1, 0, 1)) < degrevlex_key((0, 2, 0))  # xz < y^2
+    # every exponent vector of degree at most 4 in 3 variables, ascending
+    vectors = [e for e in product(range(5), repeat=3) if sum(e) <= 4]
+    ascending = sorted(vectors, key=cmp_to_key(degrevlex_compare))
+    assert sorted(vectors, key=_descending_key, reverse=True) == ascending
+    assert sorted(vectors, key=_descending_key) == ascending[::-1]
+    assert len({_descending_key(e) for e in vectors}) == len(vectors)  # no ties
+    assert degrevlex_compare((1, 0, 1), (0, 2, 0)) < 0  # xz < y^2
     assert P("x*y + x^2 + y^2").leading() == ((2, 0), Fraction(1))
 
 
@@ -93,6 +111,15 @@ def test_substitute():
     # missing variables map to the same-named target variable
     h = f.substitute({}, vars_out=("x", "y", "z"))
     assert h == parse_poly("x^2 + y", ("x", "y", "z"))
+
+
+def test_substitute_raises_each_image_to_its_exponent(monkeypatch):
+    # repeated squaring: x^1000 -> (2y)^1000 takes a few dozen products, not 1,000
+    f, image, calls = P("x^1000"), P("2*y"), []
+    product = Poly._product
+    monkeypatch.setattr(Poly, "_product", lambda self, other: calls.append(1) or product(self, other))
+    assert f.substitute({"x": image}) == Poly.monomial(VS, (0, 1000), 2 ** 1000)
+    assert len(calls) <= 2 * (1000).bit_length() + 1
 
 
 def test_normalize_weights():
