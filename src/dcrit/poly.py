@@ -388,18 +388,19 @@ class Poly(_Terms):
 
 
 def _power(x, n: int, one):
-    """x multiplied by itself n times, starting from `one`, by repeated
-    squaring: log n products, as the product is associative."""
+    """x multiplied by itself n times by repeated squaring: log n products,
+    as the product is associative.  `one` is returned for n = 0 and never
+    multiplied, so x ** 1 is x itself and costs no product."""
     if not isinstance(n, int) or n < 0:
         raise ValueError("exponent must be a nonnegative integer")
-    result = one
+    result = None
     while n:
         if n & 1:
-            result = result._product(x)
+            result = x if result is None else result._product(x)
         n >>= 1
         if n:
             x = x._product(x)
-    return result
+    return one if result is None else result
 
 
 def monomial_str(vars: Sequence[str], exps: Exponents) -> str:

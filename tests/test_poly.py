@@ -120,6 +120,13 @@ def test_substitute_raises_each_image_to_its_exponent(monkeypatch):
     monkeypatch.setattr(Poly, "_product", lambda self, other: calls.append(1) or product(self, other))
     assert f.substitute({"x": image}) == Poly.monomial(VS, (0, 1000), 2 ** 1000)
     assert len(calls) <= 2 * (1000).bit_length() + 1
+    # an exponent-1 term costs one product, with its coefficient: x ** 1 is x
+    f, image, expected, x = P("3*x*y"), P("x + y"), P("3*x*y + 3*y^2"), P("x")
+    calls.clear()
+    assert f.substitute({"x": image}) == expected
+    assert len(calls) == 2
+    calls.clear()
+    assert x ** 1 is x and x ** 0 == Poly.one(VS) and calls == []
 
 
 def test_normalize_weights():
